@@ -30,7 +30,7 @@ from xml.sax.saxutils import escape
 
 from .errors import DomainError, ParameterError
 from .geo import HALF_PI, GeoCoord, GeoRegion, sample_great_circle, wrap_longitude
-from .geodesics import PlanePolyline, fit_circular_arc
+from .geodesics import PlanePolyline, fit_circular_arc, project_polyline
 from .projections import PlanePoint, Projection
 
 # meridian curves stop this far (radians) from the singular pole points
@@ -130,40 +130,6 @@ def build_graticule(
         parallels=parallels, meridians=meridians, dphi=dphi, dlam=dlam,
         samples_per_degree=samples_per_degree, region=region,
     )
-
-
-def project_polyline(proj: Projection, curve) -> PlanePolyline:
-    """Forward image of a sampled curve, split into unbroken segments.
-
-    Out-of-domain samples open a break. Families with an antimeridian tear
-    (cylindrical, conic, cordiform) additionally split wherever the curve
-    crosses the cut, detected as a wrapped-longitude jump larger than pi
-    between consecutive samples.
-    """
-    cut = proj.cut_longitude
-    lon0 = None if cut is None else wrap_longitude(cut + math.pi)
-    segments: list[tuple[PlanePoint, ...]] = []
-    current: list[PlanePoint] = []
-    note: str | None = None
-    prev_u: float | None = None
-    for c in curve:
-        u = None if lon0 is None else wrap_longitude(c.lon - lon0)
-        if prev_u is not None and u is not None and abs(u - prev_u) > math.pi:
-            if len(current) >= 2:
-                segments.append(tuple(current))
-            current = []
-        prev_u = u
-        try:
-            current.append(proj.forward(c))
-        except DomainError as exc:
-            if note is None:
-                note = str(exc)
-            if len(current) >= 2:
-                segments.append(tuple(current))
-            current = []
-    if len(current) >= 2:
-        segments.append(tuple(current))
-    return PlanePolyline(tuple(segments), note=note if not segments else None)
 
 
 # ---------------------------------------------------------------------------

@@ -8,13 +8,18 @@ selectors are provided: the classical quarter-width rule, and a minimax
 solver whose optimum equioscillates, i.e. the error magnitudes at the two
 band edges and at the interior dip all agree.
 
-The minimax optimum is found by nested bisection on the balance conditions:
-for a trial inner parallel, the outer parallel is bisected until the
-upper-edge error equals the dip magnitude, and the inner parallel is in turn
-bisected until the two edge errors agree. Both brackets provably change sign,
-which makes the search unconditionally convergent and deterministic; plain
-coordinate descent on the raw parallels stalls on the non-axis-aligned ridge
-of the max envelope and cannot reach equioscillation.
+The minimax optimum is found by Remez exchange (Snyder 1987, section 16).
+Writing k(phi) = (A - B*phi)/cos(phi) with B = n the cone constant, the error
+is linear in (A, B). On the reference {lo, t, hi} (both band edges and the
+interior dip t) the conditions e(lo) = e(hi) = +E, e(t) = -E are linear in
+(A, B, E). The exchange then moves t to the dip of the new error, the root of
+the dip equation (A/B - phi) sin(phi) = cos(phi), whose left side minus its
+right side strictly increases on (0, pi/2). The two edge conditions alone fix
+A/B, so the dip equation does not depend on the old t and the exchange
+settles after a single step. The standard parallels are then the two roots
+of A - B*phi - cos(phi), which is convex, in the sign-changing brackets
+[lo, t] and [t, hi]. Every root is found by Newton's method inside its
+bracket.
 """
 
 from __future__ import annotations
@@ -29,10 +34,12 @@ from .geo import HALF_PI
 from .projections import ConicConstants, RHO_MIN, conic_constants
 
 SCAN_POINTS = 10_001
-MAX_BISECT_STEPS = 200
+MAX_NEWTON_STEPS = 100
 DEFAULT_TOL = 1e-6
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# positions of the dip when it only refines an error value: the value is
+# stationary there, so an error of x in position moves it by about x**2
+_DIP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -72,165 +79,139 @@ class ParallelChoice:
     profile_errors: np.ndarray
 
 
+def _scale_error(constants: ConicConstants, phi_a: float, phi):
+    """k(phi) - 1 = n*rho/cos(phi) - 1 for the conic whose inner standard
+    parallel is phi_a; phi is a float or an array."""
+    return constants.n * (constants.rho_ref + phi_a - phi) / np.cos(phi) - 1.0
+
+
 def parallel_scale(constants: ConicConstants, phi_a: float, phi: float) -> float:
     """Scale along the parallel at phi for the conic whose inner standard
     parallel is phi_a; exactly 1 at both standard parallels."""
-    rho = constants.rho_ref + phi_a - phi
-    if rho <= RHO_MIN:
+    if constants.rho_ref + phi_a - phi <= RHO_MIN:
         raise DomainError(
             f"latitude {math.degrees(phi):.4f}° lies at or beyond the cone apex"
         )
-    return constants.n * rho / math.cos(phi)
+    return 1.0 + float(_scale_error(constants, phi_a, phi))
 
 
-def _error_scalar(phi_a: float, phi_b: float, phi: float) -> float:
-    """k(phi) - 1 in closed form; hot-loop scalar twin of _error_profile."""
-    n = (math.cos(phi_a) - math.cos(phi_b)) / (phi_b - phi_a)
-    return (math.cos(phi_a) + n * (phi_a - phi)) / math.cos(phi) - 1.0
-
-
-def _error_profile(phi_a: float, phi_b: float, lats: np.ndarray) -> np.ndarray:
-    n = (math.cos(phi_a) - math.cos(phi_b)) / (phi_b - phi_a)
-    return (math.cos(phi_a) + n * (phi_a - lats)) / np.cos(lats) - 1.0
-
-
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section minimum of a unimodal f on [lo, hi]."""
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = f(x1)
+def _newton(f, lo: float, hi: float, tol: float, what: str) -> float:
+    """Root of f in [lo, hi], where f(phi) returns (value, slope) and the
+    values at lo and hi differ in sign. Newton steps that would leave the
+    bracket are replaced by bisection; stops once a step is within tol."""
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if (f_lo > 0.0) == (f_hi > 0.0):
+        raise ConvergenceError(f"no sign change bracketing the {what}")
+    if f_lo > 0.0:
+        lo, hi = hi, lo  # keep f(lo) < 0 < f(hi)
+    x = 0.5 * (lo + hi)
+    for _ in range(MAX_NEWTON_STEPS):
+        value, slope = f(x)
+        if value == 0.0:
+            return x
+        if value < 0.0:
+            lo = x
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = f(x2)
-    xm = 0.5 * (lo + hi)
-    return xm, f(xm)
+            hi = x
+        nxt = x - value / slope if slope != 0.0 else math.nan
+        if not min(lo, hi) < nxt < max(lo, hi):
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - x) <= tol:
+            return nxt
+        x = nxt
+    raise ConvergenceError(f"{what} did not converge in {MAX_NEWTON_STEPS} steps")
 
 
-def _dip_magnitude(phi_a: float, phi_b: float) -> float:
-    """Depth of the interior shortfall of k below 1. The dip is unique: the
-    radius ray decreases strictly slower than cot(phi), so k has exactly one
-    interior critical point between the standard parallels."""
-    _, value = _golden_min(
-        lambda phi: _error_scalar(phi_a, phi_b, phi), phi_a, phi_b, 1e-13
-    )
-    return max(0.0, -value)
+def _dip(apex: float, lo: float, hi: float, tol: float) -> float:
+    """Latitude of the minimum of k in (lo, hi) for the cone whose meridians
+    meet at latitude ``apex``: the root of (apex - phi) sin(phi) = cos(phi).
+    The difference of the two sides has slope (apex - phi) cos(phi) > 0
+    below the apex, so the root is unique, and it is evaluated without
+    cot(phi), which a band starting at the equator would blow up."""
+    def equation(phi: float) -> tuple[float, float]:
+        ray = apex - phi
+        return ray * math.sin(phi) - math.cos(phi), ray * math.cos(phi)
+    return _newton(equation, lo, hi, tol, "interior dip")
+
+
+def _dip_error(phi_a: float, phi_b: float) -> float:
+    """k - 1 at the interior dip between the standard parallels (negative)."""
+    constants = conic_constants(phi_a, phi_b)
+    t = _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
+    return float(_scale_error(constants, phi_a, t))
 
 
 def band_max_error(
     phi_a: float, phi_b: float, band: LatBand, npts: int = SCAN_POINTS
 ) -> float:
-    """max |k(phi) - 1| over the band: dense scan plus golden refinement of
-    the extremum around the scan argmax."""
+    """max |k(phi) - 1| over the band: dense scan, plus the exact dip when the
+    scan's worst sample is interior (the dip is the only interior extremum)."""
     lats = np.linspace(band.phi_lo, band.phi_hi, npts)
-    err = np.abs(_error_profile(phi_a, phi_b, lats))
+    err = np.abs(_scale_error(conic_constants(phi_a, phi_b), phi_a, lats))
     i = int(err.argmax())
     worst = float(err[i])
     if 0 < i < npts - 1:
-        _, neg = _golden_min(
-            lambda phi: -abs(_error_scalar(phi_a, phi_b, phi)),
-            float(lats[i - 1]), float(lats[i + 1]), 1e-13,
-        )
-        worst = max(worst, -neg)
-    return float(worst)
+        worst = max(worst, -_dip_error(phi_a, phi_b))
+    return worst
+
+
+def _choice(phi_a: float, phi_b: float, band: LatBand, npts: int = SCAN_POINTS) -> ParallelChoice:
+    lats = np.linspace(band.phi_lo, band.phi_hi, npts)
+    return ParallelChoice(
+        phi_a=phi_a, phi_b=phi_b,
+        max_error=band_max_error(phi_a, phi_b, band, npts),
+        profile_lats=lats,
+        profile_errors=_scale_error(conic_constants(phi_a, phi_b), phi_a, lats),
+    )
 
 
 def quarter_rule(band: LatBand, npts: int = SCAN_POINTS) -> ParallelChoice:
     """Parallels at one quarter of the band width in from each edge, i.e.
     equally far from the middle parallel and from the outermost edges."""
     quarter = 0.25 * band.width
-    phi_a = band.phi_lo + quarter
-    phi_b = band.phi_hi - quarter
-    lats = np.linspace(band.phi_lo, band.phi_hi, npts)
-    return ParallelChoice(
-        phi_a=phi_a, phi_b=phi_b,
-        max_error=band_max_error(phi_a, phi_b, band, npts),
-        profile_lats=lats,
-        profile_errors=_error_profile(phi_a, phi_b, lats),
-    )
-
-
-def _bisect(g, lo: float, hi: float, tol: float, what: str):
-    """Root of g by bisection; g(lo) and g(hi) must differ in sign."""
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
-    if (g_lo > 0.0) == (g_hi > 0.0):
-        raise ConvergenceError(f"no sign change bracketing the {what} balance")
-    for _ in range(MAX_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        g_mid = g(mid)
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi, g_hi = mid, g_mid
-    raise ConvergenceError(f"{what} balance did not converge in {MAX_BISECT_STEPS} steps")
+    return _choice(band.phi_lo + quarter, band.phi_hi - quarter, band, npts)
 
 
 def minimax_parallels(band: LatBand, tol: float = DEFAULT_TOL) -> ParallelChoice:
     """Parallels minimizing the worst |k - 1| over the band.
 
-    Nested bisection on the equioscillation balances (see module docstring):
-    inner loop fixes phi_a and balances the upper-edge error against the
-    interior dip; outer loop balances the two edge errors. ``tol`` bounds the
-    bisection interval on the parallel positions. A failed bracket raises
-    :class:`ConvergenceError` with the quarter-rule fallback attached.
+    Remez exchange on the reference {band edges, interior dip} (see module
+    docstring). ``tol`` bounds the Newton steps on the dip and the parallel
+    positions. A failed bracket raises :class:`ConvergenceError` with the
+    quarter-rule fallback attached.
     """
     if tol <= 0.0:
         raise ParameterError("tol must be positive")
-    margin = max(band.width * 1e-9, 1e-15)
     lo, hi = band.phi_lo, band.phi_hi
     pos_tol = min(tol, 0.05 * band.width)
-
-    def outer_for(phi_a: float) -> float:
-        """phi_b balancing the upper-edge error against the dip."""
-        def gap(phi_b: float) -> float:
-            return _error_scalar(phi_a, phi_b, hi) - _dip_magnitude(phi_a, phi_b)
-        return _bisect(gap, phi_a + margin, hi - margin, pos_tol, "edge/dip")
-
-    def edge_gap(phi_a: float) -> float:
-        phi_b = outer_for(phi_a)
-        return (_error_scalar(phi_a, phi_b, lo) - _error_scalar(phi_a, phi_b, hi))
-
+    cos_lo = math.cos(lo)
+    # with e(lo) = e(hi), A - B*phi is (1 + E) times the chord of cos over
+    # the band, so A/B is where that chord reaches zero
+    slope = (cos_lo - math.cos(hi)) / band.width
     try:
-        # the optimal inner parallel sits below the band midpoint; expand the
-        # bracket toward the top edge only if a band ever needs it
-        upper = 0.5 * (lo + hi)
-        for _ in range(MAX_BISECT_STEPS):
-            if edge_gap(upper) > 0.0:
-                break
-            upper = hi - 0.5 * (hi - upper)
-        else:
-            raise ConvergenceError("could not bracket the edge/edge balance")
-        phi_a = _bisect(edge_gap, lo + margin, upper, pos_tol, "edge/edge")
-        phi_b = outer_for(phi_a)
+        t = _dip(lo + cos_lo / slope, lo, hi, pos_tol)
+        chord_t = cos_lo + slope * (lo - t)
+        one_plus_e = 2.0 * math.cos(t) / (math.cos(t) + chord_t)  # from e(t) = -E
+
+        def standard(phi: float) -> tuple[float, float]:
+            """A - B*phi - cos(phi): zero at the standard parallels."""
+            return (one_plus_e * (cos_lo + slope * (lo - phi)) - math.cos(phi),
+                    math.sin(phi) - one_plus_e * slope)
+
+        phi_a = _newton(standard, lo, t, pos_tol, "inner parallel")
+        phi_b = _newton(standard, t, hi, pos_tol, "outer parallel")
     except ConvergenceError as exc:
-        # hair-thin bands drown the balance equations in the cancellation
-        # noise of the cone constant; every interior choice is equivalent
-        # there, so fall back to the quarter rule
+        # hair-thin bands drown the balance equations in rounding noise;
+        # every interior choice is equivalent there, so fall back to the
+        # quarter rule
         if band.width <= 1e-4:
             return quarter_rule(band)
         raise ConvergenceError(str(exc), best=quarter_rule(band)) from exc
-
-    lats = np.linspace(lo, hi, SCAN_POINTS)
-    return ParallelChoice(
-        phi_a=phi_a, phi_b=phi_b,
-        max_error=band_max_error(phi_a, phi_b, band),
-        profile_lats=lats,
-        profile_errors=_error_profile(phi_a, phi_b, lats),
-    )
+    return _choice(phi_a, phi_b, band)
 
 
 def equioscillation_residual(band: LatBand, choice: ParallelChoice) -> float:
@@ -240,11 +221,11 @@ def equioscillation_residual(band: LatBand, choice: ParallelChoice) -> float:
     edges, where k - 1 is positive, and the interior dip, where it is
     negative) and returns the largest deviation from the reported max_error.
     """
-    magnitudes = (
-        _error_scalar(choice.phi_a, choice.phi_b, band.phi_lo),
-        _error_scalar(choice.phi_a, choice.phi_b, band.phi_hi),
-        _dip_magnitude(choice.phi_a, choice.phi_b),
+    edges = _scale_error(
+        conic_constants(choice.phi_a, choice.phi_b), choice.phi_a,
+        np.array((band.phi_lo, band.phi_hi)),
     )
+    magnitudes = (*edges, -_dip_error(choice.phi_a, choice.phi_b))
     return float(max(abs(m - choice.max_error) for m in magnitudes))
 
 

@@ -7,9 +7,9 @@ right-angle graticule crossings (P3), and the true longitude-degree to
 latitude-degree ratio (P4).
 
 Everything is measured on the unit sphere, so "no distortion" means scale
-exactly 1. The Jacobian is taken by central finite differences so that a new
-projection only needs a forward map; analytic derivatives appear solely as
-test oracles.
+exactly 1. The Jacobian is taken by finite differences (central, one-sided
+next to the antimeridian tear) so that a new projection only needs a forward
+map; analytic derivatives appear solely as test oracles.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geo import HALF_PI, GeoCoord, GeoRegion
+from .geo import HALF_PI, GeoCoord, GeoRegion, wrap_longitude
 from .geodesics import PlanePolyline, straightness
 from .projections import Projection
 
@@ -81,23 +81,39 @@ class FieldRange:
 
 def local_jacobian(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> np.ndarray:
     """2x2 matrix with columns d(x,y)/dlat and d(x,y)/dlon, by central
-    differences. If the step neighborhood leaves the domain the step is
-    shrunk once (by 10x) before giving up."""
+    differences. Within 2 steps of the antimeridian tear the longitude
+    derivative is one-sided, (-3 f0 + 4 f1 - f2) / 2s, on the side the
+    sample's own image belongs to, so the stencil never spans the tear. If
+    the step neighborhood leaves the domain the step is shrunk once (by 10x)
+    before giving up."""
+    cut = proj.cut_longitude
+    to_cut = math.inf if cut is None else wrap_longitude(c.lon - cut)
     last_error: DomainError | None = None
     for s in (step, 0.1 * step):
+        inv = 0.5 / s
         try:
             f_n = proj.forward(GeoCoord(c.lat + s, c.lon))
             f_s = proj.forward(GeoCoord(c.lat - s, c.lon))
-            f_e = proj.forward(GeoCoord(c.lat, c.lon + s))
-            f_w = proj.forward(GeoCoord(c.lat, c.lon - s))
+            if abs(to_cut) < 2.0 * s:
+                # a sample on the cut maps with its western neighbours
+                side = s if to_cut > 0.0 else -s
+                f_0 = proj.forward(c)
+                f_1 = proj.forward(GeoCoord(c.lat, c.lon + side))
+                f_2 = proj.forward(GeoCoord(c.lat, c.lon + 2.0 * side))
+                d_lon_x = (-3.0 * f_0.x + 4.0 * f_1.x - f_2.x) / (2.0 * side)
+                d_lon_y = (-3.0 * f_0.y + 4.0 * f_1.y - f_2.y) / (2.0 * side)
+            else:
+                f_e = proj.forward(GeoCoord(c.lat, c.lon + s))
+                f_w = proj.forward(GeoCoord(c.lat, c.lon - s))
+                d_lon_x = (f_e.x - f_w.x) * inv
+                d_lon_y = (f_e.y - f_w.y) * inv
         except DomainError as exc:
             last_error = exc
             continue
-        inv = 0.5 / s
         return np.array(
             [
-                [(f_n.x - f_s.x) * inv, (f_e.x - f_w.x) * inv],
-                [(f_n.y - f_s.y) * inv, (f_e.y - f_w.y) * inv],
+                [(f_n.x - f_s.x) * inv, d_lon_x],
+                [(f_n.y - f_s.y) * inv, d_lon_y],
             ]
         )
     raise DomainError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geo import GeoCoord, sample_great_circle
+from .geo import GeoCoord, sample_great_circle, wrap_longitude
 from .projections import PlanePoint, Projection
 
 
@@ -79,11 +79,44 @@ class ArcFit:
     ls_max_residual: float | None = None
 
 
-def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> PlanePolyline:
-    """Forward image of the n-point great-circle sampling from a to b.
+def project_polyline(proj: Projection, curve) -> PlanePolyline:
+    """Forward image of a sampled curve, split into unbroken segments.
 
-    Out-of-domain samples open a break in the polyline. Endpoints that are
-    both outside the domain are rejected outright.
+    Out-of-domain samples open a break. Families with an antimeridian tear
+    (cylindrical, conic, cordiform) additionally split wherever the curve
+    crosses the cut, detected as a wrapped-longitude jump larger than pi
+    between consecutive samples.
+    """
+    cut = proj.cut_longitude
+    lon0 = None if cut is None else wrap_longitude(cut + math.pi)
+    segments: list[tuple[PlanePoint, ...]] = []
+    current: list[PlanePoint] = []
+    note: str | None = None
+    prev_u: float | None = None
+    for c in curve:
+        u = None if lon0 is None else wrap_longitude(c.lon - lon0)
+        if prev_u is not None and u is not None and abs(u - prev_u) > math.pi:
+            if len(current) >= 2:
+                segments.append(tuple(current))
+            current = []
+        prev_u = u
+        try:
+            current.append(proj.forward(c))
+        except DomainError as exc:
+            if note is None:
+                note = str(exc)
+            if len(current) >= 2:
+                segments.append(tuple(current))
+            current = []
+    if len(current) >= 2:
+        segments.append(tuple(current))
+    return PlanePolyline(tuple(segments), note=note if not segments else None)
+
+
+def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> PlanePolyline:
+    """Forward image of the n-point great-circle sampling from a to b, split
+    like :func:`project_polyline` at domain breaks and at the tear.
+    Endpoints that are both outside the domain are rejected outright.
     """
     if n < 3:
         raise ParameterError(f"need at least 3 samples for a geodesic image, got {n}")
@@ -99,18 +132,7 @@ def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> Plan
         raise DomainError(
             f"both endpoints {a.describe()} and {b.describe()} lie outside the domain"
         )
-    segments: list[tuple[PlanePoint, ...]] = []
-    current: list[PlanePoint] = []
-    for c in sample_great_circle(a, b, n):
-        try:
-            current.append(proj.forward(c))
-        except DomainError:
-            if len(current) >= 2:
-                segments.append(tuple(current))
-            current = []
-    if len(current) >= 2:
-        segments.append(tuple(current))
-    return PlanePolyline(tuple(segments))
+    return project_polyline(proj, sample_great_circle(a, b, n))
 
 
 def _deviations(points: tuple[PlanePoint, ...]) -> tuple[float, np.ndarray]:

@@ -147,6 +147,16 @@ class TestGeodesic:
         assert code == 0
         assert len(target.read_text().strip().splitlines()) == 22
 
+    def test_arc_across_the_tear_is_exit_one(self, capsys):
+        # the image splits at the cut, so there is no single chord to report
+        code, out, err = run(
+            capsys, "geodesic", "--proj", "equidistant_conic lat1=45 lat2=60",
+            "--from=60,170", "--to=60,-170",
+        )
+        assert code == 1
+        assert "found 2" in err
+        assert "ratio=" not in out
+
 
 class TestRender:
     def test_svg_to_file(self, capsys, tmp_path):

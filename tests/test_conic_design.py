@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapproj import EquidistantConic, GeoCoord, conic_constants
@@ -148,6 +148,36 @@ class TestMinimax:
     def test_bad_tol(self):
         with pytest.raises(ParameterError):
             minimax_parallels(LatBand.from_degrees(45, 70), tol=0.0)
+
+    def test_45_70_no_worse_than_nested_bisection(self):
+        # the nested-bisection solver this one replaced reached 0.012164594363393455
+        assert minimax_parallels(LatBand.from_degrees(45, 70)).max_error <= 0.012164594363393455
+
+
+def _check_minimax(band):
+    choice = minimax_parallels(band)
+    dip = choice.profile_lats[int(np.argmin(choice.profile_errors))]
+    assert band.phi_lo <= choice.phi_a < dip < choice.phi_b <= band.phi_hi
+    assert choice.max_error <= quarter_rule(band).max_error
+    return choice
+
+
+class TestMinimaxSweep:
+    @given(st.floats(0.5, 70.0), st.floats(0.0, 1.0))
+    @example(30.0, 0.0)  # starts at the equator, where cot(phi) is infinite
+    @settings(max_examples=150, deadline=None)
+    def test_wide_bands_equioscillate(self, width_deg, where):
+        lo_deg = where * (89.5 - width_deg)
+        band = LatBand.from_degrees(lo_deg, lo_deg + width_deg)
+        choice = _check_minimax(band)
+        assert equioscillation_residual(band, choice) <= 1e-9
+
+    @given(st.floats(2e-6, 5e-5), st.floats(0.0, 1.0))
+    @example(2e-6, 0.0)
+    @settings(max_examples=100, deadline=None)
+    def test_thin_bands(self, width, where):
+        lo = where * (math.radians(89.5) - width)
+        _check_minimax(LatBand(lo, lo + width))
 
 
 class TestApexOvershoot:

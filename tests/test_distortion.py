@@ -13,7 +13,9 @@ from mapproj import (
     LambertCylindricalEqualArea,
     Mercator,
     Stereographic,
+    conic_constants,
 )
+from mapproj.conic_design import parallel_scale
 from mapproj.distortion import (
     distortion_grid,
     euler_property_report,
@@ -60,6 +62,16 @@ class TestLocalJacobian:
         proj = Mercator()
         with pytest.raises(DomainError):
             local_jacobian(proj, GeoCoord(proj.cutoff - 1e-9, 0.0), step=1e-6)
+
+    @pytest.mark.parametrize("lon_deg", [180.0, -180.0, 180.0 - 1e-5, -180.0 + 1e-5])
+    def test_conic_at_the_tear_matches_closed_form(self, lon_deg):
+        # central differences here would straddle the cut and difference
+        # the two map edges against each other
+        pa, pb = math.radians(45), math.radians(60)
+        lat = math.radians(50)
+        closed = parallel_scale(conic_constants(pa, pb), pa, lat)
+        sample = tissot(EquidistantConic(pa, pb), GeoCoord(lat, math.radians(lon_deg)))
+        assert sample.k == pytest.approx(closed, abs=1e-8)
 
 
 class TestTissot:
@@ -129,6 +141,13 @@ class TestPropertyReport:
         assert rep.p3 < 1e-12
         assert rep.p2 == pytest.approx(1.0 / math.cos(math.radians(50)) - 1.0, rel=1e-6)
         assert rep.p4 < 1e-9  # conformality preserves the degree ratio
+
+    def test_mercator_full_width_across_the_tear(self):
+        rep = euler_property_report(
+            Mercator(), GeoRegion.from_degrees(-60, 60, -180, 180), 41, 41
+        )
+        assert rep.p3 < 1e-6
+        assert rep.p4 < 1e-6
 
     def test_equirectangular_at_45(self):
         rep = euler_property_report(

@@ -73,6 +73,14 @@ class TestProjectGeodesic:
         poly = project_geodesic(proj, a, b, 201)
         assert len(poly.segments) == 2
 
+    def test_splits_at_the_tear(self):
+        # 60N 170E -> 60N 170W crosses the conic's cut at 180 degrees
+        proj = EquidistantConic(math.radians(45), math.radians(60))
+        poly = project_geodesic(
+            proj, GeoCoord.from_degrees(60, 170), GeoCoord.from_degrees(60, -170), 41
+        )
+        assert len(poly.segments) == 2
+
     def test_both_endpoints_outside_rejected(self):
         proj = Mercator(cutoff=math.radians(70))
         with pytest.raises(DomainError):
