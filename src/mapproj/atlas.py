@@ -73,6 +73,10 @@ class MapScene:
     scale: float = 200.0
     margin: float = 20.0
 
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and math.isfinite(self.margin)):
+            raise ParameterError("scale and margin must be finite")
+
 
 def _multiples(lo: float, hi: float, step: float) -> list[float]:
     """Multiples of step inside [lo, hi], with slack for radian rounding."""
@@ -96,10 +100,10 @@ def build_graticule(
     foliation); a spacing wider than the region degrades to the region's
     boundary curves.
     """
-    if dphi <= 0 or dlam <= 0:
-        raise ParameterError("graticule spacings must be positive")
-    if samples_per_degree <= 0:
-        raise ParameterError("sampling density must be positive")
+    if not (0 < dphi < math.inf and 0 < dlam < math.inf):
+        raise ParameterError("graticule spacings must be positive and finite")
+    if not 0 < samples_per_degree < math.inf:
+        raise ParameterError("sampling density must be positive and finite")
 
     lat_cap = HALF_PI - POLE_CLIP
     lats = [v for v in _multiples(region.lat_lo, region.lat_hi, dphi) if abs(v) < lat_cap]

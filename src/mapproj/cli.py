@@ -163,8 +163,11 @@ def _cmd_render(args) -> int:
     proj = parse_projection(args.proj)
     region = _parse_region(args.region)
     steps = args.step.split(",")
-    dphi = math.radians(float(steps[0]))
-    dlam = math.radians(float(steps[1])) if len(steps) > 1 else dphi
+    try:
+        dphi = math.radians(float(steps[0]))
+        dlam = math.radians(float(steps[1])) if len(steps) > 1 else dphi
+    except ValueError:
+        raise MapError(f"expected DPHI[,DLAM] in degrees, got {args.step!r}") from None
     graticule = atlas.build_graticule(region, dphi, dlam, args.samples_per_degree)
     places: tuple = ()
     if args.gazetteer:

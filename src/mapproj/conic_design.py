@@ -138,42 +138,43 @@ def _dip(apex: float, lo: float, hi: float, tol: float) -> float:
     return _newton(equation, lo, hi, tol, "interior dip")
 
 
-def _dip_error(phi_a: float, phi_b: float) -> float:
-    """k - 1 at the interior dip between the standard parallels (negative)."""
+def _extremal_errors(phi_a: float, phi_b: float, band: LatBand) -> tuple[np.ndarray, float]:
+    """k - 1 at the band's lower and upper edge and at the interior dip
+    between the standard parallels, and the latitude of the dip."""
     constants = conic_constants(phi_a, phi_b)
     t = _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
-    return float(_scale_error(constants, phi_a, t))
+    return _scale_error(constants, phi_a, np.array((band.phi_lo, band.phi_hi, t))), t
 
 
-def band_max_error(
-    phi_a: float, phi_b: float, band: LatBand, npts: int = SCAN_POINTS
-) -> float:
-    """max |k(phi) - 1| over the band: dense scan, plus the exact dip when the
-    scan's worst sample is interior (the dip is the only interior extremum)."""
-    lats = np.linspace(band.phi_lo, band.phi_hi, npts)
-    err = np.abs(_scale_error(conic_constants(phi_a, phi_b), phi_a, lats))
-    i = int(err.argmax())
-    worst = float(err[i])
-    if 0 < i < npts - 1:
-        worst = max(worst, -_dip_error(phi_a, phi_b))
-    return worst
+def band_max_error(phi_a: float, phi_b: float, band: LatBand) -> float:
+    """max |k(phi) - 1| over the band, exactly.
+
+    k - 1 has one interior extremum, the dip between the standard parallels,
+    and is monotone on either side of it. So the worst error over the band
+    is the largest of |e(lo)|, |e(hi)| and, when the dip lies inside the
+    band, |e(dip)|.
+    """
+    errors, t = _extremal_errors(phi_a, phi_b, band)
+    if not band.phi_lo < t < band.phi_hi:
+        errors = errors[:2]
+    return float(np.abs(errors).max())
 
 
-def _choice(phi_a: float, phi_b: float, band: LatBand, npts: int = SCAN_POINTS) -> ParallelChoice:
-    lats = np.linspace(band.phi_lo, band.phi_hi, npts)
+def _choice(phi_a: float, phi_b: float, band: LatBand) -> ParallelChoice:
+    lats = np.linspace(band.phi_lo, band.phi_hi, SCAN_POINTS)
     return ParallelChoice(
         phi_a=phi_a, phi_b=phi_b,
-        max_error=band_max_error(phi_a, phi_b, band, npts),
+        max_error=band_max_error(phi_a, phi_b, band),
         profile_lats=lats,
         profile_errors=_scale_error(conic_constants(phi_a, phi_b), phi_a, lats),
     )
 
 
-def quarter_rule(band: LatBand, npts: int = SCAN_POINTS) -> ParallelChoice:
+def quarter_rule(band: LatBand) -> ParallelChoice:
     """Parallels at one quarter of the band width in from each edge, i.e.
     equally far from the middle parallel and from the outermost edges."""
     quarter = 0.25 * band.width
-    return _choice(band.phi_lo + quarter, band.phi_hi - quarter, band, npts)
+    return _choice(band.phi_lo + quarter, band.phi_hi - quarter, band)
 
 
 def minimax_parallels(band: LatBand, tol: float = DEFAULT_TOL) -> ParallelChoice:
@@ -221,12 +222,8 @@ def equioscillation_residual(band: LatBand, choice: ParallelChoice) -> float:
     edges, where k - 1 is positive, and the interior dip, where it is
     negative) and returns the largest deviation from the reported max_error.
     """
-    edges = _scale_error(
-        conic_constants(choice.phi_a, choice.phi_b), choice.phi_a,
-        np.array((band.phi_lo, band.phi_hi)),
-    )
-    magnitudes = (*edges, -_dip_error(choice.phi_a, choice.phi_b))
-    return float(max(abs(m - choice.max_error) for m in magnitudes))
+    e_lo, e_hi, e_dip = _extremal_errors(choice.phi_a, choice.phi_b, band)[0]
+    return float(max(abs(m - choice.max_error) for m in (e_lo, e_hi, -e_dip)))
 
 
 def apex_overshoot_degrees(phi_a: float, phi_b: float) -> float:

@@ -9,6 +9,10 @@ Eleven families are implemented, each a frozen dataclass with ``forward`` and
 * conic: EquidistantConic (the Delisle layout), LambertConformalConic
 * cordiform: Werner
 
+Families that share geometry share a base: ``_Azimuthal``; ``_Meridional``
+for the rest, which holds the central meridian ``lon0`` and the tear at its
+antimeridian; and ``_Conic`` for the apex-and-rays geometry of the two conics.
+
 Plane conventions: x east, y north on the central meridian; map units are
 unit-sphere radians. Conic apexes sit above the map (positive y). Azimuthal
 families take an arbitrary ``center`` (the tangent point); their plane axes
@@ -23,6 +27,7 @@ a degree-based plain-text spec string (grammar in its docstring).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -81,6 +86,22 @@ class Projection:
 
 def _out_of_domain(proj: Projection, c: GeoCoord, why: str) -> DomainError:
     return DomainError(f"{c.describe()} outside {proj.family} domain: {why}")
+
+
+@dataclass(frozen=True)
+class _Meridional(Projection):
+    """Base of the families laid out about a central meridian ``lon0``,
+    which each subclass declares in its own field order: lon0 is wrapped
+    once on construction, and the map tears along its antimeridian."""
+
+    def __post_init__(self):
+        if not math.isfinite(self.lon0):
+            raise ParameterError("central meridian lon0 must be finite")
+        object.__setattr__(self, "lon0", wrap_longitude(self.lon0))
+
+    @cached_property
+    def cut_longitude(self) -> float:
+        return wrap_longitude(self.lon0 + math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +222,6 @@ class Orthographic(_Azimuthal):
     through the sphere center perpendicular to ``center``; valid on the
     closed near hemisphere."""
 
-    center: GeoCoord = NORTH_POLE
     family: ClassVar[str] = "orthographic"
 
     def _radial(self, c: float) -> float:
@@ -222,7 +242,6 @@ class LambertAzimuthalEqualArea(_Azimuthal):
     """Area-preserving azimuthal map; covers the whole sphere except the
     antipode of the center."""
 
-    center: GeoCoord = NORTH_POLE
     family: ClassVar[str] = "lambert_azimuthal_equal_area"
 
     def _radial(self, c: float) -> float:
@@ -242,8 +261,26 @@ class LambertAzimuthalEqualArea(_Azimuthal):
 # cylindrical-like families
 
 
+def _within_width(dlam: float, x: float) -> float:
+    """dlam, checked to lie inside a map whose x is linear in longitude."""
+    if abs(dlam) > math.pi + 1e-9:
+        raise DomainError(f"no preimage: x = {x:.9g} beyond the map width")
+    return dlam
+
+
 @dataclass(frozen=True)
-class Equirectangular(Projection):
+class _StandardParallel(_Meridional):
+    """Base of the cylindrical families with x = cos(phi0) * (lon - lon0),
+    true to scale along the standard parallel ``phi0``."""
+
+    def __post_init__(self):
+        if not abs(self.phi0) < HALF_PI:  # NaN fails too
+            raise ParameterError("standard parallel must lie strictly between the poles")
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class Equirectangular(_StandardParallel):
     """Straight, evenly spaced meridians and parallels; true scale along all
     meridians and along the standard parallel phi0."""
 
@@ -251,29 +288,18 @@ class Equirectangular(Projection):
     lon0: float = 0.0
     family: ClassVar[str] = "equirectangular"
 
-    def __post_init__(self):
-        if abs(self.phi0) >= HALF_PI:
-            raise ParameterError("standard parallel must lie strictly between the poles")
-        object.__setattr__(self, "lon0", wrap_longitude(self.lon0))
-
-    @property
-    def cut_longitude(self) -> float:
-        return wrap_longitude(self.lon0 + math.pi)
-
     def forward(self, c: GeoCoord) -> PlanePoint:
         return PlanePoint(wrap_longitude(c.lon - self.lon0) * math.cos(self.phi0), c.lat)
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         if abs(p.y) > HALF_PI + 1e-12:
             raise DomainError(f"no preimage: |y| = {abs(p.y):.9g} beyond the pole line")
-        dlam = p.x / math.cos(self.phi0)
-        if abs(dlam) > math.pi + 1e-9:
-            raise DomainError(f"no preimage: x = {p.x:.9g} beyond the map width")
+        dlam = _within_width(p.x / math.cos(self.phi0), p.x)
         return GeoCoord(max(-HALF_PI, min(HALF_PI, p.y)), self.lon0 + dlam)
 
 
 @dataclass(frozen=True)
-class Mercator(Projection):
+class Mercator(_Meridional):
     """Conformal cylindrical map; loxodromes plot as straight lines. The
     poles are at infinite y, so a latitude cutoff bounds the domain."""
 
@@ -286,11 +312,7 @@ class Mercator(Projection):
             raise ParameterError(
                 f"cutoff {math.degrees(self.cutoff):.4f}° must lie in (0°, 90°)"
             )
-        object.__setattr__(self, "lon0", wrap_longitude(self.lon0))
-
-    @property
-    def cut_longitude(self) -> float:
-        return wrap_longitude(self.lon0 + math.pi)
+        super().__post_init__()
 
     def forward(self, c: GeoCoord) -> PlanePoint:
         if abs(c.lat) > self.cutoff:
@@ -301,30 +323,20 @@ class Mercator(Projection):
         return PlanePoint(wrap_longitude(c.lon - self.lon0), math.asinh(math.tan(c.lat)))
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
-        if abs(p.x) > math.pi + 1e-9:
-            raise DomainError(f"no preimage: x = {p.x:.9g} beyond the map width")
+        dlam = _within_width(p.x, p.x)
         lat = math.atan(math.sinh(p.y))
         if abs(lat) > self.cutoff + 1e-12:
             raise DomainError(f"no preimage: y = {p.y:.9g} beyond the latitude cutoff")
-        return GeoCoord(lat, self.lon0 + p.x)
+        return GeoCoord(lat, self.lon0 + dlam)
 
 
 @dataclass(frozen=True)
-class LambertCylindricalEqualArea(Projection):
+class LambertCylindricalEqualArea(_StandardParallel):
     """Area-preserving cylindrical map, true scale on parallel phi0."""
 
     phi0: float = 0.0
     lon0: float = 0.0
     family: ClassVar[str] = "lambert_cylindrical_equal_area"
-
-    def __post_init__(self):
-        if abs(self.phi0) >= HALF_PI:
-            raise ParameterError("standard parallel must lie strictly between the poles")
-        object.__setattr__(self, "lon0", wrap_longitude(self.lon0))
-
-    @property
-    def cut_longitude(self) -> float:
-        return wrap_longitude(self.lon0 + math.pi)
 
     def forward(self, c: GeoCoord) -> PlanePoint:
         cos0 = math.cos(self.phi0)
@@ -335,9 +347,7 @@ class LambertCylindricalEqualArea(Projection):
         sin_lat = p.y * cos0
         if abs(sin_lat) > 1.0 + 1e-9:
             raise DomainError(f"no preimage: y = {p.y:.9g} beyond the pole line")
-        dlam = p.x / cos0
-        if abs(dlam) > math.pi + 1e-9:
-            raise DomainError(f"no preimage: x = {p.x:.9g} beyond the map width")
+        dlam = _within_width(p.x / cos0, p.x)
         return GeoCoord(math.asin(max(-1.0, min(1.0, sin_lat))), self.lon0 + dlam)
 
 
@@ -373,23 +383,66 @@ def conic_constants(phi_a: float, phi_b: float) -> ConicConstants:
     return ConicConstants(n=n, rho_ref=rho_ref, apex_overshoot=rho_ref - (HALF_PI - phi_a))
 
 
-def _validate_conic_parallels(phi_a: float, phi_b: float) -> bool:
-    """Shared conic parallel checks; returns True for the southern aspect."""
-    if phi_a == 0.0 or phi_b == 0.0 or abs(phi_a) >= HALF_PI or abs(phi_b) >= HALF_PI:
-        raise ParameterError("standard parallels must lie strictly between equator and pole")
-    if (phi_a > 0.0) != (phi_b > 0.0):
-        raise ParameterError("standard parallels must lie in the same hemisphere")
-    south = phi_a < 0.0
-    inner, outer = (abs(phi_a), abs(phi_b))
-    if not inner < outer:
-        raise ParameterError(
-            "standard parallels out of order: |phi_a| must be the one nearer the equator"
-        )
-    return south
+@dataclass(frozen=True)
+class _Conic(_Meridional):
+    """Base of the two-standard-parallel conics. Meridians are rays through
+    the apex, at y = rho_ref, at angle n * (lon - lon0); parallels are
+    circles of radius rho(lat) about it. Southern-aspect instances (negative
+    parallels) mirror the northern formulas in y.
+
+    A family supplies, for the northern aspect, ``_cone`` = (n, rho_ref),
+    ``_radius(lat, c)`` (raising on points outside the domain) and
+    ``_latitude(rho)`` (its inverse, raising on radii without a preimage).
+    """
+
+    phi_a: float
+    phi_b: float
+    lon0: float = 0.0
+    # inverse error for a point at the apex, which each family reads differently
+    _APEX_ERROR: ClassVar[str]
+
+    def __post_init__(self):
+        phi_a, phi_b = self.phi_a, self.phi_b
+        if phi_a == 0.0 or phi_b == 0.0 or abs(phi_a) >= HALF_PI or abs(phi_b) >= HALF_PI:
+            raise ParameterError("standard parallels must lie strictly between equator and pole")
+        if (phi_a > 0.0) != (phi_b > 0.0):
+            raise ParameterError("standard parallels must lie in the same hemisphere")
+        if not abs(phi_a) < abs(phi_b):
+            raise ParameterError(
+                "standard parallels out of order: |phi_a| must be the one nearer the equator"
+            )
+        super().__post_init__()
+
+    @cached_property
+    def _south(self) -> bool:
+        return self.phi_a < 0.0
+
+    def forward(self, c: GeoCoord) -> PlanePoint:
+        n, rho_ref = self._cone
+        lat = -c.lat if self._south else c.lat
+        rho = self._radius(lat, c)
+        theta = n * wrap_longitude(c.lon - self.lon0)
+        x = rho * math.sin(theta)
+        y = rho_ref - rho * math.cos(theta)
+        return PlanePoint(x, -y if self._south else y)
+
+    def inverse(self, p: PlanePoint) -> GeoCoord:
+        n, rho_ref = self._cone
+        y = -p.y if self._south else p.y
+        dy = rho_ref - y
+        rho = math.hypot(p.x, dy)
+        if rho <= RHO_MIN:
+            raise DomainError(self._APEX_ERROR)
+        theta = math.atan2(p.x, dy)
+        dlam = theta / n
+        if abs(dlam) > math.pi + 1e-9:
+            raise DomainError(f"no preimage: map angle {theta:.9g} outside the cone wedge")
+        lat = self._latitude(rho)
+        return GeoCoord(-lat if self._south else lat, self.lon0 + dlam)
 
 
 @dataclass(frozen=True)
-class EquidistantConic(Projection):
+class EquidistantConic(_Conic):
     """Two-standard-parallel conic with exactly true meridian scale.
 
     Meridians are straight rays through the apex, parallels concentric
@@ -402,86 +455,52 @@ class EquidistantConic(Projection):
     otherwise the domain runs to where the parallel radius reaches zero.
     """
 
-    phi_a: float
-    phi_b: float
-    lon0: float = 0.0
     cutoff: float | None = None
     family: ClassVar[str] = "equidistant_conic"
+    _APEX_ERROR: ClassVar[str] = "no preimage: point at or beyond the cone apex"
 
     def __post_init__(self):
-        _validate_conic_parallels(self.phi_a, self.phi_b)
-        object.__setattr__(self, "lon0", wrap_longitude(self.lon0))
+        super().__post_init__()
         if self.cutoff is not None:
-            k = self.constants
-            apex_lat = k.rho_ref + abs(self.phi_a) - RHO_MIN
+            apex_lat = self.constants.rho_ref + abs(self.phi_a) - RHO_MIN
             if not abs(self.cutoff) < min(HALF_PI + 1e-12, apex_lat):
                 raise ParameterError("cutoff outside the conic's valid domain")
-
-    @cached_property
-    def _south(self) -> bool:
-        return self.phi_a < 0.0
 
     @cached_property
     def constants(self) -> ConicConstants:
         return conic_constants(abs(self.phi_a), abs(self.phi_b))
 
-    @property
-    def cut_longitude(self) -> float:
-        return wrap_longitude(self.lon0 + math.pi)
+    @cached_property
+    def _cone(self) -> tuple[float, float]:
+        return self.constants.n, self.constants.rho_ref
 
-    def forward(self, c: GeoCoord) -> PlanePoint:
-        k = self.constants
-        lat = -c.lat if self._south else c.lat
+    def _radius(self, lat: float, c: GeoCoord) -> float:
         if self.cutoff is not None and lat > abs(self.cutoff):
             raise _out_of_domain(
                 self, c, f"beyond the {math.degrees(self.cutoff):.4f}° cutoff"
             )
-        rho = k.rho_ref + abs(self.phi_a) - lat
+        rho = self.constants.rho_ref + abs(self.phi_a) - lat
         if rho <= RHO_MIN:
             raise _out_of_domain(self, c, "at or beyond the cone apex")
-        theta = k.n * wrap_longitude(c.lon - self.lon0)
-        x = rho * math.sin(theta)
-        y = k.rho_ref - rho * math.cos(theta)
-        return PlanePoint(x, -y if self._south else y)
+        return rho
 
-    def inverse(self, p: PlanePoint) -> GeoCoord:
-        k = self.constants
-        y = -p.y if self._south else p.y
-        dy = k.rho_ref - y
-        rho = math.hypot(p.x, dy)
-        if rho <= RHO_MIN:
-            raise DomainError("no preimage: point at or beyond the cone apex")
-        theta = math.atan2(p.x, dy)
-        dlam = theta / k.n
-        if abs(dlam) > math.pi + 1e-9:
-            raise DomainError(f"no preimage: map angle {theta:.9g} outside the cone wedge")
-        lat = k.rho_ref + abs(self.phi_a) - rho
+    def _latitude(self, rho: float) -> float:
+        lat = self.constants.rho_ref + abs(self.phi_a) - rho
         if lat < -HALF_PI - 1e-9:
             raise DomainError("no preimage: radius beyond the far pole")
         if self.cutoff is not None and lat > abs(self.cutoff) + 1e-12:
             raise DomainError("no preimage: beyond the latitude cutoff")
-        lat = max(-HALF_PI, min(HALF_PI, lat))
-        return GeoCoord(-lat if self._south else lat, self.lon0 + dlam)
+        return max(-HALF_PI, min(HALF_PI, lat))
 
 
 @dataclass(frozen=True)
-class LambertConformalConic(Projection):
+class LambertConformalConic(_Conic):
     """Conformal conic with true scale on both standard parallels; poles are
     excluded (the near pole is the apex limit, the far one is at infinity).
     Southern aspects mirror the northern formulas in y."""
 
-    phi_a: float
-    phi_b: float
-    lon0: float = 0.0
     family: ClassVar[str] = "lambert_conformal_conic"
-
-    def __post_init__(self):
-        _validate_conic_parallels(self.phi_a, self.phi_b)
-        object.__setattr__(self, "lon0", wrap_longitude(self.lon0))
-
-    @cached_property
-    def _south(self) -> bool:
-        return self.phi_a < 0.0
+    _APEX_ERROR: ClassVar[str] = "no preimage: the apex corresponds to the excluded pole"
 
     @cached_property
     def _nF(self) -> tuple[float, float, float]:
@@ -493,42 +512,26 @@ class LambertConformalConic(Projection):
         rho_ref = f * ta**-n
         return n, f, rho_ref
 
+    @cached_property
+    def _cone(self) -> tuple[float, float]:
+        return self._nF[0], self._nF[2]
+
     @property
     def cone_constant(self) -> float:
         return self._nF[0]
-
-    @property
-    def cut_longitude(self) -> float:
-        return wrap_longitude(self.lon0 + math.pi)
 
     def _rho(self, lat: float) -> float:
         n, f, _ = self._nF
         return f * math.tan(0.25 * math.pi + 0.5 * lat) ** -n
 
-    def forward(self, c: GeoCoord) -> PlanePoint:
-        if abs(c.lat) >= HALF_PI - 1e-12:
+    def _radius(self, lat: float, c: GeoCoord) -> float:
+        if abs(lat) >= HALF_PI - 1e-12:
             raise _out_of_domain(self, c, "poles are excluded")
-        n, _, rho_ref = self._nF
-        lat = -c.lat if self._south else c.lat
-        rho = self._rho(lat)
-        theta = n * wrap_longitude(c.lon - self.lon0)
-        x = rho * math.sin(theta)
-        y = rho_ref - rho * math.cos(theta)
-        return PlanePoint(x, -y if self._south else y)
+        return self._rho(lat)
 
-    def inverse(self, p: PlanePoint) -> GeoCoord:
-        n, f, rho_ref = self._nF
-        y = -p.y if self._south else p.y
-        dy = rho_ref - y
-        rho = math.hypot(p.x, dy)
-        if rho <= RHO_MIN:
-            raise DomainError("no preimage: the apex corresponds to the excluded pole")
-        theta = math.atan2(p.x, dy)
-        dlam = theta / n
-        if abs(dlam) > math.pi + 1e-9:
-            raise DomainError(f"no preimage: map angle {theta:.9g} outside the cone wedge")
-        lat = 2.0 * math.atan((f / rho) ** (1.0 / n)) - HALF_PI
-        return GeoCoord(-lat if self._south else lat, self.lon0 + dlam)
+    def _latitude(self, rho: float) -> float:
+        n, f, _ = self._nF
+        return 2.0 * math.atan((f / rho) ** (1.0 / n)) - HALF_PI
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +539,7 @@ class LambertConformalConic(Projection):
 
 
 @dataclass(frozen=True)
-class Werner(Projection):
+class Werner(_Meridional):
     """Heart-shaped map with the pole at the origin: parallels are concentric
     circular arcs at true colatitude radius, and arc length along every
     parallel and along the central meridian is true. Continuous at the pole
@@ -544,13 +547,6 @@ class Werner(Projection):
 
     lon0: float = 0.0
     family: ClassVar[str] = "werner"
-
-    def __post_init__(self):
-        object.__setattr__(self, "lon0", wrap_longitude(self.lon0))
-
-    @property
-    def cut_longitude(self) -> float:
-        return wrap_longitude(self.lon0 + math.pi)
 
     def forward(self, c: GeoCoord) -> PlanePoint:
         r = HALF_PI - c.lat
@@ -595,35 +591,18 @@ FAMILIES: dict[str, type[Projection]] = {
     )
 }
 
-_FAMILY_KEYS: dict[str, set[str]] = {
-    "equirectangular": {"lat0", "lon0"},
-    "stereographic": {"center"},
-    "gnomonic": {"center"},
-    "central": {"center"},
-    "orthographic": {"center"},
-    "lambert_azimuthal_equal_area": {"center"},
-    "mercator": {"lon0", "cutoff"},
-    "equidistant_conic": {"lat1", "lat2", "lon0", "cutoff"},
-    "lambert_conformal_conic": {"lat1", "lat2", "lon0"},
-    "lambert_cylindrical_equal_area": {"lat0", "lon0"},
-    "werner": {"lon0"},
-}
+# spec-string keys that differ from the dataclass field they set
+_SPEC_KEYS = {"phi0": "lat0", "phi_a": "lat1", "phi_b": "lat2"}
 
 
 def parse_projection(text: str) -> Projection:
     """Build a projection from a plain-text spec string.
 
     Grammar: ``family key=value ...`` with whitespace-separated key=value
-    pairs, all angles in decimal degrees. Keys per family:
-
-    * ``equirectangular``: lat0 (standard parallel), lon0
-    * ``mercator``: lon0, cutoff
-    * ``equidistant_conic``: lat1, lat2 (required), lon0, cutoff
-    * ``lambert_conformal_conic``: lat1, lat2 (required), lon0
-    * ``lambert_cylindrical_equal_area``: lat0, lon0
-    * ``werner``: lon0
-    * azimuthal families (``stereographic``, ``gnomonic``, ``central``,
-      ``orthographic``, ``lambert_azimuthal_equal_area``): center=LAT,LON
+    pairs, all angles in decimal degrees. The keys of a family are the
+    fields of its class, with ``phi0``, ``phi_a`` and ``phi_b`` spelled
+    ``lat0``, ``lat1`` and ``lat2``; fields without a default are required.
+    The azimuthal ``center`` is given as ``center=LAT,LON``.
 
     Example: ``"equidistant_conic lat1=45 lat2=60 lon0=90"``.
     """
@@ -638,33 +617,31 @@ def parse_projection(text: str) -> Projection:
             f"unknown projection family {name!r}; valid families: "
             + ", ".join(sorted(FAMILIES))
         )
-    allowed = _FAMILY_KEYS[name]
+    cls = FAMILIES[name]
+    keys = {_SPEC_KEYS.get(f.name, f.name): f for f in dataclasses.fields(cls)}
     values: dict[str, object] = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
         if not sep or not raw:
             raise ParameterError(f"malformed parameter {pair!r}; expected key=value")
         key = key.lower()
-        if key not in allowed:
+        if key not in keys:
             raise ParameterError(
                 f"parameter {key!r} not valid for {name}; allowed: "
-                + ", ".join(sorted(allowed))
+                + ", ".join(sorted(keys))
             )
         try:
             if key == "center":
                 lat_s, _, lon_s = raw.partition(",")
-                values[key] = GeoCoord.from_degrees(float(lat_s), float(lon_s or "0"))
+                values[keys[key].name] = GeoCoord.from_degrees(float(lat_s), float(lon_s or "0"))
             else:
-                values[key] = math.radians(float(raw))
+                values[keys[key].name] = math.radians(float(raw))
         except MapError:
             raise
         except ValueError as exc:
             raise ParameterError(f"could not parse value in {pair!r}") from exc
 
-    field_map = {"lat0": "phi0", "lat1": "phi_a", "lat2": "phi_b"}
-    kwargs = {field_map.get(k, k): v for k, v in values.items()}
-    if name in ("equidistant_conic", "lambert_conformal_conic"):
-        missing = {"phi_a", "phi_b"} - set(kwargs)
-        if missing:
-            raise ParameterError(f"{name} requires lat1 and lat2")
-    return FAMILIES[name](**kwargs)
+    required = [key for key, f in keys.items() if f.default is dataclasses.MISSING]
+    if any(keys[key].name not in values for key in required):
+        raise ParameterError(f"{name} requires " + " and ".join(required))
+    return cls(**values)

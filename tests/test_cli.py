@@ -1,3 +1,5 @@
+import pytest
+
 from mapproj.cli import main
 
 
@@ -197,3 +199,19 @@ class TestRender:
         )
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--step", "nan"),
+        ("--step", "10,"),
+        ("--samples-per-degree", "nan"),
+        ("--samples-per-degree", "inf"),
+        ("--scale", "nan"),
+    ])
+    def test_bad_number_is_exit_one(self, capsys, option, value):
+        code, out, err = run(
+            capsys, "render", "--proj", "werner", "--region", "10:60,30:150", option, value
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err

@@ -104,7 +104,7 @@ class TestMinimax:
         best = minimax_parallels(band).max_error
         lo, hi = band.phi_lo, band.phi_hi
         grid_best = min(
-            band_max_error(pa, pb, band, npts=801)
+            band_max_error(pa, pb, band)
             for pa in np.linspace(lo + 0.01, hi - 0.02, 40)
             for pb in np.linspace(lo + 0.02, hi - 0.01, 40)
             if pa < pb
@@ -152,6 +152,31 @@ class TestMinimax:
     def test_45_70_no_worse_than_nested_bisection(self):
         # the nested-bisection solver this one replaced reached 0.012164594363393455
         assert minimax_parallels(LatBand.from_degrees(45, 70)).max_error <= 0.012164594363393455
+
+
+class TestBandMaxError:
+    @staticmethod
+    def _scan(phi_a, phi_b, band):
+        lats = np.linspace(band.phi_lo, band.phi_hi, 200_001)
+        k = conic_constants(phi_a, phi_b)
+        return float(np.abs(k.n * (k.rho_ref + phi_a - lats) / np.cos(lats) - 1.0).max())
+
+    @pytest.mark.parametrize("lo, hi", [(45, 70), (0, 30), (80, 89.5)])
+    def test_equals_dense_scan(self, lo, hi):
+        band = LatBand.from_degrees(lo, hi)
+        for choice in (quarter_rule(band), minimax_parallels(band)):
+            exact = band_max_error(choice.phi_a, choice.phi_b, band)
+            assert exact == choice.max_error
+            scan = self._scan(choice.phi_a, choice.phi_b, band)
+            assert scan <= exact <= scan + 1e-12
+
+    def test_dip_outside_band(self):
+        # parallels 55/65 dip near 60, beyond a 45-50 band: the edges decide
+        band = LatBand.from_degrees(45, 50)
+        pa, pb = math.radians(55), math.radians(65)
+        exact = band_max_error(pa, pb, band)
+        assert exact == self._scan(pa, pb, band)
+        assert exact == abs(parallel_scale(conic_constants(pa, pb), pa, band.phi_lo) - 1.0)
 
 
 def _check_minimax(band):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,10 @@ from mapproj import (
     sample_great_circle,
     to_unit_vector,
 )
+from mapproj.cli import main
 from mapproj.errors import DomainError, ParameterError
+from mapproj.geo import wrap_longitude
+from mapproj.projections import FAMILIES
 from conftest import all_family_instances, sample_in_domain
 
 
@@ -500,3 +505,86 @@ class TestParseProjection:
     def test_bad_value(self):
         with pytest.raises(ParameterError):
             parse_projection("mercator lon0=abc")
+
+    @pytest.mark.parametrize("spec", [
+        "mercator lon0=inf",
+        "werner lon0=nan",
+        "equirectangular lat0=nan",
+        "lambert_cylindrical_equal_area lat0=nan",
+        "equidistant_conic lat1=45 lat2=60 lon0=-inf",
+        "lambert_conformal_conic lat1=45 lat2=60 lon0=nan",
+    ])
+    def test_non_finite_parameter(self, spec, capsys):
+        with pytest.raises(ParameterError):
+            parse_projection(spec)
+        assert main(["project", "--proj", spec, "--lat", "10", "--lon", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+
+# families laid out about a central meridian, which tear along its antimeridian
+TEAR_SPECS = {
+    "equirectangular": "equirectangular lat0=30",
+    "mercator": "mercator",
+    "lambert_cylindrical_equal_area": "lambert_cylindrical_equal_area lat0=15",
+    "equidistant_conic": "equidistant_conic lat1=45 lat2=60",
+    "lambert_conformal_conic": "lambert_conformal_conic lat1=-30 lat2=-60",
+    "werner": "werner",
+}
+
+
+class TestCutLongitude:
+    def test_every_family(self):
+        for proj in all_family_instances():
+            if proj.family in TEAR_SPECS:
+                assert proj.cut_longitude == wrap_longitude(proj.lon0 + math.pi)
+            else:
+                assert proj.cut_longitude is None
+
+    @pytest.mark.parametrize("family", sorted(TEAR_SPECS))
+    def test_lon0_540_is_180(self, family):
+        proj = parse_projection(f"{TEAR_SPECS[family]} lon0=540")
+        assert math.degrees(proj.lon0) == pytest.approx(180.0, abs=1e-12)
+        assert proj.cut_longitude == wrap_longitude(proj.lon0 + math.pi)
+        assert proj.cut_longitude == pytest.approx(0.0, abs=1e-12)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+SPEC_VALUES = {"lat0": "30", "lat1": "45", "lat2": "60", "lon0": "20", "cutoff": "80",
+               "center": "10,20"}
+
+
+def _readme_spec_table():
+    """family -> (keys, required keys) from README's spec-string table."""
+    section = README.read_text(encoding="utf-8").split("### Projection spec strings")[1]
+    table = {}
+    for line in section.split("\n### ")[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        _, families, keys, _ = line.split("|")
+        head, marker, _ = keys.partition("(required)")
+        required = re.findall(r"`([^`]+)`", head) if marker else []
+        keys = [k.split("=")[0] for k in re.findall(r"`([^`]+)`", keys)]
+        for family in re.findall(r"`([^`]+)`", families):
+            table[family] = (keys, required)
+    return table
+
+
+class TestReadmeSpecTable:
+    def test_lists_every_family(self):
+        assert set(_readme_spec_table()) == set(FAMILIES)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_keys_match_parser(self, family):
+        keys, required = _readme_spec_table()[family]
+        spec = family + "".join(f" {k}={SPEC_VALUES[k]}" for k in keys)
+        assert parse_projection(spec).family == family
+        with pytest.raises(ParameterError) as info:
+            parse_projection(f"{family} bogus=1")
+        assert str(info.value).endswith("; allowed: " + ", ".join(sorted(keys)))
+        if required:
+            optional = "".join(f" {k}={SPEC_VALUES[k]}" for k in keys if k not in required)
+            with pytest.raises(ParameterError, match=f"{family} requires "
+                               + " and ".join(required)):
+                parse_projection(family + optional)
