@@ -74,8 +74,8 @@ class MapScene:
     margin: float = 20.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.scale) and math.isfinite(self.margin)):
-            raise ParameterError("scale and margin must be finite")
+        if not (0.0 < self.scale < math.inf and 0.0 <= self.margin < math.inf):
+            raise ParameterError("scale must be positive and margin non-negative, both finite")
 
 
 def _multiples(lo: float, hi: float, step: float) -> list[float]:

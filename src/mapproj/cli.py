@@ -110,10 +110,10 @@ def _cmd_properties(args) -> int:
 
 def _cmd_optimize(args) -> int:
     try:
-        lo_s, hi_s = args.band.split(":")
-        band = conic_design.LatBand.from_degrees(float(lo_s), float(hi_s))
+        lo, hi = (float(v) for v in args.band.split(":"))
     except ValueError:
         raise MapError(f"expected LO:HI in degrees, got {args.band!r}") from None
+    band = conic_design.LatBand.from_degrees(lo, hi)
     quarter = conic_design.quarter_rule(band)
     best = conic_design.minimax_parallels(band, tol=args.tol)
     print(f"{'method':<10} {'phi_a_deg':>12} {'phi_b_deg':>12} {'max|k-1|':>14}")

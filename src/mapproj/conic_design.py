@@ -185,8 +185,8 @@ def minimax_parallels(band: LatBand, tol: float = DEFAULT_TOL) -> ParallelChoice
     positions. A failed bracket raises :class:`ConvergenceError` with the
     quarter-rule fallback attached.
     """
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
+    if not (tol > 0.0 and math.isfinite(tol)):
+        raise ParameterError("tol must be positive and finite")
     lo, hi = band.phi_lo, band.phi_hi
     pos_tol = min(tol, 0.05 * band.width)
     cos_lo = math.cos(lo)

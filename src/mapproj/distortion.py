@@ -126,25 +126,28 @@ def tissot(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> Distort
 
     The Jacobian columns are normalized by the sphere's metric (1 along
     meridians, cos(lat) along parallels), so h, k, a, b are pure local scale
-    ratios and a*b is the area scale.
+    ratios and a*b is the area scale. The semi-axes are the closed-form
+    singular values of that 2x2 matrix [[xp, xl], [yp, yl]]: with
+    q = |(xp + yl, yp - xl)| and r = |(xp - yl, yp + xl)|, a = (q + r)/2,
+    b = |q - r|/2 and sin(omega/2) = min(q, r)/max(q, r), which holds for a
+    mirror-image Jacobian too and has no cancellation near a conformal point.
     """
     if abs(c.lat) >= HALF_PI - 1e-12:
         raise DomainError("parallel scale is undefined at the poles")
-    jac = local_jacobian(proj, c, step)
-    along_meridian = jac[:, 0]
-    along_parallel = jac[:, 1] / math.cos(c.lat)
-    h = float(np.linalg.norm(along_meridian))
-    k = float(np.linalg.norm(along_parallel))
+    (xp, xl), (yp, yl) = local_jacobian(proj, c, step).tolist()
+    cos_lat = math.cos(c.lat)
+    xl, yl = xl / cos_lat, yl / cos_lat
+    h = math.hypot(xp, yp)
+    k = math.hypot(xl, yl)
     if h <= 0.0 or k <= 0.0:
         raise DomainError(f"degenerate Jacobian at {c.describe()}")
-    cos_theta = float(np.dot(along_meridian, along_parallel)) / (h * k)
+    cos_theta = (xp * xl + yp * yl) / (h * k)
     theta_prime = math.acos(max(-1.0, min(1.0, cos_theta)))
-    metric_scaled = np.column_stack([along_meridian, along_parallel])
-    sv = np.linalg.svd(metric_scaled, compute_uv=False)
-    a, b = float(sv[0]), float(sv[1])
-    omega = 2.0 * math.asin((a - b) / (a + b))
+    q = math.hypot(xp + yl, yp - xl)
+    r = math.hypot(xp - yl, yp + xl)
+    omega = 2.0 * math.asin(min(q, r) / max(q, r))
     return DistortionSample(
-        h=h, k=k, theta_prime=theta_prime, a=a, b=b, omega=omega,
+        h=h, k=k, theta_prime=theta_prime, a=0.5 * (q + r), b=0.5 * abs(q - r), omega=omega,
         s=h * k * math.sin(theta_prime),
     )
 

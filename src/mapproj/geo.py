@@ -122,11 +122,11 @@ def to_unit_vector(c: GeoCoord) -> np.ndarray:
 
 def from_unit_vector(v) -> GeoCoord:
     """Inverse of :func:`to_unit_vector`; rejects clearly non-unit input."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
+    x, y, z = map(float, v)
+    norm = math.sqrt(x * x + y * y + z * z)
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise DomainError(f"not a unit vector: |v| = {norm:.12g}")
-    x, y, z = (v / norm).tolist()
+    x, y, z = x / norm, y / norm, z / norm
     lat = math.asin(max(-1.0, min(1.0, z)))
     lon = math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0
     return GeoCoord(lat, lon)

@@ -33,8 +33,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
-import numpy as np
-
 from .errors import DomainError, MapError, ParameterError
 from .geo import (
     HALF_PI,
@@ -42,7 +40,6 @@ from .geo import (
     SOUTH_POLE,
     GeoCoord,
     from_unit_vector,
-    to_unit_vector,
     wrap_longitude,
 )
 
@@ -125,40 +122,40 @@ class _Azimuthal(Projection):
         raise NotImplementedError
 
     @cached_property
-    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cv = to_unit_vector(self.center)
+    def _frame(self) -> tuple[tuple[float, float, float], ...]:
+        """Unit vectors of the center and of east and north at it."""
+        sin_lat, cos_lat = math.sin(self.center.lat), math.cos(self.center.lat)
+        sin_lon, cos_lon = math.sin(self.center.lon), math.cos(self.center.lon)
+        cv = (cos_lat * cos_lon, cos_lat * sin_lon, sin_lat)
         if abs(self.center.lat) >= HALF_PI:
-            e1 = np.array([1.0, 0.0, 0.0])
-            e2 = np.array([0.0, 1.0, 0.0])
-        else:
-            sin_lat, cos_lat = math.sin(self.center.lat), math.cos(self.center.lat)
-            sin_lon, cos_lon = math.sin(self.center.lon), math.cos(self.center.lon)
-            e1 = np.array([-sin_lon, cos_lon, 0.0])
-            e2 = np.array([-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat])
-        return cv, e1, e2
+            return cv, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        return cv, (-sin_lon, cos_lon, 0.0), (-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat)
 
     def forward(self, c: GeoCoord) -> PlanePoint:
-        cv, e1, e2 = self._frame
-        p = to_unit_vector(c)
-        dot = float(np.dot(p, cv))
-        tangent = p - dot * cv
-        tnorm = float(np.linalg.norm(tangent))
+        (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
+        cos_lat = math.cos(c.lat)
+        px, py, pz = cos_lat * math.cos(c.lon), cos_lat * math.sin(c.lon), math.sin(c.lat)
+        dot = px * cx + py * cy + pz * cz
+        tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
+        tnorm = math.sqrt(tx * tx + ty * ty + tz * tz)
         dist = math.atan2(tnorm, dot)
         self._check_distance(dist, c)
         if tnorm < 1e-15:
             return PlanePoint(0.0, 0.0)
         r = self._radial(dist) / tnorm
-        return PlanePoint(r * float(np.dot(tangent, e1)), r * float(np.dot(tangent, e2)))
+        return PlanePoint(r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz))
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
-        cv, e1, e2 = self._frame
         r = math.hypot(p.x, p.y)
         dist = self._radial_inverse(r)
         if r < 1e-15:
             return GeoCoord(self.center.lat, self.center.lon)
-        direction = (p.x * e1 + p.y * e2) / r
-        w = math.cos(dist) * cv + math.sin(dist) * direction
-        return from_unit_vector(w / np.linalg.norm(w))
+        (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
+        dx, dy, dz = (p.x * ex + p.y * nx) / r, (p.x * ey + p.y * ny) / r, (p.x * ez + p.y * nz) / r
+        cos_d, sin_d = math.cos(dist), math.sin(dist)
+        return from_unit_vector(
+            (cos_d * cx + sin_d * dx, cos_d * cy + sin_d * dy, cos_d * cz + sin_d * dz)
+        )
 
 
 @dataclass(frozen=True)

@@ -186,6 +186,18 @@ def _delisle_scene() -> MapScene:
 
 
 class TestRenderSvg:
+    @pytest.mark.parametrize("scale, margin", [
+        (0.0, 20.0), (-5.0, 20.0), (math.inf, 20.0), (200.0, -30.0), (200.0, math.nan),
+    ])
+    def test_bad_scale_or_margin(self, scale, margin):
+        with pytest.raises(ParameterError, match="scale must be positive and margin non-negative"):
+            MapScene(projection=Mercator(), scale=scale, margin=margin)
+
+    def test_zero_margin_is_allowed(self):
+        scene = _delisle_scene()
+        bare = MapScene(projection=scene.projection, graticule=scene.graticule, margin=0.0)
+        assert render_svg(bare).startswith('<?xml version="1.0"')
+
     def test_empty_scene_is_valid(self):
         svg = render_svg(MapScene(projection=Mercator()))
         assert svg.startswith('<?xml version="1.0"')

@@ -1,6 +1,8 @@
 import pytest
 
 from mapproj.cli import main
+from mapproj.conic_design import LatBand
+from mapproj.errors import ParameterError
 
 
 def run(capsys, *argv):
@@ -127,6 +129,29 @@ class TestOptimize:
     def test_bad_band(self, capsys):
         assert run(capsys, "optimize", "--band", "70:45")[0] == 1
 
+    @pytest.mark.parametrize("lo, hi", [(70.0, 45.0), (45.0, 45.00001)])
+    def test_band_error_keeps_its_reason(self, capsys, lo, hi):
+        # reversed, and narrower than 1e-6 rad
+        with pytest.raises(ParameterError) as expected:
+            LatBand.from_degrees(lo, hi)
+        code, out, err = run(capsys, "optimize", "--band", f"{lo}:{hi}")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {expected.value}\n"
+
+    @pytest.mark.parametrize("band", ["45-70", "45:x", "45:60:70"])
+    def test_malformed_band_is_a_parse_error(self, capsys, band):
+        code, _, err = run(capsys, "optimize", "--band", band)
+        assert code == 1
+        assert err == f"error: expected LO:HI in degrees, got {band!r}\n"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-9"])
+    def test_bad_tol_is_exit_one(self, capsys, tol):
+        code, out, err = run(capsys, "optimize", "--band", "45:70", f"--tol={tol}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tol must be positive and finite\n"
+
 
 class TestGeodesic:
     def test_report(self, capsys):
@@ -206,6 +231,10 @@ class TestRender:
         ("--samples-per-degree", "nan"),
         ("--samples-per-degree", "inf"),
         ("--scale", "nan"),
+        ("--scale", "0"),
+        ("--scale", "-5"),
+        ("--margin", "-30"),
+        ("--margin", "inf"),
     ])
     def test_bad_number_is_exit_one(self, capsys, option, value):
         code, out, err = run(

@@ -149,6 +149,11 @@ class TestMinimax:
         with pytest.raises(ParameterError):
             minimax_parallels(LatBand.from_degrees(45, 70), tol=0.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_non_finite_or_negative_tol(self, tol):
+        with pytest.raises(ParameterError, match="tol must be positive and finite"):
+            minimax_parallels(LatBand.from_degrees(45, 70), tol=tol)
+
     def test_45_70_no_worse_than_nested_bisection(self):
         # the nested-bisection solver this one replaced reached 0.012164594363393455
         assert minimax_parallels(LatBand.from_degrees(45, 70)).max_error <= 0.012164594363393455

@@ -1,4 +1,6 @@
 import math
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -25,7 +27,30 @@ from mapproj.distortion import (
     tissot,
 )
 from mapproj.errors import DomainError, ParameterError
+from mapproj.projections import PlanePoint, Projection
 from conftest import all_family_instances
+
+
+@dataclass(frozen=True)
+class _Affine(Projection):
+    """x = p*lat + q*lon, y = r*lat + s*lon: a constant Jacobian."""
+
+    p: float
+    q: float
+    r: float
+    s: float
+    family: ClassVar[str] = "affine"
+
+    def forward(self, c: GeoCoord) -> PlanePoint:
+        return PlanePoint(self.p * c.lat + self.q * c.lon, self.r * c.lat + self.s * c.lon)
+
+
+def _svd_reference(proj, c):
+    """Tissot axes and omega from an SVD of the metric-scaled Jacobian."""
+    jac = local_jacobian(proj, c)
+    jac[:, 1] /= math.cos(c.lat)
+    a, b = np.linalg.svd(jac, compute_uv=False)
+    return a, b, 2.0 * math.asin((a - b) / (a + b))
 
 
 class TestLocalJacobian:
@@ -117,6 +142,60 @@ class TestTissot:
             assert s.b <= min(s.h, s.k) + 1e-9
             assert max(s.h, s.k) <= s.a + 1e-9
             assert s.s == pytest.approx(s.a * s.b, abs=1e-9)
+
+
+class TestTissotAxesClosedForm:
+    """tissot's closed-form singular values against numpy's SVD of the same
+    finite-difference Jacobian; b is compared relative to a, the norm of the
+    matrix, as an SVD's accuracy is."""
+
+    @staticmethod
+    def _check(proj, c):
+        a, b, omega = _svd_reference(proj, c)
+        sample = tissot(proj, c)
+        assert sample.a == pytest.approx(a, rel=1e-12)
+        assert sample.b == pytest.approx(b, rel=1e-12, abs=1e-12 * a)
+        assert sample.omega == pytest.approx(omega, rel=1e-12, abs=1e-12)
+        return sample
+
+    def test_random_affine_maps(self, rng):
+        for _ in range(200):
+            proj = _Affine(*(rng.uniform(-2.0, 2.0) for _ in range(4)))
+            c = GeoCoord(rng.uniform(-1.4, 1.4), rng.uniform(-3.0, 3.0))
+            self._check(proj, c)
+
+    def test_mirror_image(self):
+        # det < 0: the map reverses orientation
+        proj = _Affine(1.3, 0.4, 0.2, -0.9)
+        sample = self._check(proj, GeoCoord.from_degrees(35, 20))
+        assert sample.a * sample.b == pytest.approx(
+            abs(1.3 * -0.9 - 0.4 * 0.2) / math.cos(math.radians(35)), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["conformal", "mirror-conformal"])
+    def test_conformal(self, sign):
+        # a scaled rotation (or reflection) at the origin, where cos(lat) = 1
+        # and every finite difference is exact to a few ulp
+        alpha, beta = 1.7, 0.6
+        proj = _Affine(
+            alpha * math.cos(beta), -sign * alpha * math.sin(beta),
+            alpha * math.sin(beta), sign * alpha * math.cos(beta),
+        )
+        sample = self._check(proj, GeoCoord(0.0, 0.0))
+        assert sample.omega == pytest.approx(0.0, abs=1e-12)
+        assert sample.a == pytest.approx(alpha, rel=1e-12)
+        assert sample.b == pytest.approx(alpha, rel=1e-12)
+
+    def test_near_conformal(self):
+        # b / a = 1 - 1e-6: omega is about 1e-6 and keeps its digits
+        alpha, beta = 1.7, 0.6
+        stretch = 1.0 - 1e-6
+        proj = _Affine(
+            alpha * math.cos(beta), -alpha * stretch * math.sin(beta),
+            alpha * math.sin(beta), alpha * stretch * math.cos(beta),
+        )
+        sample = self._check(proj, GeoCoord(0.0, 0.0))
+        assert sample.omega == pytest.approx(2.0 * math.asin(1e-6 / (2.0 - 1e-6)), rel=1e-9)
 
 
 class TestPropertyReport:

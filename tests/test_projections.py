@@ -474,6 +474,109 @@ class TestAzimuthalEquivariance:
         assert q.y == pytest.approx(ry, abs=1e-12)
 
 
+# radial profile r(c) of each azimuthal family (Snyder 1987, sections 20-24)
+_RADIAL = {
+    "stereographic": lambda c: 2.0 * math.tan(0.5 * c),
+    "gnomonic": math.tan,
+    "central": math.tan,
+    "orthographic": math.sin,
+    "lambert_azimuthal_equal_area": lambda c: 2.0 * math.sin(0.5 * c),
+}
+# arc distance of the limb from the center, and whether the limb itself is in
+# the domain
+_LIMB = {
+    "stereographic": (math.pi, False),
+    "gnomonic": (0.5 * math.pi, False),
+    "central": (0.5 * math.pi, False),
+    "orthographic": (0.5 * math.pi, True),
+    "lambert_azimuthal_equal_area": (math.pi, False),
+}
+_LIMB_REASON = {
+    "stereographic": "the projection source maps to infinity",
+    "gnomonic": "on or beyond the horizon of the tangent point",
+    "central": "on or beyond the horizon of the tangent point",
+    "orthographic": "on the hidden hemisphere",
+    "lambert_azimuthal_equal_area": "antipode of the center is excluded",
+}
+_OBLIQUE_CENTERS = [(45.0, 30.0), (-30.0, -120.0), (12.5, -77.0), (60.0, 170.0), (-75.0, 5.0)]
+
+
+def _snyder_oblique(family, center, c):
+    """Oblique azimuthal image in Snyder's closed form (1987, sections 20-24):
+    cos c = sin phi1 sin phi + cos phi1 cos phi cos(lam - lam0),
+    x = k' cos phi sin(lam - lam0),
+    y = k' (cos phi1 sin phi - sin phi1 cos phi cos(lam - lam0)),
+    with k' = r(c) / sin c; sin c is the length of (x, y) / k'."""
+    phi1, lam0 = center.lat, center.lon
+    dlam = c.lon - lam0
+    cos_c = math.sin(phi1) * math.sin(c.lat) + math.cos(phi1) * math.cos(c.lat) * math.cos(dlam)
+    ex = math.cos(c.lat) * math.sin(dlam)
+    ny = math.cos(phi1) * math.sin(c.lat) - math.sin(phi1) * math.cos(c.lat) * math.cos(dlam)
+    sin_c = math.hypot(ex, ny)
+    k_prime = _RADIAL[family](math.atan2(sin_c, cos_c)) / sin_c
+    return k_prime * ex, k_prime * ny
+
+
+def _at_distance(center, dist, azimuth):
+    """The point at arc distance dist from center along the given azimuth."""
+    phi1 = center.lat
+    lat = math.asin(
+        math.sin(phi1) * math.cos(dist) + math.cos(phi1) * math.sin(dist) * math.cos(azimuth)
+    )
+    dlam = math.atan2(
+        math.sin(azimuth) * math.sin(dist) * math.cos(phi1),
+        math.cos(dist) - math.sin(phi1) * math.sin(lat),
+    )
+    return GeoCoord(lat, center.lon + dlam)
+
+
+class TestObliqueAzimuthalClosedForms:
+    @pytest.mark.parametrize("family", sorted(_RADIAL))
+    @pytest.mark.parametrize("center", _OBLIQUE_CENTERS, ids=str)
+    def test_forward_and_round_trip(self, family, center, rng):
+        proj = parse_projection(f"{family} center={center[0]},{center[1]}")
+        limb, _ = _LIMB[family]
+        points = [_at_distance(proj.center, rng.uniform(0.0, limb - 1e-3),
+                               rng.uniform(-math.pi, math.pi)) for _ in range(150)]
+        # near the limb, 1e-6 to 1e-3 rad inside it
+        points += [_at_distance(proj.center, limb - 10.0 ** rng.uniform(-6.0, -3.0),
+                                rng.uniform(-math.pi, math.pi)) for _ in range(50)]
+        for i, c in enumerate(points):
+            p = proj.forward(c)
+            x, y = _snyder_oblique(family, proj.center, c)
+            size = max(1.0, math.hypot(x, y))
+            assert abs(p.x - x) <= 1e-9 * size and abs(p.y - y) <= 1e-9 * size, (c, p, x, y)
+            if i < 150:
+                assert great_circle_distance(c, proj.inverse(p)) < 1e-9
+
+    @pytest.mark.parametrize("family", sorted(_RADIAL))
+    def test_limb_and_antipode_messages(self, family):
+        proj = parse_projection(f"{family} center=45,30")
+        limb, limb_in_domain = _LIMB[family]
+        outside = [_at_distance(proj.center, math.pi, 0.0)]  # the antipode
+        if limb < math.pi:
+            outside.append(_at_distance(proj.center, limb + 1e-6, 1.0))
+        if not limb_in_domain and limb < math.pi:
+            outside.append(_at_distance(proj.center, limb, 2.0))
+        for c in outside:
+            with pytest.raises(DomainError) as exc:
+                proj.forward(c)
+            assert str(exc.value) == (
+                f"{c.describe()} outside {family} domain: {_LIMB_REASON[family]}"
+            )
+
+    @pytest.mark.parametrize("family, radius, message", [
+        ("orthographic", 1.5, "no preimage: radius 1.5 beyond the orthographic limb"),
+        ("lambert_azimuthal_equal_area", 2.5,
+         "no preimage: radius 2.5 beyond the equal-area disc"),
+    ])
+    def test_inverse_beyond_the_disc(self, family, radius, message):
+        proj = parse_projection(f"{family} center=45,30")
+        with pytest.raises(DomainError) as exc:
+            proj.inverse(PlanePoint(0.6 * radius, -0.8 * radius))
+        assert str(exc.value) == message
+
+
 class TestParseProjection:
     def test_mercator_spec(self):
         proj = parse_projection("mercator lon0=10 cutoff=80")
