@@ -237,11 +237,12 @@ class _SceneTransform:
 
 
 def _path_linear(points, tr: _SceneTransform) -> str:
-    cmds = []
-    for i, p in enumerate(points):
-        x, y = tr.point(p)
-        cmds.append(f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(y)}")
-    return " ".join(cmds)
+    # tr.point inlined: this runs once per drawn sample
+    margin, scale, min_x, max_y = tr.margin, tr.scale, tr.min_x, tr.max_y
+    return "M " + " L ".join([
+        f"{_fmt(margin + (p.x - min_x) * scale)} {_fmt(margin + (max_y - p.y) * scale)}"
+        for p in points
+    ])
 
 
 def _path_arc(points, tr: _SceneTransform) -> str | None:
@@ -313,15 +314,14 @@ def render_svg(scene: MapScene) -> str:
         except DomainError:
             continue
 
-    xs: list[float] = []
-    ys: list[float] = []
-    for polys in (parallel_polys, meridian_polys, geodesic_polys):
-        for poly in polys:
-            for seg in poly.segments:
-                xs.extend(p.x for p in seg)
-                ys.extend(p.y for p in seg)
-    xs.extend(p.x for p, _ in markers)
-    ys.extend(p.y for p, _ in markers)
+    drawn = [
+        seg
+        for polys in (parallel_polys, meridian_polys, geodesic_polys)
+        for poly in polys
+        for seg in poly.segments
+    ]
+    xs = [p.x for seg in drawn for p in seg] + [p.x for p, _ in markers]
+    ys = [p.y for seg in drawn for p in seg] + [p.y for p, _ in markers]
     tr = _SceneTransform(xs, ys, scene.scale, scene.margin)
 
     lines = [

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from . import atlas, conic_design, distortion, geodesics
@@ -190,8 +191,20 @@ def _cmd_render(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads every token that starts with "-" and a digit or ".digit" as a
+    value, so "--lat -1e-3" and "--region -30:40,-10:20" parse; argparse's
+    own test accepts only plain negative numbers. No option name starts that
+    way. Subparsers are built with the class of their parent."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # whole-token pattern, whether argparse applies match or fullmatch
+        self._negative_number_matcher = re.compile(r"-\.?\d.*", re.DOTALL)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mapproj",
         description="Map projections of the sphere: transforms, distortion, conic design, rendering.",
     )

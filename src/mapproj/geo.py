@@ -21,8 +21,9 @@ from .errors import (
     ParameterError,
 )
 
-HALF_PI = math.pi / 2.0
-TWO_PI = 2.0 * math.pi
+PI = math.pi
+HALF_PI = PI / 2.0
+TWO_PI = 2.0 * PI
 
 # arccos arguments this close to [-1, 1] are treated as rounding of a valid
 # degenerate configuration rather than an inconsistent one
@@ -33,16 +34,22 @@ UNIT_NORM_TOL = 1e-9
 
 
 def wrap_longitude(lon: float) -> float:
-    """Reduce a longitude to the canonical interval (-pi, pi]."""
+    """Reduce a longitude to the canonical interval (-pi, pi].
+
+    A value already inside is returned as it was passed (``fmod`` would give
+    the same float back).
+    """
+    if -PI < lon <= PI:
+        return lon
     lon = math.fmod(lon, TWO_PI)
-    if lon <= -math.pi:
+    if lon <= -PI:
         lon += TWO_PI
-    elif lon > math.pi:
+    elif lon > PI:
         lon -= TWO_PI
     return lon
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class GeoCoord:
     """Point on the unit sphere.
 
@@ -55,17 +62,20 @@ class GeoCoord:
     lat: float
     lon: float = 0.0
 
-    def __post_init__(self):
-        lat = float(self.lat)
-        lon = float(self.lon)
-        if not (math.isfinite(lat) and math.isfinite(lon)):
-            raise DomainError("coordinates must be finite")
-        if abs(lat) > HALF_PI + 1e-12:
-            raise DomainError(
-                f"latitude {math.degrees(lat):.6f}° outside [-90°, 90°]"
-            )
-        lat = max(-HALF_PI, min(HALF_PI, lat))
-        lon = 0.0 if abs(lat) == HALF_PI else wrap_longitude(lon)
+    def __init__(self, lat: float, lon: float = 0.0):
+        lat = float(lat)
+        lon = float(lon)
+        # off the poles and with lon already in (-pi, pi] no check can fire
+        # and the clamp and the wrap give the same floats back
+        if not (-HALF_PI < lat < HALF_PI and -PI < lon <= PI):
+            if not (math.isfinite(lat) and math.isfinite(lon)):
+                raise DomainError("coordinates must be finite")
+            if abs(lat) > HALF_PI + 1e-12:
+                raise DomainError(
+                    f"latitude {math.degrees(lat):.6f}° outside [-90°, 90°]"
+                )
+            lat = max(-HALF_PI, min(HALF_PI, lat))
+            lon = 0.0 if abs(lat) == HALF_PI else wrap_longitude(lon)
         object.__setattr__(self, "lat", lat)
         object.__setattr__(self, "lon", lon)
 

@@ -87,6 +87,7 @@ def project_polyline(proj: Projection, curve) -> PlanePolyline:
     crosses the cut, detected as a wrapped-longitude jump larger than pi
     between consecutive samples.
     """
+    forward = proj.forward
     cut = proj.cut_longitude
     lon0 = None if cut is None else wrap_longitude(cut + math.pi)
     segments: list[tuple[PlanePoint, ...]] = []
@@ -94,14 +95,15 @@ def project_polyline(proj: Projection, curve) -> PlanePolyline:
     note: str | None = None
     prev_u: float | None = None
     for c in curve:
-        u = None if lon0 is None else wrap_longitude(c.lon - lon0)
-        if prev_u is not None and u is not None and abs(u - prev_u) > math.pi:
-            if len(current) >= 2:
-                segments.append(tuple(current))
-            current = []
-        prev_u = u
+        if lon0 is not None:
+            u = wrap_longitude(c.lon - lon0)
+            if prev_u is not None and abs(u - prev_u) > math.pi:
+                if len(current) >= 2:
+                    segments.append(tuple(current))
+                current = []
+            prev_u = u
         try:
-            current.append(proj.forward(c))
+            current.append(forward(c))
         except DomainError as exc:
             if note is None:
                 note = str(exc)
@@ -135,9 +137,13 @@ def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> Plan
     return project_polyline(proj, sample_great_circle(a, b, n))
 
 
-def _deviations(points: tuple[PlanePoint, ...]) -> tuple[float, np.ndarray]:
-    """Chord length and perpendicular distances of every point to the chord line."""
-    xy = np.array([(p.x, p.y) for p in points])
+def _xy(points: tuple[PlanePoint, ...]) -> np.ndarray:
+    return np.array([(p.x, p.y) for p in points])
+
+
+def _deviations(xy: np.ndarray) -> tuple[float, np.ndarray]:
+    """Chord length and perpendicular distances of every point (row of xy)
+    to the chord line."""
     start, end = xy[0], xy[-1]
     axis = end - start
     chord = float(np.hypot(*axis))
@@ -154,7 +160,7 @@ def straightness(poly: PlanePolyline) -> StraightnessReport:
     points = poly.single_segment
     if len(points) < 3:
         raise ParameterError(f"need at least 3 points, got {len(points)}")
-    chord, dev = _deviations(points)
+    chord, dev = _deviations(_xy(points))
     sagitta = float(dev.max())
     return StraightnessReport(chord=chord, sagitta=sagitta, ratio=sagitta / chord)
 
@@ -185,7 +191,8 @@ def fit_circular_arc(poly: PlanePolyline, collinear_tol: float = 1e-12) -> ArcFi
     points = poly.single_segment
     if len(points) < 3:
         raise ParameterError(f"need at least 3 points, got {len(points)}")
-    chord, dev = _deviations(points)
+    xy = _xy(points)
+    chord, dev = _deviations(xy)
     peak = int(dev.argmax())
     sagitta = float(dev[peak])
     if sagitta / chord < collinear_tol:
@@ -194,7 +201,6 @@ def fit_circular_arc(poly: PlanePolyline, collinear_tol: float = 1e-12) -> ArcFi
             chord=chord, sagitta=sagitta, collinear=True,
         )
     center, radius = _circle_through(points[0], points[peak], points[-1])
-    xy = np.array([(p.x, p.y) for p in points])
     radii = np.hypot(xy[:, 0] - center.x, xy[:, 1] - center.y)
     max_residual = float(np.abs(radii - radius).max())
 

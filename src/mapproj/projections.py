@@ -51,7 +51,7 @@ class UnknownFamilyError(ParameterError):
     """Projection family name not recognized; message lists valid names."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanePoint:
     """Euclidean image coordinates, in unit-sphere radians of map length."""
 
@@ -81,8 +81,13 @@ class Projection:
         return None
 
 
-def _out_of_domain(proj: Projection, c: GeoCoord, why: str) -> DomainError:
-    return DomainError(f"{c.describe()} outside {proj.family} domain: {why}")
+class _OutOfDomain(DomainError):
+    """A forward's rejection of ``c``; the message is formatted only when
+    read, since curve projection rejects many samples and reads one."""
+
+    def __str__(self) -> str:
+        proj, c, why = self.args
+        return f"{c.describe()} outside {proj.family} domain: {why}"
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,7 @@ class _Meridional(Projection):
     def __post_init__(self):
         if not math.isfinite(self.lon0):
             raise ParameterError("central meridian lon0 must be finite")
-        object.__setattr__(self, "lon0", wrap_longitude(self.lon0))
+        object.__setattr__(self, "lon0", wrap_longitude(float(self.lon0)))
 
     @cached_property
     def cut_longitude(self) -> float:
@@ -176,7 +181,7 @@ class Stereographic(_Azimuthal):
 
     def _check_distance(self, c: float, coord: GeoCoord) -> None:
         if c >= math.pi - 1e-12:
-            raise _out_of_domain(self, coord, "the projection source maps to infinity")
+            raise _OutOfDomain(self, coord, "the projection source maps to infinity")
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,7 @@ class Gnomonic(_Azimuthal):
 
     def _check_distance(self, c: float, coord: GeoCoord) -> None:
         if c >= HALF_PI - 1e-12:
-            raise _out_of_domain(self, coord, "on or beyond the horizon of the tangent point")
+            raise _OutOfDomain(self, coord, "on or beyond the horizon of the tangent point")
 
 
 @dataclass(frozen=True)
@@ -231,7 +236,7 @@ class Orthographic(_Azimuthal):
 
     def _check_distance(self, c: float, coord: GeoCoord) -> None:
         if c > HALF_PI + 1e-12:
-            raise _out_of_domain(self, coord, "on the hidden hemisphere")
+            raise _OutOfDomain(self, coord, "on the hidden hemisphere")
 
 
 @dataclass(frozen=True)
@@ -251,7 +256,7 @@ class LambertAzimuthalEqualArea(_Azimuthal):
 
     def _check_distance(self, c: float, coord: GeoCoord) -> None:
         if c >= math.pi - 1e-12:
-            raise _out_of_domain(self, coord, "antipode of the center is excluded")
+            raise _OutOfDomain(self, coord, "antipode of the center is excluded")
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +318,7 @@ class Mercator(_Meridional):
 
     def forward(self, c: GeoCoord) -> PlanePoint:
         if abs(c.lat) > self.cutoff:
-            raise _out_of_domain(
+            raise _OutOfDomain(
                 self, c, f"beyond the ±{math.degrees(self.cutoff):.4f}° cutoff"
             )
         # asinh(tan(lat)) == ln tan(pi/4 + lat/2), but exactly odd in floats
@@ -473,12 +478,12 @@ class EquidistantConic(_Conic):
 
     def _radius(self, lat: float, c: GeoCoord) -> float:
         if self.cutoff is not None and lat > abs(self.cutoff):
-            raise _out_of_domain(
+            raise _OutOfDomain(
                 self, c, f"beyond the {math.degrees(self.cutoff):.4f}° cutoff"
             )
         rho = self.constants.rho_ref + abs(self.phi_a) - lat
         if rho <= RHO_MIN:
-            raise _out_of_domain(self, c, "at or beyond the cone apex")
+            raise _OutOfDomain(self, c, "at or beyond the cone apex")
         return rho
 
     def _latitude(self, rho: float) -> float:
@@ -523,7 +528,7 @@ class LambertConformalConic(_Conic):
 
     def _radius(self, lat: float, c: GeoCoord) -> float:
         if abs(lat) >= HALF_PI - 1e-12:
-            raise _out_of_domain(self, c, "poles are excluded")
+            raise _OutOfDomain(self, c, "poles are excluded")
         return self._rho(lat)
 
     def _latitude(self, rho: float) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -24,6 +25,7 @@ from mapproj.atlas import (
 )
 from mapproj.distortion import tissot
 from mapproj.errors import ParameterError
+from mapproj.projections import parse_projection
 
 DELISLE = EquidistantConic(math.radians(45), math.radians(60), lon0=math.radians(90))
 BAND = GeoRegion.from_degrees(45, 70, 30, 150)
@@ -273,3 +275,49 @@ class TestRenderSvg:
         for num in re.findall(r'[xy12]="([-\d.]+)"', svg):
             whole, frac = num.split(".")
             assert len(frac) == 6
+
+
+# World scenes at 1 sample per degree (about 0.4 s for all three), pinned by
+# the SHA-256 of their SVG the way criterion 12 pins the Delisle scene: they
+# cover what that scene does not, namely parallels split at the conic tear,
+# a Mercator cutoff that drops a place, and a hidden orthographic hemisphere.
+WORLD = GeoRegion.from_degrees(-90, 90, -180, 180)
+WORLD_PLACES = (
+    ("Paris", 48.85, 2.35), ("Okhotsk", 59.4, 143.2), ("Lima", -12.05, -77.04),
+    ("Hobart", -42.88, 147.33), ("Nome", 64.5, -165.4), ("Svalbard", 87.0, 15.0),
+)
+WORLD_SCENES = {
+    # spec, graticule step (degrees), geodesic endpoints, SVG SHA-256, arcs, markers
+    "conic": (
+        "equidistant_conic lat1=45 lat2=60 lon0=-150", 5.0, ((55.75, 37.6), (64.5, -165.4)),
+        "9cbeb1c7e5b6c8f1c65918b4e456f87c2cba7d5148dc7c982bfdbe3b875f94e7", 70, 6,
+    ),
+    "mercator": (
+        "mercator lon0=30", 10.0, ((48.85, 2.35), (-42.88, 147.33)),
+        "cb191d4f5d1176a0137926e919a754ae930a261513206a38ecbe19ab5bfd2371", 0, 5,
+    ),
+    "orthographic": (
+        "orthographic center=35,60", 10.0, ((48.85, 2.35), (59.4, 143.2)),
+        "ac51a97f16d4dd0bcfeca9bb264e378bfadb2862bea9c8640fa0949239cb5b8c", 0, 4,
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WORLD_SCENES))
+def test_world_scene_svg_is_pinned(kind):
+    spec, step, (a, b), digest, arcs, markers = WORLD_SCENES[kind]
+    scene = MapScene(
+        projection=parse_projection(spec),
+        graticule=build_graticule(
+            WORLD, math.radians(step), math.radians(step), samples_per_degree=1.0
+        ),
+        places=tuple(
+            GazetteerEntry(name, GeoCoord.from_degrees(lat, lon))
+            for name, lat, lon in WORLD_PLACES
+        ),
+        geodesics=((GeoCoord.from_degrees(*a), GeoCoord.from_degrees(*b), 65),),
+    )
+    svg = render_svg(scene)
+    assert svg.count(" A ") == arcs
+    assert svg.count("<circle") == markers
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest

@@ -244,3 +244,52 @@ class TestRender:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestNegativeValues:
+    """A value that starts with "-" and a digit is a value, not an option,
+    in every spelling: it parses as `--opt VALUE` exactly as `--opt=VALUE`."""
+
+    @pytest.mark.parametrize("prefix, option, value, rest", [
+        (("project", "--proj", "mercator"), "--lat", "-1e-3", ("--lon", "0")),
+        (("project", "--proj", "mercator", "--lat", "10"), "--lon", "-.5", ()),
+        (("inverse", "--proj", "mercator"), "--x", "-2.5E-1", ("--y", "-1e0")),
+        (("properties", "--proj", "mercator"), "--region", "-30:40,-10:20", ()),
+        (("distortion", "--proj", "werner", "--grid", "3x3"), "--region", "-30:-10,-60:-20", ()),
+        (("distance", "--to", "-50,40"), "--from", "-60,-30", ()),
+        (("distance", "--from", "10,20"), "--to", "-50,40", ()),
+        (("geodesic", "--proj", "mercator", "--to", "-20,40", "-n", "11"), "--from", "-10,-30", ()),
+        (("optimize", "--band", "45:70"), "--tol", "-1e-9", ()),
+        (("optimize",), "--band", "-70:-45", ()),
+        (("render", "--proj", "mercator", "--region", "0:10,0:20"),
+         "--geodesic", "-5,-10:5,10", ()),
+    ])
+    def test_spaced_value_parses_like_the_equals_form(self, capsys, prefix, option, value, rest):
+        spaced = run(capsys, *prefix, option, value, *rest)
+        joined = run(capsys, *prefix, f"{option}={value}", *rest)
+        assert spaced[0] != 2, spaced[2]
+        assert spaced == joined
+
+    def test_exponent_latitude(self, capsys):
+        code, out, _ = run(capsys, "project", "--proj", "mercator", "--lat", "-1e-3", "--lon", "0")
+        assert code == 0
+        assert out == "x=0.000000 y=-0.000017\n"
+
+    def test_negative_tol_reaches_its_check(self, capsys):
+        code, out, err = run(capsys, "optimize", "--band", "45:70", "--tol", "-1e-9")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tol must be positive and finite\n"
+
+    def test_global_option_takes_a_negative_value(self, capsys):
+        shifted = run(capsys, "--prime-meridian", "-2.5e0",
+                      "project", "--proj", "mercator", "--lat", "0", "--lon", "10")
+        direct = run(capsys, "project", "--proj", "mercator", "--lat", "0", "--lon", "7.5")
+        assert shifted == direct
+        assert shifted[0] == 0
+
+    def test_option_names_still_parse(self, capsys):
+        # a value that is missing altogether is still a usage error
+        code, _, err = run(capsys, "project", "--proj", "mercator", "--lat", "-1e-3", "--lon")
+        assert code == 2
+        assert "argument --lon: expected one argument" in err

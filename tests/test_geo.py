@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -38,6 +39,87 @@ def test_wrap_longitude_fixed_points():
     assert wrap_longitude(-math.pi) == math.pi
     assert wrap_longitude(0.0) == 0.0
     assert wrap_longitude(3 * math.pi) == pytest.approx(math.pi)
+
+
+def _fmod_wrap(lon):
+    """wrap_longitude by its defining formula, for every input."""
+    lon = math.fmod(lon, 2.0 * math.pi)
+    if lon <= -math.pi:
+        lon += 2.0 * math.pi
+    elif lon > math.pi:
+        lon -= 2.0 * math.pi
+    return lon
+
+
+def _reference_geocoord(lat, lon):
+    """GeoCoord's checks run on every input, with no in-range shortcut:
+    the stored (lat, lon) or the (type, message) of the error raised."""
+    lat, lon = float(lat), float(lon)
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        return DomainError, "coordinates must be finite"
+    if abs(lat) > math.pi / 2 + 1e-12:
+        return DomainError, f"latitude {math.degrees(lat):.6f}° outside [-90°, 90°]"
+    lat = max(-math.pi / 2, min(math.pi / 2, lat))
+    lon = 0.0 if abs(lat) == math.pi / 2 else _fmod_wrap(lon)
+    return lat, lon
+
+
+def _bits(x):
+    assert type(x) is float
+    return x.hex()  # tells -0.0 from 0.0
+
+
+_EDGES = [
+    0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi / 2 + 1e-13, -(math.pi / 2 + 1e-13),
+    math.pi / 2 + 1e-11, math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 2 * math.pi,
+    -2 * math.pi, 1e300,
+]
+_EDGES += [math.nextafter(v, d) for v in _EDGES for d in (-math.inf, math.inf)]
+_SPECIAL = [math.nan, math.inf, -math.inf, 0, 1, -3, 4, True, np.float64(-math.pi), np.float64(0.5)]
+
+
+class TestGeoCoordMatchesItsChecks:
+    @staticmethod
+    def _check(lat, lon):
+        expected = _reference_geocoord(lat, lon)
+        if isinstance(expected[0], type):
+            with pytest.raises(expected[0]) as err:
+                GeoCoord(lat, lon)
+            assert str(err.value) == expected[1]
+            return
+        c = GeoCoord(lat, lon)
+        assert (_bits(c.lat), _bits(c.lon)) == tuple(map(_bits, expected))
+
+    @pytest.mark.parametrize("lat", _EDGES + _SPECIAL)
+    def test_fixed_examples(self, lat):
+        for lon in _EDGES + _SPECIAL:
+            self._check(lat, lon)
+
+    @given(
+        st.one_of(st.floats(), st.sampled_from(_EDGES), st.integers(-2, 2)),
+        st.one_of(st.floats(), st.sampled_from(_EDGES), st.integers(-10, 10)),
+    )
+    @settings(max_examples=500)
+    def test_property(self, lat, lon):
+        self._check(lat, lon)
+
+    def test_default_longitude_and_dataclass_behaviour(self):
+        c = GeoCoord(0.5)
+        assert (c.lat, c.lon) == (0.5, 0.0)
+        assert repr(c) == "GeoCoord(lat=0.5, lon=0.0)"
+        assert c == GeoCoord(0.5, 0.0) and hash(c) == hash(GeoCoord(0.5, 0.0))
+        assert GeoCoord.from_degrees(90.0, 45.0) == GeoCoord(math.pi / 2, 0.0)
+        assert [f.name for f in dataclasses.fields(GeoCoord)] == ["lat", "lon"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.lat = 0.0
+
+    @pytest.mark.parametrize("lon", _EDGES + [math.pi / 3, -2.0, 7.5, -1e6])
+    def test_wrap_longitude_is_the_fmod_formula(self, lon):
+        assert _bits(wrap_longitude(lon)) == _bits(_fmod_wrap(lon))
+
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_wrap_longitude_property(self, lon):
+        assert _bits(wrap_longitude(lon)) == _bits(_fmod_wrap(lon))
 
 
 class TestGeoCoord:

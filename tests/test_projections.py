@@ -28,6 +28,7 @@ from mapproj import (
     sample_great_circle,
     to_unit_vector,
 )
+from mapproj.atlas import project_polyline
 from mapproj.cli import main
 from mapproj.errors import DomainError, ParameterError
 from mapproj.geo import wrap_longitude
@@ -691,3 +692,65 @@ class TestReadmeSpecTable:
             with pytest.raises(ParameterError, match=f"{family} requires "
                                + " and ".join(required)):
                 parse_projection(family + optional)
+
+
+# Every out-of-domain forward, with the exact text its error prints: the
+# message is built when read, so these pin that it still reads the same.
+REJECTIONS = [
+    ("stereographic center=30,40", -30, -140,
+     "(lat -30.000000°, lon -140.000000°) outside stereographic domain: "
+     "the projection source maps to infinity"),
+    ("gnomonic center=-20,100", 20, -80,
+     "(lat 20.000000°, lon -80.000000°) outside gnomonic domain: "
+     "on or beyond the horizon of the tangent point"),
+    ("central", -10, 0,
+     "(lat -10.000000°, lon 0.000000°) outside central domain: "
+     "on or beyond the horizon of the tangent point"),
+    ("orthographic center=10,-170", -20, 10,
+     "(lat -20.000000°, lon 10.000000°) outside orthographic domain: on the hidden hemisphere"),
+    ("lambert_azimuthal_equal_area center=45,0", -45, 180,
+     "(lat -45.000000°, lon 180.000000°) outside lambert_azimuthal_equal_area domain: "
+     "antipode of the center is excluded"),
+    ("mercator cutoff=80", 80.5, 12,
+     "(lat 80.500000°, lon 12.000000°) outside mercator domain: beyond the ±80.0000° cutoff"),
+    ("equidistant_conic lat1=20 lat2=60 cutoff=70", 75, -10,
+     "(lat 75.000000°, lon -10.000000°) outside equidistant_conic domain: "
+     "beyond the 70.0000° cutoff"),
+    ("equidistant_conic lat1=-20 lat2=-60 cutoff=-70", -75, 30,
+     "(lat -75.000000°, lon 30.000000°) outside equidistant_conic domain: "
+     "beyond the -70.0000° cutoff"),
+    # parallels this close to the pole put the apex within 1e-10 rad of it
+    ("equidistant_conic lat1=89.9 lat2=89.99", 90, 0,
+     "(lat 90.000000°, lon 0.000000°) outside equidistant_conic domain: "
+     "at or beyond the cone apex"),
+    ("lambert_conformal_conic lat1=30 lat2=60", 90, 0,
+     "(lat 90.000000°, lon 0.000000°) outside lambert_conformal_conic domain: poles are excluded"),
+    ("lambert_conformal_conic lat1=-30 lat2=-60", -90, 0,
+     "(lat -90.000000°, lon 0.000000°) outside lambert_conformal_conic domain: "
+     "poles are excluded"),
+]
+
+
+class TestRejectionMessages:
+    @pytest.mark.parametrize("spec, lat, lon, text", REJECTIONS)
+    def test_forward_rejection_reads_as_before(self, spec, lat, lon, text):
+        with pytest.raises(DomainError) as err:
+            parse_projection(spec).forward(GeoCoord.from_degrees(lat, lon))
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("spec, lat, lon, text", REJECTIONS)
+    def test_cli_prints_the_same_line(self, capsys, spec, lat, lon, text):
+        code = main(["project", "--proj", spec, "--lat", str(lat), "--lon", str(lon)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {text}\n"
+
+    def test_polyline_note_of_an_all_hidden_curve(self):
+        hidden = [GeoCoord.from_degrees(10, lon) for lon in (120, 130, 140)]
+        poly = project_polyline(parse_projection("orthographic center=0,0"), hidden)
+        assert poly.segments == ()
+        assert poly.note == (
+            "(lat 10.000000°, lon 120.000000°) outside orthographic domain: "
+            "on the hidden hemisphere"
+        )
