@@ -8,8 +8,11 @@ latitude-degree ratio (P4).
 
 Everything is measured on the unit sphere, so "no distortion" means scale
 exactly 1. The Jacobian is taken by finite differences (central, one-sided
-next to the antimeridian tear) so that a new projection only needs a forward
-map; analytic derivatives appear solely as test oracles.
+next to the antimeridian tear) of the projection's float kernel
+``_xy(lat, lon)``, so a new projection needs only its forward map: either the
+kernel, or just ``forward``, which the base class's fallback kernel calls.
+Analytic derivatives appear solely as test oracles. The sample loops run on
+bare floats; the public functions wrap the results in their types.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError
-from .geo import HALF_PI, GeoCoord, GeoRegion, wrap_longitude
+from .geo import HALF_PI, PI, GeoCoord, GeoRegion, _canonical, wrap_longitude
 from .geodesics import PlanePolyline, straightness
-from .projections import Projection
+from .projections import PlanePoint, Projection
 
 DEFAULT_STEP = 1e-6
 
@@ -79,6 +82,51 @@ class FieldRange:
     argmax: GeoCoord
 
 
+def _check_step(step: float) -> None:
+    if not 0.0 < step < math.inf:
+        raise ParameterError("step must be positive and finite")
+
+
+def _jacobian(xy, cut: float | None, lat: float, lon: float, step: float):
+    """(dx/dlat, dx/dlon, dy/dlat, dy/dlon) of the kernel ``xy`` at canonical
+    floats; see :func:`local_jacobian`. The stencil's neighbours take the
+    canonical form a GeoCoord would give them, since a step can cross a pole
+    or the seam."""
+    to_cut = math.inf if cut is None else wrap_longitude(lon - cut)
+    last_error: DomainError | None = None
+    for s in (step, 0.1 * step):
+        if abs(to_cut) < 2.0 * s:
+            # a sample on the cut maps with its western neighbours
+            side = s if to_cut > 0.0 else -s
+            at = ((lat + s, lon), (lat - s, lon), (lat, lon), (lat, lon + side),
+                  (lat, lon + 2.0 * side))
+        else:
+            at = ((lat + s, lon), (lat - s, lon), (lat, lon + s), (lat, lon - s))
+        try:
+            f = [
+                xy(p, q) if -HALF_PI < p < HALF_PI and -PI < q <= PI else xy(*_canonical(p, q))
+                for p, q in at
+            ]
+        except DomainError as exc:
+            last_error = exc
+            continue
+        inv = 0.5 / s
+        (x_n, y_n), (x_s, y_s), *along = f
+        if len(along) == 3:
+            (x_0, y_0), (x_1, y_1), (x_2, y_2) = along
+            d_lon_x = (-3.0 * x_0 + 4.0 * x_1 - x_2) / (2.0 * side)
+            d_lon_y = (-3.0 * y_0 + 4.0 * y_1 - y_2) / (2.0 * side)
+        else:
+            (x_e, y_e), (x_w, y_w) = along
+            d_lon_x = (x_e - x_w) * inv
+            d_lon_y = (y_e - y_w) * inv
+        return (x_n - x_s) * inv, d_lon_x, (y_n - y_s) * inv, d_lon_y
+    raise DomainError(
+        f"finite-difference neighborhood of {GeoCoord(lat, lon).describe()} "
+        f"leaves the domain: {last_error}"
+    )
+
+
 def local_jacobian(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> np.ndarray:
     """2x2 matrix with columns d(x,y)/dlat and d(x,y)/dlon, by central
     differences. Within 2 steps of the antimeridian tear the longitude
@@ -86,39 +134,28 @@ def local_jacobian(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) ->
     sample's own image belongs to, so the stencil never spans the tear. If
     the step neighborhood leaves the domain the step is shrunk once (by 10x)
     before giving up."""
-    cut = proj.cut_longitude
-    to_cut = math.inf if cut is None else wrap_longitude(c.lon - cut)
-    last_error: DomainError | None = None
-    for s in (step, 0.1 * step):
-        inv = 0.5 / s
-        try:
-            f_n = proj.forward(GeoCoord(c.lat + s, c.lon))
-            f_s = proj.forward(GeoCoord(c.lat - s, c.lon))
-            if abs(to_cut) < 2.0 * s:
-                # a sample on the cut maps with its western neighbours
-                side = s if to_cut > 0.0 else -s
-                f_0 = proj.forward(c)
-                f_1 = proj.forward(GeoCoord(c.lat, c.lon + side))
-                f_2 = proj.forward(GeoCoord(c.lat, c.lon + 2.0 * side))
-                d_lon_x = (-3.0 * f_0.x + 4.0 * f_1.x - f_2.x) / (2.0 * side)
-                d_lon_y = (-3.0 * f_0.y + 4.0 * f_1.y - f_2.y) / (2.0 * side)
-            else:
-                f_e = proj.forward(GeoCoord(c.lat, c.lon + s))
-                f_w = proj.forward(GeoCoord(c.lat, c.lon - s))
-                d_lon_x = (f_e.x - f_w.x) * inv
-                d_lon_y = (f_e.y - f_w.y) * inv
-        except DomainError as exc:
-            last_error = exc
-            continue
-        return np.array(
-            [
-                [(f_n.x - f_s.x) * inv, d_lon_x],
-                [(f_n.y - f_s.y) * inv, d_lon_y],
-            ]
-        )
-    raise DomainError(
-        f"finite-difference neighborhood of {c.describe()} leaves the domain: {last_error}"
-    )
+    _check_step(step)
+    xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, c.lat, c.lon, step)
+    return np.array([[xp, xl], [yp, yl]])
+
+
+def _tissot(xy, cut: float | None, lat: float, lon: float, step: float) -> tuple[float, ...]:
+    """The fields of :class:`DistortionSample`, in order, at canonical floats."""
+    if abs(lat) >= HALF_PI - 1e-12:
+        raise DomainError("parallel scale is undefined at the poles")
+    xp, xl, yp, yl = _jacobian(xy, cut, lat, lon, step)
+    cos_lat = math.cos(lat)
+    xl, yl = xl / cos_lat, yl / cos_lat
+    h = math.hypot(xp, yp)
+    k = math.hypot(xl, yl)
+    if h <= 0.0 or k <= 0.0:
+        raise DomainError(f"degenerate Jacobian at {GeoCoord(lat, lon).describe()}")
+    cos_theta = (xp * xl + yp * yl) / (h * k)
+    theta_prime = math.acos(max(-1.0, min(1.0, cos_theta)))
+    q = math.hypot(xp + yl, yp - xl)
+    r = math.hypot(xp - yl, yp + xl)
+    omega = 2.0 * math.asin(min(q, r) / max(q, r))
+    return h, k, theta_prime, 0.5 * (q + r), 0.5 * abs(q - r), omega, h * k * math.sin(theta_prime)
 
 
 def tissot(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> DistortionSample:
@@ -132,32 +169,16 @@ def tissot(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> Distort
     b = |q - r|/2 and sin(omega/2) = min(q, r)/max(q, r), which holds for a
     mirror-image Jacobian too and has no cancellation near a conformal point.
     """
-    if abs(c.lat) >= HALF_PI - 1e-12:
-        raise DomainError("parallel scale is undefined at the poles")
-    (xp, xl), (yp, yl) = local_jacobian(proj, c, step).tolist()
-    cos_lat = math.cos(c.lat)
-    xl, yl = xl / cos_lat, yl / cos_lat
-    h = math.hypot(xp, yp)
-    k = math.hypot(xl, yl)
-    if h <= 0.0 or k <= 0.0:
-        raise DomainError(f"degenerate Jacobian at {c.describe()}")
-    cos_theta = (xp * xl + yp * yl) / (h * k)
-    theta_prime = math.acos(max(-1.0, min(1.0, cos_theta)))
-    q = math.hypot(xp + yl, yp - xl)
-    r = math.hypot(xp - yl, yp + xl)
-    omega = 2.0 * math.asin(min(q, r) / max(q, r))
-    return DistortionSample(
-        h=h, k=k, theta_prime=theta_prime, a=0.5 * (q + r), b=0.5 * abs(q - r), omega=omega,
-        s=h * k * math.sin(theta_prime),
-    )
+    _check_step(step)
+    return DistortionSample(*_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon, step))
 
 
-def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], list[float]]:
     if nlat < 3 or nlon < 3:
         raise ParameterError(f"grid must be at least 3x3, got {nlat}x{nlon}")
     return (
-        np.linspace(region.lat_lo, region.lat_hi, nlat),
-        np.linspace(region.lon_lo, region.lon_hi, nlon),
+        np.linspace(region.lat_lo, region.lat_hi, nlat).tolist(),
+        np.linspace(region.lon_lo, region.lon_hi, nlon).tolist(),
     )
 
 
@@ -165,9 +186,11 @@ def distortion_grid(
     proj: Projection, region: GeoRegion, nlat: int, nlon: int, step: float = DEFAULT_STEP
 ) -> list[tuple[GeoCoord, DistortionSample]]:
     """Distortion samples on a regular grid, latitude-major order."""
+    _check_step(step)
     lats, lons = _grid_axes(region, nlat, nlon)
+    xy, cut = proj._xy, proj.cut_longitude
     return [
-        (c, tissot(proj, c, step))
+        (c, DistortionSample(*_tissot(xy, cut, c.lat, c.lon, step)))
         for lat in lats
         for lon in lons
         for c in (GeoCoord(lat, lon),)
@@ -183,17 +206,23 @@ def euler_property_report(
     positive latitude extent; the report quantifies which combination the
     family sacrifices.
     """
+    _check_step(step)
     lats, lons = _grid_axes(region, nlat, nlon)
+    # a region's latitudes lie in [-90°, 90°] and its longitudes are finite,
+    # so (lat, wrapped lon) is a grid point's canonical form off the poles,
+    # where _tissot raises before reading the longitude
+    lons = [wrap_longitude(lon) for lon in lons]
+    xy, cut = proj._xy, proj.cut_longitude
     p2 = p3 = p4 = 0.0
     for lat in lats:
         for lon in lons:
-            sample = tissot(proj, GeoCoord(lat, lon), step)
-            p2 = max(p2, abs(sample.h - 1.0))
-            p3 = max(p3, abs(sample.theta_prime - HALF_PI))
-            p4 = max(p4, abs(sample.k / sample.h - 1.0))
+            h, k, theta_prime, *_ = _tissot(xy, cut, lat, lon, step)
+            p2 = max(p2, abs(h - 1.0))
+            p3 = max(p3, abs(theta_prime - HALF_PI))
+            p4 = max(p4, abs(k / h - 1.0))
     p1 = 0.0
     for lon in lons:
-        image = tuple(proj.forward(GeoCoord(lat, lon)) for lat in lats)
+        image = tuple(PlanePoint(*xy(lat, lon)) for lat in lats)
         report = straightness(PlanePolyline((image,)))
         p1 = max(p1, report.ratio)
     return PropertyReport(p1=p1, p2=p2, p3=p3, p4=p4, region=region, nlat=nlat, nlon=nlon)

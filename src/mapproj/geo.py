@@ -49,6 +49,18 @@ def wrap_longitude(lon: float) -> float:
     return lon
 
 
+def _canonical(lat: float, lon: float) -> tuple[float, float]:
+    """(lat, lon) as :class:`GeoCoord` stores it, or its error. A pair with
+    ``-pi/2 < lat < pi/2`` and ``-pi < lon <= pi`` comes back unchanged, so
+    callers test that first and skip the call."""
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise DomainError("coordinates must be finite")
+    if abs(lat) > HALF_PI + 1e-12:
+        raise DomainError(f"latitude {math.degrees(lat):.6f}° outside [-90°, 90°]")
+    lat = max(-HALF_PI, min(HALF_PI, lat))
+    return lat, (0.0 if abs(lat) == HALF_PI else wrap_longitude(lon))
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class GeoCoord:
     """Point on the unit sphere.
@@ -65,19 +77,10 @@ class GeoCoord:
     def __init__(self, lat: float, lon: float = 0.0):
         lat = float(lat)
         lon = float(lon)
-        # off the poles and with lon already in (-pi, pi] no check can fire
-        # and the clamp and the wrap give the same floats back
         if not (-HALF_PI < lat < HALF_PI and -PI < lon <= PI):
-            if not (math.isfinite(lat) and math.isfinite(lon)):
-                raise DomainError("coordinates must be finite")
-            if abs(lat) > HALF_PI + 1e-12:
-                raise DomainError(
-                    f"latitude {math.degrees(lat):.6f}° outside [-90°, 90°]"
-                )
-            lat = max(-HALF_PI, min(HALF_PI, lat))
-            lon = 0.0 if abs(lat) == HALF_PI else wrap_longitude(lon)
-        object.__setattr__(self, "lat", lat)
-        object.__setattr__(self, "lon", lon)
+            lat, lon = _canonical(lat, lon)
+        _set_lat(self, lat)
+        _set_lon(self, lon)
 
     @classmethod
     def from_degrees(cls, lat_deg: float, lon_deg: float = 0.0) -> "GeoCoord":
@@ -95,6 +98,11 @@ class GeoCoord:
         """Degree-formatted rendering for error messages and reports."""
         return f"(lat {self.lat_deg:.6f}°, lon {self.lon_deg:.6f}°)"
 
+
+# the slots' own setters: a frozen dataclass's __setattr__ refuses, and
+# object.__setattr__ would look the slot up again on every call
+_set_lat = GeoCoord.__dict__["lat"].__set__
+_set_lon = GeoCoord.__dict__["lon"].__set__
 
 NORTH_POLE = GeoCoord(HALF_PI, 0.0)
 SOUTH_POLE = GeoCoord(-HALF_PI, 0.0)

@@ -87,7 +87,7 @@ def project_polyline(proj: Projection, curve) -> PlanePolyline:
     crosses the cut, detected as a wrapped-longitude jump larger than pi
     between consecutive samples.
     """
-    forward = proj.forward
+    xy = proj._xy
     cut = proj.cut_longitude
     lon0 = None if cut is None else wrap_longitude(cut + math.pi)
     segments: list[tuple[PlanePoint, ...]] = []
@@ -103,13 +103,15 @@ def project_polyline(proj: Projection, curve) -> PlanePolyline:
                 current = []
             prev_u = u
         try:
-            current.append(forward(c))
+            x, y = xy(c.lat, c.lon)
         except DomainError as exc:
             if note is None:
                 note = str(exc)
             if len(current) >= 2:
                 segments.append(tuple(current))
             current = []
+            continue
+        current.append(PlanePoint(x, y))
     if len(current) >= 2:
         segments.append(tuple(current))
     return PlanePolyline(tuple(segments), note=note if not segments else None)

@@ -12,6 +12,9 @@ Eleven families are implemented, each a frozen dataclass with ``forward`` and
 Families that share geometry share a base: ``_Azimuthal``; ``_Meridional``
 for the rest, which holds the central meridian ``lon0`` and the tear at its
 antimeridian; and ``_Conic`` for the apex-and-rays geometry of the two conics.
+Each family writes its forward formula once, as the private float kernel
+``_xy(lat, lon) -> (x, y)``; ``Projection.forward`` wraps it, and the sample
+loops of distortion analysis and curve projection call it directly.
 
 Plane conventions: x east, y north on the central meridian; map units are
 unit-sphere radians. Conic apexes sit above the map (positive y). Azimuthal
@@ -51,26 +54,47 @@ class UnknownFamilyError(ParameterError):
     """Projection family name not recognized; message lists valid names."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class PlanePoint:
     """Euclidean image coordinates, in unit-sphere radians of map length."""
 
     x: float
     y: float
 
+    def __init__(self, x: float, y: float):
+        _set_x(self, x)
+        _set_y(self, y)
+
     def __iter__(self):
         yield self.x
         yield self.y
 
 
+# the slots' own setters, as for GeoCoord
+_set_x = PlanePoint.__dict__["x"].__set__
+_set_y = PlanePoint.__dict__["y"].__set__
+
+
 @dataclass(frozen=True)
 class Projection:
-    """Base interface: a forward map into the plane and its inverse."""
+    """Base interface: a forward map into the plane and its inverse.
+
+    A subclass implements ``_xy(lat, lon) -> (x, y)`` on the floats a
+    :class:`GeoCoord` stores, raising ``DomainError`` outside its domain, or
+    overrides ``forward`` alone, which the fallback ``_xy`` then calls.
+    """
 
     family: ClassVar[str] = ""
 
     def forward(self, c: GeoCoord) -> PlanePoint:
-        raise NotImplementedError
+        x, y = self._xy(c.lat, c.lon)
+        return PlanePoint(x, y)
+
+    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
+        if type(self).forward is Projection.forward:
+            raise NotImplementedError(f"{type(self).__name__} defines neither _xy nor forward")
+        p = self.forward(GeoCoord(lat, lon))
+        return p.x, p.y
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         raise NotImplementedError
@@ -82,12 +106,12 @@ class Projection:
 
 
 class _OutOfDomain(DomainError):
-    """A forward's rejection of ``c``; the message is formatted only when
-    read, since curve projection rejects many samples and reads one."""
+    """A kernel's rejection of ``(lat, lon)``; the message is formatted only
+    when read, since curve projection rejects many samples and reads one."""
 
     def __str__(self) -> str:
-        proj, c, why = self.args
-        return f"{c.describe()} outside {proj.family} domain: {why}"
+        proj, lat, lon, why = self.args
+        return f"{GeoCoord(lat, lon).describe()} outside {proj.family} domain: {why}"
 
 
 @dataclass(frozen=True)
@@ -123,7 +147,7 @@ class _Azimuthal(Projection):
     def _radial_inverse(self, r: float) -> float:
         raise NotImplementedError
 
-    def _check_distance(self, c: float, coord: GeoCoord) -> None:
+    def _check_distance(self, c: float, lat: float, lon: float) -> None:
         raise NotImplementedError
 
     @cached_property
@@ -136,19 +160,19 @@ class _Azimuthal(Projection):
             return cv, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
         return cv, (-sin_lon, cos_lon, 0.0), (-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat)
 
-    def forward(self, c: GeoCoord) -> PlanePoint:
+    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
-        cos_lat = math.cos(c.lat)
-        px, py, pz = cos_lat * math.cos(c.lon), cos_lat * math.sin(c.lon), math.sin(c.lat)
+        cos_lat = math.cos(lat)
+        px, py, pz = cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)
         dot = px * cx + py * cy + pz * cz
         tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
         tnorm = math.sqrt(tx * tx + ty * ty + tz * tz)
         dist = math.atan2(tnorm, dot)
-        self._check_distance(dist, c)
+        self._check_distance(dist, lat, lon)
         if tnorm < 1e-15:
-            return PlanePoint(0.0, 0.0)
+            return 0.0, 0.0
         r = self._radial(dist) / tnorm
-        return PlanePoint(r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz))
+        return r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
@@ -179,9 +203,9 @@ class Stereographic(_Azimuthal):
     def _radial_inverse(self, r: float) -> float:
         return 2.0 * math.atan(0.5 * r)
 
-    def _check_distance(self, c: float, coord: GeoCoord) -> None:
+    def _check_distance(self, c: float, lat: float, lon: float) -> None:
         if c >= math.pi - 1e-12:
-            raise _OutOfDomain(self, coord, "the projection source maps to infinity")
+            raise _OutOfDomain(self, lat, lon, "the projection source maps to infinity")
 
 
 @dataclass(frozen=True)
@@ -200,9 +224,9 @@ class Gnomonic(_Azimuthal):
     def _radial_inverse(self, r: float) -> float:
         return math.atan(r)
 
-    def _check_distance(self, c: float, coord: GeoCoord) -> None:
+    def _check_distance(self, c: float, lat: float, lon: float) -> None:
         if c >= HALF_PI - 1e-12:
-            raise _OutOfDomain(self, coord, "on or beyond the horizon of the tangent point")
+            raise _OutOfDomain(self, lat, lon, "on or beyond the horizon of the tangent point")
 
 
 @dataclass(frozen=True)
@@ -234,9 +258,9 @@ class Orthographic(_Azimuthal):
             raise DomainError(f"no preimage: radius {r:.9g} beyond the orthographic limb")
         return math.asin(min(1.0, r))
 
-    def _check_distance(self, c: float, coord: GeoCoord) -> None:
+    def _check_distance(self, c: float, lat: float, lon: float) -> None:
         if c > HALF_PI + 1e-12:
-            raise _OutOfDomain(self, coord, "on the hidden hemisphere")
+            raise _OutOfDomain(self, lat, lon, "on the hidden hemisphere")
 
 
 @dataclass(frozen=True)
@@ -254,9 +278,9 @@ class LambertAzimuthalEqualArea(_Azimuthal):
             raise DomainError(f"no preimage: radius {r:.9g} beyond the equal-area disc")
         return 2.0 * math.asin(min(1.0, 0.5 * r))
 
-    def _check_distance(self, c: float, coord: GeoCoord) -> None:
+    def _check_distance(self, c: float, lat: float, lon: float) -> None:
         if c >= math.pi - 1e-12:
-            raise _OutOfDomain(self, coord, "antipode of the center is excluded")
+            raise _OutOfDomain(self, lat, lon, "antipode of the center is excluded")
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +314,8 @@ class Equirectangular(_StandardParallel):
     lon0: float = 0.0
     family: ClassVar[str] = "equirectangular"
 
-    def forward(self, c: GeoCoord) -> PlanePoint:
-        return PlanePoint(wrap_longitude(c.lon - self.lon0) * math.cos(self.phi0), c.lat)
+    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
+        return wrap_longitude(lon - self.lon0) * math.cos(self.phi0), lat
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         if abs(p.y) > HALF_PI + 1e-12:
@@ -316,13 +340,13 @@ class Mercator(_Meridional):
             )
         super().__post_init__()
 
-    def forward(self, c: GeoCoord) -> PlanePoint:
-        if abs(c.lat) > self.cutoff:
+    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
+        if abs(lat) > self.cutoff:
             raise _OutOfDomain(
-                self, c, f"beyond the ±{math.degrees(self.cutoff):.4f}° cutoff"
+                self, lat, lon, f"beyond the ±{math.degrees(self.cutoff):.4f}° cutoff"
             )
         # asinh(tan(lat)) == ln tan(pi/4 + lat/2), but exactly odd in floats
-        return PlanePoint(wrap_longitude(c.lon - self.lon0), math.asinh(math.tan(c.lat)))
+        return wrap_longitude(lon - self.lon0), math.asinh(math.tan(lat))
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         dlam = _within_width(p.x, p.x)
@@ -340,9 +364,9 @@ class LambertCylindricalEqualArea(_StandardParallel):
     lon0: float = 0.0
     family: ClassVar[str] = "lambert_cylindrical_equal_area"
 
-    def forward(self, c: GeoCoord) -> PlanePoint:
+    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         cos0 = math.cos(self.phi0)
-        return PlanePoint(wrap_longitude(c.lon - self.lon0) * cos0, math.sin(c.lat) / cos0)
+        return wrap_longitude(lon - self.lon0) * cos0, math.sin(lat) / cos0
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         cos0 = math.cos(self.phi0)
@@ -393,8 +417,10 @@ class _Conic(_Meridional):
     parallels) mirror the northern formulas in y.
 
     A family supplies, for the northern aspect, ``_cone`` = (n, rho_ref),
-    ``_radius(lat, c)`` (raising on points outside the domain) and
-    ``_latitude(rho)`` (its inverse, raising on radii without a preimage).
+    ``_radius(phi, lat, lon)``, the radius of the parallel phi (raising on
+    points outside the domain, which it names by the unmirrored lat, lon),
+    and ``_latitude(rho)`` (its inverse, raising on radii without a
+    preimage).
     """
 
     phi_a: float
@@ -419,14 +445,14 @@ class _Conic(_Meridional):
     def _south(self) -> bool:
         return self.phi_a < 0.0
 
-    def forward(self, c: GeoCoord) -> PlanePoint:
+    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         n, rho_ref = self._cone
-        lat = -c.lat if self._south else c.lat
-        rho = self._radius(lat, c)
-        theta = n * wrap_longitude(c.lon - self.lon0)
+        south = self._south
+        rho = self._radius(-lat if south else lat, lat, lon)
+        theta = n * wrap_longitude(lon - self.lon0)
         x = rho * math.sin(theta)
         y = rho_ref - rho * math.cos(theta)
-        return PlanePoint(x, -y if self._south else y)
+        return x, -y if south else y
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         n, rho_ref = self._cone
@@ -464,7 +490,7 @@ class EquidistantConic(_Conic):
     def __post_init__(self):
         super().__post_init__()
         if self.cutoff is not None:
-            apex_lat = self.constants.rho_ref + abs(self.phi_a) - RHO_MIN
+            apex_lat = self._rho_equator - RHO_MIN
             if not abs(self.cutoff) < min(HALF_PI + 1e-12, apex_lat):
                 raise ParameterError("cutoff outside the conic's valid domain")
 
@@ -476,18 +502,23 @@ class EquidistantConic(_Conic):
     def _cone(self) -> tuple[float, float]:
         return self.constants.n, self.constants.rho_ref
 
-    def _radius(self, lat: float, c: GeoCoord) -> float:
-        if self.cutoff is not None and lat > abs(self.cutoff):
+    @cached_property
+    def _rho_equator(self) -> float:
+        """Radius of the equator's image; rho(phi) = _rho_equator - phi."""
+        return self.constants.rho_ref + abs(self.phi_a)
+
+    def _radius(self, phi: float, lat: float, lon: float) -> float:
+        if self.cutoff is not None and phi > abs(self.cutoff):
             raise _OutOfDomain(
-                self, c, f"beyond the {math.degrees(self.cutoff):.4f}° cutoff"
+                self, lat, lon, f"beyond the {math.degrees(self.cutoff):.4f}° cutoff"
             )
-        rho = self.constants.rho_ref + abs(self.phi_a) - lat
+        rho = self._rho_equator - phi
         if rho <= RHO_MIN:
-            raise _OutOfDomain(self, c, "at or beyond the cone apex")
+            raise _OutOfDomain(self, lat, lon, "at or beyond the cone apex")
         return rho
 
     def _latitude(self, rho: float) -> float:
-        lat = self.constants.rho_ref + abs(self.phi_a) - rho
+        lat = self._rho_equator - rho
         if lat < -HALF_PI - 1e-9:
             raise DomainError("no preimage: radius beyond the far pole")
         if self.cutoff is not None and lat > abs(self.cutoff) + 1e-12:
@@ -526,10 +557,10 @@ class LambertConformalConic(_Conic):
         n, f, _ = self._nF
         return f * math.tan(0.25 * math.pi + 0.5 * lat) ** -n
 
-    def _radius(self, lat: float, c: GeoCoord) -> float:
-        if abs(lat) >= HALF_PI - 1e-12:
-            raise _OutOfDomain(self, c, "poles are excluded")
-        return self._rho(lat)
+    def _radius(self, phi: float, lat: float, lon: float) -> float:
+        if abs(phi) >= HALF_PI - 1e-12:
+            raise _OutOfDomain(self, lat, lon, "poles are excluded")
+        return self._rho(phi)
 
     def _latitude(self, rho: float) -> float:
         n, f, _ = self._nF
@@ -550,12 +581,12 @@ class Werner(_Meridional):
     lon0: float = 0.0
     family: ClassVar[str] = "werner"
 
-    def forward(self, c: GeoCoord) -> PlanePoint:
-        r = HALF_PI - c.lat
+    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
+        r = HALF_PI - lat
         if r < 1e-15:
-            return PlanePoint(0.0, 0.0)
-        theta = wrap_longitude(c.lon - self.lon0) * math.cos(c.lat) / r
-        return PlanePoint(r * math.sin(theta), -r * math.cos(theta))
+            return 0.0, 0.0
+        theta = wrap_longitude(lon - self.lon0) * math.cos(lat) / r
+        return r * math.sin(theta), -r * math.cos(theta)
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from mapproj.cli import main
@@ -95,6 +97,19 @@ class TestDistortion:
         lines = target.read_text().strip().splitlines()
         assert lines[0].startswith("lat_deg,lon_deg,h,k")
         assert len(lines) == 10
+
+    def test_201x201_table_is_pinned(self, capsys):
+        # the benchmark's end-to-end CLI run; digest recorded before the
+        # sample loop moved onto the float kernels
+        code, out, _ = run(
+            capsys, "distortion", "--proj", "equidistant_conic lat1=45 lat2=60",
+            "--region", "40:70,-30:150", "--grid", "201x201",
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 201 * 201
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "ff9616c29616ee92d6449265ae2aca4321ad6aa2703834e7ce1eb9a3351892bb"
+        )
 
 
 class TestProperties:

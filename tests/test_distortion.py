@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -16,6 +17,7 @@ from mapproj import (
     Mercator,
     Stereographic,
     conic_constants,
+    parse_projection,
 )
 from mapproj.conic_design import parallel_scale
 from mapproj.distortion import (
@@ -343,3 +345,144 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.0)
         assert float(first[4]) == pytest.approx(90.0, abs=1e-6)
+
+
+# The analysis benchmark's six families on its unjittered regions, plus one
+# region east of the antimeridian (longitudes past 180° wrap): SHA-256 of the
+# distortion grid's CSV and of the property report's floats, recorded before
+# the sample loops moved onto the per-family float kernels.
+BAND, WIDE = (45.0, 70.0, 30.0, 150.0), (10.0, 80.0, 120.0, 260.0)
+ANALYSIS_CASES = {
+    "equidistant_conic": ("equidistant_conic lat1=45 lat2=60 lon0=90", BAND),
+    "stereographic": ("stereographic center=57.5,90", BAND),
+    "lambert_conformal_conic": ("lambert_conformal_conic lat1=45 lat2=60 lon0=90", BAND),
+    "lambert_azimuthal_equal_area": ("lambert_azimuthal_equal_area center=57.5,90", BAND),
+    "werner": ("werner", (20.0, 50.0, -40.0, 40.0)),
+    "mercator": ("mercator", (-60.0, 60.0, -180.0, 180.0)),
+}
+ANALYSIS_DIGESTS = {
+    ('equidistant_conic', False): "13b147080cf49440184a1ca4b8f28db5c1da6f3c90a18d155e7633d689877868",
+    ('equidistant_conic', True): "9dd6434ad4458bf6597687367098b26e1767916cc6520041c15441ef09e146dd",
+    ('lambert_azimuthal_equal_area', False): "19cb327f42d5619d8bb909303a36d05bdded387fc95f9c68ec06568a4d5c57f8",
+    ('lambert_azimuthal_equal_area', True): "e724739d9a1d478c6423f7709366d4a91956a517933b821cffc615b9b7dff9f4",
+    ('lambert_conformal_conic', False): "13a7a85b3dc5d8756f23aecada0e875336eaaa71a2ccb380c4f300d1e9418197",
+    ('lambert_conformal_conic', True): "2d2f8c26627a5a910e4f617cf9cf9aafa53eb52fa0b33a820a00d0af9ad2aa75",
+    ('mercator', False): "6fceb841072a652b249bafe04337015fc787e5620de2608049293d1c23c65994",
+    ('mercator', True): "efde233f3658922a709771bba56189b038508d8d8dfa2e481ecfaebdc83a349b",
+    ('stereographic', False): "5d18f001114947d54df37c1d1e072a156706e1f9e7bfdfa3f28380f6ee94b57a",
+    ('stereographic', True): "a2b7407fe0b2e519adb0d4172491d72dfb22a1bd27cf6a8b2876b99b14f05c0b",
+    ('werner', False): "27fa776ee000dcb167dbfaa3ceb5eb92cec57b7297a00a41d96bbde4ac735093",
+    ('werner', True): "dd534cf81b49e123a5dd8e49bd7cb06d49a89c1ee0497c1b028ac9490e0eb0f7",
+}
+
+
+def _analysis_digest(spec, region, n=13):
+    proj = parse_projection(spec)
+    region = GeoRegion.from_degrees(*region)
+    text = grid_to_csv(distortion_grid(proj, region, n, n))
+    rep = euler_property_report(proj, region, n, n)
+    text += " ".join(v.hex() for v in (rep.p1, rep.p2, rep.p3, rep.p4))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("family", sorted(ANALYSIS_CASES))
+@pytest.mark.parametrize("wide", [False, True], ids=["band", "wide"])
+def test_analysis_outputs_are_pinned(family, wide):
+    spec, region = ANALYSIS_CASES[family]
+    assert _analysis_digest(spec, WIDE if wide else region) == ANALYSIS_DIGESTS[family, wide]
+
+
+@dataclass(frozen=True)
+class _AffineKernel(Projection):
+    """_Affine written as a float kernel instead of a forward."""
+
+    p: float
+    q: float
+    r: float
+    s: float
+    family: ClassVar[str] = "affine"
+
+    def _xy(self, lat, lon):
+        return self.p * lat + self.q * lon, self.r * lat + self.s * lon
+
+
+class TestKernelContract:
+    def test_forward_only_and_kernel_only_subclasses_agree(self, rng):
+        for _ in range(50):
+            coeffs = [rng.uniform(-2.0, 2.0) for _ in range(4)]
+            c = GeoCoord(rng.uniform(-1.4, 1.4), rng.uniform(-3.0, 3.0))
+            assert tissot(_Affine(*coeffs), c) == tissot(_AffineKernel(*coeffs), c)
+            assert _Affine(*coeffs).forward(c) == _AffineKernel(*coeffs).forward(c)
+            assert _Affine(*coeffs)._xy(c.lat, c.lon) == _AffineKernel(*coeffs)._xy(c.lat, c.lon)
+
+    def test_projection_without_either_is_abstract(self):
+        with pytest.raises(NotImplementedError):
+            tissot(Projection(), GeoCoord(0.5, 0.5))
+
+    def test_report_loop_builds_no_point_objects(self, monkeypatch):
+        # the Tissot loop runs on floats; only P1's meridian images, one
+        # PlanePoint per grid point, are built as objects
+        counts = {"GeoCoord": 0, "PlanePoint": 0}
+        for cls in (GeoCoord, PlanePoint):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
+                counts[_name] += 1
+                _init(self, *args)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        # regions inside each family's domain: the polar azimuthal aspects
+        # see one hemisphere
+        south, north = (-70, -40, -30, 30), (40, 70, -30, 30)
+        regions = {"stereographic": south, "gnomonic": south, "central": north,
+                   "orthographic": north}
+        for proj in all_family_instances():
+            region = GeoRegion.from_degrees(*regions.get(proj.family, (10, 40, -30, 30)))
+            counts.update(GeoCoord=0, PlanePoint=0)
+            euler_property_report(proj, region, 7, 9)
+            assert counts == {"GeoCoord": 0, "PlanePoint": 7 * 9}, proj.family
+
+
+def _counting_affine():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Counting(_Affine):
+        def forward(self, c):
+            calls.append(c)
+            return super().forward(c)
+
+    return Counting(1.0, 0.2, 0.1, 1.0), calls
+
+
+BAD_STEPS = [0.0, -0.0, -1e-6, math.nan, math.inf, -math.inf]
+STEP_ENTRIES = {
+    "local_jacobian": lambda proj, step: local_jacobian(proj, GeoCoord(0.5, 0.5), step),
+    "tissot": lambda proj, step: tissot(proj, GeoCoord(0.5, 0.5), step),
+    "distortion_grid": lambda proj, step: distortion_grid(
+        proj, GeoRegion.from_degrees(0, 10, 0, 10), 3, 3, step),
+    "euler_property_report": lambda proj, step: euler_property_report(
+        proj, GeoRegion.from_degrees(0, 10, 0, 10), 3, 3, step),
+    "max_distortion_scan": lambda proj, step: max_distortion_scan(
+        proj, GeoRegion.from_degrees(0, 10, 0, 10), 3, 3, step),
+}
+
+
+class TestStepValidation:
+    @pytest.mark.parametrize("step", BAD_STEPS, ids=repr)
+    @pytest.mark.parametrize("entry", sorted(STEP_ENTRIES))
+    def test_bad_step_rejected_before_any_sample(self, entry, step):
+        proj, calls = _counting_affine()
+        with pytest.raises(ParameterError, match="^step must be positive and finite$"):
+            STEP_ENTRIES[entry](proj, step)
+        assert calls == []
+
+    @pytest.mark.parametrize("step", BAD_STEPS, ids=repr)
+    def test_bad_step_at_the_tear(self, step):
+        # a negative step used to skip the one-sided stencil here and return
+        # k of about 3.6e6 from differencing the two map edges
+        with pytest.raises(ParameterError, match="^step must be positive and finite$"):
+            tissot(EquidistantConic(math.radians(45), math.radians(60)),
+                   GeoCoord.from_degrees(50, 180), step)
+
+    def test_tiny_positive_step_still_accepted(self):
+        s = tissot(Mercator(), GeoCoord(0.0, 0.0), 1e-5)
+        assert s.h == pytest.approx(1.0, abs=1e-6)

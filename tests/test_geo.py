@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mapproj.errors import (
 )
 from mapproj.geo import (
     GeoCoord,
+    _canonical,
     GeoRegion,
     from_unit_vector,
     great_circle_distance,
@@ -79,16 +81,23 @@ _SPECIAL = [math.nan, math.inf, -math.inf, 0, 1, -3, 4, True, np.float64(-math.p
 
 
 class TestGeoCoordMatchesItsChecks:
+    """GeoCoord, and the float canonicalization that the finite-difference
+    stencil shares with it, against the checks run on every input."""
+
     @staticmethod
     def _check(lat, lon):
         expected = _reference_geocoord(lat, lon)
-        if isinstance(expected[0], type):
-            with pytest.raises(expected[0]) as err:
-                GeoCoord(lat, lon)
-            assert str(err.value) == expected[1]
-            return
-        c = GeoCoord(lat, lon)
-        assert (_bits(c.lat), _bits(c.lon)) == tuple(map(_bits, expected))
+        stored = (
+            lambda: dataclasses.astuple(GeoCoord(lat, lon)),
+            lambda: _canonical(float(lat), float(lon)),
+        )
+        for make in stored:
+            if isinstance(expected[0], type):
+                with pytest.raises(expected[0]) as err:
+                    make()
+                assert str(err.value) == expected[1]
+                continue
+            assert tuple(map(_bits, make())) == tuple(map(_bits, expected))
 
     @pytest.mark.parametrize("lat", _EDGES + _SPECIAL)
     def test_fixed_examples(self, lat):
@@ -112,6 +121,17 @@ class TestGeoCoordMatchesItsChecks:
         assert [f.name for f in dataclasses.fields(GeoCoord)] == ["lat", "lon"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             c.lat = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.lon = 0.0
+        assert GeoCoord.__slots__ == ("lat", "lon") and not hasattr(c, "__dict__")
+        assert pickle.loads(pickle.dumps(c)) == c
+        assert dataclasses.replace(c, lon=4.0) == GeoCoord(0.5, 4.0 - 2.0 * math.pi)
+        assert GeoCoord(lon=1.0, lat=0.25) == GeoCoord(0.25, 1.0)
+
+    def test_canonical_returns_open_range_pairs_unchanged(self):
+        for lat in (-math.nextafter(math.pi / 2, 0.0), -0.0, 0.0, 1.0):
+            for lon in (math.nextafter(-math.pi, 0.0), -0.0, 0.0, math.pi):
+                assert tuple(map(_bits, _canonical(lat, lon))) == (_bits(lat), _bits(lon))
 
     @pytest.mark.parametrize("lon", _EDGES + [math.pi / 3, -2.0, 7.5, -1e6])
     def test_wrap_longitude_is_the_fmod_formula(self, lon):

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import math
+import pickle
 import re
 from pathlib import Path
 
@@ -30,9 +33,10 @@ from mapproj import (
 )
 from mapproj.atlas import project_polyline
 from mapproj.cli import main
+from mapproj.distortion import local_jacobian, tissot
 from mapproj.errors import DomainError, ParameterError
 from mapproj.geo import wrap_longitude
-from mapproj.projections import FAMILIES
+from mapproj.projections import FAMILIES, Projection
 from conftest import all_family_instances, sample_in_domain
 
 
@@ -754,3 +758,137 @@ class TestRejectionMessages:
             "(lat 10.000000°, lon 120.000000°) outside orthographic domain: "
             "on the hidden hemisphere"
         )
+
+
+# Forward, inverse, Tissot and the Jacobian at the edges of every family (poles, the tear
+# and the stencil's reach around it, cutoffs, limbs and antipodes), every
+# value as float.hex and every error as its type and text. The digests were
+# recorded before the per-family float kernels replaced the forwards, so they
+# pin that the kernels, the finite-difference stencil and the deferred error
+# messages reproduce the old bits.
+EDGE_INSTANCES = all_family_instances() + [
+    EquidistantConic(math.radians(-45), math.radians(-60), lon0=math.radians(-100)),
+    EquidistantConic(math.radians(45), math.radians(60), cutoff=math.radians(80)),
+    LambertConformalConic(math.radians(-30), math.radians(-60), lon0=math.radians(170)),
+    Mercator(cutoff=math.radians(80)),
+    Orthographic(center=GeoCoord.from_degrees(35, 60)),
+    Stereographic(center=GeoCoord.from_degrees(-20, 170)),
+    Gnomonic(center=GeoCoord.from_degrees(0, 180)),
+]
+EDGE_DIGESTS = {
+    0: "d0642230a1b5de826379945e407a9aeb542a72998f69f90894aa1759ca55769c",  # equirectangular
+    1: "4f140ffd31ffeb404b0053d824a2a087a800e77ef9c25dc85d9b3b1cd1cc0beb",  # stereographic
+    2: "84900376d5a3f1f79bdef8b19a79cf58b789fd61d07ba9f66506d29c62b87846",  # gnomonic
+    3: "a8a4243593d9d905f5e4c3941fb1ab2325f407f1216e697e7fc6dda731e2992e",  # central
+    4: "6cb96792a9830a35f1c7721a9c5a5b861370889c2593c30daf40cb9db49e323a",  # orthographic
+    5: "6f8b31c9d91880d05f148f248f6fd898f18212f3f17ef334a929640da45420ab",  # mercator
+    6: "0fa38c871df2aba5797b36d1dd48d2ac671ace717bfa424ed932482b793b4f97",  # equidistant_conic
+    7: "4468a555280c46b653787a8c00bdab143cb39f88f4b818cc53620335a70e37f8",  # lambert_conformal_conic
+    8: "7ecb4d662b711264d501143565d086244ca2f5ddd26f031cf6b25d16c1b68825",  # lambert_azimuthal_equal_area
+    9: "293d99901781c9c550a1961f02cb764343d14832c24d78fb634e497415cc7b42",  # lambert_cylindrical_equal_area
+    10: "a673c49cd96349f9193058926e3afbe9dbb735e7dd395c73c8f15d10fcf7d06c",  # werner
+    11: "8b1ddd0c8fff6ce4586d0a3d77fbea575dc3e3bfff010df61804f46326fbf448",  # equidistant_conic
+    12: "201cf96f783cdf593bfe7b5b639ffebd993efd2af4c9598cbd63e22dbc6cbfa6",  # equidistant_conic
+    13: "016f06efc32408bfec897725c2b29407809b43c24f94f74aed5b949e1faedf4e",  # lambert_conformal_conic
+    14: "90f4895fce121e1e8347475c8422402828d9dc8b7753668ad2f84f6ec0e33d79",  # mercator
+    15: "56296c93b8346bc50133791049fd7dccb1d1e6f1009f08476dd0524130939eee",  # orthographic
+    16: "4e30e6b84d79730af02a82ecdc1e71042e8fd30071908f886665bea590f088cd",  # stereographic
+    17: "8af39b693b1ce1ac8efeeaa5143efaaff16cedaa50eb522c0b2034ac5447fdd6",  # gnomonic
+}
+
+
+def _at_distance(center, dist, az):
+    """The point at arc distance dist from center in azimuth az."""
+    sin_lat = math.sin(center.lat) * math.cos(dist) + math.cos(center.lat) * math.sin(
+        dist) * math.cos(az)
+    lat = math.asin(max(-1.0, min(1.0, sin_lat)))
+    dlon = math.atan2(math.sin(az) * math.sin(dist) * math.cos(center.lat),
+                      math.cos(dist) - math.sin(center.lat) * sin_lat)
+    return GeoCoord(lat, wrap_longitude(center.lon + dlon))
+
+
+def _edge_probes(proj):
+    cut = proj.cut_longitude
+    if cut is None:
+        cut = wrap_longitude(proj.center.lon + math.pi)
+    lats = [-90, -90 + 1e-10, -89.9999, -85.0000001, -85, -60, -1e-9, 0, 1e-9, 45, 50,
+            80, 80.0000001, 84.9999999, 85, 85.0000001, 89.9999, 90 - 1e-10, 90]
+    offsets = [0.0, 1e-12, -1e-12, 1e-7, -1e-7, 2e-6, -2e-6, 1e-3, -1e-3, 0.5, -0.5,
+               math.pi / 2, -math.pi / 2, math.pi]
+    probes = [GeoCoord(math.radians(lat), cut + dlon) for lat in lats for dlon in offsets]
+    center = getattr(proj, "center", GeoCoord(0.0, wrap_longitude(cut + math.pi)))
+    for dist in (math.pi / 2 - 1e-6, math.pi / 2 - 1e-12, math.pi / 2, math.pi / 2 + 1e-13,
+                 math.pi / 2 + 1e-6, math.pi - 1e-6, math.pi - 1e-12, math.pi):
+        probes += [_at_distance(center, dist, az) for az in (0.0, 1.0, 2.5, math.pi)]
+    return probes
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except DomainError as exc:
+        return f"{type(exc).__name__}: {exc}", None
+    return " ".join(float(v).hex() for v in value), value
+
+
+def _edge_digest(proj):
+    lines = []
+    for c in _edge_probes(proj):
+        fwd, p = _outcome(proj.forward, c)
+        back = "-" if p is None else _outcome(lambda p: dataclasses.astuple(proj.inverse(p)), p)[0]
+        sample = _outcome(lambda c: dataclasses.astuple(tissot(proj, c)), c)[0]
+        jac = _outcome(lambda c: local_jacobian(proj, c).ravel().tolist(), c)[0]
+        lines.append(f"{c.lat.hex()} {c.lon.hex()} | {fwd} | {back} | {sample} | {jac}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("index", range(len(EDGE_INSTANCES)))
+def test_edge_values_are_pinned(index):
+    proj = EDGE_INSTANCES[index]
+    assert _edge_digest(proj) == EDGE_DIGESTS[index], repr(proj)
+
+
+class TestFamilyKernels:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_every_family_has_its_own_kernel(self, family):
+        # forward is the base class's wrapper over _xy; no built-in family
+        # may fall back to the base _xy, which calls forward
+        cls = FAMILIES[family]
+        assert cls._xy is not Projection._xy
+        assert cls.forward is Projection.forward
+
+    def test_forward_is_the_kernel(self, rng):
+        for proj in all_family_instances():
+            for c in sample_in_domain(proj, rng, 20):
+                p = proj.forward(c)
+                assert type(p) is PlanePoint
+                assert (p.x, p.y) == proj._xy(c.lat, c.lon)
+
+
+class TestPlanePointMatchesGeneratedDataclass:
+    """PlanePoint sets its slots itself; it still behaves like the frozen
+    slotted dataclass it was generated as."""
+
+    def test_stores_its_arguments_unchanged(self):
+        x, y = np.float64(0.25), 3
+        p = PlanePoint(x, y)
+        assert p.x is x and p.y is y
+        assert PlanePoint(y=2.0, x=1.0) == PlanePoint(1.0, 2.0)
+        assert list(PlanePoint(-0.0, 1.5)) == [-0.0, 1.5]
+        assert math.copysign(1.0, PlanePoint(-0.0, 0.0).x) == -1.0
+
+    def test_dataclass_behaviour(self):
+        p = PlanePoint(0.5, -1.25)
+        assert repr(p) == "PlanePoint(x=0.5, y=-1.25)"
+        assert p == PlanePoint(0.5, -1.25) and p != PlanePoint(0.5, 1.25)
+        assert hash(p) == hash(PlanePoint(0.5, -1.25)) == hash((0.5, -1.25))
+        assert [f.name for f in dataclasses.fields(PlanePoint)] == ["x", "y"]
+        assert PlanePoint.__slots__ == ("x", "y") and not hasattr(p, "__dict__")
+        for name in ("x", "y"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, 0.0)
+        assert dataclasses.replace(p, y=2.0) == PlanePoint(0.5, 2.0)
+        assert pickle.loads(pickle.dumps(p)) == p
+        assert dataclasses.astuple(p) == (0.5, -1.25)
+        with pytest.raises(TypeError):
+            PlanePoint(1.0)
