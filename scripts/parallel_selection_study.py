@@ -16,6 +16,7 @@ import os
 from mapproj.conic_design import (
     LatBand,
     equioscillation_residual,
+    error_profile,
     minimax_parallels,
     quarter_rule,
 )
@@ -52,7 +53,9 @@ def main() -> None:
         os.makedirs(os.path.dirname(args.csv) or ".", exist_ok=True)
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("lat_deg,quarter_error,minimax_error\n")
-            for lat, eq, em in zip(q.profile_lats, q.profile_errors, m.profile_errors):
+            lats, q_errors = error_profile(band, q)
+            _, m_errors = error_profile(band, m)
+            for lat, eq, em in zip(lats, q_errors, m_errors):
                 fh.write(f"{math.degrees(lat):.6f},{eq:.10g},{em:.10g}\n")
         print(f"wrote {args.csv}")
 

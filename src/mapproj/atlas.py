@@ -263,12 +263,7 @@ def _path_arc(points, tr: _SceneTransform) -> str | None:
         angles.append(math.atan2(y - cy, x - cx))
     swept = 0.0
     for a0, a1 in zip(angles, angles[1:]):
-        delta = math.fmod(a1 - a0, 2 * math.pi)
-        if delta <= -math.pi:
-            delta += 2 * math.pi
-        elif delta > math.pi:
-            delta -= 2 * math.pi
-        swept += delta
+        swept += wrap_longitude(a1 - a0)  # the turn between samples, in (-pi, pi]
     if abs(swept) >= 2 * math.pi - 0.1:
         return None
     x0, y0 = tr.point(points[0])

@@ -127,9 +127,9 @@ def _cmd_optimize(args) -> int:
     print(f"equioscillation residual: {residual:.3e}")
     if args.profile:
         lines = ["lat_deg,quarter_error,minimax_error"]
-        for lat, eq, em in zip(
-            quarter.profile_lats, quarter.profile_errors, best.profile_errors
-        ):
+        lats, quarter_errors = conic_design.error_profile(band, quarter)
+        _, best_errors = conic_design.error_profile(band, best)
+        for lat, eq, em in zip(lats, quarter_errors, best_errors):
             lines.append(f"{math.degrees(lat):.6f},{eq:.12g},{em:.12g}")
         with open(args.profile, "w", encoding="utf-8") as handle:
             handle.write("\n".join(lines) + "\n")

@@ -20,14 +20,15 @@ settles after a single step. The standard parallels are then the two roots
 of A - B*phi - cos(phi), which is convex, in the sign-changing brackets
 [lo, t] and [t, hi]. Every root is found by Newton's method inside its
 bracket.
+
+A choice holds its two parallels and its worst error; :func:`error_profile`
+samples its error k(phi) - 1 across the band on demand, for plots and CSV.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .geo import HALF_PI
@@ -67,22 +68,20 @@ class LatBand:
         return self.phi_hi - self.phi_lo
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ParallelChoice:
-    """A pair of standard parallels with its worst band error and the sampled
-    error profile k(phi) - 1."""
+    """A pair of standard parallels with its worst error max |k - 1| over
+    the band."""
 
     phi_a: float
     phi_b: float
     max_error: float
-    profile_lats: np.ndarray
-    profile_errors: np.ndarray
 
 
-def _scale_error(constants: ConicConstants, phi_a: float, phi):
+def _scale_error(constants: ConicConstants, phi_a: float, phi: float) -> float:
     """k(phi) - 1 = n*rho/cos(phi) - 1 for the conic whose inner standard
-    parallel is phi_a; phi is a float or an array."""
-    return constants.n * (constants.rho_ref + phi_a - phi) / np.cos(phi) - 1.0
+    parallel is phi_a."""
+    return constants.n * (constants.rho_ref + phi_a - phi) / math.cos(phi) - 1.0
 
 
 def parallel_scale(constants: ConicConstants, phi_a: float, phi: float) -> float:
@@ -92,7 +91,7 @@ def parallel_scale(constants: ConicConstants, phi_a: float, phi: float) -> float
         raise DomainError(
             f"latitude {math.degrees(phi):.4f}° lies at or beyond the cone apex"
         )
-    return 1.0 + float(_scale_error(constants, phi_a, phi))
+    return 1.0 + _scale_error(constants, phi_a, phi)
 
 
 def _newton(f, lo: float, hi: float, tol: float, what: str) -> float:
@@ -138,12 +137,12 @@ def _dip(apex: float, lo: float, hi: float, tol: float) -> float:
     return _newton(equation, lo, hi, tol, "interior dip")
 
 
-def _extremal_errors(phi_a: float, phi_b: float, band: LatBand) -> tuple[np.ndarray, float]:
+def _extremal_errors(phi_a: float, phi_b: float, band: LatBand) -> tuple[list[float], float]:
     """k - 1 at the band's lower and upper edge and at the interior dip
     between the standard parallels, and the latitude of the dip."""
     constants = conic_constants(phi_a, phi_b)
     t = _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
-    return _scale_error(constants, phi_a, np.array((band.phi_lo, band.phi_hi, t))), t
+    return [_scale_error(constants, phi_a, phi) for phi in (band.phi_lo, band.phi_hi, t)], t
 
 
 def band_max_error(phi_a: float, phi_b: float, band: LatBand) -> float:
@@ -157,24 +156,24 @@ def band_max_error(phi_a: float, phi_b: float, band: LatBand) -> float:
     errors, t = _extremal_errors(phi_a, phi_b, band)
     if not band.phi_lo < t < band.phi_hi:
         errors = errors[:2]
-    return float(np.abs(errors).max())
+    return max(map(abs, errors))
 
 
-def _choice(phi_a: float, phi_b: float, band: LatBand) -> ParallelChoice:
-    lats = np.linspace(band.phi_lo, band.phi_hi, SCAN_POINTS)
-    return ParallelChoice(
-        phi_a=phi_a, phi_b=phi_b,
-        max_error=band_max_error(phi_a, phi_b, band),
-        profile_lats=lats,
-        profile_errors=_scale_error(conic_constants(phi_a, phi_b), phi_a, lats),
-    )
+def error_profile(band: LatBand, choice: ParallelChoice) -> tuple[list[float], list[float]]:
+    """k(phi) - 1 of a choice at SCAN_POINTS evenly spaced latitudes from
+    the band's lower to its upper edge: (latitudes, errors)."""
+    step = band.width / (SCAN_POINTS - 1)
+    lats = [band.phi_lo + i * step for i in range(SCAN_POINTS - 1)] + [band.phi_hi]
+    constants = conic_constants(choice.phi_a, choice.phi_b)
+    return lats, [_scale_error(constants, choice.phi_a, phi) for phi in lats]
 
 
 def quarter_rule(band: LatBand) -> ParallelChoice:
     """Parallels at one quarter of the band width in from each edge, i.e.
     equally far from the middle parallel and from the outermost edges."""
     quarter = 0.25 * band.width
-    return _choice(band.phi_lo + quarter, band.phi_hi - quarter, band)
+    phi_a, phi_b = band.phi_lo + quarter, band.phi_hi - quarter
+    return ParallelChoice(phi_a, phi_b, band_max_error(phi_a, phi_b, band))
 
 
 def minimax_parallels(band: LatBand, tol: float = DEFAULT_TOL) -> ParallelChoice:
@@ -212,7 +211,7 @@ def minimax_parallels(band: LatBand, tol: float = DEFAULT_TOL) -> ParallelChoice
         if band.width <= 1e-4:
             return quarter_rule(band)
         raise ConvergenceError(str(exc), best=quarter_rule(band)) from exc
-    return _choice(phi_a, phi_b, band)
+    return ParallelChoice(phi_a, phi_b, band_max_error(phi_a, phi_b, band))
 
 
 def equioscillation_residual(band: LatBand, choice: ParallelChoice) -> float:
@@ -223,7 +222,7 @@ def equioscillation_residual(band: LatBand, choice: ParallelChoice) -> float:
     negative) and returns the largest deviation from the reported max_error.
     """
     e_lo, e_hi, e_dip = _extremal_errors(choice.phi_a, choice.phi_b, band)[0]
-    return float(max(abs(m - choice.max_error) for m in (e_lo, e_hi, -e_dip)))
+    return max(abs(m - choice.max_error) for m in (e_lo, e_hi, -e_dip))
 
 
 def apex_overshoot_degrees(phi_a: float, phi_b: float) -> float:

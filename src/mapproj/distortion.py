@@ -17,9 +17,7 @@ bare floats; the public functions wrap the results in their types.
 
 from __future__ import annotations
 
-import io
 import math
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +30,7 @@ from .projections import PlanePoint, Projection
 DEFAULT_STEP = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistortionSample:
     """Local distortion at one point.
 
@@ -253,24 +251,13 @@ def max_distortion_scan(
 
 
 def grid_to_csv(rows: list[tuple[GeoCoord, DistortionSample]]) -> str:
-    """CSV rendering of a distortion grid; angles in degrees, scales raw."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["lat_deg", "lon_deg", "h", "k", "theta_prime_deg", "a", "b", "omega_deg", "s"]
+    """CSV rendering of a distortion grid; angles in degrees, scales raw.
+    No field is ever quoted: every one is a formatted number."""
+    lines = ["lat_deg,lon_deg,h,k,theta_prime_deg,a,b,omega_deg,s"]
+    lines += (
+        f"{c.lat_deg:.6f},{c.lon_deg:.6f},{d.h:.12g},{d.k:.12g},"
+        f"{math.degrees(d.theta_prime):.12g},{d.a:.12g},{d.b:.12g},"
+        f"{math.degrees(d.omega):.12g},{d.s:.12g}"
+        for c, d in rows
     )
-    for c, sample in rows:
-        writer.writerow(
-            [
-                f"{c.lat_deg:.6f}",
-                f"{c.lon_deg:.6f}",
-                f"{sample.h:.12g}",
-                f"{sample.k:.12g}",
-                f"{math.degrees(sample.theta_prime):.12g}",
-                f"{sample.a:.12g}",
-                f"{sample.b:.12g}",
-                f"{math.degrees(sample.omega):.12g}",
-                f"{sample.s:.12g}",
-            ]
-        )
-    return out.getvalue()
+    return "\n".join(lines) + "\n"

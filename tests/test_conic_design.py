@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from mapproj import EquidistantConic, GeoCoord, conic_constants
 from mapproj.conic_design import (
+    SCAN_POINTS,
     LatBand,
     apex_overshoot_degrees,
     band_max_error,
     equioscillation_residual,
+    error_profile,
     minimax_parallels,
     parallel_scale,
     quarter_rule,
@@ -80,10 +83,10 @@ class TestQuarterRule:
 
     def test_profile_spans_band(self):
         band = LatBand.from_degrees(45, 70)
-        choice = quarter_rule(band)
-        assert choice.profile_lats[0] == pytest.approx(band.phi_lo)
-        assert choice.profile_lats[-1] == pytest.approx(band.phi_hi)
-        assert len(choice.profile_lats) == len(choice.profile_errors)
+        lats, errs = error_profile(band, quarter_rule(band))
+        assert lats[0] == pytest.approx(band.phi_lo)
+        assert lats[-1] == pytest.approx(band.phi_hi)
+        assert len(lats) == len(errs)
 
 
 class TestMinimax:
@@ -115,7 +118,7 @@ class TestMinimax:
         # positive at both edges, one negative region between the parallels
         band = LatBand.from_degrees(45, 70)
         choice = minimax_parallels(band)
-        lats, errs = choice.profile_lats, choice.profile_errors
+        lats, errs = map(np.array, error_profile(band, choice))
         assert errs[0] > 0 and errs[-1] > 0
         inside = errs[(lats > choice.phi_a) & (lats < choice.phi_b)]
         assert inside.min() < 0
@@ -144,6 +147,12 @@ class TestMinimax:
         assert one.max_error == two.max_error
         q1, q2 = quarter_rule(band), quarter_rule(band)
         assert (q1.phi_a, q1.phi_b, q1.max_error) == (q2.phi_a, q2.phi_b, q2.max_error)
+
+    def test_choices_compare_by_value(self):
+        band = LatBand.from_degrees(45, 70)
+        assert quarter_rule(band) == quarter_rule(band)
+        assert minimax_parallels(band) == minimax_parallels(band)
+        assert quarter_rule(band) != minimax_parallels(band)
 
     def test_bad_tol(self):
         with pytest.raises(ParameterError):
@@ -184,9 +193,39 @@ class TestBandMaxError:
         assert exact == abs(parallel_scale(conic_constants(pa, pb), pa, band.phi_lo) - 1.0)
 
 
+# SHA-256 of the float.hex of every latitude, then every error, of the
+# profile: the bits the 10 001-point numpy linspace profile had
+_PROFILE_DIGESTS = {
+    ((45, 70), "quarter"): "ca94b01ff541c2c160ca00aceb13bf3f03a75e4f4eac4eb339770fded9a780a3",
+    ((45, 70), "minimax"): "25e7486c29faf0d8a63c577aa4800dc30ec704ef6db23327962d9ddec8175967",
+    ((0, 30), "quarter"): "96ace7614ef550f7a54273e9189ee00ecb9777c6e3bd41268f05bf81e7d32c3a",
+    ((0, 30), "minimax"): "fbec6632953ad96f752d529765fa40d78deb57514d43535ed06c9c56dbccf6e5",
+    ((80, 89.5), "quarter"): "0f649ed37eb9a96e9a793a2992ebfd5f360d3efe1e25379c12044ee6a267afe0",
+    ((80, 89.5), "minimax"): "ff4f97ad7d6a5dc859a926b1eafbc705cb023430634eab737f557d188b4fc09e",
+    ("thin", "quarter"): "5452a24944d2cd7bd596ff24e3f945b895ca9378850a3f2f84c3ed141fb7ff61",
+    ("thin", "minimax"): "89a3f7c93b624842bfef93b064fb4da0233c05eb7d1dd49464422e6b847108af",
+}
+
+
+class TestErrorProfile:
+    @pytest.mark.parametrize("key, rule", _PROFILE_DIGESTS)
+    def test_pinned(self, key, rule):
+        if key == "thin":  # narrower than 1e-4 rad, where minimax may fall back
+            band = LatBand(math.radians(50), math.radians(50) + 2e-6)
+        else:
+            band = LatBand.from_degrees(*key)
+        choice = (quarter_rule if rule == "quarter" else minimax_parallels)(band)
+        lats, errs = error_profile(band, choice)
+        assert len(lats) == len(errs) == SCAN_POINTS
+        assert all(type(v) is float for v in (*lats, *errs))
+        text = " ".join(float.hex(v) for v in (*lats, *errs))
+        assert hashlib.sha256(text.encode()).hexdigest() == _PROFILE_DIGESTS[key, rule]
+
+
 def _check_minimax(band):
     choice = minimax_parallels(band)
-    dip = choice.profile_lats[int(np.argmin(choice.profile_errors))]
+    lats, errs = error_profile(band, choice)
+    dip = lats[int(np.argmin(errs))]
     assert band.phi_lo <= choice.phi_a < dip < choice.phi_b <= band.phi_hi
     assert choice.max_error <= quarter_rule(band).max_error
     return choice
