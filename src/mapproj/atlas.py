@@ -184,9 +184,10 @@ def load_gazetteer(text: str, prime_meridian_deg: float = 0.0) -> list[Gazetteer
             raise ParameterError(f"empty name, line {line_no}")
         lat_deg = _parse_coordinate(row[1], "lat", line_no)
         lon_deg = _parse_coordinate(row[2], "lon", line_no)
-        if abs(lat_deg) > 90.0:
+        # written so that NaN fails them too
+        if not abs(lat_deg) <= 90.0:
             raise ParameterError(f"lat out of range, line {line_no}")
-        if abs(lon_deg) > 360.0:
+        if not abs(lon_deg) <= 360.0:
             raise ParameterError(f"lon out of range, line {line_no}")
         entries.append(
             GazetteerEntry(

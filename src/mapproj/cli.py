@@ -4,6 +4,10 @@ Subcommands: project, inverse, distance, distortion, properties, optimize,
 geodesic, render. All user-facing angles are decimal degrees. Exit codes:
 0 success, 1 domain or parse errors, 2 usage errors. Diagnostics go to
 stderr, results to stdout or to --out.
+
+The modules that need numpy (distortion, geodesics, atlas) are imported by
+the commands that use them, so project, inverse, distance and optimize start
+without loading numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 import re
 import sys
 
-from . import atlas, conic_design, distortion, geodesics
+from . import conic_design
 from .errors import MapError
 from .geo import GeoCoord, GeoRegion, great_circle_distance, wrap_longitude
 from .projections import PlanePoint, UnknownFamilyError, parse_projection
@@ -82,6 +86,8 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_distortion(args) -> int:
+    from . import distortion
+
     proj = parse_projection(args.proj)
     nlat, nlon = _parse_grid(args.grid)
     rows = distortion.distortion_grid(proj, _parse_region(args.region), nlat, nlon)
@@ -99,6 +105,8 @@ def _cmd_distortion(args) -> int:
 
 
 def _cmd_properties(args) -> int:
+    from . import distortion
+
     proj = parse_projection(args.proj)
     nlat, nlon = _parse_grid(args.grid)
     report = distortion.euler_property_report(proj, _parse_region(args.region), nlat, nlon)
@@ -137,6 +145,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    from . import geodesics
+
     proj = parse_projection(args.proj)
     a = _coord(args, *_parse_latlon(args.src))
     b = _coord(args, *_parse_latlon(args.dst))
@@ -161,6 +171,8 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from . import atlas
+
     proj = parse_projection(args.proj)
     region = _parse_region(args.region)
     steps = args.step.split(",")

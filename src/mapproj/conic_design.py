@@ -137,11 +137,26 @@ def _dip(apex: float, lo: float, hi: float, tol: float) -> float:
     return _newton(equation, lo, hi, tol, "interior dip")
 
 
+def _band_dip(constants: ConicConstants, phi_a: float, band: LatBand) -> float:
+    """The dip of k inside the band, or, when the band holds none and k is
+    monotone over it, the band edge where k is lower."""
+    try:
+        return _dip(constants.rho_ref + phi_a, band.phi_lo, band.phi_hi, _DIP_TOL)
+    except ConvergenceError:
+        return min(band.phi_lo, band.phi_hi, key=lambda phi: _scale_error(constants, phi_a, phi))
+
+
 def _extremal_errors(phi_a: float, phi_b: float, band: LatBand) -> tuple[list[float], float]:
     """k - 1 at the band's lower and upper edge and at the interior dip
     between the standard parallels, and the latitude of the dip."""
     constants = conic_constants(phi_a, phi_b)
-    t = _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
+    try:
+        t = _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
+    except ConvergenceError:
+        # by Rolle the dip lies between the standard parallels, but for
+        # parallels closer than about 1e-8 rad the rounding of the cone
+        # constants can move the computed cone's dip off that bracket
+        t = _band_dip(constants, phi_a, band)
     return [_scale_error(constants, phi_a, phi) for phi in (band.phi_lo, band.phi_hi, t)], t
 
 

@@ -30,7 +30,7 @@ from .projections import PlanePoint, Projection
 DEFAULT_STEP = 1e-6
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class DistortionSample:
     """Local distortion at one point.
 
@@ -46,6 +46,22 @@ class DistortionSample:
     b: float
     omega: float
     s: float
+
+    def __init__(self, h: float, k: float, theta_prime: float, a: float, b: float,
+                 omega: float, s: float):
+        _set_h(self, h)
+        _set_k(self, k)
+        _set_theta_prime(self, theta_prime)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_omega(self, omega)
+        _set_s(self, s)
+
+
+# the slots' own setters, as for GeoCoord and PlanePoint
+(_set_h, _set_k, _set_theta_prime, _set_a, _set_b, _set_omega, _set_s) = (
+    DistortionSample.__dict__[name].__set__ for name in DistortionSample.__slots__
+)
 
 
 @dataclass(frozen=True)

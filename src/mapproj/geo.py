@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import (
     AmbiguousGeodesicError,
@@ -20,6 +19,9 @@ from .errors import (
     InconsistentTriangleError,
     ParameterError,
 )
+
+if TYPE_CHECKING:
+    import numpy
 
 PI = math.pi
 HALF_PI = PI / 2.0
@@ -130,12 +132,21 @@ class GeoRegion:
         return cls(*(math.radians(v) for v in (lat_lo, lat_hi, lon_lo, lon_hi)))
 
 
-def to_unit_vector(c: GeoCoord) -> np.ndarray:
-    """Cartesian embedding: x toward (0,0), y toward (0,90E), z toward the north pole."""
+def _unit(c: GeoCoord) -> tuple[float, float, float]:
+    """:func:`to_unit_vector` as a float 3-tuple."""
     cos_lat = math.cos(c.lat)
-    return np.array(
-        [cos_lat * math.cos(c.lon), cos_lat * math.sin(c.lon), math.sin(c.lat)]
-    )
+    return cos_lat * math.cos(c.lon), cos_lat * math.sin(c.lon), math.sin(c.lat)
+
+
+def to_unit_vector(c: GeoCoord) -> numpy.ndarray:
+    """Cartesian embedding: x toward (0,0), y toward (0,90E), z toward the north pole.
+
+    Returns a numpy array, importing numpy when called; the rest of this
+    module works on floats and does not need it.
+    """
+    import numpy
+
+    return numpy.array(_unit(c))
 
 
 def from_unit_vector(v) -> GeoCoord:
@@ -156,9 +167,14 @@ def great_circle_distance(a: GeoCoord, b: GeoCoord) -> float:
     Uses the cross/dot atan2 form, which stays accurate for near-coincident
     and near-antipodal pairs where plain arccos loses digits.
     """
-    u = to_unit_vector(a)
-    v = to_unit_vector(b)
-    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+    return _angle(_unit(a), _unit(b))
+
+
+def _angle(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
+    """:func:`great_circle_distance` between two unit 3-tuples."""
+    (ux, uy, uz), (vx, vy, vz) = u, v
+    cx, cy, cz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+    return math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), ux * vx + uy * vy + uz * vz)
 
 
 def spherical_angle_from_sides(ab: float, ac: float, bc: float) -> float:
@@ -191,9 +207,8 @@ def sample_great_circle(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
     """
     if n < 2:
         raise ParameterError(f"need at least 2 samples, got {n}")
-    u = to_unit_vector(a)
-    v = to_unit_vector(b)
-    omega = great_circle_distance(a, b)
+    u, v = _unit(a), _unit(b)
+    omega = _angle(u, v)
     if omega < 1e-15:
         raise ParameterError("endpoints coincide; the arc is degenerate")
     if omega > math.pi - 1e-9:
@@ -201,10 +216,15 @@ def sample_great_circle(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
             f"endpoints {a.describe()} and {b.describe()} are antipodal"
         )
     sin_omega = math.sin(omega)
+    (ux, uy, uz), (vx, vy, vz) = u, v
     points = [a]
     for i in range(1, n - 1):
         t = i / (n - 1)
-        w = (math.sin((1.0 - t) * omega) * u + math.sin(t * omega) * v) / sin_omega
-        points.append(from_unit_vector(w / np.linalg.norm(w)))
+        su, sv = math.sin((1.0 - t) * omega), math.sin(t * omega)
+        wx = (su * ux + sv * vx) / sin_omega
+        wy = (su * uy + sv * vy) / sin_omega
+        wz = (su * uz + sv * vz) / sin_omega
+        norm = math.sqrt(wx * wx + wy * wy + wz * wz)
+        points.append(from_unit_vector((wx / norm, wy / norm, wz / norm)))
     points.append(b)
     return points

@@ -113,6 +113,13 @@ class TestGazetteer:
         with pytest.raises(ParameterError, match=r"lat out of range, line 3"):
             load_gazetteer("name,lat,lon\nA,10,20\nY,95,10\n")
 
+    @pytest.mark.parametrize("row, column", [
+        ("Y,nan,10", "lat"), ("Y,-NaN,10", "lat"), ("Y,10,nan", "lon"), ("Y,10,-nan", "lon"),
+    ])
+    def test_nan_names_line(self, row, column):
+        with pytest.raises(ParameterError, match=rf"^{column} out of range, line 3$"):
+            load_gazetteer(f"name,lat,lon\nA,10,20\n{row}\n")
+
     def test_malformed_value_names_line(self):
         with pytest.raises(ParameterError, match=r"line 2"):
             load_gazetteer("name,lat,lon\nA,1o,20\n")

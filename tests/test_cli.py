@@ -1,10 +1,16 @@
 import hashlib
+import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from mapproj.cli import main
 from mapproj.conic_design import LatBand
 from mapproj.errors import ParameterError
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(capsys, *argv):
@@ -232,6 +238,18 @@ class TestRender:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    @pytest.mark.parametrize("row, column", [("A,nan,10", "lat"), ("A,10,NaN", "lon")])
+    def test_nan_gazetteer_cell_names_its_line(self, capsys, tmp_path, row, column):
+        gaz = tmp_path / "places.csv"
+        gaz.write_text(f"name,lat,lon\n{row}\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "render", "--proj", "werner", "--region", "10:60,30:150",
+            "--gazetteer", str(gaz),
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {column} out of range, line 2\n"
+
     def test_missing_gazetteer_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "render", "--proj", "werner", "--region", "10:60,30:150",
@@ -308,3 +326,40 @@ class TestNegativeValues:
         code, _, err = run(capsys, "project", "--proj", "mercator", "--lat", "-1e-3", "--lon")
         assert code == 2
         assert "argument --lon: expected one argument" in err
+
+
+# runs commands in one fresh interpreter and reports, after the import and
+# after each command, its exit code and whether numpy has been loaded
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import mapproj.cli
+report = [["import", 0, "numpy" in sys.modules]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = mapproj.cli.main(argv)
+    report.append([argv[0], code, "numpy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+def test_light_commands_start_without_numpy():
+    light = [
+        ["project", "--proj", "mercator", "--lat", "45", "--lon", "10"],
+        ["inverse", "--proj", "mercator", "--x", "0.1", "--y", "0.2"],
+        ["distance", "--from", "10,20", "--to", "30,40"],
+        ["optimize", "--band", "45:70"],
+    ]
+    heavy = [
+        ["render", "--proj", "werner", "--region", "10:60,30:150", "--step", "10"],
+        ["distortion", "--proj", "werner", "--region", "10:60,30:150", "--grid", "3x3"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(light + heavy)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report[:5] == [[name, 0, False] for name in
+                          ("import", "project", "inverse", "distance", "optimize")]
+    assert report[5:] == [["render", 0, True], ["distortion", 0, True]]

@@ -10,6 +10,7 @@ from mapproj import EquidistantConic, GeoCoord, conic_constants
 from mapproj.conic_design import (
     SCAN_POINTS,
     LatBand,
+    ParallelChoice,
     apex_overshoot_degrees,
     band_max_error,
     equioscillation_residual,
@@ -191,6 +192,35 @@ class TestBandMaxError:
         exact = band_max_error(pa, pb, band)
         assert exact == self._scan(pa, pb, band)
         assert exact == abs(parallel_scale(conic_constants(pa, pb), pa, band.phi_lo) - 1.0)
+
+    @pytest.mark.parametrize("gap", [1e-9, 1e-10, 1e-12])
+    def test_near_coincident_parallels(self, gap):
+        # rounding erases the sign change of the dip equation between
+        # parallels this close; the worst error is still well defined
+        pa = math.radians(50)
+        band = LatBand(pa - 5e-4, pa + 5e-4)
+        exact = band_max_error(pa, pa + gap, band)
+        scan = self._scan(pa, pa + gap, band)
+        assert math.isfinite(exact) and scan <= exact <= scan + 1e-12
+        residual = equioscillation_residual(band, ParallelChoice(pa, pa + gap, exact))
+        assert math.isfinite(residual)
+
+    def test_thin_band_sweep(self):
+        rng = np.random.default_rng(20261018)
+        for _ in range(400):
+            width = rng.uniform(1.1e-6, 1e-4)
+            lo = rng.uniform(0.01, 1.5705)
+            band = LatBand(lo, lo + width)
+            pa = lo + rng.uniform(0.0, 0.9) * width
+            pb = pa + min(10.0 ** rng.uniform(-14.0, -6.0), band.phi_hi - pa)
+            exact = band_max_error(pa, pb, band)
+            lats = np.linspace(band.phi_lo, band.phi_hi, 2001)
+            k = conic_constants(pa, pb)
+            scan = float(np.abs(k.n * (k.rho_ref + pa - lats) / np.cos(lats) - 1.0).max())
+            # k - 1 is a difference from 1, so its rounding noise is absolute
+            assert math.isfinite(exact) and abs(exact - scan) <= 1e-15, (pa, pb, band)
+            residual = equioscillation_residual(band, ParallelChoice(pa, pb, exact))
+            assert math.isfinite(residual)
 
 
 # SHA-256 of the float.hex of every latitude, then every error, of the

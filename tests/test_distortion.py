@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -21,6 +23,7 @@ from mapproj import (
 )
 from mapproj.conic_design import parallel_scale
 from mapproj.distortion import (
+    DistortionSample,
     distortion_grid,
     euler_property_report,
     grid_to_csv,
@@ -486,3 +489,34 @@ class TestStepValidation:
     def test_tiny_positive_step_still_accepted(self):
         s = tissot(Mercator(), GeoCoord(0.0, 0.0), 1e-5)
         assert s.h == pytest.approx(1.0, abs=1e-6)
+
+
+class TestDistortionSampleMatchesGeneratedDataclass:
+    """DistortionSample sets its slots itself; it still behaves like the
+    frozen slotted dataclass it was generated as."""
+
+    FIELDS = ("h", "k", "theta_prime", "a", "b", "omega", "s")
+
+    def test_stores_its_arguments_unchanged(self):
+        values = (np.float64(1.25), 2, -0.0, 1.5, 0.5, math.nan, 3.0)
+        sample = DistortionSample(*values)
+        assert all(getattr(sample, f) is v for f, v in zip(self.FIELDS, values))
+        assert DistortionSample(**dict(zip(self.FIELDS, values))) == DistortionSample(*values)
+
+    def test_dataclass_behaviour(self):
+        values = (1.0, 2.0, 1.5, 2.5, 0.75, 0.25, 2.0)
+        sample = DistortionSample(*values)
+        assert repr(sample) == ("DistortionSample(h=1.0, k=2.0, theta_prime=1.5, a=2.5, "
+                                "b=0.75, omega=0.25, s=2.0)")
+        assert sample == DistortionSample(*values) and sample != DistortionSample(*values[:-1], 3.0)
+        assert hash(sample) == hash(DistortionSample(*values)) == hash(values)
+        assert tuple(f.name for f in dataclasses.fields(DistortionSample)) == self.FIELDS
+        assert DistortionSample.__slots__ == self.FIELDS and not hasattr(sample, "__dict__")
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(sample, name, 0.0)
+        assert dataclasses.replace(sample, omega=0.0) == DistortionSample(*values[:5], 0.0, 2.0)
+        assert pickle.loads(pickle.dumps(sample)) == sample
+        assert dataclasses.astuple(sample) == values
+        with pytest.raises(TypeError):
+            DistortionSample(*values[:-1])

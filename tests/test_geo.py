@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mapproj.errors import (
     AmbiguousGeodesicError,
     DomainError,
     InconsistentTriangleError,
+    MapError,
     ParameterError,
 )
 from mapproj.geo import (
@@ -244,6 +246,88 @@ class TestGreatCircleDistance:
         assert d < math.pi
         assert d == pytest.approx(math.pi, abs=1e-8)
 
+
+def _reference_distance(a: GeoCoord, b: GeoCoord) -> float:
+    """great_circle_distance's cross/dot atan2 form, on numpy 3-vectors."""
+    u, v = to_unit_vector(a), to_unit_vector(b)
+    return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
+
+
+def _reference_samples(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
+    """sample_great_circle's checks and slerp, on numpy 3-vectors."""
+    if n < 2:
+        raise ParameterError(f"need at least 2 samples, got {n}")
+    u, v = to_unit_vector(a), to_unit_vector(b)
+    omega = _reference_distance(a, b)
+    if omega < 1e-15:
+        raise ParameterError("endpoints coincide; the arc is degenerate")
+    if omega > math.pi - 1e-9:
+        raise AmbiguousGeodesicError(
+            f"endpoints {a.describe()} and {b.describe()} are antipodal"
+        )
+    points = [a]
+    for i in range(1, n - 1):
+        t = i / (n - 1)
+        w = (math.sin((1.0 - t) * omega) * u + math.sin(t * omega) * v) / math.sin(omega)
+        points.append(from_unit_vector(w / np.linalg.norm(w)))
+    return points + [b]
+
+
+class TestFloatGeometryMatchesNumpyReference:
+    """The float 3-tuple arithmetic agrees with the numpy vector formulas
+    it replaced, to rounding."""
+
+    @staticmethod
+    def _pairs(rng, count):
+        """Random pairs, pairs 1e-6 rad apart and pairs 1e-6 rad short of
+        antipodal."""
+        def random_coord():
+            return GeoCoord(math.asin(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
+
+        def moved(c):
+            # about 1e-6 rad away, in a random direction
+            bearing = rng.uniform(0.0, 2.0 * math.pi)
+            lat = c.lat + 1e-6 * math.cos(bearing)
+            lon = c.lon + 1e-6 * math.sin(bearing) / math.cos(c.lat)
+            return GeoCoord(lat, lon)
+
+        pairs = [(random_coord(), random_coord()) for _ in range(count)]
+        for _ in range(count):
+            a = random_coord()
+            if abs(a.lat) > 1.5:
+                continue
+            b = moved(a)
+            pairs.append((a, b))
+            pairs.append((a, GeoCoord(-b.lat, b.lon + math.pi)))
+        return pairs
+
+    def test_distance_within_4_ulp(self, rng):
+        for a, b in self._pairs(rng, 3000):
+            got, ref = great_circle_distance(a, b), _reference_distance(a, b)
+            assert abs(got - ref) <= 4 * math.ulp(ref), (a, b)
+
+    def test_samples_within_1e_14_rad(self, rng):
+        for a, b in self._pairs(rng, 200):
+            if _reference_distance(a, b) > math.pi - 1e-9:
+                continue
+            n = rng.randint(2, 40)
+            got, ref = sample_great_circle(a, b, n), _reference_samples(a, b, n)
+            assert len(got) == n and got[0] is a and got[-1] is b
+            for p, q in zip(got, ref):
+                assert _reference_distance(p, q) <= 1e-14, (a, b, n)
+
+    @pytest.mark.parametrize("a, b, n", [
+        (GeoCoord(0.3, 0.4), GeoCoord(0.3, 0.4), 5),
+        (GeoCoord(0.0, 0.0), GeoCoord.from_degrees(0, 180), 5),
+        (GeoCoord.from_degrees(10, 20), GeoCoord.from_degrees(-10, -160), 3),
+        (GeoCoord(0.0, 0.0), GeoCoord(0.0, 1.0), 1),
+        (GeoCoord(0.0, 0.0), GeoCoord(0.0, 1.0), -3),
+    ])
+    def test_same_errors(self, a, b, n):
+        with pytest.raises(MapError) as ref:
+            _reference_samples(a, b, n)
+        with pytest.raises(type(ref.value), match=f"^{re.escape(str(ref.value))}$"):
+            sample_great_circle(a, b, n)
 
 def _dihedral_angle(a: GeoCoord, b: GeoCoord, c: GeoCoord) -> float:
     """Independent oracle: angle at vertex a via tangent-plane vectors."""
