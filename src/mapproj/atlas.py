@@ -26,10 +26,11 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from xml.sax.saxutils import escape
 
 from .errors import DomainError, ParameterError
-from .geo import HALF_PI, GeoCoord, GeoRegion, sample_great_circle, wrap_longitude
+from .geo import HALF_PI, GeoCoord, GeoRegion, _geo_coord, sample_great_circle, wrap_longitude
 from .geodesics import PlanePolyline, fit_circular_arc, project_polyline
 from .projections import PlanePoint, Projection
 
@@ -42,7 +43,12 @@ ARC_RESIDUAL = 1e-9
 
 @dataclass(frozen=True)
 class Graticule:
-    """Selected meridian and parallel curves over a region, densely sampled."""
+    """Selected meridian and parallel curves over a region, densely sampled.
+
+    Samples are canonical ``GeoCoord`` objects, equal to what the constructor
+    gives for the same values. Longitudes lie in (-180°, 180°], so a region
+    that starts at -180° starts its parallels at +180°.
+    """
 
     parallels: tuple[tuple[GeoCoord, ...], ...]
     meridians: tuple[tuple[GeoCoord, ...], ...]
@@ -119,17 +125,20 @@ def build_graticule(
     if not lons:
         lons = [region.lon_lo, region.lon_hi]
 
-    lon_samples = _samples(region.lon_lo, region.lon_hi, samples_per_degree)
     mer_lo = max(region.lat_lo, -lat_cap)
     mer_hi = min(region.lat_hi, lat_cap)
-    lat_samples = _samples(mer_lo, mer_hi, samples_per_degree)
+    # canonical axes, so that each sample skips the constructor's checks:
+    # every latitude lies strictly inside +-(90° - POLE_CLIP)
+    lats = [float(v) for v in lats]
+    lat_samples = [float(v) for v in _samples(mer_lo, mer_hi, samples_per_degree)]
+    lons = [wrap_longitude(float(v)) for v in lons]
+    lon_samples = [
+        wrap_longitude(float(v))
+        for v in _samples(region.lon_lo, region.lon_hi, samples_per_degree)
+    ]
 
-    parallels = tuple(
-        tuple(GeoCoord(lat, lon) for lon in lon_samples) for lat in lats
-    )
-    meridians = tuple(
-        tuple(GeoCoord(lat, lon) for lat in lat_samples) for lon in lons
-    )
+    parallels = tuple(tuple(map(_geo_coord, repeat(lat), lon_samples)) for lat in lats)
+    meridians = tuple(tuple(map(_geo_coord, lat_samples, repeat(lon))) for lon in lons)
     return Graticule(
         parallels=parallels, meridians=meridians, dphi=dphi, dlam=dlam,
         samples_per_degree=samples_per_degree, region=region,
@@ -238,10 +247,13 @@ class _SceneTransform:
 
 
 def _path_linear(points, tr: _SceneTransform) -> str:
-    # tr.point inlined: this runs once per drawn sample
-    margin, scale, min_x, max_y = tr.margin, tr.scale, tr.min_x, tr.max_y
+    # tr.point inlined: this runs once per drawn sample. Both coordinates are
+    # margin + (a nonnegative difference) * scale, never negative, so they
+    # need no _fmt; adding 0.0 turns a -0.0 margin into 0.0, which keeps a
+    # zero coordinate from printing as -0.000000.
+    margin, scale, min_x, max_y = tr.margin + 0.0, tr.scale, tr.min_x, tr.max_y
     return "M " + " L ".join([
-        f"{_fmt(margin + (p.x - min_x) * scale)} {_fmt(margin + (max_y - p.y) * scale)}"
+        "%.6f %.6f" % (margin + (p.x - min_x) * scale, margin + (max_y - p.y) * scale)
         for p in points
     ])
 
@@ -258,10 +270,12 @@ def _path_arc(points, tr: _SceneTransform) -> str | None:
         return None
     cx, cy = tr.point(fit.center)
     radius = fit.radius * tr.scale
-    angles = []
-    for p in points:
-        x, y = tr.point(p)
-        angles.append(math.atan2(y - cy, x - cx))
+    # tr.point inlined, as in _path_linear
+    margin, scale, min_x, max_y = tr.margin, tr.scale, tr.min_x, tr.max_y
+    angles = [
+        math.atan2(margin + (max_y - p.y) * scale - cy, margin + (p.x - min_x) * scale - cx)
+        for p in points
+    ]
     swept = 0.0
     for a0, a1 in zip(angles, angles[1:]):
         swept += wrap_longitude(a1 - a0)  # the turn between samples, in (-pi, pi]
@@ -316,8 +330,16 @@ def render_svg(scene: MapScene) -> str:
         for poly in polys
         for seg in poly.segments
     ]
-    xs = [p.x for seg in drawn for p in seg] + [p.x for p, _ in markers]
-    ys = [p.y for seg in drawn for p in seg] + [p.y for p, _ in markers]
+    # the bounds from each segment's extremes, then the markers
+    xs: list[float] = []
+    ys: list[float] = []
+    for seg in drawn:
+        seg_x = [p.x for p in seg]
+        seg_y = [p.y for p in seg]
+        xs += (min(seg_x), max(seg_x))
+        ys += (min(seg_y), max(seg_y))
+    xs += [p.x for p, _ in markers]
+    ys += [p.y for p, _ in markers]
     tr = _SceneTransform(xs, ys, scene.scale, scene.margin)
 
     lines = [

@@ -177,6 +177,8 @@ def _cmd_render(args) -> int:
     region = _parse_region(args.region)
     steps = args.step.split(",")
     try:
+        if len(steps) > 2:
+            raise ValueError
         dphi = math.radians(float(steps[0]))
         dlam = math.radians(float(steps[1])) if len(steps) > 1 else dphi
     except ValueError:

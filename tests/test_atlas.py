@@ -1,12 +1,14 @@
 import hashlib
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mapproj.atlas
 from mapproj import (
     EquidistantConic,
     GeoCoord,
@@ -15,8 +17,11 @@ from mapproj import (
     Stereographic,
 )
 from mapproj.atlas import (
+    POLE_CLIP,
     GazetteerEntry,
     MapScene,
+    _multiples,
+    _samples,
     build_graticule,
     dump_gazetteer,
     load_gazetteer,
@@ -25,6 +30,7 @@ from mapproj.atlas import (
 )
 from mapproj.distortion import tissot
 from mapproj.errors import ParameterError
+from mapproj.geo import wrap_longitude
 from mapproj.projections import parse_projection
 
 DELISLE = EquidistantConic(math.radians(45), math.radians(60), lon0=math.radians(90))
@@ -66,6 +72,63 @@ class TestBuildGraticule:
         g = build_graticule(BAND, math.radians(5), math.radians(5), samples_per_degree=2.0)
         parallel = g.parallels[0]
         assert len(parallel) == 241  # 120 degrees * 2 + 1
+
+
+def _by_constructor(region, dphi, dlam, per_degree):
+    """build_graticule's curves built sample by sample with the public
+    GeoCoord constructor, from the raw (uncanonicalized) axis values."""
+    cap = math.pi / 2 - POLE_CLIP
+    lats = [v for v in _multiples(region.lat_lo, region.lat_hi, dphi) if abs(v) < cap]
+    lats = lats or sorted({max(region.lat_lo, -cap), min(region.lat_hi, cap)})
+    seen = {}
+    for lon in _multiples(region.lon_lo, region.lon_hi, dlam):
+        seen.setdefault(round(wrap_longitude(lon), 12), lon)
+    lons = sorted(seen.values()) or [region.lon_lo, region.lon_hi]
+    lon_samples = _samples(region.lon_lo, region.lon_hi, per_degree)
+    lat_samples = _samples(max(region.lat_lo, -cap), min(region.lat_hi, cap), per_degree)
+    return (
+        [[GeoCoord(lat, lon) for lon in lon_samples] for lat in lats],
+        [[GeoCoord(lat, lon) for lat in lat_samples] for lon in lons],
+    )
+
+
+class TestGraticuleSamplesAreCanonical:
+    """build_graticule sets GeoCoord's slots without its constructor; every
+    sample must still be what the constructor gives for the same values."""
+
+    @pytest.mark.parametrize("region, dphi, dlam", [
+        # int fields; the meridians fall back to the int boundaries 1 and 3
+        (GeoRegion(0, 1, 1, 3), 0.25, 10.0),
+        # np.float64 fields
+        (GeoRegion(*np.radians([10.1, 40.3, -20.7, 60.2])), math.radians(5), math.radians(7)),
+        (GeoRegion.from_degrees(-90, 90, -180, 180), math.radians(10), math.radians(15)),
+        (GeoRegion.from_degrees(-30, 60, 150, 210), math.radians(10), math.radians(10)),
+        # wide spacing: both families fall back to the region's boundary
+        (GeoRegion.from_degrees(46, 49, 11, 13), math.radians(10), math.radians(10)),
+    ], ids=["int", "float64", "world", "seam", "wide-spacing"])
+    def test_samples_match_the_constructor(self, region, dphi, dlam):
+        g = build_graticule(region, dphi, dlam, samples_per_degree=2.0)
+        parallels, meridians = _by_constructor(region, dphi, dlam, 2.0)
+        assert [len(c) for c in g.parallels] == [len(c) for c in parallels]
+        assert [len(c) for c in g.meridians] == [len(c) for c in meridians]
+        pairs = [
+            (got, want)
+            for ours, theirs in ((g.parallels, parallels), (g.meridians, meridians))
+            for curve, ref in zip(ours, theirs)
+            for got, want in zip(curve, ref)
+        ]
+        for got, want in pairs:
+            assert type(got.lat) is float and type(got.lon) is float
+            assert (got.lat.hex(), got.lon.hex()) == (want.lat.hex(), want.lon.hex())
+            assert repr(got) == repr(want)
+            assert hash(got) == hash(want)
+
+    def test_world_parallels_start_at_plus_180(self):
+        g = build_graticule(
+            GeoRegion.from_degrees(-90, 90, -180, 180), math.radians(30), math.radians(30)
+        )
+        assert {c[0].lon for c in g.parallels} == {math.pi}
+        assert {c[-1].lon for c in g.parallels} == {math.pi}
 
 
 class TestProjectPolyline:
@@ -202,10 +265,58 @@ class TestRenderSvg:
         with pytest.raises(ParameterError, match="scale must be positive and margin non-negative"):
             MapScene(projection=Mercator(), scale=scale, margin=margin)
 
-    def test_zero_margin_is_allowed(self):
+    def test_label_above_the_bounds_goes_negative(self):
+        # a lone place sets the bounds, so at margin 0 its label sits at y = -4
+        scene = MapScene(
+            projection=Mercator(), margin=0.0,
+            places=(GazetteerEntry("Alexandria", GeoCoord.from_degrees(31.2, 29.92)),),
+        )
+        svg = render_svg(scene)
+        assert '<circle cx="0.000000" cy="0.000000" r="2.5"/>' in svg
+        assert '<text x="4.000000" y="-4.000000">Alexandria</text>' in svg
+
+    def test_negative_zero_margin_prints_no_negative_zero(self):
+        # the geodesic runs along lon -0.0, so its x is -0.0 against a bound
+        # of 0.0 set by the parallels: margin + (x - min_x) * scale is -0.0
+        # unless the margin is taken as +0.0
+        region = GeoRegion.from_degrees(0, 10, 0, 10)
+        curves = dict(
+            projection=Mercator(),
+            graticule=build_graticule(region, math.radians(10), math.radians(10)),
+            geodesics=((GeoCoord.from_degrees(0, -0.0), GeoCoord.from_degrees(10, -0.0), 5),),
+        )
+        svg = render_svg(MapScene(margin=-0.0, **curves))
+        assert "-0.000000" not in svg
+        assert svg == render_svg(MapScene(margin=0.0, **curves))
+
+    def test_atlas_layers_are_reached_through_module_names(self, monkeypatch):
+        # the benchmark's tracer patches these two module globals; render_svg
+        # must reach its layers through them
+        calls = {"project_polyline": 0, "fit_circular_arc": 0}
+
+        def counting(name):
+            original = getattr(mapproj.atlas, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
         scene = _delisle_scene()
-        bare = MapScene(projection=scene.projection, graticule=scene.graticule, margin=0.0)
-        assert render_svg(bare).startswith('<?xml version="1.0"')
+        parallel_segments = [
+            seg
+            for curve in scene.graticule.parallels
+            for seg in project_polyline(scene.projection, curve).segments
+        ]
+        for name in calls:
+            monkeypatch.setattr(mapproj.atlas, name, counting(name))
+        render_svg(scene)
+        grat = scene.graticule
+        assert calls["project_polyline"] == (
+            len(grat.parallels) + len(grat.meridians) + len(scene.geodesics)
+        )
+        assert calls["fit_circular_arc"] == sum(len(seg) >= 3 for seg in parallel_segments)
 
     def test_empty_scene_is_valid(self):
         svg = render_svg(MapScene(projection=Mercator()))
@@ -310,10 +421,9 @@ WORLD_SCENES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(WORLD_SCENES))
-def test_world_scene_svg_is_pinned(kind):
-    spec, step, (a, b), digest, arcs, markers = WORLD_SCENES[kind]
-    scene = MapScene(
+def _world_scene(kind: str, margin: float = 20.0) -> MapScene:
+    spec, step, (a, b) = WORLD_SCENES[kind][:3]
+    return MapScene(
         projection=parse_projection(spec),
         graticule=build_graticule(
             WORLD, math.radians(step), math.radians(step), samples_per_degree=1.0
@@ -323,8 +433,39 @@ def test_world_scene_svg_is_pinned(kind):
             for name, lat, lon in WORLD_PLACES
         ),
         geodesics=((GeoCoord.from_degrees(*a), GeoCoord.from_degrees(*b), 65),),
+        margin=margin,
     )
-    svg = render_svg(scene)
+
+
+@pytest.mark.parametrize("kind", sorted(WORLD_SCENES))
+def test_world_scene_svg_is_pinned(kind):
+    digest, arcs, markers = WORLD_SCENES[kind][3:]
+    svg = render_svg(_world_scene(kind))
     assert svg.count(" A ") == arcs
     assert svg.count("<circle") == markers
+    assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+# The criterion-12 Delisle scene and the Mercator world scene at margin 0,
+# where the drawn curves touch the viewBox edges, pinned the same way.
+MARGIN_ZERO_SCENES = {
+    "delisle": (
+        lambda: replace(_delisle_scene(), margin=0.0),
+        "35f33be1e9bc8f7828bc955b19892e8b3e8a5ea2769bac38ba6adcfa007e913c",
+    ),
+    "mercator": (
+        lambda: _world_scene("mercator", margin=0.0),
+        "b43d4818ae33d620e5104d1eeab3aa25319d02912d987acebee860842fdba840",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MARGIN_ZERO_SCENES))
+def test_zero_margin_svg_is_pinned(kind):
+    scene, digest = MARGIN_ZERO_SCENES[kind]
+    svg = render_svg(scene())
+    paths = re.findall(r' d="([^"]*)"', svg)
+    assert paths
+    for d in paths:
+        assert not re.search(r"(^| )-", d), d
     assert hashlib.sha256(svg.encode()).hexdigest() == digest

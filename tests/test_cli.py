@@ -258,6 +258,15 @@ class TestRender:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("step", ["10,20,30", "10,20,", ",10,20"])
+    def test_step_takes_at_most_two_values(self, capsys, step):
+        code, out, err = run(
+            capsys, "render", "--proj", "werner", "--region", "10:60,30:150", "--step", step
+        )
+        assert code == 1
+        assert out == ""
+        assert err == f"error: expected DPHI[,DLAM] in degrees, got {step!r}\n"
+
     @pytest.mark.parametrize("option, value", [
         ("--step", "nan"),
         ("--step", "10,"),
