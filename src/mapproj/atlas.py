@@ -1,6 +1,12 @@
 """Graticule construction, clipped polyline projection, gazetteer ingestion,
 and deterministic SVG export.
 
+A graticule is kept as its canonical float axes: the latitudes of its
+parallels, the longitudes of its meridians and the two sample axes. Its
+curves as tuples of ``GeoCoord`` are built from the axes on first read, and
+rendering never builds them: it projects the axes on floats, from the
+samples down to the path strings.
+
 The gazetteer format is CSV with header ``name,lat,lon``; coordinates are
 decimal degrees or degree-minute strings like ``60°30′``, and lines starting
 with ``#`` are comments. A prime-meridian offset (degrees east of Greenwich)
@@ -26,13 +32,16 @@ import io
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from xml.sax.saxutils import escape
 
 from .errors import DomainError, ParameterError
 from .geo import HALF_PI, GeoCoord, GeoRegion, _geo_coord, sample_great_circle, wrap_longitude
-from .geodesics import PlanePolyline, fit_circular_arc, project_polyline
-from .projections import PlanePoint, Projection
+# project_polyline is kept here for callers of the object-based curve API;
+# rendering goes through the two float boundaries by these module names
+from .geodesics import _project_floats, _three_point_fit, project_polyline
+from .projections import Projection
 
 # meridian curves stop this far (radians) from the singular pole points
 POLE_CLIP = 1e-6
@@ -45,17 +54,31 @@ ARC_RESIDUAL = 1e-9
 class Graticule:
     """Selected meridian and parallel curves over a region, densely sampled.
 
-    Samples are canonical ``GeoCoord`` objects, equal to what the constructor
-    gives for the same values. Longitudes lie in (-180°, 180°], so a region
-    that starts at -180° starts its parallels at +180°.
+    The graticule is stored as its canonical float axes: the parallels lie
+    at ``lats`` and are sampled at ``lon_samples``; the meridians lie at
+    ``lons`` and are sampled at ``lat_samples``. Longitudes lie in
+    (-180°, 180°], so a region that starts at -180° starts its parallels at
+    +180°. ``parallels`` and ``meridians`` are the curves as tuples of
+    ``GeoCoord``, built from the axes on first read; each sample equals what
+    the constructor gives for the same values.
     """
 
-    parallels: tuple[tuple[GeoCoord, ...], ...]
-    meridians: tuple[tuple[GeoCoord, ...], ...]
+    lats: tuple[float, ...]
+    lons: tuple[float, ...]
+    lat_samples: tuple[float, ...]
+    lon_samples: tuple[float, ...]
     dphi: float
     dlam: float
     samples_per_degree: float
     region: GeoRegion
+
+    @cached_property
+    def parallels(self) -> tuple[tuple[GeoCoord, ...], ...]:
+        return tuple(tuple(map(_geo_coord, repeat(lat), self.lon_samples)) for lat in self.lats)
+
+    @cached_property
+    def meridians(self) -> tuple[tuple[GeoCoord, ...], ...]:
+        return tuple(tuple(map(_geo_coord, self.lat_samples, repeat(lon))) for lon in self.lons)
 
 
 @dataclass(frozen=True)
@@ -129,19 +152,15 @@ def build_graticule(
     mer_hi = min(region.lat_hi, lat_cap)
     # canonical axes, so that each sample skips the constructor's checks:
     # every latitude lies strictly inside +-(90° - POLE_CLIP)
-    lats = [float(v) for v in lats]
-    lat_samples = [float(v) for v in _samples(mer_lo, mer_hi, samples_per_degree)]
-    lons = [wrap_longitude(float(v)) for v in lons]
-    lon_samples = [
-        wrap_longitude(float(v))
-        for v in _samples(region.lon_lo, region.lon_hi, samples_per_degree)
-    ]
-
-    parallels = tuple(tuple(map(_geo_coord, repeat(lat), lon_samples)) for lat in lats)
-    meridians = tuple(tuple(map(_geo_coord, lat_samples, repeat(lon))) for lon in lons)
     return Graticule(
-        parallels=parallels, meridians=meridians, dphi=dphi, dlam=dlam,
-        samples_per_degree=samples_per_degree, region=region,
+        lats=tuple(float(v) for v in lats),
+        lons=tuple(wrap_longitude(float(v)) for v in lons),
+        lat_samples=tuple(float(v) for v in _samples(mer_lo, mer_hi, samples_per_degree)),
+        lon_samples=tuple(
+            wrap_longitude(float(v))
+            for v in _samples(region.lon_lo, region.lon_hi, samples_per_degree)
+        ),
+        dphi=dphi, dlam=dlam, samples_per_degree=samples_per_degree, region=region,
     )
 
 
@@ -239,50 +258,50 @@ class _SceneTransform:
             self.min_x = self.max_y = 0.0
             self.width = self.height = 2 * margin
 
-    def point(self, p: PlanePoint) -> tuple[float, float]:
+    def point(self, x: float, y: float) -> tuple[float, float]:
         return (
-            self.margin + (p.x - self.min_x) * self.scale,
-            self.margin + (self.max_y - p.y) * self.scale,
+            self.margin + (x - self.min_x) * self.scale,
+            self.margin + (self.max_y - y) * self.scale,
         )
 
 
-def _path_linear(points, tr: _SceneTransform) -> str:
+def _path_linear(xs, ys, tr: _SceneTransform) -> str:
     # tr.point inlined: this runs once per drawn sample. Both coordinates are
     # margin + (a nonnegative difference) * scale, never negative, so they
     # need no _fmt; adding 0.0 turns a -0.0 margin into 0.0, which keeps a
     # zero coordinate from printing as -0.000000.
     margin, scale, min_x, max_y = tr.margin + 0.0, tr.scale, tr.min_x, tr.max_y
     return "M " + " L ".join([
-        "%.6f %.6f" % (margin + (p.x - min_x) * scale, margin + (max_y - p.y) * scale)
-        for p in points
+        "%.6f %.6f" % (margin + (x - min_x) * scale, margin + (max_y - y) * scale)
+        for x, y in zip(xs, ys)
     ])
 
 
-def _path_arc(points, tr: _SceneTransform) -> str | None:
+def _path_arc(xs, ys, tr: _SceneTransform) -> str | None:
     """Arc-command path for a circular segment, or None if it is not one."""
-    if len(points) < 3:
+    if len(xs) < 3:
         return None
     try:
-        fit = fit_circular_arc(PlanePolyline((tuple(points),)))
+        fit = _three_point_fit(xs, ys)
     except ParameterError:
         return None
     if fit.collinear or fit.max_residual > ARC_RESIDUAL or fit.center is None:
         return None
-    cx, cy = tr.point(fit.center)
+    cx, cy = tr.point(fit.center.x, fit.center.y)
     radius = fit.radius * tr.scale
     # tr.point inlined, as in _path_linear
     margin, scale, min_x, max_y = tr.margin, tr.scale, tr.min_x, tr.max_y
     angles = [
-        math.atan2(margin + (max_y - p.y) * scale - cy, margin + (p.x - min_x) * scale - cx)
-        for p in points
+        math.atan2(margin + (max_y - y) * scale - cy, margin + (x - min_x) * scale - cx)
+        for x, y in zip(xs, ys)
     ]
     swept = 0.0
     for a0, a1 in zip(angles, angles[1:]):
         swept += wrap_longitude(a1 - a0)  # the turn between samples, in (-pi, pi]
     if abs(swept) >= 2 * math.pi - 0.1:
         return None
-    x0, y0 = tr.point(points[0])
-    x1, y1 = tr.point(points[-1])
+    x0, y0 = tr.point(xs[0], ys[0])
+    x1, y1 = tr.point(xs[-1], ys[-1])
     large_arc = 1 if abs(swept) > math.pi else 0
     sweep = 1 if swept > 0 else 0
     return (
@@ -291,16 +310,20 @@ def _path_arc(points, tr: _SceneTransform) -> str | None:
     )
 
 
-def _curve_layer(name: str, polylines, tr: _SceneTransform, style: str, arcs: bool) -> list[str]:
+def _curve_layer(name: str, segments, tr: _SceneTransform, style: str, arcs: bool) -> list[str]:
     lines = [f'  <g id="{name}" {style}>']
-    for poly in polylines:
-        for seg in poly.segments:
-            d = _path_arc(seg, tr) if arcs else None
-            if d is None:
-                d = _path_linear(seg, tr)
-            lines.append(f'    <path d="{d}"/>')
+    for xs, ys in segments:
+        d = _path_arc(xs, ys, tr) if arcs else None
+        if d is None:
+            d = _path_linear(xs, ys, tr)
+        lines.append(f'    <path d="{d}"/>')
     lines.append("  </g>")
     return lines
+
+
+def _segments(proj: Projection, curves) -> list[tuple[list[float], list[float]]]:
+    """The unbroken runs of every curve, given as (lats, lons) axes, in order."""
+    return [seg for lats, lons in curves for seg in _project_floats(proj, lats, lons)[0]]
 
 
 def render_svg(scene: MapScene) -> str:
@@ -308,38 +331,29 @@ def render_svg(scene: MapScene) -> str:
     for the layout guarantees. Layers outside the projection domain are
     clipped; an empty scene still yields a valid document."""
     proj = scene.projection
-    parallel_polys = []
-    meridian_polys = []
-    if scene.graticule is not None:
-        parallel_polys = [project_polyline(proj, c) for c in scene.graticule.parallels]
-        meridian_polys = [project_polyline(proj, c) for c in scene.graticule.meridians]
-    geodesic_polys = [
-        project_polyline(proj, sample_great_circle(a, b, n))
-        for a, b, n in scene.geodesics
-    ]
-    markers: list[tuple[PlanePoint, str]] = []
+    grat = scene.graticule
+    parallel_segs = meridian_segs = []
+    if grat is not None:
+        parallel_segs = _segments(proj, ((repeat(lat), grat.lon_samples) for lat in grat.lats))
+        meridian_segs = _segments(proj, ((grat.lat_samples, repeat(lon)) for lon in grat.lons))
+    arcs = (sample_great_circle(a, b, n) for a, b, n in scene.geodesics)
+    geodesic_segs = _segments(proj, (([c.lat for c in s], [c.lon for c in s]) for s in arcs))
+    markers: list[tuple[float, float, str]] = []
     for entry in scene.places:
         try:
-            markers.append((proj.forward(entry.coord), entry.name))
+            p = proj.forward(entry.coord)
         except DomainError:
             continue
+        markers.append((p.x, p.y, entry.name))
 
-    drawn = [
-        seg
-        for polys in (parallel_polys, meridian_polys, geodesic_polys)
-        for poly in polys
-        for seg in poly.segments
-    ]
     # the bounds from each segment's extremes, then the markers
     xs: list[float] = []
     ys: list[float] = []
-    for seg in drawn:
-        seg_x = [p.x for p in seg]
-        seg_y = [p.y for p in seg]
+    for seg_x, seg_y in parallel_segs + meridian_segs + geodesic_segs:
         xs += (min(seg_x), max(seg_x))
         ys += (min(seg_y), max(seg_y))
-    xs += [p.x for p, _ in markers]
-    ys += [p.y for p, _ in markers]
+    xs += [x for x, _, _ in markers]
+    ys += [y for _, y, _ in markers]
     tr = _SceneTransform(xs, ys, scene.scale, scene.margin)
 
     lines = [
@@ -348,25 +362,25 @@ def render_svg(scene: MapScene) -> str:
         f'viewBox="0 0 {_fmt(tr.width)} {_fmt(tr.height)}">',
     ]
     lines += _curve_layer(
-        "parallels", parallel_polys, tr,
+        "parallels", parallel_segs, tr,
         'fill="none" stroke="#708090" stroke-width="0.6"', arcs=True,
     )
     lines += _curve_layer(
-        "meridians", meridian_polys, tr,
+        "meridians", meridian_segs, tr,
         'fill="none" stroke="#708090" stroke-width="0.6"', arcs=False,
     )
     lines += _curve_layer(
-        "geodesics", geodesic_polys, tr,
+        "geodesics", geodesic_segs, tr,
         'fill="none" stroke="#b22222" stroke-width="1.0"', arcs=False,
     )
     lines.append('  <g id="points" fill="#1a1a1a">')
-    for p, _ in markers:
-        x, y = tr.point(p)
+    for px, py, _ in markers:
+        x, y = tr.point(px, py)
         lines.append(f'    <circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5"/>')
     lines.append("  </g>")
     lines.append('  <g id="labels" font-family="sans-serif" font-size="10">')
-    for p, name in markers:
-        x, y = tr.point(p)
+    for px, py, name in markers:
+        x, y = tr.point(px, py)
         lines.append(
             f'    <text x="{_fmt(x + 4.0)}" y="{_fmt(y - 4.0)}">{escape(name)}</text>'
         )

@@ -12,7 +12,7 @@ radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,42 +79,61 @@ class ArcFit:
     ls_max_residual: float | None = None
 
 
-def project_polyline(proj: Projection, curve) -> PlanePolyline:
-    """Forward image of a sampled curve, split into unbroken segments.
+def _project_floats(
+    proj: Projection, lats, lons
+) -> tuple[list[tuple[list[float], list[float]]], DomainError | None]:
+    """Forward image of the samples ``zip(lats, lons)`` on floats: the
+    unbroken runs as ``(xs, ys)`` float lists, and the first rejection (a
+    ``DomainError``, its message unformatted) or None.
 
     Out-of-domain samples open a break. Families with an antimeridian tear
     (cylindrical, conic, cordiform) additionally split wherever the curve
     crosses the cut, detected as a wrapped-longitude jump larger than pi
-    between consecutive samples.
+    between consecutive samples. Runs shorter than 2 points are dropped.
     """
     xy = proj._xy
     cut = proj.cut_longitude
     lon0 = None if cut is None else wrap_longitude(cut + math.pi)
-    segments: list[tuple[PlanePoint, ...]] = []
-    current: list[PlanePoint] = []
-    note: str | None = None
+    segments: list[tuple[list[float], list[float]]] = []
+    xs: list[float] = []
+    ys: list[float] = []
+    first: DomainError | None = None
     prev_u: float | None = None
-    for c in curve:
+    for lat, lon in zip(lats, lons):
         if lon0 is not None:
-            u = wrap_longitude(c.lon - lon0)
+            u = wrap_longitude(lon - lon0)
             if prev_u is not None and abs(u - prev_u) > math.pi:
-                if len(current) >= 2:
-                    segments.append(tuple(current))
-                current = []
+                if len(xs) >= 2:
+                    segments.append((xs, ys))
+                xs, ys = [], []
             prev_u = u
         try:
-            x, y = xy(c.lat, c.lon)
+            x, y = xy(lat, lon)
         except DomainError as exc:
-            if note is None:
-                note = str(exc)
-            if len(current) >= 2:
-                segments.append(tuple(current))
-            current = []
+            if first is None:
+                first = exc
+            if len(xs) >= 2:
+                segments.append((xs, ys))
+            xs, ys = [], []
             continue
-        current.append(PlanePoint(x, y))
-    if len(current) >= 2:
-        segments.append(tuple(current))
-    return PlanePolyline(tuple(segments), note=note if not segments else None)
+        xs.append(x)
+        ys.append(y)
+    if len(xs) >= 2:
+        segments.append((xs, ys))
+    return segments, first
+
+
+def project_polyline(proj: Projection, curve) -> PlanePolyline:
+    """Forward image of a sampled curve of ``GeoCoord``, split into unbroken
+    segments where :func:`_project_floats` splits it (domain breaks and the
+    tear). ``note`` is the first rejection's message when nothing is left.
+    """
+    curve = list(curve)
+    segments, first = _project_floats(proj, [c.lat for c in curve], [c.lon for c in curve])
+    return PlanePolyline(
+        tuple(tuple(map(PlanePoint, xs, ys)) for xs, ys in segments),
+        note=str(first) if first is not None and not segments else None,
+    )
 
 
 def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> PlanePolyline:
@@ -139,20 +158,18 @@ def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> Plan
     return project_polyline(proj, sample_great_circle(a, b, n))
 
 
-def _xy(points: tuple[PlanePoint, ...]) -> np.ndarray:
-    return np.array([(p.x, p.y) for p in points])
+def _coords(points: tuple[PlanePoint, ...]) -> tuple[list[float], list[float]]:
+    return [p.x for p in points], [p.y for p in points]
 
 
-def _deviations(xy: np.ndarray) -> tuple[float, np.ndarray]:
-    """Chord length and perpendicular distances of every point (row of xy)
+def _deviations(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Chord length and perpendicular distances of every point (x[i], y[i])
     to the chord line."""
-    start, end = xy[0], xy[-1]
-    axis = end - start
-    chord = float(np.hypot(*axis))
+    ax, ay = x[-1] - x[0], y[-1] - y[0]
+    chord = float(np.hypot(ax, ay))
     if chord < 1e-15:
         raise ParameterError("polyline endpoints coincide; chord is degenerate")
-    rel = xy - start
-    cross = rel[:, 0] * axis[1] - rel[:, 1] * axis[0]
+    cross = (x - x[0]) * ay - (y - y[0]) * ax
     return chord, np.abs(cross) / chord
 
 
@@ -162,23 +179,43 @@ def straightness(poly: PlanePolyline) -> StraightnessReport:
     points = poly.single_segment
     if len(points) < 3:
         raise ParameterError(f"need at least 3 points, got {len(points)}")
-    chord, dev = _deviations(_xy(points))
+    xs, ys = _coords(points)
+    chord, dev = _deviations(np.array(xs), np.array(ys))
     sagitta = float(dev.max())
     return StraightnessReport(chord=chord, sagitta=sagitta, ratio=sagitta / chord)
 
 
-def _circle_through(p0: PlanePoint, p1: PlanePoint, p2: PlanePoint) -> tuple[PlanePoint, float]:
-    """Circumcircle of three non-collinear points."""
-    ax, ay = p0.x, p0.y
-    bx, by = p1.x, p1.y
-    cx, cy = p2.x, p2.y
+def _circle_through(ax, ay, bx, by, cx, cy) -> tuple[float, float, float]:
+    """Centre and radius of the circumcircle of three non-collinear points."""
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     if d == 0.0:
         raise ParameterError("collinear points have no circumcircle")
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
     ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
     uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
-    return PlanePoint(ux, uy), math.hypot(ax - ux, ay - uy)
+    return ux, uy, math.hypot(ax - ux, ay - uy)
+
+
+def _three_point_fit(xs, ys, collinear_tol: float = 1e-12) -> ArcFit:
+    """The primary fit of :func:`fit_circular_arc` on the coordinate lists
+    of one segment, without the ``ls_*`` refinement."""
+    if len(xs) < 3:
+        raise ParameterError(f"need at least 3 points, got {len(xs)}")
+    x, y = np.array(xs), np.array(ys)
+    chord, dev = _deviations(x, y)
+    peak = int(dev.argmax())
+    sagitta = float(dev[peak])
+    if sagitta / chord < collinear_tol:
+        return ArcFit(
+            center=None, radius=math.inf, max_residual=sagitta,
+            chord=chord, sagitta=sagitta, collinear=True,
+        )
+    ux, uy, radius = _circle_through(xs[0], ys[0], xs[peak], ys[peak], xs[-1], ys[-1])
+    radii = np.hypot(x - ux, y - uy)
+    return ArcFit(
+        center=PlanePoint(ux, uy), radius=radius,
+        max_residual=float(np.abs(radii - radius).max()), chord=chord, sagitta=sagitta,
+    )
 
 
 def fit_circular_arc(poly: PlanePolyline, collinear_tol: float = 1e-12) -> ArcFit:
@@ -190,31 +227,19 @@ def fit_circular_arc(poly: PlanePolyline, collinear_tol: float = 1e-12) -> ArcFi
     ``ls_*`` fields. Input whose sagitta/chord falls below ``collinear_tol``
     is flagged as collinear with infinite radius.
     """
-    points = poly.single_segment
-    if len(points) < 3:
-        raise ParameterError(f"need at least 3 points, got {len(points)}")
-    xy = _xy(points)
-    chord, dev = _deviations(xy)
-    peak = int(dev.argmax())
-    sagitta = float(dev[peak])
-    if sagitta / chord < collinear_tol:
-        return ArcFit(
-            center=None, radius=math.inf, max_residual=sagitta,
-            chord=chord, sagitta=sagitta, collinear=True,
-        )
-    center, radius = _circle_through(points[0], points[peak], points[-1])
-    radii = np.hypot(xy[:, 0] - center.x, xy[:, 1] - center.y)
-    max_residual = float(np.abs(radii - radius).max())
-
+    xs, ys = _coords(poly.single_segment)
+    fit = _three_point_fit(xs, ys, collinear_tol)
+    if fit.collinear:
+        return fit
     # algebraic least-squares refinement: 2*cx*x + 2*cy*y + c = x^2 + y^2
+    xy = np.column_stack((xs, ys))
     design = np.column_stack([2.0 * xy[:, 0], 2.0 * xy[:, 1], np.ones(len(xy))])
     rhs = (xy**2).sum(axis=1)
     (lx, ly, lc), *_ = np.linalg.lstsq(design, rhs, rcond=None)
     ls_radius = math.sqrt(max(lx * lx + ly * ly + lc, 0.0))
     ls_radii = np.hypot(xy[:, 0] - lx, xy[:, 1] - ly)
-    return ArcFit(
-        center=center, radius=radius, max_residual=max_residual,
-        chord=chord, sagitta=sagitta,
+    return replace(
+        fit,
         ls_center=PlanePoint(float(lx), float(ly)),
         ls_radius=float(ls_radius),
         ls_max_residual=float(np.abs(ls_radii - ls_radius).max()),

@@ -289,7 +289,7 @@ class LambertAzimuthalEqualArea(_Azimuthal):
 
 def _within_width(dlam: float, x: float) -> float:
     """dlam, checked to lie inside a map whose x is linear in longitude."""
-    if abs(dlam) > math.pi + 1e-9:
+    if not abs(dlam) <= math.pi + 1e-9:  # NaN fails too
         raise DomainError(f"no preimage: x = {x:.9g} beyond the map width")
     return dlam
 
@@ -318,7 +318,7 @@ class Equirectangular(_StandardParallel):
         return wrap_longitude(lon - self.lon0) * math.cos(self.phi0), lat
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
-        if abs(p.y) > HALF_PI + 1e-12:
+        if not abs(p.y) <= HALF_PI + 1e-12:  # NaN fails too
             raise DomainError(f"no preimage: |y| = {abs(p.y):.9g} beyond the pole line")
         dlam = _within_width(p.x / math.cos(self.phi0), p.x)
         return GeoCoord(max(-HALF_PI, min(HALF_PI, p.y)), self.lon0 + dlam)
@@ -351,7 +351,7 @@ class Mercator(_Meridional):
     def inverse(self, p: PlanePoint) -> GeoCoord:
         dlam = _within_width(p.x, p.x)
         lat = math.atan(math.sinh(p.y))
-        if abs(lat) > self.cutoff + 1e-12:
+        if not abs(lat) <= self.cutoff + 1e-12:  # NaN fails too
             raise DomainError(f"no preimage: y = {p.y:.9g} beyond the latitude cutoff")
         return GeoCoord(lat, self.lon0 + dlam)
 
@@ -371,7 +371,7 @@ class LambertCylindricalEqualArea(_StandardParallel):
     def inverse(self, p: PlanePoint) -> GeoCoord:
         cos0 = math.cos(self.phi0)
         sin_lat = p.y * cos0
-        if abs(sin_lat) > 1.0 + 1e-9:
+        if not abs(sin_lat) <= 1.0 + 1e-9:  # NaN fails too
             raise DomainError(f"no preimage: y = {p.y:.9g} beyond the pole line")
         dlam = _within_width(p.x / cos0, p.x)
         return GeoCoord(math.asin(max(-1.0, min(1.0, sin_lat))), self.lon0 + dlam)
@@ -459,6 +459,8 @@ class _Conic(_Meridional):
         y = -p.y if self._south else p.y
         dy = rho_ref - y
         rho = math.hypot(p.x, dy)
+        if not rho < math.inf:  # NaN fails too
+            raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
         if rho <= RHO_MIN:
             raise DomainError(self._APEX_ERROR)
         theta = math.atan2(p.x, dy)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import re
@@ -15,6 +16,7 @@ from mapproj import (
     GeoRegion,
     Mercator,
     Stereographic,
+    sample_great_circle,
 )
 from mapproj.atlas import (
     POLE_CLIP,
@@ -29,9 +31,10 @@ from mapproj.atlas import (
     render_svg,
 )
 from mapproj.distortion import tissot
-from mapproj.errors import ParameterError
+from mapproj.errors import DomainError, ParameterError
 from mapproj.geo import wrap_longitude
-from mapproj.projections import parse_projection
+from mapproj.geodesics import PlanePolyline, _three_point_fit, fit_circular_arc
+from mapproj.projections import PlanePoint, parse_projection
 
 DELISLE = EquidistantConic(math.radians(45), math.radians(60), lon0=math.radians(90))
 BAND = GeoRegion.from_degrees(45, 70, 30, 150)
@@ -257,6 +260,18 @@ def _delisle_scene() -> MapScene:
     )
 
 
+def _arc_fits(scene) -> int:
+    """Parallel segments of 3 or more points: one arc fit, and at most one
+    arc centre, each."""
+    grat = scene.graticule
+    return sum(
+        len(xs) >= 3
+        for lat in grat.lats
+        for xs, _ in mapproj.atlas._project_floats(
+            scene.projection, [lat] * len(grat.lon_samples), grat.lon_samples)[0]
+    )
+
+
 class TestRenderSvg:
     @pytest.mark.parametrize("scale, margin", [
         (0.0, 20.0), (-5.0, 20.0), (math.inf, 20.0), (200.0, -30.0), (200.0, math.nan),
@@ -290,9 +305,10 @@ class TestRenderSvg:
         assert svg == render_svg(MapScene(margin=0.0, **curves))
 
     def test_atlas_layers_are_reached_through_module_names(self, monkeypatch):
-        # the benchmark's tracer patches these two module globals; render_svg
-        # must reach its layers through them
-        calls = {"project_polyline": 0, "fit_circular_arc": 0}
+        # render_svg reaches its two float boundaries, the curve projector and
+        # the primary arc fit, through these atlas module globals, so a tracer
+        # that patches them sees every curve and every fit
+        calls = {"_project_floats": 0, "_three_point_fit": 0}
 
         def counting(name):
             original = getattr(mapproj.atlas, name)
@@ -304,19 +320,38 @@ class TestRenderSvg:
             return wrapper
 
         scene = _delisle_scene()
-        parallel_segments = [
-            seg
-            for curve in scene.graticule.parallels
-            for seg in project_polyline(scene.projection, curve).segments
-        ]
+        grat = scene.graticule
+        fits = _arc_fits(scene)
         for name in calls:
             monkeypatch.setattr(mapproj.atlas, name, counting(name))
         render_svg(scene)
-        grat = scene.graticule
-        assert calls["project_polyline"] == (
-            len(grat.parallels) + len(grat.meridians) + len(scene.geodesics)
+        # 6 parallels + 13 meridians + 1 geodesic, and one fit per parallel
+        assert calls["_project_floats"] == 20 == (
+            len(grat.lats) + len(grat.lons) + len(scene.geodesics)
         )
-        assert calls["fit_circular_arc"] == sum(len(seg) >= 3 for seg in parallel_segments)
+        assert calls["_three_point_fit"] == 6 == fits
+
+    def test_render_builds_no_per_sample_objects(self, monkeypatch):
+        # only the place markers, the arc centres and the geodesic samples
+        # are objects; the graticule's lazy curves are never built
+        for scene in (_delisle_scene(), _world_scene("conic"), _world_scene("orthographic")):
+            grat = scene.graticule
+            bound = len(scene.places) + _arc_fits(scene) + sum(n for *_, n in scene.geodesics)
+            made = {"objects": 0}
+            for cls in (PlanePoint, GeoCoord):
+                original = cls.__init__
+
+                def counting(self, *args, _original=original, **kwargs):
+                    made["objects"] += 1
+                    _original(self, *args, **kwargs)
+
+                monkeypatch.setattr(cls, "__init__", counting)
+            render_svg(scene)
+            monkeypatch.undo()
+            samples = len(grat.lats) * len(grat.lon_samples) + len(grat.lons) * len(grat.lat_samples)
+            assert 0 < made["objects"] <= bound < samples
+            assert "parallels" not in grat.__dict__
+            assert "meridians" not in grat.__dict__
 
     def test_empty_scene_is_valid(self):
         svg = render_svg(MapScene(projection=Mercator()))
@@ -469,3 +504,169 @@ def test_zero_margin_svg_is_pinned(kind):
     for d in paths:
         assert not re.search(r"(^| )-", d), d
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+# project_polyline and fit_circular_arc are thin wrappers over the float
+# boundaries render_svg uses; these copies of their earlier object-based
+# bodies pin that the wrappers give the same bits.
+def _reference_project_polyline(proj, curve):
+    xy = proj._xy
+    cut = proj.cut_longitude
+    lon0 = None if cut is None else wrap_longitude(cut + math.pi)
+    segments, current, note, prev_u = [], [], None, None
+    for c in curve:
+        if lon0 is not None:
+            u = wrap_longitude(c.lon - lon0)
+            if prev_u is not None and abs(u - prev_u) > math.pi:
+                if len(current) >= 2:
+                    segments.append(tuple(current))
+                current = []
+            prev_u = u
+        try:
+            x, y = xy(c.lat, c.lon)
+        except DomainError as exc:
+            if note is None:
+                note = str(exc)
+            if len(current) >= 2:
+                segments.append(tuple(current))
+            current = []
+            continue
+        current.append(PlanePoint(x, y))
+    if len(current) >= 2:
+        segments.append(tuple(current))
+    return PlanePolyline(tuple(segments), note=note if not segments else None)
+
+
+def _reference_fit_circular_arc(points, collinear_tol=1e-12):
+    xy = np.array([(p.x, p.y) for p in points])
+    start, end = xy[0], xy[-1]
+    axis = end - start
+    chord = float(np.hypot(*axis))
+    if chord < 1e-15:
+        raise ParameterError("polyline endpoints coincide; chord is degenerate")
+    rel = xy - start
+    dev = np.abs(rel[:, 0] * axis[1] - rel[:, 1] * axis[0]) / chord
+    peak = int(dev.argmax())
+    sagitta = float(dev[peak])
+    if sagitta / chord < collinear_tol:
+        return dict(center=None, radius=math.inf, max_residual=sagitta, chord=chord,
+                    sagitta=sagitta, collinear=True, ls_center=None, ls_radius=None,
+                    ls_max_residual=None)
+    (ax, ay), (bx, by), (cx, cy) = points[0], points[peak], points[-1]
+    d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ux = (a2 * (by - cy) + b2 * (cy - ay) + c2 * (ay - by)) / d
+    uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
+    radius = math.hypot(ax - ux, ay - uy)
+    radii = np.hypot(xy[:, 0] - ux, xy[:, 1] - uy)
+    design = np.column_stack([2.0 * xy[:, 0], 2.0 * xy[:, 1], np.ones(len(xy))])
+    rhs = (xy**2).sum(axis=1)
+    (lx, ly, lc), *_ = np.linalg.lstsq(design, rhs, rcond=None)
+    ls_radius = math.sqrt(max(lx * lx + ly * ly + lc, 0.0))
+    ls_radii = np.hypot(xy[:, 0] - lx, xy[:, 1] - ly)
+    return dict(
+        center=PlanePoint(ux, uy), radius=radius,
+        max_residual=float(np.abs(radii - radius).max()), chord=chord, sagitta=sagitta,
+        collinear=False, ls_center=PlanePoint(float(lx), float(ly)),
+        ls_radius=float(ls_radius), ls_max_residual=float(np.abs(ls_radii - ls_radius).max()),
+    )
+
+
+def _hex(value):
+    """Floats and plane points as float.hex, so that -0.0 and NaN compare too."""
+    if isinstance(value, PlanePoint):
+        return (value.x.hex(), value.y.hex())
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+EQUIVALENCE_SCENES = {
+    "delisle": _delisle_scene,
+    "conic-tear": lambda: _world_scene("conic"),
+    "orthographic-hidden": lambda: _world_scene("orthographic"),
+    "mercator-cutoff": lambda: _world_scene("mercator"),
+}
+
+
+def _curves(scene):
+    grat = scene.graticule
+    return list(grat.parallels + grat.meridians) + [
+        sample_great_circle(a, b, n) for a, b, n in scene.geodesics
+    ]
+
+
+class TestPublicWrappersMatchTheirEarlierBodies:
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_SCENES))
+    def test_project_polyline(self, kind):
+        scene = EQUIVALENCE_SCENES[kind]()
+        splits = dropped = 0
+        for curve in _curves(scene):
+            got = project_polyline(scene.projection, curve)
+            want = _reference_project_polyline(scene.projection, curve)
+            assert [[_hex(p) for p in seg] for seg in got.segments] == [
+                [_hex(p) for p in seg] for seg in want.segments
+            ]
+            assert got.note == want.note
+            splits += len(got.segments) > 1
+            dropped += len(curve) - sum(map(len, got.segments))
+        # each scene reaches the edge it was chosen for
+        if kind == "conic-tear":
+            assert splits
+        if kind in ("orthographic-hidden", "mercator-cutoff"):
+            assert dropped
+
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_SCENES))
+    def test_fit_circular_arc(self, kind):
+        scene = EQUIVALENCE_SCENES[kind]()
+        segments = [
+            seg
+            for curve in _curves(scene)
+            for seg in project_polyline(scene.projection, curve).segments
+            if len(seg) >= 3
+        ]
+        assert segments
+        for seg in segments:
+            try:
+                want = _reference_fit_circular_arc(seg)
+            except ParameterError as exc:  # a closed curve has no chord
+                with pytest.raises(ParameterError, match=str(exc)):
+                    fit_circular_arc(PlanePolyline((seg,)))
+                continue
+            got = fit_circular_arc(PlanePolyline((seg,)))
+            assert {f.name: _hex(getattr(got, f.name)) for f in dataclasses.fields(got)} == {
+                k: _hex(v) for k, v in want.items()
+            }
+            # the primary fit alone is the same fit without its refinement
+            xs, ys = [p.x for p in seg], [p.y for p in seg]
+            assert _three_point_fit(xs, ys) == replace(
+                got, ls_center=None, ls_radius=None, ls_max_residual=None
+            )
+
+
+class TestGraticuleValue:
+    def test_equality_and_hash(self):
+        a = build_graticule(BAND, math.radians(5), math.radians(10))
+        b = build_graticule(BAND, math.radians(5), math.radians(10))
+        assert a == b and hash(a) == hash(b)
+        a.parallels  # a cached curve is not part of the value
+        assert a == b and hash(a) == hash(b)
+        c = build_graticule(BAND, math.radians(5), math.radians(5))
+        assert a != c
+
+    def test_replace_builds_its_own_curves(self):
+        g = build_graticule(BAND, math.radians(5), math.radians(10))
+        first = g.parallels
+        r = dataclasses.replace(g, lats=g.lats[:2])
+        assert "parallels" not in r.__dict__
+        assert r.parallels == first[:2]
+        assert r.meridians == g.meridians
+        assert dataclasses.replace(g) == g
+
+    def test_curves_are_cached_tuples(self):
+        g = build_graticule(BAND, math.radians(5), math.radians(10))
+        curves = g.parallels + g.meridians
+        assert type(curves) is tuple
+        assert all(type(c) is tuple for c in curves)
+        assert g.parallels is g.parallels
+        assert len(curves) == len(g.lats) + len(g.lons)

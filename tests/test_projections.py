@@ -760,6 +760,57 @@ class TestRejectionMessages:
         )
 
 
+# Every family, a southern aspect of both conics and oblique azimuthal centres
+NON_FINITE_SPECS = [
+    "equirectangular lat0=30 lon0=10",
+    "stereographic",
+    "gnomonic",
+    "central",
+    "orthographic",
+    "mercator lon0=-20",
+    "equidistant_conic lat1=45 lat2=60 lon0=90",
+    "lambert_conformal_conic lat1=45 lat2=60",
+    "lambert_azimuthal_equal_area center=20,-60",
+    "lambert_cylindrical_equal_area lat0=15",
+    "werner lon0=40",
+    "equidistant_conic lat1=-45 lat2=-60 lon0=-100",
+    "lambert_conformal_conic lat1=-30 lat2=-60 lon0=170",
+    "orthographic center=35,60",
+    "stereographic center=-20,170",
+]
+NON_FINITE_POINTS = [
+    (v, 0.0) for v in (math.nan, math.inf, -math.inf)
+] + [(0.0, v) for v in (math.nan, math.inf, -math.inf)]
+# the cylindrical and conic families name the offending value; three of them
+# once returned a pole for some of these points
+NAMES_THE_VALUE = ("equirectangular", "mercator", "lambert_cylindrical_equal_area",
+                   "equidistant_conic", "lambert_conformal_conic")
+
+
+class TestNonFiniteInverse:
+    @pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+    @pytest.mark.parametrize("x, y", NON_FINITE_POINTS)
+    def test_library_raises_domain_error(self, spec, x, y):
+        with pytest.raises(DomainError) as err:
+            parse_projection(spec).inverse(PlanePoint(x, y))
+        if spec.startswith(NAMES_THE_VALUE):
+            assert re.search(r"\b(nan|inf)\b", str(err.value)), str(err.value)
+
+    @pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+    @pytest.mark.parametrize("x, y", NON_FINITE_POINTS)
+    def test_cli_exits_one(self, capsys, spec, x, y):
+        code = main(["inverse", "--proj", spec, f"--x={x!r}", f"--y={y!r}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+    def test_equirectangular_nan_y_is_not_the_pole(self, capsys):
+        code = main(["inverse", "--proj", "equirectangular", "--x", "0", "--y", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no preimage: |y| = nan beyond the pole line\n"
+
+
 # Forward, inverse, Tissot and the Jacobian at the edges of every family (poles, the tear
 # and the stencil's reach around it, cutoffs, limbs and antipodes), every
 # value as float.hex and every error as its type and text. The digests were
