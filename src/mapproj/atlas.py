@@ -38,8 +38,9 @@ from xml.sax.saxutils import escape
 
 from .errors import DomainError, ParameterError
 from .geo import HALF_PI, GeoCoord, GeoRegion, _geo_coord, sample_great_circle, wrap_longitude
-# project_polyline is kept here for callers of the object-based curve API;
-# rendering goes through the two float boundaries by these module names
+# rendering goes through the two float boundaries by these module names;
+# project_polyline is not used here: perfbench's tracer and
+# tests/test_projections.py import it from this module
 from .geodesics import _project_floats, _three_point_fit, project_polyline
 from .projections import Projection
 

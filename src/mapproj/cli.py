@@ -5,9 +5,9 @@ geodesic, render. All user-facing angles are decimal degrees. Exit codes:
 0 success, 1 domain or parse errors, 2 usage errors. Diagnostics go to
 stderr, results to stdout or to --out.
 
-The modules that need numpy (distortion, geodesics, atlas) are imported by
-the commands that use them, so project, inverse, distance and optimize start
-without loading numpy.
+The heavier modules (distortion, geodesics, atlas) are imported by the
+commands that use them, which keeps ``import mapproj.cli`` light. No module
+imports numpy on load; only geodesic loads it, for its least-squares arc.
 """
 
 from __future__ import annotations

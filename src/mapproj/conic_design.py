@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .geo import HALF_PI
+from .geo import HALF_PI, linspace
 from .projections import ConicConstants, RHO_MIN, conic_constants
 
 SCAN_POINTS = 10_001
@@ -177,8 +177,7 @@ def band_max_error(phi_a: float, phi_b: float, band: LatBand) -> float:
 def error_profile(band: LatBand, choice: ParallelChoice) -> tuple[list[float], list[float]]:
     """k(phi) - 1 of a choice at SCAN_POINTS evenly spaced latitudes from
     the band's lower to its upper edge: (latitudes, errors)."""
-    step = band.width / (SCAN_POINTS - 1)
-    lats = [band.phi_lo + i * step for i in range(SCAN_POINTS - 1)] + [band.phi_hi]
+    lats = linspace(band.phi_lo, band.phi_hi, SCAN_POINTS)
     constants = conic_constants(choice.phi_a, choice.phi_b)
     return lats, [_scale_error(constants, choice.phi_a, phi) for phi in lats]
 

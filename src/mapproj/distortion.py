@@ -11,21 +11,25 @@ exactly 1. The Jacobian is taken by finite differences (central, one-sided
 next to the antimeridian tear) of the projection's float kernel
 ``_xy(lat, lon)``, so a new projection needs only its forward map: either the
 kernel, or just ``forward``, which the base class's fallback kernel calls.
-Analytic derivatives appear solely as test oracles. The sample loops run on
-bare floats; the public functions wrap the results in their types.
+Analytic derivatives appear solely as test oracles. The sample loops, P1's
+meridian images included, run on bare floats; the public functions wrap the
+results in their types. Only :func:`local_jacobian`, which returns a numpy
+array, imports numpy, and only when called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParameterError
-from .geo import HALF_PI, PI, GeoCoord, GeoRegion, _canonical, wrap_longitude
-from .geodesics import PlanePolyline, straightness
-from .projections import PlanePoint, Projection
+from .geo import HALF_PI, PI, GeoCoord, GeoRegion, _canonical, linspace, wrap_longitude
+from .geodesics import _deviations
+from .projections import Projection
+
+if TYPE_CHECKING:
+    import numpy
 
 DEFAULT_STEP = 1e-6
 
@@ -141,16 +145,18 @@ def _jacobian(xy, cut: float | None, lat: float, lon: float, step: float):
     )
 
 
-def local_jacobian(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> np.ndarray:
+def local_jacobian(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> numpy.ndarray:
     """2x2 matrix with columns d(x,y)/dlat and d(x,y)/dlon, by central
     differences. Within 2 steps of the antimeridian tear the longitude
     derivative is one-sided, (-3 f0 + 4 f1 - f2) / 2s, on the side the
     sample's own image belongs to, so the stencil never spans the tear. If
     the step neighborhood leaves the domain the step is shrunk once (by 10x)
-    before giving up."""
+    before giving up. Returns a numpy array, importing numpy when called."""
+    import numpy
+
     _check_step(step)
     xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, c.lat, c.lon, step)
-    return np.array([[xp, xl], [yp, yl]])
+    return numpy.array([[xp, xl], [yp, yl]])
 
 
 def _tissot(xy, cut: float | None, lat: float, lon: float, step: float) -> tuple[float, ...]:
@@ -190,10 +196,8 @@ def tissot(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> Distort
 def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], list[float]]:
     if nlat < 3 or nlon < 3:
         raise ParameterError(f"grid must be at least 3x3, got {nlat}x{nlon}")
-    return (
-        np.linspace(region.lat_lo, region.lat_hi, nlat).tolist(),
-        np.linspace(region.lon_lo, region.lon_hi, nlon).tolist(),
-    )
+    return (linspace(region.lat_lo, region.lat_hi, nlat),
+            linspace(region.lon_lo, region.lon_hi, nlon))
 
 
 def distortion_grid(
@@ -236,9 +240,8 @@ def euler_property_report(
             p4 = max(p4, abs(k / h - 1.0))
     p1 = 0.0
     for lon in lons:
-        image = tuple(PlanePoint(*xy(lat, lon)) for lat in lats)
-        report = straightness(PlanePolyline((image,)))
-        p1 = max(p1, report.ratio)
+        chord, dev = _deviations(*zip(*[xy(lat, lon) for lat in lats]))
+        p1 = max(p1, max(dev) / chord)
     return PropertyReport(p1=p1, p2=p2, p3=p3, p4=p4, region=region, nlat=nlat, nlon=nlon)
 
 

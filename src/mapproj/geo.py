@@ -210,6 +210,12 @@ def spherical_angle_from_sides(ab: float, ac: float, bc: float) -> float:
     return math.acos(max(-1.0, min(1.0, cos_a)))
 
 
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """n >= 2 evenly spaced floats from lo to hi, bit for bit numpy's linspace."""
+    step = (hi - lo) / (n - 1)
+    return [lo + i * step for i in range(n - 1)] + [hi]
+
+
 def sample_great_circle(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
     """n points from a to b, equally spaced in arc length along the minor arc.
 

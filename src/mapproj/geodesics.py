@@ -7,14 +7,16 @@ deviation (with a least-squares refinement reported alongside). Under the
 gnomonic/central families the images are exactly straight; under the
 equidistant conic they bow slightly, along near-circular arcs of large
 radius.
+
+Projection, deviations and the primary fit run on float lists. numpy is
+imported only by :func:`fit_circular_arc`, when it computes the
+least-squares refinement.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import DomainError, ParameterError
 from .geo import GeoCoord, sample_great_circle, wrap_longitude
@@ -27,16 +29,23 @@ class PlanePolyline:
 
     A new segment starts wherever the source curve left the projection
     domain (or crossed a map tear); fragments shorter than 2 points are
-    dropped. ``note`` records why a polyline came out empty.
+    dropped. Non-finite points are rejected, since they would make every
+    measurement of the curve meaningless. ``note`` records why a polyline
+    came out empty.
     """
 
     segments: tuple[tuple[PlanePoint, ...], ...]
     note: str | None = None
 
     def __post_init__(self):
-        for seg in self.segments:
+        for i, seg in enumerate(self.segments):
             if len(seg) < 2:
                 raise ParameterError("polyline segments need at least 2 points")
+            for j, p in enumerate(seg):
+                if not (math.isfinite(p.x) and math.isfinite(p.y)):
+                    raise ParameterError(
+                        f"polyline segment {i} point {j} is not finite: ({p.x!r}, {p.y!r})"
+                    )
 
     @property
     def is_empty(self) -> bool:
@@ -158,19 +167,15 @@ def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> Plan
     return project_polyline(proj, sample_great_circle(a, b, n))
 
 
-def _coords(points: tuple[PlanePoint, ...]) -> tuple[list[float], list[float]]:
-    return [p.x for p in points], [p.y for p in points]
-
-
-def _deviations(x: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Chord length and perpendicular distances of every point (x[i], y[i])
+def _deviations(xs, ys) -> tuple[float, list[float]]:
+    """Chord length and perpendicular distances of every point (xs[i], ys[i])
     to the chord line."""
-    ax, ay = x[-1] - x[0], y[-1] - y[0]
-    chord = float(np.hypot(ax, ay))
+    x0, y0 = xs[0], ys[0]
+    ax, ay = xs[-1] - x0, ys[-1] - y0
+    chord = math.hypot(ax, ay)
     if chord < 1e-15:
         raise ParameterError("polyline endpoints coincide; chord is degenerate")
-    cross = (x - x[0]) * ay - (y - y[0]) * ax
-    return chord, np.abs(cross) / chord
+    return chord, [abs((x - x0) * ay - (y - y0) * ax) / chord for x, y in zip(xs, ys)]
 
 
 def straightness(poly: PlanePolyline) -> StraightnessReport:
@@ -179,9 +184,8 @@ def straightness(poly: PlanePolyline) -> StraightnessReport:
     points = poly.single_segment
     if len(points) < 3:
         raise ParameterError(f"need at least 3 points, got {len(points)}")
-    xs, ys = _coords(points)
-    chord, dev = _deviations(np.array(xs), np.array(ys))
-    sagitta = float(dev.max())
+    chord, dev = _deviations(*zip(*points))
+    sagitta = max(dev)
     return StraightnessReport(chord=chord, sagitta=sagitta, ratio=sagitta / chord)
 
 
@@ -201,20 +205,19 @@ def _three_point_fit(xs, ys, collinear_tol: float = 1e-12) -> ArcFit:
     of one segment, without the ``ls_*`` refinement."""
     if len(xs) < 3:
         raise ParameterError(f"need at least 3 points, got {len(xs)}")
-    x, y = np.array(xs), np.array(ys)
-    chord, dev = _deviations(x, y)
-    peak = int(dev.argmax())
-    sagitta = float(dev[peak])
+    chord, dev = _deviations(xs, ys)
+    sagitta = max(dev)
     if sagitta / chord < collinear_tol:
         return ArcFit(
             center=None, radius=math.inf, max_residual=sagitta,
             chord=chord, sagitta=sagitta, collinear=True,
         )
+    peak = dev.index(sagitta)  # the first peak, as argmax takes it
     ux, uy, radius = _circle_through(xs[0], ys[0], xs[peak], ys[peak], xs[-1], ys[-1])
-    radii = np.hypot(x - ux, y - uy)
+    residual = max([abs(math.hypot(x - ux, y - uy) - radius) for x, y in zip(xs, ys)])
     return ArcFit(
         center=PlanePoint(ux, uy), radius=radius,
-        max_residual=float(np.abs(radii - radius).max()), chord=chord, sagitta=sagitta,
+        max_residual=residual, chord=chord, sagitta=sagitta,
     )
 
 
@@ -224,13 +227,16 @@ def fit_circular_arc(poly: PlanePolyline, collinear_tol: float = 1e-12) -> ArcFi
     Primary fit: the circle through the two endpoints and the sample of
     maximum deviation (the draftsman's construction; unconditionally
     stable). A least-squares refinement over all samples is reported in the
-    ``ls_*`` fields. Input whose sagitta/chord falls below ``collinear_tol``
-    is flagged as collinear with infinite radius.
+    ``ls_*`` fields; it imports numpy for ``lstsq``. Input whose
+    sagitta/chord falls below ``collinear_tol`` is flagged as collinear with
+    infinite radius.
     """
-    xs, ys = _coords(poly.single_segment)
+    xs, ys = zip(*poly.single_segment)
     fit = _three_point_fit(xs, ys, collinear_tol)
     if fit.collinear:
         return fit
+    import numpy as np
+
     # algebraic least-squares refinement: 2*cx*x + 2*cy*y + c = x^2 + y^2
     xy = np.column_stack((xs, ys))
     design = np.column_stack([2.0 * xy[:, 0], 2.0 * xy[:, 1], np.ones(len(xy))])

@@ -176,6 +176,8 @@ class _Azimuthal(Projection):
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
+        if not r < math.inf:  # NaN fails too
+            raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
         dist = self._radial_inverse(r)
         if r < 1e-15:
             return GeoCoord(self.center.lat, self.center.lon)
@@ -592,6 +594,8 @@ class Werner(_Meridional):
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
+        if not r < math.inf:  # NaN fails too
+            raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
         if r < 1e-15:
             return GeoCoord(HALF_PI, 0.0)
         if r > math.pi + 1e-9:

@@ -33,7 +33,7 @@ from mapproj.atlas import (
 from mapproj.distortion import tissot
 from mapproj.errors import DomainError, ParameterError
 from mapproj.geo import wrap_longitude
-from mapproj.geodesics import PlanePolyline, _three_point_fit, fit_circular_arc
+from mapproj.geodesics import PlanePolyline, _three_point_fit, fit_circular_arc, straightness
 from mapproj.projections import PlanePoint, parse_projection
 
 DELISLE = EquidistantConic(math.radians(45), math.radians(60), lon0=math.radians(90))
@@ -572,6 +572,17 @@ def _reference_fit_circular_arc(points, collinear_tol=1e-12):
     )
 
 
+def _reference_straightness(points):
+    x, y = np.array([p.x for p in points]), np.array([p.y for p in points])
+    ax, ay = x[-1] - x[0], y[-1] - y[0]
+    chord = float(np.hypot(ax, ay))
+    if chord < 1e-15:
+        raise ParameterError("polyline endpoints coincide; chord is degenerate")
+    dev = np.abs((x - x[0]) * ay - (y - y[0]) * ax) / chord
+    sagitta = float(dev.max())
+    return chord, sagitta, sagitta / chord
+
+
 def _hex(value):
     """Floats and plane points as float.hex, so that -0.0 and NaN compare too."""
     if isinstance(value, PlanePoint):
@@ -642,6 +653,29 @@ class TestPublicWrappersMatchTheirEarlierBodies:
             assert _three_point_fit(xs, ys) == replace(
                 got, ls_center=None, ls_radius=None, ls_max_residual=None
             )
+
+    @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_SCENES))
+    def test_straightness(self, kind):
+        # the float deviations against the numpy body they replaced
+        scene = EQUIVALENCE_SCENES[kind]()
+        segments = [
+            seg
+            for curve in _curves(scene)
+            for seg in project_polyline(scene.projection, curve).segments
+            if len(seg) >= 3
+        ]
+        assert segments
+        for seg in segments:
+            try:
+                want = _reference_straightness(seg)
+            except ParameterError as exc:  # a closed curve has no chord
+                with pytest.raises(ParameterError, match=str(exc)):
+                    straightness(PlanePolyline((seg,)))
+                continue
+            got = straightness(PlanePolyline((seg,)))
+            assert [_hex(v) for v in (got.chord, got.sagitta, got.ratio)] == [
+                _hex(v) for v in want
+            ]
 
 
 class TestGraticuleValue:

@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
+from mapproj import EquidistantConic, GeoCoord, sample_great_circle
 from mapproj.cli import main
 from mapproj.conic_design import LatBand
 from mapproj.errors import ParameterError
@@ -195,6 +197,28 @@ class TestGeodesic:
         assert code == 0
         assert len(target.read_text().strip().splitlines()) == 22
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("index", [0, 20, 40])
+    def test_non_finite_image_is_exit_one(self, capsys, monkeypatch, value, index):
+        # a kernel that maps one sample of the arc to a non-finite point
+        target = sample_great_circle(
+            GeoCoord.from_degrees(55.75, 37.6), GeoCoord.from_degrees(59.4, 143.2), 41
+        )[index]
+        kernel = EquidistantConic._xy
+
+        def broken(self, lat, lon):
+            x, y = kernel(self, lat, lon)
+            return (value, y) if (lat, lon) == (target.lat, target.lon) else (x, y)
+
+        monkeypatch.setattr(EquidistantConic, "_xy", broken)
+        code, out, err = run(
+            capsys, "geodesic", "--proj", "equidistant_conic lat1=45 lat2=60 lon0=90",
+            "--from", "55.75,37.6", "--to", "59.4,143.2", "-n", "41",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: polyline segment 0 point {index} is not finite: ")
+
     def test_arc_across_the_tear_is_exit_one(self, capsys):
         # the image splits at the cut, so there is no single chord to report
         code, out, err = run(
@@ -340,7 +364,10 @@ class TestNegativeValues:
 # runs commands in one fresh interpreter and reports, after the import and
 # after each command, its exit code and whether numpy has been loaded
 _NUMPY_PROBE = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, pkgutil, sys
+import mapproj
+for module in pkgutil.iter_modules(mapproj.__path__):
+    importlib.import_module("mapproj." + module.name)
 import mapproj.cli
 report = [["import", 0, "numpy" in sys.modules]]
 for argv in json.loads(sys.argv[1]):
@@ -352,15 +379,20 @@ print(json.dumps(report))
 
 
 def test_light_commands_start_without_numpy():
+    # every module imports without numpy, and every command but geodesic,
+    # whose least-squares arc refinement uses it, runs without it
     light = [
         ["project", "--proj", "mercator", "--lat", "45", "--lon", "10"],
         ["inverse", "--proj", "mercator", "--x", "0.1", "--y", "0.2"],
         ["distance", "--from", "10,20", "--to", "30,40"],
         ["optimize", "--band", "45:70"],
-    ]
-    heavy = [
         ["render", "--proj", "werner", "--region", "10:60,30:150", "--step", "10"],
         ["distortion", "--proj", "werner", "--region", "10:60,30:150", "--grid", "3x3"],
+        ["properties", "--proj", "werner", "--region", "10:60,30:150", "--grid", "5x5"],
+    ]
+    heavy = [
+        ["geodesic", "--proj", "equidistant_conic lat1=45 lat2=60 lon0=90",
+         "--from", "55.75,37.6", "--to", "59.4,143.2"],
     ]
     proc = subprocess.run(
         [sys.executable, "-c", _NUMPY_PROBE, json.dumps(light + heavy)],
@@ -369,6 +401,7 @@ def test_light_commands_start_without_numpy():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report[:5] == [[name, 0, False] for name in
-                          ("import", "project", "inverse", "distance", "optimize")]
-    assert report[5:] == [["render", 0, True], ["distortion", 0, True]]
+    assert report[:8] == [[name, 0, False] for name in (
+        "import", "project", "inverse", "distance", "optimize", "render", "distortion",
+        "properties")]
+    assert report[8:] == [["geodesic", 0, True]]

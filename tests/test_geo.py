@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from mapproj.geo import (
     GeoRegion,
     from_unit_vector,
     great_circle_distance,
+    linspace,
     sample_great_circle,
     spherical_angle_from_sides,
     to_unit_vector,
@@ -315,6 +317,26 @@ class TestFloatGeometryMatchesNumpyReference:
             assert len(got) == n and got[0] is a and got[-1] is b
             for p, q in zip(got, ref):
                 assert _reference_distance(p, q) <= 1e-14, (a, b, n)
+
+    def test_linspace_is_numpy_linspace_bit_for_bit(self, rng):
+        # axes shaped like grid regions (degree bounds, whole or not,
+        # longitudes past the seam) and like conic bands down to 1e-6 rad
+        axes = []
+        for _ in range(60):
+            lat_lo, lat_hi = sorted(rng.uniform(-90, 90) for _ in range(2))
+            lon_lo = rng.uniform(-180, 180)
+            lon_hi = lon_lo + rng.uniform(1, 360)
+            phi_lo = rng.uniform(0.0, 1.5)
+            width = rng.choice([1e-6, 1e-4, 1e-2, rng.uniform(1e-6, 1.57 - phi_lo)])
+            axes += [
+                (math.radians(lat_lo), math.radians(lat_hi)),
+                (math.radians(round(lon_lo)), math.radians(round(lon_hi))),
+                (math.radians(lon_lo), math.radians(lon_hi)),
+                (phi_lo, phi_lo + width),
+            ]
+        for lo, hi in axes:
+            n = rng.choice([2, 3, 10_001, rng.randint(2, 10_001)])
+            assert array("d", linspace(lo, hi, n)).tobytes() == np.linspace(lo, hi, n).tobytes()
 
     @pytest.mark.parametrize("a, b, n", [
         (GeoCoord(0.3, 0.4), GeoCoord(0.3, 0.4), 5),

@@ -43,6 +43,23 @@ class TestPlanePolyline:
             PlanePolyline((seg, seg)).single_segment
 
 
+class TestNonFinitePoints:
+    """A NaN sample once made the sagitta depend on where it sat (a middle
+    NaN gave a straight line); non-finite points are now rejected."""
+
+    @pytest.mark.parametrize("measure", [straightness, fit_circular_arc])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [0, 2, 4])
+    def test_rejected_naming_segment_and_index(self, measure, value, index):
+        bow = [PlanePoint(float(i), 0.1 * i * (4 - i)) for i in range(5)]
+        for bad in (PlanePoint(value, bow[index].y), PlanePoint(bow[index].x, value)):
+            points = bow[:index] + [bad] + bow[index + 1:]
+            with pytest.raises(ParameterError, match=f"^polyline segment 0 point {index} "):
+                measure(PlanePolyline((tuple(points),)))
+            with pytest.raises(ParameterError, match=f"^polyline segment 1 point {index} "):
+                PlanePolyline((tuple(bow), tuple(points)))
+
+
 class TestProjectGeodesic:
     def test_gnomonic_images_are_collinear(self):
         proj = Gnomonic(center=GeoCoord.from_degrees(-50, 10))
