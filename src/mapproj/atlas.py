@@ -34,10 +34,10 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from xml.sax.saxutils import escape
+from html import escape
 
 from .errors import DomainError, ParameterError
-from .geo import HALF_PI, GeoCoord, GeoRegion, _geo_coord, sample_great_circle, wrap_longitude
+from .geo import HALF_PI, GeoCoord, GeoRegion, linspace, sample_great_circle, wrap_longitude
 # rendering goes through the two float boundaries by these module names;
 # project_polyline is not used here: perfbench's tracer and
 # tests/test_projections.py import it from this module
@@ -60,26 +60,22 @@ class Graticule:
     ``lons`` and are sampled at ``lat_samples``. Longitudes lie in
     (-180°, 180°], so a region that starts at -180° starts its parallels at
     +180°. ``parallels`` and ``meridians`` are the curves as tuples of
-    ``GeoCoord``, built from the axes on first read; each sample equals what
-    the constructor gives for the same values.
+    ``GeoCoord``, built from the axes on first read; the axes alone make
+    the value.
     """
 
     lats: tuple[float, ...]
     lons: tuple[float, ...]
     lat_samples: tuple[float, ...]
     lon_samples: tuple[float, ...]
-    dphi: float
-    dlam: float
-    samples_per_degree: float
-    region: GeoRegion
 
     @cached_property
     def parallels(self) -> tuple[tuple[GeoCoord, ...], ...]:
-        return tuple(tuple(map(_geo_coord, repeat(lat), self.lon_samples)) for lat in self.lats)
+        return tuple(tuple(map(GeoCoord, repeat(lat), self.lon_samples)) for lat in self.lats)
 
     @cached_property
     def meridians(self) -> tuple[tuple[GeoCoord, ...], ...]:
-        return tuple(tuple(map(_geo_coord, self.lat_samples, repeat(lon))) for lon in self.lons)
+        return tuple(tuple(map(GeoCoord, self.lat_samples, repeat(lon))) for lon in self.lons)
 
 
 @dataclass(frozen=True)
@@ -116,9 +112,7 @@ def _multiples(lo: float, hi: float, step: float) -> list[float]:
 
 
 def _samples(lo: float, hi: float, per_degree: float) -> list[float]:
-    count = max(2, int(round(math.degrees(hi - lo) * per_degree)) + 1)
-    span = hi - lo
-    return [lo + span * i / (count - 1) for i in range(count)]
+    return linspace(lo, hi, max(2, int(round(math.degrees(hi - lo) * per_degree)) + 1))
 
 
 def build_graticule(
@@ -151,8 +145,8 @@ def build_graticule(
 
     mer_lo = max(region.lat_lo, -lat_cap)
     mer_hi = min(region.lat_hi, lat_cap)
-    # canonical axes, so that each sample skips the constructor's checks:
-    # every latitude lies strictly inside +-(90° - POLE_CLIP)
+    # canonical axes: every latitude lies strictly inside +-(90° - POLE_CLIP)
+    # and every longitude in (-180°, 180°]
     return Graticule(
         lats=tuple(float(v) for v in lats),
         lons=tuple(wrap_longitude(float(v)) for v in lons),
@@ -161,7 +155,6 @@ def build_graticule(
             wrap_longitude(float(v))
             for v in _samples(region.lon_lo, region.lon_hi, samples_per_degree)
         ),
-        dphi=dphi, dlam=dlam, samples_per_degree=samples_per_degree, region=region,
     )
 
 
@@ -383,7 +376,7 @@ def render_svg(scene: MapScene) -> str:
     for px, py, name in markers:
         x, y = tr.point(px, py)
         lines.append(
-            f'    <text x="{_fmt(x + 4.0)}" y="{_fmt(y - 4.0)}">{escape(name)}</text>'
+            f'    <text x="{_fmt(x + 4.0)}" y="{_fmt(y - 4.0)}">{escape(name, quote=False)}</text>'
         )
     lines.append("  </g>")
     lines.append("</svg>")

@@ -55,12 +55,13 @@ def _coord(args, lat_deg: float, lon_deg: float) -> GeoCoord:
     return GeoCoord.from_degrees(lat_deg, lon_deg + args.prime_meridian)
 
 
-def _write(args, content: str) -> None:
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(content)
+def _write(path: str | None, text: str) -> None:
+    """Write text to the file at path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
     else:
-        sys.stdout.write(content)
+        sys.stdout.write(text)
 
 
 def _cmd_project(args) -> int:
@@ -92,7 +93,7 @@ def _cmd_distortion(args) -> int:
     nlat, nlon = _parse_grid(args.grid)
     rows = distortion.distortion_grid(proj, _parse_region(args.region), nlat, nlon)
     if args.out:
-        _write(args, distortion.grid_to_csv(rows))
+        _write(args.out, distortion.grid_to_csv(rows))
         return 0
     header = f"{'lat':>10} {'lon':>10} {'h':>10} {'k':>10} {'theta':>10} {'omega':>10} {'s':>10}"
     print(header)
@@ -139,8 +140,7 @@ def _cmd_optimize(args) -> int:
         _, best_errors = conic_design.error_profile(band, best)
         for lat, eq, em in zip(lats, quarter_errors, best_errors):
             lines.append(f"{math.degrees(lat):.6f},{eq:.12g},{em:.12g}")
-        with open(args.profile, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write(args.profile, "\n".join(lines) + "\n")
     return 0
 
 
@@ -165,8 +165,7 @@ def _cmd_geodesic(args) -> int:
         lines = ["x,y"]
         for seg in poly.segments:
             lines.extend(f"{p.x:.12g},{p.y:.12g}" for p in seg)
-        with open(args.csv, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
+        _write(args.csv, "\n".join(lines) + "\n")
     return 0
 
 
@@ -201,7 +200,7 @@ def _cmd_render(args) -> int:
         projection=proj, graticule=graticule, places=places,
         geodesics=tuple(arcs), scale=args.scale, margin=args.margin,
     )
-    _write(args, atlas.render_svg(scene))
+    _write(args.out, atlas.render_svg(scene))
     return 0
 
 

@@ -154,8 +154,9 @@ def _extremal_errors(phi_a: float, phi_b: float, band: LatBand) -> tuple[list[fl
         t = _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
     except ConvergenceError:
         # by Rolle the dip lies between the standard parallels, but for
-        # parallels closer than about 1e-8 rad the rounding of the cone
-        # constants can move the computed cone's dip off that bracket
+        # parallels closer than about 1e-10 rad the rounding of the apex
+        # rho_ref + phi_a and of the dip equation can move the computed dip
+        # off that bracket
         t = _band_dip(constants, phi_a, band)
     return [_scale_error(constants, phi_a, phi) for phi in (band.phi_lo, band.phi_hi, t)], t
 

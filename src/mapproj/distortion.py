@@ -75,16 +75,13 @@ class PropertyReport:
     p1: meridian-image bending (sagitta/chord); p2: max |h - 1|;
     p3: max |theta_prime - pi/2|; p4: max relative error of the map's
     parallel-degree to meridian-degree ratio against the sphere's cos(lat),
-    which reduces to max |k/h - 1|.
+    which reduces to max |k/h - 1|. The four maxima alone make the value.
     """
 
     p1: float
     p2: float
     p3: float
     p4: float
-    region: GeoRegion
-    nlat: int
-    nlon: int
 
     @property
     def worst_metric(self) -> float:
@@ -242,7 +239,7 @@ def euler_property_report(
     for lon in lons:
         chord, dev = _deviations(*zip(*[xy(lat, lon) for lat in lats]))
         p1 = max(p1, max(dev) / chord)
-    return PropertyReport(p1=p1, p2=p2, p3=p3, p4=p4, region=region, nlat=nlat, nlon=nlon)
+    return PropertyReport(p1=p1, p2=p2, p3=p3, p4=p4)
 
 
 _SCAN_FIELDS = ("h", "k", "theta_prime", "a", "b", "omega", "s")
@@ -257,15 +254,11 @@ def max_distortion_scan(
     rows = distortion_grid(proj, region, nlat, nlon, step)
     result: dict[str, FieldRange] = {}
     for field in _SCAN_FIELDS:
-        lo_c, lo_v = rows[0][0], getattr(rows[0][1], field)
-        hi_c, hi_v = rows[0][0], getattr(rows[0][1], field)
-        for c, sample in rows[1:]:
-            v = getattr(sample, field)
-            if v < lo_v:
-                lo_c, lo_v = c, v
-            if v > hi_v:
-                hi_c, hi_v = c, v
-        result[field] = FieldRange(min_value=lo_v, max_value=hi_v, argmin=lo_c, argmax=hi_c)
+        values = [getattr(sample, field) for _, sample in rows]
+        # min and max keep the first of equal keys: the earliest grid point
+        lo = min(range(len(rows)), key=values.__getitem__)
+        hi = max(range(len(rows)), key=values.__getitem__)
+        result[field] = FieldRange(values[lo], values[hi], rows[lo][0], rows[hi][0])
     return result
 
 

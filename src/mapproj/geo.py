@@ -107,16 +107,6 @@ _set_lat = GeoCoord.__dict__["lat"].__set__
 _set_lon = GeoCoord.__dict__["lon"].__set__
 
 
-def _geo_coord(lat: float, lon: float) -> GeoCoord:
-    """``GeoCoord(lat, lon)`` for a pair the constructor would store as it
-    is: two floats with -pi/2 < lat < pi/2 and -pi < lon <= pi. Nothing is
-    checked; the caller guarantees the pair is canonical."""
-    c = object.__new__(GeoCoord)
-    _set_lat(c, lat)
-    _set_lon(c, lon)
-    return c
-
-
 NORTH_POLE = GeoCoord(HALF_PI, 0.0)
 SOUTH_POLE = GeoCoord(-HALF_PI, 0.0)
 

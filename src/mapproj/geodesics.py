@@ -22,6 +22,9 @@ from .errors import DomainError, ParameterError
 from .geo import GeoCoord, sample_great_circle, wrap_longitude
 from .projections import PlanePoint, Projection
 
+# curves whose sagitta/chord falls below this are collinear: infinite radius
+COLLINEAR_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class PlanePolyline:
@@ -200,14 +203,14 @@ def _circle_through(ax, ay, bx, by, cx, cy) -> tuple[float, float, float]:
     return ux, uy, math.hypot(ax - ux, ay - uy)
 
 
-def _three_point_fit(xs, ys, collinear_tol: float = 1e-12) -> ArcFit:
+def _three_point_fit(xs, ys) -> ArcFit:
     """The primary fit of :func:`fit_circular_arc` on the coordinate lists
     of one segment, without the ``ls_*`` refinement."""
     if len(xs) < 3:
         raise ParameterError(f"need at least 3 points, got {len(xs)}")
     chord, dev = _deviations(xs, ys)
     sagitta = max(dev)
-    if sagitta / chord < collinear_tol:
+    if sagitta / chord < COLLINEAR_TOL:
         return ArcFit(
             center=None, radius=math.inf, max_residual=sagitta,
             chord=chord, sagitta=sagitta, collinear=True,
@@ -221,18 +224,18 @@ def _three_point_fit(xs, ys, collinear_tol: float = 1e-12) -> ArcFit:
     )
 
 
-def fit_circular_arc(poly: PlanePolyline, collinear_tol: float = 1e-12) -> ArcFit:
+def fit_circular_arc(poly: PlanePolyline) -> ArcFit:
     """Arc fit of a projected curve.
 
     Primary fit: the circle through the two endpoints and the sample of
     maximum deviation (the draftsman's construction; unconditionally
     stable). A least-squares refinement over all samples is reported in the
     ``ls_*`` fields; it imports numpy for ``lstsq``. Input whose
-    sagitta/chord falls below ``collinear_tol`` is flagged as collinear with
-    infinite radius.
+    sagitta/chord falls below :data:`COLLINEAR_TOL` is flagged as collinear
+    with infinite radius.
     """
     xs, ys = zip(*poly.single_segment)
-    fit = _three_point_fit(xs, ys, collinear_tol)
+    fit = _three_point_fit(xs, ys)
     if fit.collinear:
         return fit
     import numpy as np

@@ -406,7 +406,10 @@ def conic_constants(phi_a: float, phi_b: float) -> ConicConstants:
             "standard parallels must satisfy 0 < phi_a < phi_b < 90° "
             f"(got {math.degrees(phi_a):.4f}°, {math.degrees(phi_b):.4f}°)"
         )
-    n = (math.cos(phi_a) - math.cos(phi_b)) / (phi_b - phi_a)
+    # (cos a - cos b) / (b - a) as a product, which does not cancel as the
+    # parallels close up
+    gap = phi_b - phi_a
+    n = 2.0 * math.sin(0.5 * (phi_a + phi_b)) * math.sin(0.5 * gap) / gap
     rho_ref = math.cos(phi_a) / n
     return ConicConstants(n=n, rho_ref=rho_ref, apex_overshoot=rho_ref - (HALF_PI - phi_a))
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import random
 import re
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ from mapproj.atlas import (
 )
 from mapproj.distortion import tissot
 from mapproj.errors import DomainError, ParameterError
-from mapproj.geo import wrap_longitude
+from mapproj.geo import linspace, wrap_longitude
 from mapproj.geodesics import PlanePolyline, _three_point_fit, fit_circular_arc, straightness
 from mapproj.projections import PlanePoint, parse_projection
 
@@ -96,8 +97,8 @@ def _by_constructor(region, dphi, dlam, per_degree):
 
 
 class TestGraticuleSamplesAreCanonical:
-    """build_graticule sets GeoCoord's slots without its constructor; every
-    sample must still be what the constructor gives for the same values."""
+    """build_graticule stores canonical axes; every curve sample built from
+    them must be what the constructor gives for the raw axis values."""
 
     @pytest.mark.parametrize("region, dphi, dlam", [
         # int fields; the meridians fall back to the int boundaries 1 and 3
@@ -132,6 +133,66 @@ class TestGraticuleSamplesAreCanonical:
         )
         assert {c[0].lon for c in g.parallels} == {math.pi}
         assert {c[-1].lon for c in g.parallels} == {math.pi}
+
+
+class TestGraticuleAxes:
+    """The sample axes are geo.linspace of the region's clipped bounds, with
+    the longitudes wrapped into (-180°, 180°]."""
+
+    def test_axes_are_linspace_of_the_clipped_bounds(self):
+        rng = random.Random(20261018)
+        cap = math.pi / 2 - POLE_CLIP
+        for _ in range(200):
+            lat_lo, lat_hi = sorted(rng.sample(range(-90, 91), 2))
+            lon_lo = rng.uniform(-180.0, 180.0)
+            lon_hi = lon_lo + rng.uniform(0.5, 360.0)
+            region = GeoRegion.from_degrees(lat_lo, lat_hi, lon_lo, lon_hi)
+            per_degree = rng.choice([0.5, 1.0, 2.0, 4.0])
+            g = build_graticule(region, math.radians(10), math.radians(15), per_degree)
+
+            def axis(lo, hi):
+                return linspace(lo, hi, max(2, round(math.degrees(hi - lo) * per_degree) + 1))
+
+            lat_axis = axis(max(region.lat_lo, -cap), min(region.lat_hi, cap))
+            lon_axis = [wrap_longitude(v) for v in axis(region.lon_lo, region.lon_hi)]
+            assert list(map(float.hex, g.lat_samples)) == list(map(float.hex, lat_axis))
+            assert list(map(float.hex, g.lon_samples)) == list(map(float.hex, lon_axis))
+
+    # SHA-256 of the float.hex of every axis; (region, spacing in degrees,
+    # samples per degree) as in the Delisle scene and the 5° world scenes
+    @pytest.mark.parametrize("region, step, per_degree, digest", [
+        (BAND, (5, 10), 4.0,
+         "c7e5ce32a10b6b7ea73550c97251815efadcaf512ec17adfe4369f8e5e1319da"),
+        (GeoRegion.from_degrees(-90, 90, -180, 180), (5, 5), 1.0,
+         "66bb46dce78e966f7b44241d6a013cc79c100c47a41c3f68d8c2b523e41a0c81"),
+    ], ids=["delisle", "world-5"])
+    def test_axes_are_pinned(self, region, step, per_degree, digest):
+        g = build_graticule(region, *map(math.radians, step), per_degree)
+        axes = (g.lats, g.lons, g.lat_samples, g.lon_samples)
+        text = " | ".join(" ".join(map(float.hex, axis)) for axis in axes)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("west", [-178, -173])
+    @pytest.mark.parametrize("spec", [
+        "mercator", "equidistant_conic lat1=45 lat2=60", "equirectangular",
+    ])
+    def test_parallels_reach_the_180_meridian(self, spec, west):
+        # lo + span * i / (n - 1) used to land 1 ulp past pi on these
+        # regions, so the last sample wrapped to -180° and every parallel
+        # lost it to the tear
+        proj = parse_projection(spec)
+        g = build_graticule(
+            GeoRegion.from_degrees(0, 60, west, 180), math.radians(10), math.radians(10)
+        )
+        assert g.lon_samples[-1] == math.pi
+        for lat in g.lats:
+            segments, _ = mapproj.atlas._project_floats(
+                proj, [lat] * len(g.lon_samples), g.lon_samples
+            )
+            assert len(segments) == 1
+            (xs, ys), = segments
+            end = proj.forward(GeoCoord(lat, math.pi))
+            assert (xs[-1], ys[-1]) == (end.x, end.y)
 
 
 class TestProjectPolyline:
@@ -289,6 +350,15 @@ class TestRenderSvg:
         svg = render_svg(scene)
         assert '<circle cx="0.000000" cy="0.000000" r="2.5"/>' in svg
         assert '<text x="4.000000" y="-4.000000">Alexandria</text>' in svg
+
+    def test_label_escapes_markup_characters(self):
+        # the bytes xml.sax.saxutils.escape gave: &, < and > escaped, quotes kept
+        place = GazetteerEntry("""A&B <c> "d" 'e'""", GeoCoord(0.1, 0.2))
+        svg = render_svg(MapScene(projection=Mercator(), places=(place,)))
+        assert (
+            """    <text x="24.000000" y="16.000000">A&amp;B &lt;c&gt; "d" 'e'</text>"""
+            in svg.splitlines()
+        )
 
     def test_negative_zero_margin_prints_no_negative_zero(self):
         # the geodesic runs along lon -0.0, so its x is -0.0 against a bound
@@ -682,6 +752,9 @@ class TestGraticuleValue:
     def test_equality_and_hash(self):
         a = build_graticule(BAND, math.radians(5), math.radians(10))
         b = build_graticule(BAND, math.radians(5), math.radians(10))
+        assert [f.name for f in dataclasses.fields(a)] == [
+            "lats", "lons", "lat_samples", "lon_samples"
+        ]
         assert a == b and hash(a) == hash(b)
         a.parallels  # a cached curve is not part of the value
         assert a == b and hash(a) == hash(b)

@@ -56,6 +56,20 @@ class TestProject:
         )
         assert with_offset == direct
 
+    def test_near_coincident_standard_parallels(self):
+        # 1e-12° apart, the difference-of-cosines cone constant rounded to
+        # exactly 0 and the command died with a ZeroDivisionError
+        argv = ["project", "--proj", "equidistant_conic lat1=0.1 lat2=0.100000000001",
+                "--lat", "10", "--lon", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mapproj.cli", *argv],
+            cwd=ROOT, capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # the same point as for parallels 3.6e-3" apart
+        assert proc.stdout == "x=0.000000 y=0.172788\n"
+
 
 class TestInverse:
     def test_round_trip_of_project(self, capsys):
@@ -405,3 +419,16 @@ def test_light_commands_start_without_numpy():
         "import", "project", "inverse", "distance", "optimize", "render", "distortion",
         "properties")]
     assert report[8:] == [["geodesic", 0, True]]
+
+
+def test_atlas_import_loads_no_network_or_mail_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client and email, about
+    # 40 ms of render's start-up, for one escape; html.escape needs none
+    heavy = ["xml.sax", "urllib.request", "http.client", "email"]
+    probe = f"import sys, mapproj.atlas; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

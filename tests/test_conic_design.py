@@ -1,5 +1,7 @@
 import hashlib
 import math
+import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -224,27 +226,98 @@ class TestBandMaxError:
 
 
 # SHA-256 of the float.hex of every latitude, then every error, of the
-# profile: the bits the 10 001-point numpy linspace profile had
+# profile: the bits the 10 001-point numpy linspace profile had, except that
+# five moved when n took its product form (TestConeConstantAccuracy)
 _PROFILE_DIGESTS = {
     ((45, 70), "quarter"): "ca94b01ff541c2c160ca00aceb13bf3f03a75e4f4eac4eb339770fded9a780a3",
-    ((45, 70), "minimax"): "25e7486c29faf0d8a63c577aa4800dc30ec704ef6db23327962d9ddec8175967",
-    ((0, 30), "quarter"): "96ace7614ef550f7a54273e9189ee00ecb9777c6e3bd41268f05bf81e7d32c3a",
-    ((0, 30), "minimax"): "fbec6632953ad96f752d529765fa40d78deb57514d43535ed06c9c56dbccf6e5",
+    ((45, 70), "minimax"): "a9b2c75804510c0f13b3b40ed365882ebb3e5f0343c8d68ee9b97fa8ad81a2be",
+    ((0, 30), "quarter"): "eb65d0acbcbec0bc50084d076ab7792764c7140e72ba8ec742c5fba440e0c7e5",
+    ((0, 30), "minimax"): "8ce07ba80ea7c04d55a27a187ea950e5a61c03d7762088174b384271f5479be7",
     ((80, 89.5), "quarter"): "0f649ed37eb9a96e9a793a2992ebfd5f360d3efe1e25379c12044ee6a267afe0",
     ((80, 89.5), "minimax"): "ff4f97ad7d6a5dc859a926b1eafbc705cb023430634eab737f557d188b4fc09e",
-    ("thin", "quarter"): "5452a24944d2cd7bd596ff24e3f945b895ca9378850a3f2f84c3ed141fb7ff61",
-    ("thin", "minimax"): "89a3f7c93b624842bfef93b064fb4da0233c05eb7d1dd49464422e6b847108af",
+    ("thin", "quarter"): "eb4c4b5d8d371a77b6be34d16a0c92df2aba24528a2a28c15ffcc066d833436f",
+    ("thin", "minimax"): "65a99190c21e20d82f8cf95e11dc19428252dd01db7b2b1bbeb012564307bde0",
 }
+
+
+def _profile_band(key) -> LatBand:
+    if key == "thin":  # narrower than 1e-4 rad, where minimax may fall back
+        return LatBand(math.radians(50), math.radians(50) + 2e-6)
+    return LatBand.from_degrees(*key)
+
+
+def _profile_choice(key, rule) -> ParallelChoice:
+    return (quarter_rule if rule == "quarter" else minimax_parallels)(_profile_band(key))
+
+
+def _cos_decimal(x: float) -> Decimal:
+    """cos x to 60 significant digits, by its Taylor series (|x| < 2)."""
+    x2 = Decimal(x) * Decimal(x)
+    term = total = Decimal(1)
+    k = 0
+    while abs(term) > Decimal("1e-62"):
+        k += 2
+        term = -term * x2 / (k * (k - 1))
+        total += term
+    return total
+
+
+def _n_error_ulps(n: float, phi_a: float, phi_b: float) -> float:
+    """|n - exact n| in units in the last place of the exact cone constant
+    (cos phi_a - cos phi_b) / (phi_b - phi_a) of the two floats."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        exact = (_cos_decimal(phi_a) - _cos_decimal(phi_b)) / (Decimal(phi_b) - Decimal(phi_a))
+        return float(abs(Decimal(n) - exact) / Decimal(math.ulp(float(exact))))
+
+
+def _difference_n(phi_a: float, phi_b: float) -> float:
+    """The difference-of-cosines form of n, which cancels as the parallels
+    close up; conic_constants used it before the product form."""
+    return (math.cos(phi_a) - math.cos(phi_b)) / (phi_b - phi_a)
+
+
+# the product form 2 sin((a+b)/2) sin((b-a)/2) / (b-a) rounds its two sines,
+# two products and one quotient, each by at most half an ulp
+N_ULPS = 3.0
+
+
+class TestConeConstantAccuracy:
+    """conic_constants' n against a 60-digit decimal reference: no less
+    accurate than the difference form anywhere, far more accurate for close
+    parallels."""
+
+    @pytest.mark.parametrize("key, rule", _PROFILE_DIGESTS)
+    def test_pinned_bands(self, key, rule):
+        choice = _profile_choice(key, rule)
+        pa, pb = choice.phi_a, choice.phi_b
+        new = _n_error_ulps(conic_constants(pa, pb).n, pa, pb)
+        assert new <= _n_error_ulps(_difference_n(pa, pb), pa, pb)
+        assert new <= N_ULPS
+
+    def test_random_pairs(self):
+        rng = random.Random(20261018)
+        new, old = [], []
+        for _ in range(300):
+            pa, pb = sorted(rng.uniform(1e-3, math.pi / 2 - 1e-3) for _ in range(2))
+            new.append(_n_error_ulps(conic_constants(pa, pb).n, pa, pb))
+            old.append(_n_error_ulps(_difference_n(pa, pb), pa, pb))
+        assert max(new) <= min(max(old), N_ULPS)
+
+    @pytest.mark.parametrize("gap", [10.0 ** e for e in range(-12, -5)])
+    def test_close_parallels(self, gap):
+        for pa in (0.1, 0.5, 0.7853981633974483, 1.2, 1.55):
+            pb = pa + gap
+            new = _n_error_ulps(conic_constants(pa, pb).n, pa, pb)
+            old = _n_error_ulps(_difference_n(pa, pb), pa, pb)
+            assert new <= N_ULPS < 1000.0 * N_ULPS < old, (pa, gap, new, old)
 
 
 class TestErrorProfile:
     @pytest.mark.parametrize("key, rule", _PROFILE_DIGESTS)
     def test_pinned(self, key, rule):
-        if key == "thin":  # narrower than 1e-4 rad, where minimax may fall back
-            band = LatBand(math.radians(50), math.radians(50) + 2e-6)
-        else:
-            band = LatBand.from_degrees(*key)
-        choice = (quarter_rule if rule == "quarter" else minimax_parallels)(band)
+        band = _profile_band(key)
+        choice = _profile_choice(key, rule)
         lats, errs = error_profile(band, choice)
         assert len(lats) == len(errs) == SCAN_POINTS
         assert all(type(v) is float for v in (*lats, *errs))

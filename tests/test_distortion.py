@@ -23,7 +23,10 @@ from mapproj import (
 )
 from mapproj.conic_design import parallel_scale
 from mapproj.distortion import (
+    _SCAN_FIELDS,
     DistortionSample,
+    FieldRange,
+    PropertyReport,
     distortion_grid,
     euler_property_report,
     grid_to_csv,
@@ -248,6 +251,16 @@ class TestPropertyReport:
         )
         assert rep.p4 == pytest.approx(want, rel=1e-6)
 
+    def test_equality_and_hash(self):
+        # the four maxima are the whole value
+        args = (Mercator(), GeoRegion.from_degrees(20, 50, -30, 30), 9, 9)
+        a, b = euler_property_report(*args), euler_property_report(*args)
+        assert [f.name for f in dataclasses.fields(a)] == ["p1", "p2", "p3", "p4"]
+        assert a == b and hash(a) == hash(b)
+        assert a == PropertyReport(a.p1, a.p2, a.p3, a.p4)
+        c = euler_property_report(Mercator(), GeoRegion.from_degrees(20, 60, -30, 30), 9, 9)
+        assert a != c
+
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ParameterError):
             euler_property_report(
@@ -336,6 +349,38 @@ class TestScan:
         one = max_distortion_scan(proj, region, 7, 7)
         two = max_distortion_scan(proj, region, 7, 7)
         assert one == two
+
+    def test_ties_keep_the_first_grid_point(self):
+        # the grid is far finer than an ulp of the step, so every stencil
+        # reads the same floats and every sample of every field ties
+        proj, region = _Affine(1.3, 0.4, 0.2, -0.9), GeoRegion(0.0, 1e-30, 0.0, 1e-30)
+        rows = distortion_grid(proj, region, 3, 4)
+        assert len({sample for _, sample in rows}) == 1
+        assert len({c for c, _ in rows}) == 12
+        scan = max_distortion_scan(proj, region, 3, 4)
+        for field in _SCAN_FIELDS:
+            assert scan[field].argmin == scan[field].argmax == rows[0][0] == GeoCoord(0.0, 0.0)
+
+    @pytest.mark.parametrize("proj, region, shape", [
+        (EquidistantConic(math.radians(45), math.radians(60)),
+         GeoRegion.from_degrees(45, 70, -60, 60), (11, 13)),
+        # symmetric about the equator: every field has tied extremes
+        (Mercator(), GeoRegion.from_degrees(-60, 60, -180, 180), (9, 9)),
+    ], ids=["conic", "mercator-world"])
+    def test_matches_the_explicit_loop(self, proj, region, shape):
+        rows = distortion_grid(proj, region, *shape)
+        want = {}
+        for field in _SCAN_FIELDS:
+            lo_c, lo_v = rows[0][0], getattr(rows[0][1], field)
+            hi_c, hi_v = rows[0][0], getattr(rows[0][1], field)
+            for c, sample in rows[1:]:
+                v = getattr(sample, field)
+                if v < lo_v:
+                    lo_c, lo_v = c, v
+                if v > hi_v:
+                    hi_c, hi_v = c, v
+            want[field] = FieldRange(min_value=lo_v, max_value=hi_v, argmin=lo_c, argmax=hi_c)
+        assert max_distortion_scan(proj, region, *shape) == want
 
 
 class TestCsvExport:
