@@ -185,7 +185,7 @@ def _cmd_render(args) -> int:
     graticule = atlas.build_graticule(region, dphi, dlam, args.samples_per_degree)
     places: tuple = ()
     if args.gazetteer:
-        with open(args.gazetteer, "r", encoding="utf-8") as handle:
+        with open(args.gazetteer, "r", encoding="utf-8-sig") as handle:
             places = tuple(atlas.load_gazetteer(handle.read(), args.prime_meridian))
     arcs = []
     for spec in args.geodesic or ():
@@ -295,10 +295,7 @@ def main(argv=None) -> int:
     except UnknownFamilyError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except MapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

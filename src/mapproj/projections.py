@@ -12,6 +12,7 @@ Eleven families are implemented, each a frozen dataclass with ``forward`` and
 Families that share geometry share a base: ``_Azimuthal``; ``_Meridional``
 for the rest, which holds the central meridian ``lon0`` and the tear at its
 antimeridian; and ``_Conic`` for the apex-and-rays geometry of the two conics.
+Each field is declared once, on the class that introduces or re-defaults it.
 Each family writes its forward formula once, as the private float kernel
 ``_xy(lat, lon) -> (x, y)``; ``Projection.forward`` wraps it, and the sample
 loops of distortion analysis and curve projection call it directly.
@@ -75,7 +76,6 @@ _set_x = PlanePoint.__dict__["x"].__set__
 _set_y = PlanePoint.__dict__["y"].__set__
 
 
-@dataclass(frozen=True)
 class Projection:
     """Base interface: a forward map into the plane and its inverse.
 
@@ -114,11 +114,10 @@ class _OutOfDomain(DomainError):
         return f"{GeoCoord(lat, lon).describe()} outside {proj.family} domain: {why}"
 
 
-@dataclass(frozen=True)
 class _Meridional(Projection):
     """Base of the families laid out about a central meridian ``lon0``,
-    which each subclass declares in its own field order: lon0 is wrapped
-    once on construction, and the map tears along its antimeridian."""
+    declared by the dataclass under it: lon0 is wrapped once on
+    construction, and the map tears along its antimeridian."""
 
     def __post_init__(self):
         if not math.isfinite(self.lon0):
@@ -137,18 +136,12 @@ class _Meridional(Projection):
 @dataclass(frozen=True)
 class _Azimuthal(Projection):
     """Shared machinery: radial profile r(c) applied to the arc distance c
-    from the tangent point, direction taken from the local east/north frame."""
+    from the tangent point, direction taken from the local east/north frame.
+    A family's two hooks: ``_radial(c, lat, lon)`` returns r(c) or raises
+    ``_OutOfDomain`` for (lat, lon); ``_radial_inverse(r)`` returns c or
+    raises ``DomainError``."""
 
     center: GeoCoord = NORTH_POLE
-
-    def _radial(self, c: float) -> float:
-        raise NotImplementedError
-
-    def _radial_inverse(self, r: float) -> float:
-        raise NotImplementedError
-
-    def _check_distance(self, c: float, lat: float, lon: float) -> None:
-        raise NotImplementedError
 
     @cached_property
     def _frame(self) -> tuple[tuple[float, float, float], ...]:
@@ -167,11 +160,10 @@ class _Azimuthal(Projection):
         dot = px * cx + py * cy + pz * cz
         tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
         tnorm = math.sqrt(tx * tx + ty * ty + tz * tz)
-        dist = math.atan2(tnorm, dot)
-        self._check_distance(dist, lat, lon)
+        radius = self._radial(math.atan2(tnorm, dot), lat, lon)
         if tnorm < 1e-15:
             return 0.0, 0.0
-        r = self._radial(dist) / tnorm
+        r = radius / tnorm
         return r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
@@ -199,15 +191,13 @@ class Stereographic(_Azimuthal):
     center: GeoCoord = SOUTH_POLE
     family: ClassVar[str] = "stereographic"
 
-    def _radial(self, c: float) -> float:
+    def _radial(self, c: float, lat: float, lon: float) -> float:
+        if c >= math.pi - 1e-12:
+            raise _OutOfDomain(self, lat, lon, "the projection source maps to infinity")
         return 2.0 * math.tan(0.5 * c)
 
     def _radial_inverse(self, r: float) -> float:
         return 2.0 * math.atan(0.5 * r)
-
-    def _check_distance(self, c: float, lat: float, lon: float) -> None:
-        if c >= math.pi - 1e-12:
-            raise _OutOfDomain(self, lat, lon, "the projection source maps to infinity")
 
 
 @dataclass(frozen=True)
@@ -220,15 +210,13 @@ class Gnomonic(_Azimuthal):
     center: GeoCoord = SOUTH_POLE
     family: ClassVar[str] = "gnomonic"
 
-    def _radial(self, c: float) -> float:
+    def _radial(self, c: float, lat: float, lon: float) -> float:
+        if c >= HALF_PI - 1e-12:
+            raise _OutOfDomain(self, lat, lon, "on or beyond the horizon of the tangent point")
         return math.tan(c)
 
     def _radial_inverse(self, r: float) -> float:
         return math.atan(r)
-
-    def _check_distance(self, c: float, lat: float, lon: float) -> None:
-        if c >= HALF_PI - 1e-12:
-            raise _OutOfDomain(self, lat, lon, "on or beyond the horizon of the tangent point")
 
 
 @dataclass(frozen=True)
@@ -244,7 +232,6 @@ class CentralOnTangentPlane(Gnomonic):
     family: ClassVar[str] = "central"
 
 
-@dataclass(frozen=True)
 class Orthographic(_Azimuthal):
     """Parallel projection (center of projection at infinity) onto the plane
     through the sphere center perpendicular to ``center``; valid on the
@@ -252,7 +239,9 @@ class Orthographic(_Azimuthal):
 
     family: ClassVar[str] = "orthographic"
 
-    def _radial(self, c: float) -> float:
+    def _radial(self, c: float, lat: float, lon: float) -> float:
+        if c > HALF_PI + 1e-12:
+            raise _OutOfDomain(self, lat, lon, "on the hidden hemisphere")
         return math.sin(c)
 
     def _radial_inverse(self, r: float) -> float:
@@ -260,29 +249,22 @@ class Orthographic(_Azimuthal):
             raise DomainError(f"no preimage: radius {r:.9g} beyond the orthographic limb")
         return math.asin(min(1.0, r))
 
-    def _check_distance(self, c: float, lat: float, lon: float) -> None:
-        if c > HALF_PI + 1e-12:
-            raise _OutOfDomain(self, lat, lon, "on the hidden hemisphere")
 
-
-@dataclass(frozen=True)
 class LambertAzimuthalEqualArea(_Azimuthal):
     """Area-preserving azimuthal map; covers the whole sphere except the
     antipode of the center."""
 
     family: ClassVar[str] = "lambert_azimuthal_equal_area"
 
-    def _radial(self, c: float) -> float:
+    def _radial(self, c: float, lat: float, lon: float) -> float:
+        if c >= math.pi - 1e-12:
+            raise _OutOfDomain(self, lat, lon, "antipode of the center is excluded")
         return 2.0 * math.sin(0.5 * c)
 
     def _radial_inverse(self, r: float) -> float:
         if r > 2.0 + 1e-9:
             raise DomainError(f"no preimage: radius {r:.9g} beyond the equal-area disc")
         return 2.0 * math.asin(min(1.0, 0.5 * r))
-
-    def _check_distance(self, c: float, lat: float, lon: float) -> None:
-        if c >= math.pi - 1e-12:
-            raise _OutOfDomain(self, lat, lon, "antipode of the center is excluded")
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +281,10 @@ def _within_width(dlam: float, x: float) -> float:
 @dataclass(frozen=True)
 class _StandardParallel(_Meridional):
     """Base of the cylindrical families with x = cos(phi0) * (lon - lon0),
-    true to scale along the standard parallel ``phi0``."""
+    true to scale along the standard parallel ``phi0``; declares both fields."""
+
+    phi0: float = 0.0
+    lon0: float = 0.0
 
     def __post_init__(self):
         if not abs(self.phi0) < HALF_PI:  # NaN fails too
@@ -307,13 +292,10 @@ class _StandardParallel(_Meridional):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
 class Equirectangular(_StandardParallel):
     """Straight, evenly spaced meridians and parallels; true scale along all
     meridians and along the standard parallel phi0."""
 
-    phi0: float = 0.0
-    lon0: float = 0.0
     family: ClassVar[str] = "equirectangular"
 
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
@@ -358,12 +340,9 @@ class Mercator(_Meridional):
         return GeoCoord(lat, self.lon0 + dlam)
 
 
-@dataclass(frozen=True)
 class LambertCylindricalEqualArea(_StandardParallel):
     """Area-preserving cylindrical map, true scale on parallel phi0."""
 
-    phi0: float = 0.0
-    lon0: float = 0.0
     family: ClassVar[str] = "lambert_cylindrical_equal_area"
 
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
@@ -533,7 +512,6 @@ class EquidistantConic(_Conic):
         return max(-HALF_PI, min(HALF_PI, lat))
 
 
-@dataclass(frozen=True)
 class LambertConformalConic(_Conic):
     """Conformal conic with true scale on both standard parallels; poles are
     excluded (the near pole is the apex limit, the far one is at infinity).
@@ -555,10 +533,6 @@ class LambertConformalConic(_Conic):
     @cached_property
     def _cone(self) -> tuple[float, float]:
         return self._nF[0], self._nF[2]
-
-    @property
-    def cone_constant(self) -> float:
-        return self._nF[0]
 
     def _rho(self, lat: float) -> float:
         n, f, _ = self._nF
@@ -643,8 +617,9 @@ def parse_projection(text: str) -> Projection:
     Grammar: ``family key=value ...`` with whitespace-separated key=value
     pairs, all angles in decimal degrees. The keys of a family are the
     fields of its class, with ``phi0``, ``phi_a`` and ``phi_b`` spelled
-    ``lat0``, ``lat1`` and ``lat2``; fields without a default are required.
-    The azimuthal ``center`` is given as ``center=LAT,LON``.
+    ``lat0``, ``lat1`` and ``lat2``; fields without a default are required,
+    and no key may be given twice. The azimuthal ``center`` is given as
+    ``center=LAT,LON``.
 
     Example: ``"equidistant_conic lat1=45 lat2=60 lon0=90"``.
     """
@@ -672,6 +647,8 @@ def parse_projection(text: str) -> Projection:
                 f"parameter {key!r} not valid for {name}; allowed: "
                 + ", ".join(sorted(keys))
             )
+        if keys[key].name in values:
+            raise ParameterError(f"parameter {key!r} given twice")
         try:
             if key == "center":
                 lat_s, _, lon_s = raw.partition(",")

@@ -268,6 +268,23 @@ class TestRender:
         assert ">Moscow</text>" in out
         assert 'id="geodesics"' in out
 
+    def test_gazetteer_with_byte_order_mark(self, capsys, tmp_path):
+        # spreadsheet programs write UTF-8 CSV with a leading BOM
+        text = "name,lat,lon\nMoscow,55.75,37.6\n"
+        svgs = []
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            (tmp_path / f"{name}.csv").write_bytes(data)
+            code, _, err = run(
+                capsys, "render", "--proj", "equidistant_conic lat1=45 lat2=60 lon0=90",
+                "--region", "45:70,30:150", "--step", "10",
+                "--gazetteer", str(tmp_path / f"{name}.csv"),
+                "--out", str(tmp_path / f"{name}.svg"),
+            )
+            assert (code, err) == (0, "")
+            svgs.append((tmp_path / f"{name}.svg").read_bytes())
+        assert b">Moscow</text>" in svgs[0]
+        assert svgs[1] == svgs[0]
+
     def test_identical_invocations_identical_output(self, capsys):
         args = (
             "render", "--proj", "werner lon0=90", "--region", "10:60,30:150", "--step", "10"

@@ -35,7 +35,7 @@ from mapproj.atlas import project_polyline
 from mapproj.cli import main
 from mapproj.distortion import local_jacobian, tissot
 from mapproj.errors import DomainError, ParameterError
-from mapproj.geo import wrap_longitude
+from mapproj.geo import NORTH_POLE, SOUTH_POLE, wrap_longitude
 from mapproj.projections import FAMILIES, Projection
 from conftest import all_family_instances, sample_in_domain
 
@@ -614,6 +614,20 @@ class TestParseProjection:
         with pytest.raises(ParameterError):
             parse_projection("mercator lon0=abc")
 
+    @pytest.mark.parametrize("spec, key", [
+        ("equidistant_conic lat1=45 lat2=60 lat1=50", "lat1"),
+        ("gnomonic center=10,20 center=30,40", "center"),
+        ("mercator LON0=10 lon0=10", "lon0"),
+    ])
+    def test_repeated_key(self, spec, key, capsys):
+        with pytest.raises(ParameterError) as info:
+            parse_projection(spec)
+        assert str(info.value) == f"parameter {key!r} given twice"
+        assert main(["project", "--proj", spec, "--lat", "55", "--lon", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parameter {key!r} given twice\n"
+
     @pytest.mark.parametrize("spec", [
         "mercator lon0=inf",
         "werner lon0=nan",
@@ -664,7 +678,8 @@ SPEC_VALUES = {"lat0": "30", "lat1": "45", "lat2": "60", "lon0": "20", "cutoff":
 
 
 def _readme_spec_table():
-    """family -> (keys, required keys) from README's spec-string table."""
+    """family -> (keys, required keys, {key: default}) from README's
+    spec-string table."""
     section = README.read_text(encoding="utf-8").split("### Projection spec strings")[1]
     table = {}
     for line in section.split("\n### ")[0].splitlines():
@@ -673,9 +688,10 @@ def _readme_spec_table():
         _, families, keys, _ = line.split("|")
         head, marker, _ = keys.partition("(required)")
         required = re.findall(r"`([^`]+)`", head) if marker else []
+        defaults = dict(re.findall(r"`(\w+)` \(default ([-\d.]+)\)", keys))
         keys = [k.split("=")[0] for k in re.findall(r"`([^`]+)`", keys)]
         for family in re.findall(r"`([^`]+)`", families):
-            table[family] = (keys, required)
+            table[family] = (keys, required, defaults)
     return table
 
 
@@ -685,17 +701,26 @@ class TestReadmeSpecTable:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_keys_match_parser(self, family):
-        keys, required = _readme_spec_table()[family]
+        keys, required, defaults = _readme_spec_table()[family]
         spec = family + "".join(f" {k}={SPEC_VALUES[k]}" for k in keys)
         assert parse_projection(spec).family == family
         with pytest.raises(ParameterError) as info:
             parse_projection(f"{family} bogus=1")
-        assert str(info.value).endswith("; allowed: " + ", ".join(sorted(keys)))
+        head, _, allowed = str(info.value).partition("; allowed: ")
+        assert head == f"parameter 'bogus' not valid for {family}"
+        assert allowed.split(", ") == sorted(keys)
         if required:
             optional = "".join(f" {k}={SPEC_VALUES[k]}" for k in keys if k not in required)
             with pytest.raises(ParameterError, match=f"{family} requires "
                                + " and ".join(required)):
                 parse_projection(family + optional)
+        bare = parse_projection(family + "".join(f" {k}={SPEC_VALUES[k]}" for k in required))
+        for key, degrees in defaults.items():
+            field = {"lat0": "phi0", "lat1": "phi_a", "lat2": "phi_b"}.get(key, key)
+            assert getattr(bare, field) == math.radians(float(degrees))
+
+    def test_documents_a_default(self):
+        assert _readme_spec_table()["mercator"][2] == {"cutoff": "85"}
 
 
 # Every out-of-domain forward, with the exact text its error prints: the
@@ -940,3 +965,71 @@ class TestPlanePointMatchesGeneratedDataclass:
         assert dataclasses.astuple(p) == (0.5, -1.25)
         with pytest.raises(TypeError):
             PlanePoint(1.0)
+
+
+_C = GeoCoord(0.5, 1.0)
+_MISSING = dataclasses.MISSING
+# class, (field, default) pairs in order, constructor arguments, pinned repr
+VALUE_SEMANTICS = [
+    (Equirectangular, [("phi0", 0.0), ("lon0", 0.0)], (0.5, 1.0),
+     "Equirectangular(phi0=0.5, lon0=1.0)"),
+    (LambertCylindricalEqualArea, [("phi0", 0.0), ("lon0", 0.0)], (0.5, 1.0),
+     "LambertCylindricalEqualArea(phi0=0.5, lon0=1.0)"),
+    (Mercator, [("lon0", 0.0), ("cutoff", math.radians(85.0))], (1.0, 1.25),
+     "Mercator(lon0=1.0, cutoff=1.25)"),
+    (EquidistantConic, [("phi_a", _MISSING), ("phi_b", _MISSING), ("lon0", 0.0),
+                        ("cutoff", None)], (0.5, 1.0, 1.0, 1.25),
+     "EquidistantConic(phi_a=0.5, phi_b=1.0, lon0=1.0, cutoff=1.25)"),
+    (LambertConformalConic, [("phi_a", _MISSING), ("phi_b", _MISSING), ("lon0", 0.0)],
+     (0.5, 1.0, 1.0), "LambertConformalConic(phi_a=0.5, phi_b=1.0, lon0=1.0)"),
+    (Werner, [("lon0", 0.0)], (1.0,), "Werner(lon0=1.0)"),
+    (Stereographic, [("center", SOUTH_POLE)], (_C,),
+     "Stereographic(center=GeoCoord(lat=0.5, lon=1.0))"),
+    (Gnomonic, [("center", SOUTH_POLE)], (_C,), "Gnomonic(center=GeoCoord(lat=0.5, lon=1.0))"),
+    (CentralOnTangentPlane, [("center", NORTH_POLE)], (_C,),
+     "CentralOnTangentPlane(center=GeoCoord(lat=0.5, lon=1.0))"),
+    (Orthographic, [("center", NORTH_POLE)], (_C,),
+     "Orthographic(center=GeoCoord(lat=0.5, lon=1.0))"),
+    (LambertAzimuthalEqualArea, [("center", NORTH_POLE)], (_C,),
+     "LambertAzimuthalEqualArea(center=GeoCoord(lat=0.5, lon=1.0))"),
+]
+
+
+class TestFamilyValueSemantics:
+    """Each family behaves as a frozen dataclass of its parameters: named
+    fields with defaults, a pinned repr, equality and hash by class and
+    value, no assignment, and ``dataclasses.replace`` through __post_init__."""
+
+    def test_covers_every_family(self):
+        assert {cls.family for cls, *_ in VALUE_SEMANTICS} == set(FAMILIES)
+
+    @pytest.mark.parametrize("cls, defaults, args, text", VALUE_SEMANTICS,
+                             ids=[cls.__name__ for cls, *_ in VALUE_SEMANTICS])
+    def test_dataclass_behaviour(self, cls, defaults, args, text):
+        assert dataclasses.is_dataclass(cls)
+        assert [(f.name, f.default) for f in dataclasses.fields(cls)] == defaults
+        p = cls(*args)
+        assert repr(p) == text
+        assert p == cls(*args) and hash(p) == hash(cls(*args))
+        assert pickle.loads(pickle.dumps(p)) == p
+        for name, _ in defaults:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(p, name, getattr(p, name))
+        if "lon0" in p.__dataclass_fields__:
+            q = dataclasses.replace(p, lon0=7.0)
+            assert q.lon0 == wrap_longitude(7.0) != 7.0
+        else:
+            q = dataclasses.replace(p, center=GeoCoord(-0.25, -2.0))
+            assert q.center == GeoCoord(-0.25, -2.0)
+        assert type(q) is cls and q != p
+
+    @pytest.mark.parametrize("a, b", [
+        (Equirectangular(0.5, 1.0), LambertCylindricalEqualArea(0.5, 1.0)),
+        (Gnomonic(_C), CentralOnTangentPlane(_C)),
+        (EquidistantConic(0.5, 1.0), LambertConformalConic(0.5, 1.0)),
+    ])
+    def test_classes_sharing_fields_differ(self, a, b):
+        ta, tb = dataclasses.astuple(a), dataclasses.astuple(b)
+        shared = min(len(ta), len(tb))
+        assert ta[:shared] == tb[:shared]
+        assert a != b and b != a
