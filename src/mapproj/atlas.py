@@ -185,10 +185,11 @@ def load_gazetteer(text: str, prime_meridian_deg: float = 0.0) -> list[Gazetteer
 
     ``prime_meridian_deg`` is added to every longitude, converting
     coordinates referenced to another prime meridian into the standard one.
+    A leading byte-order mark, as spreadsheet programs write, is skipped.
     """
     numbered = [
         (i + 1, line)
-        for i, line in enumerate(text.splitlines())
+        for i, line in enumerate(text.removeprefix("\ufeff").splitlines())
         if line.strip() and not line.lstrip().startswith("#")
     ]
     if not numbered:

@@ -185,7 +185,7 @@ def _cmd_render(args) -> int:
     graticule = atlas.build_graticule(region, dphi, dlam, args.samples_per_degree)
     places: tuple = ()
     if args.gazetteer:
-        with open(args.gazetteer, "r", encoding="utf-8-sig") as handle:
+        with open(args.gazetteer, "r", encoding="utf-8") as handle:
             places = tuple(atlas.load_gazetteer(handle.read(), args.prime_meridian))
     arcs = []
     for spec in args.geodesic or ():

@@ -9,8 +9,10 @@ latitude-degree ratio (P4).
 Everything is measured on the unit sphere, so "no distortion" means scale
 exactly 1. The Jacobian is taken by finite differences (central, one-sided
 next to the antimeridian tear) of the projection's float kernel
-``_xy(lat, lon)``, so a new projection needs only its forward map: either the
-kernel, or just ``forward``, which the base class's fallback kernel calls.
+``_xy(lat, lon)``, at the fixed step :data:`STEP` of 1e-6 rad, shrunk once to
+1e-7 rad where the stencil leaves the domain. A new projection needs only its
+forward map: either the kernel, or just ``forward``, which the base class's
+fallback kernel calls.
 Analytic derivatives appear solely as test oracles. The sample loops, P1's
 meridian images included, run on bare floats; the public functions wrap the
 results in their types. Only :func:`local_jacobian`, which returns a numpy
@@ -31,7 +33,7 @@ from .projections import Projection
 if TYPE_CHECKING:
     import numpy
 
-DEFAULT_STEP = 1e-6
+STEP = 1e-6
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -97,19 +99,14 @@ class FieldRange:
     argmax: GeoCoord
 
 
-def _check_step(step: float) -> None:
-    if not 0.0 < step < math.inf:
-        raise ParameterError("step must be positive and finite")
-
-
-def _jacobian(xy, cut: float | None, lat: float, lon: float, step: float):
+def _jacobian(xy, cut: float | None, lat: float, lon: float):
     """(dx/dlat, dx/dlon, dy/dlat, dy/dlon) of the kernel ``xy`` at canonical
     floats; see :func:`local_jacobian`. The stencil's neighbours take the
     canonical form a GeoCoord would give them, since a step can cross a pole
     or the seam."""
     to_cut = math.inf if cut is None else wrap_longitude(lon - cut)
     last_error: DomainError | None = None
-    for s in (step, 0.1 * step):
+    for s in (STEP, 0.1 * STEP):
         if abs(to_cut) < 2.0 * s:
             # a sample on the cut maps with its western neighbours
             side = s if to_cut > 0.0 else -s
@@ -142,7 +139,7 @@ def _jacobian(xy, cut: float | None, lat: float, lon: float, step: float):
     )
 
 
-def local_jacobian(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> numpy.ndarray:
+def local_jacobian(proj: Projection, c: GeoCoord) -> numpy.ndarray:
     """2x2 matrix with columns d(x,y)/dlat and d(x,y)/dlon, by central
     differences. Within 2 steps of the antimeridian tear the longitude
     derivative is one-sided, (-3 f0 + 4 f1 - f2) / 2s, on the side the
@@ -151,16 +148,15 @@ def local_jacobian(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) ->
     before giving up. Returns a numpy array, importing numpy when called."""
     import numpy
 
-    _check_step(step)
-    xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, c.lat, c.lon, step)
+    xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, c.lat, c.lon)
     return numpy.array([[xp, xl], [yp, yl]])
 
 
-def _tissot(xy, cut: float | None, lat: float, lon: float, step: float) -> tuple[float, ...]:
+def _tissot(xy, cut: float | None, lat: float, lon: float) -> tuple[float, ...]:
     """The fields of :class:`DistortionSample`, in order, at canonical floats."""
     if abs(lat) >= HALF_PI - 1e-12:
         raise DomainError("parallel scale is undefined at the poles")
-    xp, xl, yp, yl = _jacobian(xy, cut, lat, lon, step)
+    xp, xl, yp, yl = _jacobian(xy, cut, lat, lon)
     cos_lat = math.cos(lat)
     xl, yl = xl / cos_lat, yl / cos_lat
     h = math.hypot(xp, yp)
@@ -175,7 +171,7 @@ def _tissot(xy, cut: float | None, lat: float, lon: float, step: float) -> tuple
     return h, k, theta_prime, 0.5 * (q + r), 0.5 * abs(q - r), omega, h * k * math.sin(theta_prime)
 
 
-def tissot(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> DistortionSample:
+def tissot(proj: Projection, c: GeoCoord) -> DistortionSample:
     """Scale factors and Tissot ellipse at a point.
 
     The Jacobian columns are normalized by the sphere's metric (1 along
@@ -186,26 +182,28 @@ def tissot(proj: Projection, c: GeoCoord, step: float = DEFAULT_STEP) -> Distort
     b = |q - r|/2 and sin(omega/2) = min(q, r)/max(q, r), which holds for a
     mirror-image Jacobian too and has no cancellation near a conformal point.
     """
-    _check_step(step)
-    return DistortionSample(*_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon, step))
+    return DistortionSample(*_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon))
 
 
 def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], list[float]]:
+    """The grid's latitudes and wrapped longitudes. A region's latitudes lie
+    in [-90°, 90°] and its longitudes are finite, so (lat, wrapped lon) is a
+    grid point's canonical form off the poles, where _tissot raises before
+    reading the longitude."""
     if nlat < 3 or nlon < 3:
         raise ParameterError(f"grid must be at least 3x3, got {nlat}x{nlon}")
     return (linspace(region.lat_lo, region.lat_hi, nlat),
-            linspace(region.lon_lo, region.lon_hi, nlon))
+            [wrap_longitude(lon) for lon in linspace(region.lon_lo, region.lon_hi, nlon)])
 
 
 def distortion_grid(
-    proj: Projection, region: GeoRegion, nlat: int, nlon: int, step: float = DEFAULT_STEP
+    proj: Projection, region: GeoRegion, nlat: int, nlon: int
 ) -> list[tuple[GeoCoord, DistortionSample]]:
     """Distortion samples on a regular grid, latitude-major order."""
-    _check_step(step)
     lats, lons = _grid_axes(region, nlat, nlon)
     xy, cut = proj._xy, proj.cut_longitude
     return [
-        (c, DistortionSample(*_tissot(xy, cut, c.lat, c.lon, step)))
+        (c, DistortionSample(*_tissot(xy, cut, c.lat, c.lon)))
         for lat in lats
         for lon in lons
         for c in (GeoCoord(lat, lon),)
@@ -213,7 +211,7 @@ def distortion_grid(
 
 
 def euler_property_report(
-    proj: Projection, region: GeoRegion, nlat: int, nlon: int, step: float = DEFAULT_STEP
+    proj: Projection, region: GeoRegion, nlat: int, nlon: int
 ) -> PropertyReport:
     """Maximum violations of the four desiderata over a sampled grid.
 
@@ -221,17 +219,12 @@ def euler_property_report(
     positive latitude extent; the report quantifies which combination the
     family sacrifices.
     """
-    _check_step(step)
     lats, lons = _grid_axes(region, nlat, nlon)
-    # a region's latitudes lie in [-90°, 90°] and its longitudes are finite,
-    # so (lat, wrapped lon) is a grid point's canonical form off the poles,
-    # where _tissot raises before reading the longitude
-    lons = [wrap_longitude(lon) for lon in lons]
     xy, cut = proj._xy, proj.cut_longitude
     p2 = p3 = p4 = 0.0
     for lat in lats:
         for lon in lons:
-            h, k, theta_prime, *_ = _tissot(xy, cut, lat, lon, step)
+            h, k, theta_prime, *_ = _tissot(xy, cut, lat, lon)
             p2 = max(p2, abs(h - 1.0))
             p3 = max(p3, abs(theta_prime - HALF_PI))
             p4 = max(p4, abs(k / h - 1.0))
@@ -246,12 +239,12 @@ _SCAN_FIELDS = ("h", "k", "theta_prime", "a", "b", "omega", "s")
 
 
 def max_distortion_scan(
-    proj: Projection, region: GeoRegion, nlat: int, nlon: int, step: float = DEFAULT_STEP
+    proj: Projection, region: GeoRegion, nlat: int, nlon: int
 ) -> dict[str, FieldRange]:
     """Per-field extremes of the distortion sample over a grid, with argmin
     and argmax locations. Ties keep the earliest grid point (latitude-major),
     so results are deterministic."""
-    rows = distortion_grid(proj, region, nlat, nlon, step)
+    rows = distortion_grid(proj, region, nlat, nlon)
     result: dict[str, FieldRange] = {}
     for field in _SCAN_FIELDS:
         values = [getattr(sample, field) for _, sample in rows]

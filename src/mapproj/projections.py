@@ -82,9 +82,18 @@ class Projection:
     A subclass implements ``_xy(lat, lon) -> (x, y)`` on the floats a
     :class:`GeoCoord` stores, raising ``DomainError`` outside its domain, or
     overrides ``forward`` alone, which the fallback ``_xy`` then calls.
+    Instances are immutable. On a family that inherits its frozen dataclass
+    methods from a base, those reject only the fields and pass any other name
+    on to ``__setattr__`` and ``__delattr__`` here, which reject it too.
     """
 
     family: ClassVar[str] = ""
+
+    def __setattr__(self, name, value):
+        raise dataclasses.FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise dataclasses.FrozenInstanceError(f"cannot delete field {name!r}")
 
     def forward(self, c: GeoCoord) -> PlanePoint:
         x, y = self._xy(c.lat, c.lon)

@@ -236,6 +236,13 @@ class TestGazetteer:
         text = "# capitals\n\nname,lat,lon\n# northern\nOslo,59.91,10.75\n"
         assert len(load_gazetteer(text)) == 1
 
+    @pytest.mark.parametrize("text", [
+        "name,lat,lon\nAlexandria,31.2,29.92\n",
+        "# capitals\nname,lat,lon\nAlexandria,31.2,29.92\n",
+    ], ids=["header first", "comment first"])
+    def test_byte_order_mark_skipped(self, text):
+        assert load_gazetteer("\ufeff" + text) == load_gazetteer(text)
+
     def test_lat_out_of_range_names_line(self):
         with pytest.raises(ParameterError, match=r"lat out of range, line 3"):
             load_gazetteer("name,lat,lon\nA,10,20\nY,95,10\n")

@@ -88,13 +88,13 @@ class TestLocalJacobian:
     def test_step_shrinks_once_at_domain_edge(self):
         proj = Mercator()  # cutoff at 85 deg
         edge = GeoCoord(proj.cutoff - 5e-7, 0.0)
-        jac = local_jacobian(proj, edge, step=1e-6)
+        jac = local_jacobian(proj, edge)
         assert np.isfinite(jac).all()
 
     def test_raises_after_single_shrink(self):
         proj = Mercator()
         with pytest.raises(DomainError):
-            local_jacobian(proj, GeoCoord(proj.cutoff - 1e-9, 0.0), step=1e-6)
+            local_jacobian(proj, GeoCoord(proj.cutoff - 1e-9, 0.0))
 
     @pytest.mark.parametrize("lon_deg", [180.0, -180.0, 180.0 - 1e-5, -180.0 + 1e-5])
     def test_conic_at_the_tear_matches_closed_form(self, lon_deg):
@@ -486,53 +486,6 @@ class TestKernelContract:
             counts.update(GeoCoord=0, PlanePoint=0)
             euler_property_report(proj, region, 7, 9)
             assert counts == {"GeoCoord": 0, "PlanePoint": 0}, proj.family
-
-
-def _counting_affine():
-    calls = []
-
-    @dataclass(frozen=True)
-    class Counting(_Affine):
-        def forward(self, c):
-            calls.append(c)
-            return super().forward(c)
-
-    return Counting(1.0, 0.2, 0.1, 1.0), calls
-
-
-BAD_STEPS = [0.0, -0.0, -1e-6, math.nan, math.inf, -math.inf]
-STEP_ENTRIES = {
-    "local_jacobian": lambda proj, step: local_jacobian(proj, GeoCoord(0.5, 0.5), step),
-    "tissot": lambda proj, step: tissot(proj, GeoCoord(0.5, 0.5), step),
-    "distortion_grid": lambda proj, step: distortion_grid(
-        proj, GeoRegion.from_degrees(0, 10, 0, 10), 3, 3, step),
-    "euler_property_report": lambda proj, step: euler_property_report(
-        proj, GeoRegion.from_degrees(0, 10, 0, 10), 3, 3, step),
-    "max_distortion_scan": lambda proj, step: max_distortion_scan(
-        proj, GeoRegion.from_degrees(0, 10, 0, 10), 3, 3, step),
-}
-
-
-class TestStepValidation:
-    @pytest.mark.parametrize("step", BAD_STEPS, ids=repr)
-    @pytest.mark.parametrize("entry", sorted(STEP_ENTRIES))
-    def test_bad_step_rejected_before_any_sample(self, entry, step):
-        proj, calls = _counting_affine()
-        with pytest.raises(ParameterError, match="^step must be positive and finite$"):
-            STEP_ENTRIES[entry](proj, step)
-        assert calls == []
-
-    @pytest.mark.parametrize("step", BAD_STEPS, ids=repr)
-    def test_bad_step_at_the_tear(self, step):
-        # a negative step used to skip the one-sided stencil here and return
-        # k of about 3.6e6 from differencing the two map edges
-        with pytest.raises(ParameterError, match="^step must be positive and finite$"):
-            tissot(EquidistantConic(math.radians(45), math.radians(60)),
-                   GeoCoord.from_degrees(50, 180), step)
-
-    def test_tiny_positive_step_still_accepted(self):
-        s = tissot(Mercator(), GeoCoord(0.0, 0.0), 1e-5)
-        assert s.h == pytest.approx(1.0, abs=1e-6)
 
 
 class TestDistortionSampleMatchesGeneratedDataclass:

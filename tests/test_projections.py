@@ -522,19 +522,6 @@ def _snyder_oblique(family, center, c):
     return k_prime * ex, k_prime * ny
 
 
-def _at_distance(center, dist, azimuth):
-    """The point at arc distance dist from center along the given azimuth."""
-    phi1 = center.lat
-    lat = math.asin(
-        math.sin(phi1) * math.cos(dist) + math.cos(phi1) * math.sin(dist) * math.cos(azimuth)
-    )
-    dlam = math.atan2(
-        math.sin(azimuth) * math.sin(dist) * math.cos(phi1),
-        math.cos(dist) - math.sin(phi1) * math.sin(lat),
-    )
-    return GeoCoord(lat, center.lon + dlam)
-
-
 class TestObliqueAzimuthalClosedForms:
     @pytest.mark.parametrize("family", sorted(_RADIAL))
     @pytest.mark.parametrize("center", _OBLIQUE_CENTERS, ids=str)
@@ -1015,6 +1002,10 @@ class TestFamilyValueSemantics:
         for name, _ in defaults:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(p, name, getattr(p, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.not_a_field = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del p.not_a_field
         if "lon0" in p.__dataclass_fields__:
             q = dataclasses.replace(p, lon0=7.0)
             assert q.lon0 == wrap_longitude(7.0) != 7.0
