@@ -23,6 +23,7 @@ from mapproj import (
 )
 from mapproj.conic_design import parallel_scale
 from mapproj.distortion import (
+    STEP,
     _SCAN_FIELDS,
     DistortionSample,
     FieldRange,
@@ -35,6 +36,7 @@ from mapproj.distortion import (
     tissot,
 )
 from mapproj.errors import DomainError, ParameterError
+from mapproj.geo import linspace, wrap_longitude
 from mapproj.projections import PlanePoint, Projection
 from conftest import all_family_instances
 
@@ -486,6 +488,94 @@ class TestKernelContract:
             counts.update(GeoCoord=0, PlanePoint=0)
             euler_property_report(proj, region, 7, 9)
             assert counts == {"GeoCoord": 0, "PlanePoint": 0}, proj.family
+
+
+def _counting_affine():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Counting(_Affine):
+        def forward(self, c):
+            calls.append(c)
+            return super().forward(c)
+
+    return Counting(1.0, 0.2, 0.1, 1.0), calls
+
+
+SMALL = GeoRegion.from_degrees(0, 10, 0, 10)
+ENTRIES = {
+    "local_jacobian": lambda proj, *extra, **kw: local_jacobian(
+        proj, GeoCoord(0.5, 0.5), *extra, **kw),
+    "tissot": lambda proj, *extra, **kw: tissot(proj, GeoCoord(0.5, 0.5), *extra, **kw),
+    "distortion_grid": lambda proj, *extra, **kw: distortion_grid(
+        proj, SMALL, 3, 3, *extra, **kw),
+    "euler_property_report": lambda proj, *extra, **kw: euler_property_report(
+        proj, SMALL, 3, 3, *extra, **kw),
+    "max_distortion_scan": lambda proj, *extra, **kw: max_distortion_scan(
+        proj, SMALL, 3, 3, *extra, **kw),
+}
+ENTRY_NODES = {
+    "local_jacobian": [(0.5, 0.5)],
+    "tissot": [(0.5, 0.5)],
+}
+# regions inside each family's domain that cross 180°: the polar azimuthal
+# aspects see one hemisphere
+SEAM_REGIONS = {"stereographic": (-70, -40, 150, 210), "gnomonic": (-70, -40, 150, 210),
+                "central": (40, 70, 150, 210), "orthographic": (40, 70, 150, 210)}
+FAMILIES = {proj.family: proj for proj in all_family_instances()}
+
+
+def _seam_region(family):
+    return GeoRegion.from_degrees(*SEAM_REGIONS.get(family, (10, 40, 150, 210)))
+
+
+class TestFixedStep:
+    """The Jacobian step is the constant STEP, and the grid entries all read
+    one canonical grid."""
+
+    @pytest.mark.parametrize("form", ["keyword", "positional"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_entry_takes_no_step(self, entry, form):
+        proj, calls = _counting_affine()
+        args, kwargs = ((), {"step": 1e-6}) if form == "keyword" else ((1e-6,), {})
+        with pytest.raises(TypeError):
+            ENTRIES[entry](proj, *args, **kwargs)
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_samples_one_step_from_a_node(self, entry):
+        proj, calls = _counting_affine()
+        ENTRIES[entry](proj)
+        axes = linspace(SMALL.lat_lo, SMALL.lat_hi, 3), linspace(SMALL.lon_lo, SMALL.lon_hi, 3)
+        nodes = ENTRY_NODES.get(entry, [(lat, lon) for lat in axes[0] for lon in axes[1]])
+        offsets = set()
+        for c in calls:
+            lat, lon = min(nodes, key=lambda n: (c.lat - n[0]) ** 2 + (c.lon - n[1]) ** 2)
+            offset = (round((c.lat - lat) / STEP), round((c.lon - lon) / STEP))
+            assert c.lat - lat == pytest.approx(offset[0] * STEP, abs=1e-12)
+            assert c.lon - lon == pytest.approx(offset[1] * STEP, abs=1e-12)
+            offsets.add(offset)
+        assert {(1, 0), (-1, 0), (0, 1), (0, -1)} <= offsets <= {
+            (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_grid_samples_equal_tissot_on_wrapped_longitudes(self, family):
+        proj, region = FAMILIES[family], _seam_region(family)
+        rows = distortion_grid(proj, region, 5, 7)
+        lons = [c.lon for c, _ in rows[:7]]
+        assert lons == [wrap_longitude(lon) for lon in linspace(region.lon_lo, region.lon_hi, 7)]
+        assert all(-math.pi < lon <= math.pi for lon in lons)
+        for c, sample in rows:
+            assert sample == tissot(proj, c), c
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_report_maxima_read_the_grid_samples(self, family):
+        proj, region = FAMILIES[family], _seam_region(family)
+        samples = [sample for _, sample in distortion_grid(proj, region, 5, 7)]
+        report = euler_property_report(proj, region, 5, 7)
+        assert report.p2 == max(abs(d.h - 1.0) for d in samples)
+        assert report.p3 == max(abs(d.theta_prime - math.pi / 2) for d in samples)
+        assert report.p4 == max(abs(d.k / d.h - 1.0) for d in samples)
 
 
 class TestDistortionSampleMatchesGeneratedDataclass:
