@@ -168,10 +168,11 @@ _DEG_MIN = re.compile(
 
 
 def _parse_coordinate(text: str, kind: str, line_no: int) -> float:
-    """Decimal degrees or degree-minute text to degrees."""
+    """Decimal degrees or degree-minute text to degrees. Minutes follow
+    whole degrees only and lie below 60."""
     text = text.strip()
     m = _DEG_MIN.match(text)
-    if m:
+    if m and not (m.group("min") and ("." in m.group("deg") or float(m.group("min")) >= 60.0)):
         value = float(m.group("deg")) + float(m.group("min") or 0.0) / 60.0
         return -value if m.group("sign") == "-" else value
     try:
@@ -239,41 +240,20 @@ def _fmt(v: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-class _SceneTransform:
-    """Map plane -> SVG pixels: uniform scale, margins, y flipped north-up."""
-
-    def __init__(self, xs, ys, scale: float, margin: float):
-        self.scale = scale
-        self.margin = margin
-        if xs:
-            self.min_x, self.max_y = min(xs), max(ys)
-            self.width = (max(xs) - min(xs)) * scale + 2 * margin
-            self.height = (max(ys) - min(ys)) * scale + 2 * margin
-        else:
-            self.min_x = self.max_y = 0.0
-            self.width = self.height = 2 * margin
-
-    def point(self, x: float, y: float) -> tuple[float, float]:
-        return (
-            self.margin + (x - self.min_x) * self.scale,
-            self.margin + (self.max_y - y) * self.scale,
-        )
+def _pixels(tr, xs, ys) -> tuple[list[float], list[float]]:
+    """Plane points to SVG pixels by ``tr = (margin, scale, min_x, max_y)``:
+    uniform scale, margins, y flipped north-up. Each pixel is margin + (a
+    nonnegative difference) * scale, so a polyline prints it without _fmt;
+    adding 0.0 turns a -0.0 margin into 0.0, which keeps a zero coordinate
+    from printing as -0.000000."""
+    margin, scale, min_x, max_y = tr
+    margin += 0.0
+    return [margin + (x - min_x) * scale for x in xs], [margin + (max_y - y) * scale for y in ys]
 
 
-def _path_linear(xs, ys, tr: _SceneTransform) -> str:
-    # tr.point inlined: this runs once per drawn sample. Both coordinates are
-    # margin + (a nonnegative difference) * scale, never negative, so they
-    # need no _fmt; adding 0.0 turns a -0.0 margin into 0.0, which keeps a
-    # zero coordinate from printing as -0.000000.
-    margin, scale, min_x, max_y = tr.margin + 0.0, tr.scale, tr.min_x, tr.max_y
-    return "M " + " L ".join([
-        "%.6f %.6f" % (margin + (x - min_x) * scale, margin + (max_y - y) * scale)
-        for x, y in zip(xs, ys)
-    ])
-
-
-def _path_arc(xs, ys, tr: _SceneTransform) -> str | None:
-    """Arc-command path for a circular segment, or None if it is not one."""
+def _path_arc(xs, ys, px, py, tr) -> str | None:
+    """Arc-command path for a circular segment, or None if it is not one.
+    The fit runs on the plane points ``xs, ys``; ``px, py`` are their pixels."""
     if len(xs) < 3:
         return None
     try:
@@ -282,35 +262,29 @@ def _path_arc(xs, ys, tr: _SceneTransform) -> str | None:
         return None
     if fit.collinear or fit.max_residual > ARC_RESIDUAL or fit.center is None:
         return None
-    cx, cy = tr.point(fit.center.x, fit.center.y)
-    radius = fit.radius * tr.scale
-    # tr.point inlined, as in _path_linear
-    margin, scale, min_x, max_y = tr.margin, tr.scale, tr.min_x, tr.max_y
-    angles = [
-        math.atan2(margin + (max_y - y) * scale - cy, margin + (x - min_x) * scale - cx)
-        for x, y in zip(xs, ys)
-    ]
+    (cx,), (cy,) = _pixels(tr, (fit.center.x,), (fit.center.y,))
+    angles = [math.atan2(y - cy, x - cx) for x, y in zip(px, py)]
     swept = 0.0
     for a0, a1 in zip(angles, angles[1:]):
         swept += wrap_longitude(a1 - a0)  # the turn between samples, in (-pi, pi]
     if abs(swept) >= 2 * math.pi - 0.1:
         return None
-    x0, y0 = tr.point(xs[0], ys[0])
-    x1, y1 = tr.point(xs[-1], ys[-1])
+    radius = fit.radius * tr[1]
     large_arc = 1 if abs(swept) > math.pi else 0
     sweep = 1 if swept > 0 else 0
     return (
-        f"M {_fmt(x0)} {_fmt(y0)} "
-        f"A {_fmt(radius)} {_fmt(radius)} 0 {large_arc} {sweep} {_fmt(x1)} {_fmt(y1)}"
+        f"M {_fmt(px[0])} {_fmt(py[0])} "
+        f"A {_fmt(radius)} {_fmt(radius)} 0 {large_arc} {sweep} {_fmt(px[-1])} {_fmt(py[-1])}"
     )
 
 
-def _curve_layer(name: str, segments, tr: _SceneTransform, style: str, arcs: bool) -> list[str]:
+def _curve_layer(name: str, segments, tr, style: str, arcs: bool) -> list[str]:
     lines = [f'  <g id="{name}" {style}>']
     for xs, ys in segments:
-        d = _path_arc(xs, ys, tr) if arcs else None
+        px, py = _pixels(tr, xs, ys)
+        d = _path_arc(xs, ys, px, py, tr) if arcs else None
         if d is None:
-            d = _path_linear(xs, ys, tr)
+            d = "M " + " L ".join("%.6f %.6f" % p for p in zip(px, py))
         lines.append(f'    <path d="{d}"/>')
     lines.append("  </g>")
     return lines
@@ -340,6 +314,7 @@ def render_svg(scene: MapScene) -> str:
         except DomainError:
             continue
         markers.append((p.x, p.y, entry.name))
+    marker_xs, marker_ys, names = zip(*markers) if markers else ((), (), ())
 
     # the bounds from each segment's extremes, then the markers
     xs: list[float] = []
@@ -347,14 +322,18 @@ def render_svg(scene: MapScene) -> str:
     for seg_x, seg_y in parallel_segs + meridian_segs + geodesic_segs:
         xs += (min(seg_x), max(seg_x))
         ys += (min(seg_y), max(seg_y))
-    xs += [x for x, _, _ in markers]
-    ys += [y for _, y, _ in markers]
-    tr = _SceneTransform(xs, ys, scene.scale, scene.margin)
+    xs += marker_xs
+    ys += marker_ys
+    min_x, max_y = min(xs, default=0.0), max(ys, default=0.0)
+    width = (max(xs, default=0.0) - min_x) * scene.scale + 2 * scene.margin
+    height = (max_y - min(ys, default=0.0)) * scene.scale + 2 * scene.margin
+    tr = (scene.margin, scene.scale, min_x, max_y)
+    pixels = list(zip(*_pixels(tr, marker_xs, marker_ys)))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="0 0 {_fmt(tr.width)} {_fmt(tr.height)}">',
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
     lines += _curve_layer(
         "parallels", parallel_segs, tr,
@@ -369,13 +348,11 @@ def render_svg(scene: MapScene) -> str:
         'fill="none" stroke="#b22222" stroke-width="1.0"', arcs=False,
     )
     lines.append('  <g id="points" fill="#1a1a1a">')
-    for px, py, _ in markers:
-        x, y = tr.point(px, py)
+    for x, y in pixels:
         lines.append(f'    <circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="2.5"/>')
     lines.append("  </g>")
     lines.append('  <g id="labels" font-family="sans-serif" font-size="10">')
-    for px, py, name in markers:
-        x, y = tr.point(px, py)
+    for (x, y), name in zip(pixels, names):
         lines.append(
             f'    <text x="{_fmt(x + 4.0)}" y="{_fmt(y - 4.0)}">{escape(name, quote=False)}</text>'
         )

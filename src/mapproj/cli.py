@@ -185,8 +185,13 @@ def _cmd_render(args) -> int:
     graticule = atlas.build_graticule(region, dphi, dlam, args.samples_per_degree)
     places: tuple = ()
     if args.gazetteer:
-        with open(args.gazetteer, "r", encoding="utf-8") as handle:
-            places = tuple(atlas.load_gazetteer(handle.read(), args.prime_meridian))
+        with open(args.gazetteer, "rb") as handle:
+            data = handle.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise MapError(f"{args.gazetteer}: not UTF-8 at byte offset {exc.start}") from None
+        places = tuple(atlas.load_gazetteer(text, args.prime_meridian))
     arcs = []
     for spec in args.geodesic or ():
         try:

@@ -39,10 +39,12 @@ def wrap_longitude(lon: float) -> float:
     """Reduce a longitude to the canonical interval (-pi, pi].
 
     A value already inside is returned as it was passed (``fmod`` would give
-    the same float back).
+    the same float back); NaN or an infinity raises :class:`DomainError`.
     """
     if -PI < lon <= PI:
         return lon
+    if not math.isfinite(lon):
+        raise DomainError(f"longitude {lon} is not finite")
     lon = math.fmod(lon, TWO_PI)
     if lon <= -PI:
         lon += TWO_PI

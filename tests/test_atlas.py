@@ -228,9 +228,11 @@ class TestGazetteer:
         assert entries[0].coord.lon_deg == pytest.approx(29.92)
 
     def test_degree_minute_parse(self):
-        entries = load_gazetteer("name,lat,lon\nX,60°30′,24°58′\n")
+        entries = load_gazetteer("name,lat,lon\nX,60°30′,24°58′\nY,60°59.9′,-0°0'\nZ,60.5°,0°\n")
         assert entries[0].coord.lat_deg == pytest.approx(60.5)
         assert entries[0].coord.lon_deg == pytest.approx(24.966666666666665)
+        assert entries[1].coord.lat_deg == pytest.approx(60 + 59.9 / 60)
+        assert entries[2].coord.lat_deg == pytest.approx(60.5)
 
     def test_comments_and_blanks_skipped(self):
         text = "# capitals\n\nname,lat,lon\n# northern\nOslo,59.91,10.75\n"
@@ -253,6 +255,13 @@ class TestGazetteer:
     def test_nan_names_line(self, row, column):
         with pytest.raises(ParameterError, match=rf"^{column} out of range, line 3$"):
             load_gazetteer(f"name,lat,lon\nA,10,20\n{row}\n")
+
+    @pytest.mark.parametrize("text", ["60°60′", "60°61′", "-60°75.5'", "60.5°30′", "60.0°0′"])
+    def test_malformed_degree_minutes_rejected(self, text):
+        # minutes lie below 60 and follow whole degrees; read as a sum, 60°61′
+        # would be 61.0167° and 60.5°30′ would be 61°
+        with pytest.raises(ParameterError, match=rf"^malformed lat {re.escape(repr(text))}, line 2$"):
+            load_gazetteer(f"name,lat,lon\nX,{text},10\n")
 
     def test_malformed_value_names_line(self):
         with pytest.raises(ParameterError, match=r"line 2"):

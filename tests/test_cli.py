@@ -2,13 +2,14 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from mapproj import EquidistantConic, GeoCoord, sample_great_circle
-from mapproj.cli import main
+from mapproj.cli import build_parser, main
 from mapproj.conic_design import LatBand
 from mapproj.errors import ParameterError
 
@@ -86,6 +87,16 @@ class TestInverse:
         )
         assert code == 1
         assert "no preimage" in err
+
+    @pytest.mark.parametrize("offset, shown", [("nan", "nan"), ("inf", "-inf"), ("-inf", "inf")])
+    def test_non_finite_prime_meridian_is_exit_one(self, capsys, offset, shown):
+        # the output longitude is lon - offset, which is NaN or an infinity
+        code, out, err = run(
+            capsys, f"--prime-meridian={offset}",
+            "inverse", "--proj", "mercator", "--x", "0.1", "--y", "0.2",
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: longitude {shown} is not finite\n"
 
 
 class TestDistance:
@@ -305,6 +316,17 @@ class TestRender:
         assert out == ""
         assert err == f"error: {column} out of range, line 2\n"
 
+    def test_gazetteer_not_utf8_is_exit_one(self, capsys, tmp_path):
+        gaz = tmp_path / "places.csv"
+        gaz.write_bytes("name,lat,lon\nMéxico,19.4,-99.1\n".encode("latin-1"))
+        code, out, err = run(
+            capsys, "render", "--proj", "werner", "--region", "10:60,30:150",
+            "--gazetteer", str(gaz),
+        )
+        assert (code, out) == (1, "")
+        # "\xe9" is the 15th byte
+        assert err == f"error: {gaz}: not UTF-8 at byte offset 14\n"
+
     def test_missing_gazetteer_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "render", "--proj", "werner", "--region", "10:60,30:150",
@@ -390,6 +412,44 @@ class TestNegativeValues:
         code, _, err = run(capsys, "project", "--proj", "mercator", "--lat", "-1e-3", "--lon")
         assert code == 2
         assert "argument --lon: expected one argument" in err
+
+
+def _readme_cli_examples():
+    """[argv, shown output or None] for each command of the sh block under
+    README's "## CLI", with backslash continuations joined; a "#" line right
+    after a command shows that command's output."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("#"):
+            examples[-1][1] = line.lstrip("#").strip()
+        elif line.strip():
+            examples.append([shlex.split(line), None])
+    return examples
+
+
+class TestReadmeExamples:
+    @pytest.mark.parametrize("argv, shown", [
+        pytest.param(argv, shown, id=argv[1]) for argv, shown in _readme_cli_examples()
+    ])
+    def test_example_runs(self, capsys, tmp_path, monkeypatch, argv, shown):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "places.csv").write_text(
+            "name,lat,lon\nMoscow,55.75,37.6\nTobolsk,58.2,68.25\n", encoding="utf-8"
+        )
+        assert argv[0] == "mapproj"
+        code, out, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, "")
+        if shown is not None:
+            assert out.strip() == shown
+
+    def test_every_subcommand_has_an_example(self):
+        examples = _readme_cli_examples()
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert sorted(argv[1] for argv, _ in examples) == sorted(subcommands)
+        assert [shown for _, shown in examples if shown] == ["x=0.174533 y=0.881374"]
 
 
 # runs commands in one fresh interpreter and reports, after the import and

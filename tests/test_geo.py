@@ -47,6 +47,13 @@ def test_wrap_longitude_fixed_points():
     assert wrap_longitude(3 * math.pi) == pytest.approx(math.pi)
 
 
+@pytest.mark.parametrize("lon", [math.nan, math.inf, -math.inf])
+def test_wrap_longitude_rejects_non_finite(lon):
+    # NaN would come back as NaN, and fmod raises a bare ValueError on an infinity
+    with pytest.raises(DomainError, match=rf"^longitude {lon} is not finite$"):
+        wrap_longitude(lon)
+
+
 def _fmod_wrap(lon):
     """wrap_longitude by its defining formula, for every input."""
     lon = math.fmod(lon, 2.0 * math.pi)
