@@ -4,8 +4,13 @@ and deterministic SVG export.
 A graticule is kept as its canonical float axes: the latitudes of its
 parallels, the longitudes of its meridians and the two sample axes. Its
 curves as tuples of ``GeoCoord`` are built from the axes on first read, and
-rendering never builds them: it projects the axes on floats, from the
-samples down to the path strings.
+rendering never builds them: it works on floats from the axes down to the
+path strings. Under the cylindrical and conic families (Equirectangular,
+Mercator, LambertCylindricalEqualArea, EquidistantConic,
+LambertConformalConic) a graticule projects as a tensor product: each
+parallel's ordinate or radius once per latitude, each meridian's abscissa or
+angle once per longitude. The azimuthal families and Werner, whose images
+do not separate so, project each curve sample by sample.
 
 The gazetteer format is CSV with header ``name,lat,lon``; coordinates are
 decimal degrees or degree-minute strings like ``60°30′``, and lines starting
@@ -42,7 +47,7 @@ from .geo import HALF_PI, GeoCoord, GeoRegion, linspace, sample_great_circle, wr
 # project_polyline is not used here: perfbench's tracer and
 # tests/test_projections.py import it from this module
 from .geodesics import _project_floats, _three_point_fit, project_polyline
-from .projections import Projection
+from .projections import Projection, _Conic, _Cylindrical
 
 # meridian curves stop this far (radians) from the singular pole points
 POLE_CLIP = 1e-6
@@ -68,6 +73,11 @@ class Graticule:
     lons: tuple[float, ...]
     lat_samples: tuple[float, ...]
     lon_samples: tuple[float, ...]
+
+    def __post_init__(self):
+        for axis in ("lats", "lons", "lat_samples", "lon_samples"):
+            if not all(map(math.isfinite, getattr(self, axis))):
+                raise ParameterError(f"graticule axis {axis} holds a non-finite value")
 
     @cached_property
     def parallels(self) -> tuple[tuple[GeoCoord, ...], ...]:
@@ -295,6 +305,82 @@ def _segments(proj: Projection, curves) -> list[tuple[list[float], list[float]]]
     return [seg for lats, lons in curves for seg in _project_floats(proj, lats, lons)[0]]
 
 
+def _project_graticule(proj: Projection, grat: Graticule) -> tuple[list, list]:
+    """The runs of the parallels and of the meridians, each list equal to
+    what :func:`_segments` gives for the curves.
+
+    On the conic and cylindrical kernels a latitude fixes the parallel's
+    radius or ordinate and a longitude fixes the angle or abscissa, so each
+    axis value is projected once and the curves are the tensor product:
+    the domain depends on latitude alone, which keeps or drops a parallel
+    whole and splits every meridian at the same samples; the tear depends
+    on longitude alone, which splits every parallel at the same samples
+    and no meridian. Other kernels project curve by curve.
+    """
+    kernel = type(proj)._xy
+    if kernel is not _Conic._xy and kernel is not _Cylindrical._xy:
+        return (
+            _segments(proj, ((repeat(lat), grat.lon_samples) for lat in grat.lats)),
+            _segments(proj, ((grat.lat_samples, repeat(lon)) for lon in grat.lons)),
+        )
+    conic = kernel is _Conic._xy
+    south = conic and proj._south
+
+    def profile(lat):
+        """The radius or ordinate of the parallel lat; None outside the domain."""
+        try:
+            if conic:
+                return proj._radius(-lat if south else lat, lat, 0.0)
+            return proj._ordinate(lat, 0.0)
+        except DomainError:
+            return None
+
+    # the runs of at least 2 samples, as [a, b) index ranges: the parallels
+    # split at the tear, found as _project_floats finds it, a jump of more
+    # than pi in the wrapped longitude between neighbours; the meridians
+    # break at every sample outside the domain
+    lon0 = wrap_longitude(proj.cut_longitude + math.pi)
+    u = [wrap_longitude(lon - lon0) for lon in grat.lon_samples]
+    cuts = [0] + [j for j in range(1, len(u)) if abs(u[j] - u[j - 1]) > math.pi] + [len(u)]
+    lon_runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= 2]
+    rows = [p for p in map(profile, grat.lats) if p is not None]
+    cols = list(map(profile, grat.lat_samples))
+    gaps = [-1] + [i for i, p in enumerate(cols) if p is None] + [len(cols)]
+    lat_runs = [(a + 1, b) for a, b in zip(gaps, gaps[1:]) if b - a > 2]
+
+    dlam = [wrap_longitude(lon - proj.lon0) for lon in grat.lon_samples]
+    if not conic:
+        k = proj._x_scale
+        xs = [d * k for d in dlam]
+        return (
+            [(xs[a:b], [y] * (b - a)) for y in rows for a, b in lon_runs],
+            [
+                ([wrap_longitude(lon - proj.lon0) * k] * (b - a), cols[a:b])
+                for lon in grat.lons for a, b in lat_runs
+            ],
+        )
+    # the conic placement of _Conic._xy, with the sine and cosine of each
+    # meridian angle taken once
+    n, rho_ref = proj._cone
+    thetas = [n * d for d in dlam]
+    sines, cosines = list(map(math.sin, thetas)), list(map(math.cos, thetas))
+    parallels = [
+        ([rho * s for s in sines[a:b]], [rho_ref - rho * c for c in cosines[a:b]])
+        for rho in rows for a, b in lon_runs
+    ]
+    meridians = []
+    for lon in grat.lons:
+        theta = n * wrap_longitude(lon - proj.lon0)
+        s, c = math.sin(theta), math.cos(theta)
+        meridians += [
+            ([rho * s for rho in cols[a:b]], [rho_ref - rho * c for rho in cols[a:b]])
+            for a, b in lat_runs
+        ]
+    if south:
+        return tuple([(xs, [-y for y in ys]) for xs, ys in segs] for segs in (parallels, meridians))
+    return parallels, meridians
+
+
 def render_svg(scene: MapScene) -> str:
     """Deterministic SVG 1.1 document for a scene; see the module docstring
     for the layout guarantees. Layers outside the projection domain are
@@ -303,8 +389,7 @@ def render_svg(scene: MapScene) -> str:
     grat = scene.graticule
     parallel_segs = meridian_segs = []
     if grat is not None:
-        parallel_segs = _segments(proj, ((repeat(lat), grat.lon_samples) for lat in grat.lats))
-        meridian_segs = _segments(proj, ((grat.lat_samples, repeat(lon)) for lon in grat.lons))
+        parallel_segs, meridian_segs = _project_graticule(proj, grat)
     arcs = (sample_great_circle(a, b, n) for a, b, n in scene.geodesics)
     geodesic_segs = _segments(proj, (([c.lat for c in s], [c.lon for c in s]) for s in arcs))
     markers: list[tuple[float, float, str]] = []
@@ -327,6 +412,12 @@ def render_svg(scene: MapScene) -> str:
     min_x, max_y = min(xs, default=0.0), max(ys, default=0.0)
     width = (max(xs, default=0.0) - min_x) * scene.scale + 2 * scene.margin
     height = (max_y - min(ys, default=0.0)) * scene.scale + 2 * scene.margin
+    if not (math.isfinite(width) and math.isfinite(height)):
+        # every pixel lies between the margins, so this bounds them all
+        raise ParameterError(
+            f"scale {scene.scale!r} and margin {scene.margin!r} give a map of "
+            f"{width!r} by {height!r} pixels, which is not finite"
+        )
     tr = (scene.margin, scene.scale, min_x, max_y)
     pixels = list(zip(*_pixels(tr, marker_xs, marker_ys)))
 

@@ -7,7 +7,7 @@ stderr, results to stdout or to --out.
 
 The heavier modules (distortion, geodesics, atlas) are imported by the
 commands that use them, which keeps ``import mapproj.cli`` light. No module
-imports numpy on load; only geodesic loads it, for its least-squares arc.
+imports numpy on load, and no command loads it.
 """
 
 from __future__ import annotations
@@ -152,7 +152,8 @@ def _cmd_geodesic(args) -> int:
     b = _coord(args, *_parse_latlon(args.dst))
     poly = geodesics.project_geodesic(proj, a, b, args.samples)
     report = geodesics.straightness(poly)
-    fit = geodesics.fit_circular_arc(poly)
+    # the primary fit alone: the least-squares fields are not printed
+    fit = geodesics._three_point_fit(*zip(*poly.single_segment))
     print(f"chord={report.chord:.6f} sagitta={report.sagitta:.6f} ratio={report.ratio:.9f}")
     if fit.collinear:
         print("arc: collinear (infinite radius)")
@@ -211,14 +212,18 @@ def _cmd_render(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reads every token that starts with "-" and a digit or ".digit" as a
-    value, so "--lat -1e-3" and "--region -30:40,-10:20" parse; argparse's
-    own test accepts only plain negative numbers. No option name starts that
-    way. Subparsers are built with the class of their parent."""
+    value, so "--lat -1e-3" and "--region -30:40,-10:20" parse, and so are
+    the whole tokens "-inf", "-infinity" and "-nan" in any case, which
+    ``float`` reads; argparse's own test accepts only plain negative
+    numbers. No option name starts that way. Subparsers are built with the
+    class of their parent."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # whole-token pattern, whether argparse applies match or fullmatch
-        self._negative_number_matcher = re.compile(r"-\.?\d.*", re.DOTALL)
+        self._negative_number_matcher = re.compile(
+            r"-(?:\.?\d.*|(?i:inf|infinity|nan)\Z)", re.DOTALL
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:

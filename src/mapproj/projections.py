@@ -11,7 +11,10 @@ Eleven families are implemented, each a frozen dataclass with ``forward`` and
 
 Families that share geometry share a base: ``_Azimuthal``; ``_Meridional``
 for the rest, which holds the central meridian ``lon0`` and the tear at its
-antimeridian; and ``_Conic`` for the apex-and-rays geometry of the two conics.
+antimeridian; ``_Cylindrical`` for the three cylindrical families, and
+``_Conic`` for the apex-and-rays geometry of the two conics. The profile
+hooks of these two (``_ordinate`` and ``_radius``) depend on latitude alone,
+which lets a graticule project as a tensor product of its axes.
 Each field is declared once, on the class that introduces or re-defaults it.
 Each family writes its forward formula once, as the private float kernel
 ``_xy(lat, lon) -> (x, y)``; ``Projection.forward`` wraps it, and the sample
@@ -287,8 +290,19 @@ def _within_width(dlam: float, x: float) -> float:
     return dlam
 
 
+class _Cylindrical(_Meridional):
+    """Base of the cylindrical families: x = ``_x_scale`` * (lon - lon0),
+    wrapped, and y = ``_ordinate(lat, lon)``, the family's profile. The
+    profile depends on lat alone; it raises ``_OutOfDomain``, naming the
+    point (lat, lon), where the domain ends."""
+
+    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
+        y = self._ordinate(lat, lon)
+        return wrap_longitude(lon - self.lon0) * self._x_scale, y
+
+
 @dataclass(frozen=True)
-class _StandardParallel(_Meridional):
+class _StandardParallel(_Cylindrical):
     """Base of the cylindrical families with x = cos(phi0) * (lon - lon0),
     true to scale along the standard parallel ``phi0``; declares both fields."""
 
@@ -300,6 +314,10 @@ class _StandardParallel(_Meridional):
             raise ParameterError("standard parallel must lie strictly between the poles")
         super().__post_init__()
 
+    @cached_property
+    def _x_scale(self) -> float:
+        return math.cos(self.phi0)
+
 
 class Equirectangular(_StandardParallel):
     """Straight, evenly spaced meridians and parallels; true scale along all
@@ -307,24 +325,26 @@ class Equirectangular(_StandardParallel):
 
     family: ClassVar[str] = "equirectangular"
 
-    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
-        return wrap_longitude(lon - self.lon0) * math.cos(self.phi0), lat
+    def _ordinate(self, lat: float, lon: float) -> float:
+        return lat
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         if not abs(p.y) <= HALF_PI + 1e-12:  # NaN fails too
             raise DomainError(f"no preimage: |y| = {abs(p.y):.9g} beyond the pole line")
-        dlam = _within_width(p.x / math.cos(self.phi0), p.x)
+        dlam = _within_width(p.x / self._x_scale, p.x)
         return GeoCoord(max(-HALF_PI, min(HALF_PI, p.y)), self.lon0 + dlam)
 
 
 @dataclass(frozen=True)
-class Mercator(_Meridional):
+class Mercator(_Cylindrical):
     """Conformal cylindrical map; loxodromes plot as straight lines. The
     poles are at infinite y, so a latitude cutoff bounds the domain."""
 
     lon0: float = 0.0
     cutoff: float = math.radians(85.0)
     family: ClassVar[str] = "mercator"
+    # x is the wrapped longitude itself: multiplying by 1.0 is exact
+    _x_scale: ClassVar[float] = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.cutoff < HALF_PI:
@@ -333,13 +353,13 @@ class Mercator(_Meridional):
             )
         super().__post_init__()
 
-    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
+    def _ordinate(self, lat: float, lon: float) -> float:
         if abs(lat) > self.cutoff:
             raise _OutOfDomain(
                 self, lat, lon, f"beyond the ±{math.degrees(self.cutoff):.4f}° cutoff"
             )
         # asinh(tan(lat)) == ln tan(pi/4 + lat/2), but exactly odd in floats
-        return wrap_longitude(lon - self.lon0), math.asinh(math.tan(lat))
+        return math.asinh(math.tan(lat))
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         dlam = _within_width(p.x, p.x)
@@ -354,12 +374,11 @@ class LambertCylindricalEqualArea(_StandardParallel):
 
     family: ClassVar[str] = "lambert_cylindrical_equal_area"
 
-    def _xy(self, lat: float, lon: float) -> tuple[float, float]:
-        cos0 = math.cos(self.phi0)
-        return wrap_longitude(lon - self.lon0) * cos0, math.sin(lat) / cos0
+    def _ordinate(self, lat: float, lon: float) -> float:
+        return math.sin(lat) / self._x_scale
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
-        cos0 = math.cos(self.phi0)
+        cos0 = self._x_scale
         sin_lat = p.y * cos0
         if not abs(sin_lat) <= 1.0 + 1e-9:  # NaN fails too
             raise DomainError(f"no preimage: y = {p.y:.9g} beyond the pole line")

@@ -4,6 +4,7 @@ import math
 import random
 import re
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from mapproj import (
     Stereographic,
     sample_great_circle,
 )
+from mapproj import projections
 from mapproj.atlas import (
     POLE_CLIP,
     GazetteerEntry,
+    Graticule,
     MapScene,
     _multiples,
     _samples,
@@ -33,7 +36,7 @@ from mapproj.atlas import (
 )
 from mapproj.distortion import tissot
 from mapproj.errors import DomainError, ParameterError
-from mapproj.geo import linspace, wrap_longitude
+from mapproj.geo import HALF_PI, linspace, wrap_longitude
 from mapproj.geodesics import PlanePolyline, _three_point_fit, fit_circular_arc, straightness
 from mapproj.projections import PlanePoint, parse_projection
 
@@ -390,32 +393,55 @@ class TestRenderSvg:
         assert "-0.000000" not in svg
         assert svg == render_svg(MapScene(margin=0.0, **curves))
 
-    def test_atlas_layers_are_reached_through_module_names(self, monkeypatch):
-        # render_svg reaches its two float boundaries, the curve projector and
-        # the primary arc fit, through these atlas module globals, so a tracer
-        # that patches them sees every curve and every fit
-        calls = {"_project_floats": 0, "_three_point_fit": 0}
-
-        def counting(name):
-            original = getattr(mapproj.atlas, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        scene = _delisle_scene()
-        grat = scene.graticule
-        fits = _arc_fits(scene)
-        for name in calls:
-            monkeypatch.setattr(mapproj.atlas, name, counting(name))
-        render_svg(scene)
-        # 6 parallels + 13 meridians + 1 geodesic, and one fit per parallel
-        assert calls["_project_floats"] == 20 == (
-            len(grat.lats) + len(grat.lons) + len(scene.geodesics)
+    @pytest.mark.parametrize("lon_hi, scale, margin, size", [
+        (10, 200.0, 1e308, "inf by inf"),
+        (180, 1e308, 20.0, "inf by 1.754258296518183e+307"),
+    ])
+    def test_non_finite_map_size_rejected(self, lon_hi, scale, margin, size):
+        region = GeoRegion.from_degrees(0, 10, 0, lon_hi)
+        scene = MapScene(
+            projection=Mercator(), scale=scale, margin=margin,
+            graticule=build_graticule(region, math.radians(10), math.radians(10)),
         )
-        assert calls["_three_point_fit"] == 6 == fits
+        with pytest.raises(ParameterError) as info:
+            render_svg(scene)
+        assert str(info.value) == (
+            f"scale {scale!r} and margin {margin!r} give a map of {size} pixels, "
+            "which is not finite"
+        )
+
+    def test_atlas_layers_are_reached_through_module_names(self, monkeypatch):
+        # render_svg reaches its float boundaries, the graticule projector,
+        # the curve projector and the primary arc fit, through these atlas
+        # module globals, so a tracer that patches them sees every call
+        delisle = _delisle_scene()
+        werner = replace(delisle, projection=parse_projection("werner lon0=90"))
+        grat = delisle.graticule
+        curves = len(grat.lats) + len(grat.lons)
+        # the conic projects its graticule as one tensor product and its
+        # geodesic as one curve; Werner projects every curve on its own
+        for scene, per_curve in ((delisle, 1), (werner, 1 + curves)):
+            calls = {"_project_graticule": 0, "_project_floats": 0, "_three_point_fit": 0}
+
+            def counting(name):
+                original = getattr(mapproj.atlas, name)
+
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return original(*args, **kwargs)
+
+                return wrapper
+
+            fits = _arc_fits(scene)
+            for name in calls:
+                monkeypatch.setattr(mapproj.atlas, name, counting(name))
+            render_svg(scene)
+            monkeypatch.undo()
+            # one fit per parallel segment of at least 3 points
+            assert calls == {
+                "_project_graticule": 1, "_project_floats": per_curve, "_three_point_fit": fits,
+            }
+        assert (curves, _arc_fits(delisle)) == (6 + 13, 6)
 
     def test_render_builds_no_per_sample_objects(self, monkeypatch):
         # only the place markers, the arc centres and the geodesic samples
@@ -786,6 +812,14 @@ class TestGraticuleValue:
         assert r.meridians == g.meridians
         assert dataclasses.replace(g) == g
 
+    @pytest.mark.parametrize("axis", ["lats", "lons", "lat_samples", "lon_samples"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_rejected(self, axis, value):
+        axes = dict(lats=(0.1,), lons=(0.2,), lat_samples=(0.0, 0.3), lon_samples=(0.0, 0.4))
+        axes[axis] += (value,)
+        with pytest.raises(ParameterError, match=f"graticule axis {axis} holds a non-finite value"):
+            Graticule(**axes)
+
     def test_curves_are_cached_tuples(self):
         g = build_graticule(BAND, math.radians(5), math.radians(10))
         curves = g.parallels + g.meridians
@@ -793,3 +827,88 @@ class TestGraticuleValue:
         assert all(type(c) is tuple for c in curves)
         assert g.parallels is g.parallels
         assert len(curves) == len(g.lats) + len(g.lons)
+
+
+# The graticule projector against the curve-by-curve projection, for every
+# family in FAMILIES: the spec strings below (angles in degrees) cover the
+# tear at +-180 degrees, southern conics, the Mercator and conic cutoffs, a
+# cone apex at 89.999999 degrees and oblique azimuthal limbs; a family not
+# listed is tested with its defaults.
+GRID_SPECS = {
+    "equirectangular": ("", "lat0=40 lon0=180"),
+    "mercator": ("lon0=30", "lon0=-179.9 cutoff=60"),
+    "lambert_cylindrical_equal_area": ("lat0=-30 lon0=-90",),
+    "equidistant_conic": (
+        "lat1=45 lat2=60 lon0=90", "lat1=-20 lat2=-50 lon0=180 cutoff=-70",
+        "lat1=60 lat2=89.999999 lon0=-100", "lat1=-60 lat2=-89.999999",
+    ),
+    "lambert_conformal_conic": ("lat1=30 lat2=60 lon0=-100", "lat1=-10 lat2=-40 lon0=180"),
+    "orthographic": ("", "center=35,60", "center=-20,179"),
+    "stereographic": ("", "center=10,-170"),
+    "gnomonic": ("", "center=50,20"),
+    "central": ("center=-45,100",),
+    "lambert_azimuthal_equal_area": ("center=0,180",),
+    "werner": ("", "lon0=-179"),
+}
+
+
+def _grid_graticules() -> list[Graticule]:
+    """Seeded regions, many across +-180 degrees, the world, and hand-built
+    axes: a single latitude, one-sample axes, and the poles themselves."""
+    rng = random.Random(1616)
+    grats = [build_graticule(WORLD, math.radians(15), math.radians(20), samples_per_degree=1.0)]
+    for _ in range(6):
+        lat_lo = rng.choice([-90.0, rng.uniform(-90, 60)])
+        lat_hi = rng.choice([90.0, rng.uniform(lat_lo + 1, 90)])
+        lon_lo = rng.uniform(-200, 180)
+        region = GeoRegion.from_degrees(lat_lo, lat_hi, lon_lo, lon_lo + rng.uniform(5, 360))
+        grats.append(build_graticule(
+            region, math.radians(rng.choice([5, 10, 15])), math.radians(rng.choice([10, 30])),
+            samples_per_degree=rng.choice([0.5, 1.0, 2.0]),
+        ))
+    poles = tuple(linspace(-HALF_PI, HALF_PI, 37))
+    round_the_world = tuple(linspace(-math.pi, math.pi, 49))
+    grats += [
+        Graticule(lats=(0.3,), lons=(1.0, -3.0), lat_samples=poles, lon_samples=round_the_world),
+        Graticule(lats=(-1.2, 0.5), lons=(2.0,), lat_samples=(0.2,), lon_samples=(2.5,)),
+        Graticule(lats=(-HALF_PI, 0.0, HALF_PI), lons=(math.pi, 0.0),
+                  lat_samples=poles, lon_samples=round_the_world),
+    ]
+    return grats
+
+
+def _hex_runs(segments):
+    return [([x.hex() for x in xs], [y.hex() for y in ys]) for xs, ys in segments]
+
+
+class TestProjectGraticule:
+    @pytest.mark.parametrize("family", sorted(projections.FAMILIES))
+    def test_equals_the_curve_by_curve_runs(self, family):
+        grats = _grid_graticules()
+        runs = 0
+        for params in GRID_SPECS.get(family, ("",)):
+            proj = parse_projection(f"{family} {params}")
+            for grat in grats:
+                parallels = mapproj.atlas._segments(
+                    proj, ((repeat(lat), grat.lon_samples) for lat in grat.lats))
+                meridians = mapproj.atlas._segments(
+                    proj, ((grat.lat_samples, repeat(lon)) for lon in grat.lons))
+                got = mapproj.atlas._project_graticule(proj, grat)
+                assert [_hex_runs(segs) for segs in got] == [
+                    _hex_runs(parallels), _hex_runs(meridians)
+                ], (params, grat)
+                runs += len(parallels) + len(meridians)
+        assert runs > 0
+
+    @pytest.mark.parametrize("spec", [
+        "equirectangular lat0=40", "mercator cutoff=60", "lambert_cylindrical_equal_area",
+        "equidistant_conic lat1=-45 lat2=-60", "lambert_conformal_conic lat1=30 lat2=60",
+    ])
+    def test_separable_families_project_no_curve(self, spec, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("projected curve by curve")
+
+        monkeypatch.setattr(mapproj.atlas, "_project_floats", refuse)
+        parallels, meridians = mapproj.atlas._project_graticule(
+            parse_projection(spec), build_graticule(WORLD, math.radians(30), math.radians(30)))
+        assert parallels and meridians

@@ -344,6 +344,16 @@ class TestRender:
         assert out == ""
         assert err == f"error: expected DPHI[,DLAM] in degrees, got {step!r}\n"
 
+    @pytest.mark.parametrize("region, option, value, shown", [
+        ("0:10,0:10", "--margin", "1e308", "scale 200.0 and margin 1e+308 give a map of inf by inf"),
+        ("0:10,0:180", "--scale", "1e308",
+         "scale 1e+308 and margin 20.0 give a map of inf by 1.754258296518183e+307"),
+    ], ids=["margin", "scale"])
+    def test_non_finite_map_size_is_exit_one(self, capsys, region, option, value, shown):
+        assert run(
+            capsys, "render", "--proj", "mercator", "--region", region, option, value
+        ) == (1, "", f"error: {shown} pixels, which is not finite\n")
+
     @pytest.mark.parametrize("option, value", [
         ("--step", "nan"),
         ("--step", "10,"),
@@ -407,11 +417,32 @@ class TestNegativeValues:
         assert shifted == direct
         assert shifted[0] == 0
 
+    @pytest.mark.parametrize("argv, shown", [
+        (("--prime-meridian", "-inf", "project", "--proj", "mercator", "--lat", "1", "--lon", "2"),
+         "coordinates must be finite"),
+        (("project", "--proj", "mercator", "--lat", "-inf", "--lon", "2"),
+         "coordinates must be finite"),
+        (("project", "--proj", "mercator", "--lat", "-Infinity", "--lon", "2"),
+         "coordinates must be finite"),
+        (("inverse", "--proj", "mercator", "--x", "-nan", "--y", "0"),
+         "no preimage: x = nan beyond the map width"),
+        (("inverse", "--proj", "mercator", "--x", "0", "--y", "-NaN"),
+         "no preimage: y = nan beyond the latitude cutoff"),
+    ])
+    def test_negative_non_finite_reaches_its_check(self, capsys, argv, shown):
+        # float reads -inf, -infinity and -nan, so the spaced form is a value
+        # as the joined one is, and the command rejects it: exit 1, not 2
+        assert run(capsys, *argv) == (1, "", f"error: {shown}\n")
+
     def test_option_names_still_parse(self, capsys):
         # a value that is missing altogether is still a usage error
         code, _, err = run(capsys, "project", "--proj", "mercator", "--lat", "-1e-3", "--lon")
         assert code == 2
         assert "argument --lon: expected one argument" in err
+        # a word that only starts like a non-finite number is not a value
+        code, _, err = run(capsys, "project", "--proj", "mercator", "--lat", "-infx", "--lon", "2")
+        assert code == 2
+        assert "argument --lat: expected one argument" in err
 
 
 def _readme_cli_examples():
@@ -470,9 +501,8 @@ print(json.dumps(report))
 
 
 def test_light_commands_start_without_numpy():
-    # every module imports without numpy, and every command but geodesic,
-    # whose least-squares arc refinement uses it, runs without it
-    light = [
+    # every module imports without numpy, and every command runs without it
+    commands = [
         ["project", "--proj", "mercator", "--lat", "45", "--lon", "10"],
         ["inverse", "--proj", "mercator", "--x", "0.1", "--y", "0.2"],
         ["distance", "--from", "10,20", "--to", "30,40"],
@@ -480,22 +510,21 @@ def test_light_commands_start_without_numpy():
         ["render", "--proj", "werner", "--region", "10:60,30:150", "--step", "10"],
         ["distortion", "--proj", "werner", "--region", "10:60,30:150", "--grid", "3x3"],
         ["properties", "--proj", "werner", "--region", "10:60,30:150", "--grid", "5x5"],
-    ]
-    heavy = [
         ["geodesic", "--proj", "equidistant_conic lat1=45 lat2=60 lon0=90",
          "--from", "55.75,37.6", "--to", "59.4,143.2"],
     ]
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(light + heavy)],
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report[:8] == [[name, 0, False] for name in (
+    assert report == [[name, 0, False] for name in (
         "import", "project", "inverse", "distance", "optimize", "render", "distortion",
-        "properties")]
-    assert report[8:] == [["geodesic", 0, True]]
+        "properties", "geodesic")]
+    assert sorted(name for name, *_ in report[1:]) == sorted(
+        build_parser()._subparsers._group_actions[0].choices)
 
 
 def test_atlas_import_loads_no_network_or_mail_modules():
