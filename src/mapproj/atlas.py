@@ -47,7 +47,7 @@ from .geo import HALF_PI, GeoCoord, GeoRegion, linspace, sample_great_circle, wr
 # project_polyline is not used here: perfbench's tracer and
 # tests/test_projections.py import it from this module
 from .geodesics import _project_floats, _three_point_fit, project_polyline
-from .projections import Projection, _Conic, _Cylindrical
+from .projections import Projection, _separable_profile
 
 # meridian curves stop this far (radians) from the singular pole points
 POLE_CLIP = 1e-6
@@ -317,23 +317,13 @@ def _project_graticule(proj: Projection, grat: Graticule) -> tuple[list, list]:
     on longitude alone, which splits every parallel at the same samples
     and no meridian. Other kernels project curve by curve.
     """
-    kernel = type(proj)._xy
-    if kernel is not _Conic._xy and kernel is not _Cylindrical._xy:
+    separable = _separable_profile(proj)
+    if separable is None:
         return (
             _segments(proj, ((repeat(lat), grat.lon_samples) for lat in grat.lats)),
             _segments(proj, ((grat.lat_samples, repeat(lon)) for lon in grat.lons)),
         )
-    conic = kernel is _Conic._xy
-    south = conic and proj._south
-
-    def profile(lat):
-        """The radius or ordinate of the parallel lat; None outside the domain."""
-        try:
-            if conic:
-                return proj._radius(-lat if south else lat, lat, 0.0)
-            return proj._ordinate(lat, 0.0)
-        except DomainError:
-            return None
+    conic, profile = separable
 
     # the runs of at least 2 samples, as [a, b) index ranges: the parallels
     # split at the tear, found as _project_floats finds it, a jump of more
@@ -376,7 +366,7 @@ def _project_graticule(proj: Projection, grat: Graticule) -> tuple[list, list]:
             ([rho * s for rho in cols[a:b]], [rho_ref - rho * c for rho in cols[a:b]])
             for a, b in lat_runs
         ]
-    if south:
+    if proj._south:
         return tuple([(xs, [-y for y in ys]) for xs, ys in segs] for segs in (parallels, meridians))
     return parallels, meridians
 

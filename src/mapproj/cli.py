@@ -211,19 +211,17 @@ def _cmd_render(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reads every token that starts with "-" and a digit or ".digit" as a
-    value, so "--lat -1e-3" and "--region -30:40,-10:20" parse, and so are
-    the whole tokens "-inf", "-infinity" and "-nan" in any case, which
-    ``float`` reads; argparse's own test accepts only plain negative
-    numbers. No option name starts that way. Subparsers are built with the
-    class of their parent."""
+    """Reads every token that starts with "-" and a digit, ".digit", "inf"
+    or "nan" (any case) as a value, so "--lat -1e-3", "--region
+    -30:40,-10:20", "--prime-meridian -infinity" and "--region
+    -inf:10,0:10" parse and reach the command's own checks; argparse's own
+    test accepts only plain negative numbers. No option name starts that
+    way. Subparsers are built with the class of their parent."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # whole-token pattern, whether argparse applies match or fullmatch
-        self._negative_number_matcher = re.compile(
-            r"-(?:\.?\d.*|(?i:inf|infinity|nan)\Z)", re.DOTALL
-        )
+        self._negative_number_matcher = re.compile(r"-(?:\.?\d|(?i:inf|nan)).*", re.DOTALL)
 
 
 def build_parser() -> argparse.ArgumentParser:

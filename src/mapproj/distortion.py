@@ -17,18 +17,28 @@ Analytic derivatives appear solely as test oracles. The sample loops, P1's
 meridian images included, run on bare floats; the public functions wrap the
 results in their types. Only :func:`local_jacobian`, which returns a numpy
 array, imports numpy, and only when called.
+
+A grid (:func:`distortion_grid`, :func:`euler_property_report`) is evaluated
+by one routine, with the same results as sample by sample. On the separable
+conic and cylindrical kernels the stencil is built per axis: each row's
+profile and each column's angle or abscissa are evaluated once. Other
+kernels take the central stencil directly. Samples at the edges (near a
+pole or the cut, or where the stencil leaves the domain) take the full
+routine with its one-sided rule and step shrink. A grid of more than
+:data:`MAX_GRID_SAMPLES` samples is refused before it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParameterError
 from .geo import HALF_PI, PI, GeoCoord, GeoRegion, _canonical, linspace, wrap_longitude
 from .geodesics import _deviations
-from .projections import Projection
+from .projections import Projection, _separable_profile
 
 if TYPE_CHECKING:
     import numpy
@@ -156,7 +166,12 @@ def _tissot(xy, cut: float | None, lat: float, lon: float) -> tuple[float, ...]:
     """The fields of :class:`DistortionSample`, in order, at canonical floats."""
     if abs(lat) >= HALF_PI - 1e-12:
         raise DomainError("parallel scale is undefined at the poles")
-    xp, xl, yp, yl = _jacobian(xy, cut, lat, lon)
+    return _fields(lat, lon, *_jacobian(xy, cut, lat, lon))
+
+
+def _fields(lat: float, lon: float, xp: float, xl: float, yp: float, yl: float
+            ) -> tuple[float, ...]:
+    """The fields of :class:`DistortionSample` from the Jacobian at (lat, lon)."""
     cos_lat = math.cos(lat)
     xl, yl = xl / cos_lat, yl / cos_lat
     h = math.hypot(xp, yp)
@@ -185,6 +200,10 @@ def tissot(proj: Projection, c: GeoCoord) -> DistortionSample:
     return DistortionSample(*_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon))
 
 
+# _grid_axes refuses a grid of more samples than this before building it
+MAX_GRID_SAMPLES = 10_000_000
+
+
 def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], list[float]]:
     """The grid's latitudes and wrapped longitudes. A region's latitudes lie
     in [-90°, 90°] and its longitudes are finite, so (lat, wrapped lon) is a
@@ -192,8 +211,81 @@ def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], li
     reading the longitude."""
     if nlat < 3 or nlon < 3:
         raise ParameterError(f"grid must be at least 3x3, got {nlat}x{nlon}")
+    if nlat * nlon > MAX_GRID_SAMPLES:
+        raise ParameterError(
+            f"grid of {nlat}x{nlon} = {nlat * nlon} samples exceeds the cap of "
+            f"{MAX_GRID_SAMPLES} samples"
+        )
     return (linspace(region.lat_lo, region.lat_hi, nlat),
             [wrap_longitude(lon) for lon in linspace(region.lon_lo, region.lon_hi, nlon)])
+
+
+def _grid(proj: Projection, lats: list[float], lons: list[float]):
+    """The :func:`_tissot` fields at each point of the grid ``lats`` x
+    ``lons`` (canonical floats), latitude-major, to the bit.
+
+    A sample whose stencil stays off the poles and at least 2 steps off the
+    cut takes _jacobian's first, central stencil on the canonical
+    neighbours _jacobian takes. A separable kernel's four images are
+    assembled with _xy's own operations from the profile at lat and
+    lat +- STEP, evaluated once per row, and the angle or abscissa at lon
+    and lon +- STEP, once per column; any other kernel makes the four
+    calls. Every other sample runs _tissot: a row near a pole or whose
+    profile fails, a column near the cut, a stencil that raises
+    DomainError. A degenerate Jacobian raises as in _tissot.
+    """
+    xy, cut = proj._xy, proj.cut_longitude
+    s, inv = STEP, 0.5 / STEP
+    # each row's stencil latitudes and each column's canonical stencil
+    # longitudes, as _jacobian takes them; None where _tissot must run
+    rows = [(lat, lat + s, lat - s) if -HALF_PI < lat - s and lat + s < HALF_PI else None
+            for lat in lats]
+    cols = [(lon, wrap_longitude(lon + s), wrap_longitude(lon - s))
+            if cut is None or abs(wrap_longitude(lon - cut)) >= 2.0 * s else None
+            for lon in lons]
+    separable = _separable_profile(proj)
+    if separable is None:
+        def stencil(row, col):
+            (p0, pn, ps), (q0, qe, qw) = row, col
+            (x_n, y_n), (x_s, y_s) = xy(pn, q0), xy(ps, q0)
+            (x_e, y_e), (x_w, y_w) = xy(p0, qe), xy(p0, qw)
+            return (x_n - x_s) * inv, (x_e - x_w) * inv, (y_n - y_s) * inv, (y_e - y_w) * inv
+    else:
+        conic, profile = separable
+        # a row whose profile fails anywhere on its stencil takes _tissot
+        profiles = [row and tuple(map(profile, row)) for row in rows]
+        rows = [p if p and None not in p else None for p in profiles]
+        lon0 = proj.lon0
+        dlams = [col and [wrap_longitude(q - lon0) for q in col] for col in cols]
+        if conic:
+            n, rho_ref = proj._cone
+            # -1.0 * y is -y to the bit: the south mirror of _Conic._xy
+            m = -1.0 if proj._south else 1.0
+            cols = [d and [(math.sin(n * v), math.cos(n * v)) for v in d] for d in dlams]
+
+            def stencil(row, col):
+                (r0, rn, rs), ((s0, c0), (se, ce), (sw, cw)) = row, col
+                return ((rn * s0 - rs * s0) * inv, (r0 * se - r0 * sw) * inv,
+                        (m * (rho_ref - rn * c0) - m * (rho_ref - rs * c0)) * inv,
+                        (m * (rho_ref - r0 * ce) - m * (rho_ref - r0 * cw)) * inv)
+        else:
+            k = proj._x_scale
+            cols = [d and [v * k for v in d] for d in dlams]
+
+            def stencil(row, col):
+                (y0, yn, ys), (x0, xe, xw) = row, col
+                return (x0 - x0) * inv, (xe - xw) * inv, (yn - ys) * inv, (y0 - y0) * inv
+    for lat, row in zip(lats, rows):
+        for lon, col in zip(lons, cols):
+            if row is not None and col is not None:
+                try:
+                    jacobian = stencil(row, col)
+                except DomainError:
+                    pass
+                else:
+                    yield _fields(lat, lon, *jacobian)
+                    continue
+            yield _tissot(xy, cut, lat, lon)
 
 
 def distortion_grid(
@@ -201,12 +293,9 @@ def distortion_grid(
 ) -> list[tuple[GeoCoord, DistortionSample]]:
     """Distortion samples on a regular grid, latitude-major order."""
     lats, lons = _grid_axes(region, nlat, nlon)
-    xy, cut = proj._xy, proj.cut_longitude
     return [
-        (c, DistortionSample(*_tissot(xy, cut, c.lat, c.lon)))
-        for lat in lats
-        for lon in lons
-        for c in (GeoCoord(lat, lon),)
+        (GeoCoord(lat, lon), DistortionSample(*fields))
+        for (lat, lon), fields in zip(product(lats, lons), _grid(proj, lats, lons))
     ]
 
 
@@ -220,14 +309,12 @@ def euler_property_report(
     family sacrifices.
     """
     lats, lons = _grid_axes(region, nlat, nlon)
-    xy, cut = proj._xy, proj.cut_longitude
     p2 = p3 = p4 = 0.0
-    for lat in lats:
-        for lon in lons:
-            h, k, theta_prime, *_ = _tissot(xy, cut, lat, lon)
-            p2 = max(p2, abs(h - 1.0))
-            p3 = max(p3, abs(theta_prime - HALF_PI))
-            p4 = max(p4, abs(k / h - 1.0))
+    for h, k, theta_prime, *_ in _grid(proj, lats, lons):
+        p2 = max(p2, abs(h - 1.0))
+        p3 = max(p3, abs(theta_prime - HALF_PI))
+        p4 = max(p4, abs(k / h - 1.0))
+    xy = proj._xy
     p1 = 0.0
     for lon in lons:
         chord, dev = _deviations(*zip(*[xy(lat, lon) for lat in lats]))
@@ -258,11 +345,13 @@ def max_distortion_scan(
 def grid_to_csv(rows: list[tuple[GeoCoord, DistortionSample]]) -> str:
     """CSV rendering of a distortion grid; angles in degrees, scales raw.
     No field is ever quoted: every one is a formatted number."""
+    degrees = math.degrees
     lines = ["lat_deg,lon_deg,h,k,theta_prime_deg,a,b,omega_deg,s"]
-    lines += (
-        f"{c.lat_deg:.6f},{c.lon_deg:.6f},{d.h:.12g},{d.k:.12g},"
-        f"{math.degrees(d.theta_prime):.12g},{d.a:.12g},{d.b:.12g},"
-        f"{math.degrees(d.omega):.12g},{d.s:.12g}"
+    lines += [
+        "%.6f,%.6f,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g" % (
+            degrees(c.lat), degrees(c.lon), d.h, d.k, degrees(d.theta_prime),
+            d.a, d.b, degrees(d.omega), d.s,
+        )
         for c, d in rows
-    )
+    ]
     return "\n".join(lines) + "\n"

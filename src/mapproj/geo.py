@@ -123,6 +123,9 @@ class GeoRegion:
     lon_hi: float
 
     def __post_init__(self):
+        for name in ("lat_lo", "lat_hi", "lon_lo", "lon_hi"):
+            if math.isnan(getattr(self, name)):
+                raise ParameterError(f"region bound {name} is not a number")
         if not (-HALF_PI <= self.lat_lo < self.lat_hi <= HALF_PI):
             raise ParameterError("latitude bounds must satisfy -90 <= lo < hi <= 90")
         if not self.lon_lo < self.lon_hi:

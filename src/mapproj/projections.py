@@ -14,7 +14,8 @@ for the rest, which holds the central meridian ``lon0`` and the tear at its
 antimeridian; ``_Cylindrical`` for the three cylindrical families, and
 ``_Conic`` for the apex-and-rays geometry of the two conics. The profile
 hooks of these two (``_ordinate`` and ``_radius``) depend on latitude alone,
-which lets a graticule project as a tensor product of its axes.
+which lets a graticule or a distortion grid be evaluated as a tensor product
+of its axes (``_separable_profile``).
 Each field is declared once, on the class that introduces or re-defaults it.
 Each family writes its forward formula once, as the private float kernel
 ``_xy(lat, lon) -> (x, y)``; ``Projection.forward`` wraps it, and the sample
@@ -574,6 +575,39 @@ class LambertConformalConic(_Conic):
     def _latitude(self, rho: float) -> float:
         n, f, _ = self._nF
         return 2.0 * math.atan((f / rho) ** (1.0 / n)) - HALF_PI
+
+
+def _separable_profile(proj: Projection):
+    """``(conic, profile)`` if the kernel of ``proj`` is a tensor product of
+    its axes, else None.
+
+    Under ``_Conic._xy`` and ``_Cylindrical._xy`` the image of (lat, lon)
+    depends on lat only through the parallel's radius (the south mirror
+    applied) or its ordinate, and on lon only through the wrapped
+    lon - lon0; the domain depends on lat alone. ``profile(lat)`` is that
+    radius or ordinate, or None where the kernel rejects the parallel.
+    """
+    kernel = type(proj)._xy
+    if kernel is _Conic._xy:
+        radius, south = proj._radius, proj._south
+
+        def at(lat):
+            return radius(-lat if south else lat, lat, 0.0)
+    elif kernel is _Cylindrical._xy:
+        ordinate = proj._ordinate
+
+        def at(lat):
+            return ordinate(lat, 0.0)
+    else:
+        return None
+
+    def profile(lat: float) -> float | None:
+        try:
+            return at(lat)
+        except DomainError:
+            return None
+
+    return kernel is _Conic._xy, profile
 
 
 # ---------------------------------------------------------------------------

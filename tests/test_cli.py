@@ -144,6 +144,15 @@ class TestDistortion:
             "ff9616c29616ee92d6449265ae2aca4321ad6aa2703834e7ce1eb9a3351892bb"
         )
 
+    @pytest.mark.parametrize("command", ["distortion", "properties"])
+    def test_grid_above_the_cap_is_refused(self, capsys, command):
+        # refused from the two sizes alone, before the axes are built
+        code, out, err = run(capsys, command, "--proj", "mercator",
+                             "--region", "0:10,0:10", "--grid", "11x909091")
+        assert (code, out) == (1, "")
+        assert err == ("error: grid of 11x909091 = 10000001 samples exceeds the cap of "
+                       "10000000 samples\n")
+
 
 class TestProperties:
     def test_report_lines(self, capsys):
@@ -439,10 +448,26 @@ class TestNegativeValues:
         code, _, err = run(capsys, "project", "--proj", "mercator", "--lat", "-1e-3", "--lon")
         assert code == 2
         assert "argument --lon: expected one argument" in err
-        # a word that only starts like a non-finite number is not a value
+        # a word that starts like a non-finite number is read as a value,
+        # which float then refuses: a usage error that names the word
         code, _, err = run(capsys, "project", "--proj", "mercator", "--lat", "-infx", "--lon", "2")
         assert code == 2
-        assert "argument --lat: expected one argument" in err
+        assert "argument --lat: invalid float value: '-infx'" in err
+
+    @pytest.mark.parametrize("bounds, shown", [
+        ("-inf:10,0:10", "latitude bounds must satisfy -90 <= lo < hi <= 90"),
+        ("-Infinity:10,0:10", "latitude bounds must satisfy -90 <= lo < hi <= 90"),
+        ("0:10,-inf:10", "longitude span exceeds 360°"),
+        ("-nan:10,0:10", "region bound lat_lo is not a number"),
+        ("0:10,-NaN:10", "region bound lon_lo is not a number"),
+        ("0:10,0:nan", "region bound lon_hi is not a number"),
+    ])
+    @pytest.mark.parametrize("joined", [False, True], ids=["spaced", "joined"])
+    def test_non_finite_region_reaches_its_check(self, capsys, bounds, shown, joined):
+        # a region that starts with -inf or -nan is a value in both
+        # spellings; GeoRegion names a NaN bound before any ordering check
+        region = (f"--region={bounds}",) if joined else ("--region", bounds)
+        assert run(capsys, "render", "--proj", "mercator", *region) == (1, "", f"error: {shown}\n")
 
 
 def _readme_cli_examples():

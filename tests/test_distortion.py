@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -22,7 +23,9 @@ from mapproj import (
     parse_projection,
 )
 from mapproj.conic_design import parallel_scale
+from mapproj import distortion
 from mapproj.distortion import (
+    MAX_GRID_SAMPLES,
     STEP,
     _SCAN_FIELDS,
     DistortionSample,
@@ -35,9 +38,9 @@ from mapproj.distortion import (
     max_distortion_scan,
     tissot,
 )
-from mapproj.errors import DomainError, ParameterError
-from mapproj.geo import linspace, wrap_longitude
-from mapproj.projections import PlanePoint, Projection
+from mapproj.errors import DomainError, MapError, ParameterError
+from mapproj.geo import HALF_PI, linspace, wrap_longitude
+from mapproj.projections import PlanePoint, Projection, _Conic, _Cylindrical
 from conftest import all_family_instances
 
 
@@ -470,7 +473,8 @@ class TestKernelContract:
             tissot(Projection(), GeoCoord(0.5, 0.5))
 
     def test_report_loop_builds_no_point_objects(self, monkeypatch):
-        # the Tissot loop and P1's meridian images run on floats
+        # the Tissot loop and P1's meridian images run on floats; the grid
+        # builds one GeoCoord per returned row
         counts = {"GeoCoord": 0, "PlanePoint": 0}
         for cls in (GeoCoord, PlanePoint):
             def counting(self, *args, _init=cls.__init__, _name=cls.__name__):
@@ -488,6 +492,8 @@ class TestKernelContract:
             counts.update(GeoCoord=0, PlanePoint=0)
             euler_property_report(proj, region, 7, 9)
             assert counts == {"GeoCoord": 0, "PlanePoint": 0}, proj.family
+            assert len(distortion_grid(proj, region, 7, 9)) == 63
+            assert counts == {"GeoCoord": 63, "PlanePoint": 0}, proj.family
 
 
 def _counting_affine():
@@ -576,6 +582,175 @@ class TestFixedStep:
         assert report.p2 == max(abs(d.h - 1.0) for d in samples)
         assert report.p3 == max(abs(d.theta_prime - math.pi / 2) for d in samples)
         assert report.p4 == max(abs(d.k / d.h - 1.0) for d in samples)
+
+
+# The grid routine against per-sample tissot on every family, with southern
+# conics, both cutoffs, a conic whose apex lies 5e-8 degrees beyond the pole,
+# oblique and polar orthographic limbs and a forward-only map (angles in
+# degrees).
+SWEEP_SPECS = (
+    "equirectangular lat0=30 lon0=10", "mercator lon0=-20", "mercator lon0=-179.9 cutoff=60",
+    "lambert_cylindrical_equal_area lat0=-30 lon0=180",
+    "equidistant_conic lat1=45 lat2=60 lon0=90",
+    "equidistant_conic lat1=-20 lat2=-50 lon0=180 cutoff=-70",
+    "equidistant_conic lat1=60 lat2=89.999999 lon0=-100",
+    "lambert_conformal_conic lat1=30 lat2=60 lon0=-100",
+    "lambert_conformal_conic lat1=-10 lat2=-40 lon0=180",
+    "orthographic", "orthographic center=35,60", "stereographic center=10,-170",
+    "gnomonic center=50,20", "central center=-45,100",
+    "lambert_azimuthal_equal_area center=0,180", "werner lon0=-179", "affine",
+)
+
+
+def _sweep_projection(spec):
+    return _Affine(1.0, 0.2, 0.1, 1.0) if spec == "affine" else parse_projection(spec)
+
+
+def _sweep_regions(proj, rng):
+    """(lat_lo, lat_hi, lon_lo, lon_hi) in radians: a first or last column
+    on the cut and on the seam and 1 and 2 steps to either side, first or
+    last rows 0 to 2 steps from each pole, on the cutoffs and on the equator
+    (the polar orthographic limb) and a step to either side, and seeded
+    regions, near the tangent point too."""
+    s = STEP
+    regions = []
+    for edge in {proj.cut_longitude, math.pi} - {None}:
+        for k in (-2, -1, 0, 1, 2):
+            lon = edge + k * s
+            regions += [(0.2, 0.9, lon, lon + 1.0), (-0.9, 0.3, lon - 1.0, lon)]
+    for k in (0.0, 0.5, 1.0, 1.5, 2.0):
+        regions += [(0.5, HALF_PI - k * s, -1.0, 1.0), (-HALF_PI + k * s, -0.5, 2.0, 3.5)]
+    cutoff = getattr(proj, "cutoff", None)
+    for edge in (0.0,) + ((abs(cutoff), -abs(cutoff)) if cutoff else ()):
+        for k in (-1, 0, 1):
+            lat = edge + k * s
+            regions += [(lat, min(lat + 0.3, HALF_PI), -0.5, 0.5),
+                        (max(lat - 0.3, -HALF_PI), lat, 2.5, 3.5)]
+    center = getattr(proj, "center", None)
+    for _ in range(6):
+        if center is not None:
+            # near the tangent point, where an aspect's domain lies
+            lat = max(-HALF_PI, min(center.lat + rng.uniform(-0.5, 0.2), 1.2))
+            lon = center.lon + rng.uniform(-0.5, 0.2)
+            regions.append((lat, lat + 0.3, lon, lon + 0.3))
+        lat_lo = rng.uniform(-HALF_PI, 1.2)
+        lon_lo = rng.uniform(-4.0, 3.0)
+        regions.append((lat_lo, rng.uniform(lat_lo + 0.05, HALF_PI),
+                        lon_lo, lon_lo + rng.uniform(0.1, 2.0 * math.pi)))
+    return [GeoRegion(*region) for region in regions]
+
+
+def _tissot_grid(proj, region, nlat, nlon):
+    """The grid's samples one tissot call each, or the first error."""
+    lats = linspace(region.lat_lo, region.lat_hi, nlat)
+    lons = [wrap_longitude(lon) for lon in linspace(region.lon_lo, region.lon_hi, nlon)]
+    rows = []
+    for c in (GeoCoord(lat, lon) for lat in lats for lon in lons):
+        try:
+            rows.append((c, tissot(proj, c)))
+        except MapError as exc:
+            return type(exc), str(exc)
+    return rows
+
+
+def _hex_rows(rows):
+    return [(c.lat.hex(), c.lon.hex(), *(getattr(d, f).hex() for f in _SCAN_FIELDS))
+            for c, d in rows]
+
+
+class TestGridRoutine:
+    """distortion_grid and euler_property_report take most samples from
+    their axes or a direct stencil; each must equal tissot to the bit."""
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS)
+    def test_grid_and_report_equal_per_sample_tissot(self, spec):
+        proj = _sweep_projection(spec)
+        rng = random.Random(f"grid sweep {spec}")
+        checked = 0
+        for region in _sweep_regions(proj, rng):
+            for nlat, nlon in ((3, 3), (4, 6)):
+                want = _tissot_grid(proj, region, nlat, nlon)
+                if isinstance(want, tuple):
+                    for entry in (distortion_grid, euler_property_report):
+                        with pytest.raises(want[0]) as info:
+                            entry(proj, region, nlat, nlon)
+                        assert str(info.value) == want[1], (region, entry)
+                    continue
+                assert _hex_rows(distortion_grid(proj, region, nlat, nlon)) == _hex_rows(want)
+                p2 = p3 = p4 = 0.0
+                for _, d in want:
+                    p2 = max(p2, abs(d.h - 1.0))
+                    p3 = max(p3, abs(d.theta_prime - HALF_PI))
+                    p4 = max(p4, abs(d.k / d.h - 1.0))
+                try:
+                    report = euler_property_report(proj, region, nlat, nlon)
+                except DomainError:
+                    # P1 projects the nodes, which a central stencil skips
+                    with pytest.raises(DomainError):
+                        [proj.forward(c) for c, _ in want]
+                    continue
+                assert [report.p2.hex(), report.p3.hex(), report.p4.hex()] == [
+                    p2.hex(), p3.hex(), p4.hex()], region
+                checked += 1
+        assert checked >= 10, checked
+
+    @pytest.mark.parametrize("proj, region", [
+        (EquidistantConic(math.radians(45), math.radians(60)),
+         GeoRegion.from_degrees(40, 70, -30, 150)),
+        (Mercator(), GeoRegion.from_degrees(-60, 60, -170, 170)),
+    ])
+    def test_separable_grid_reads_each_axis_once(self, proj, region, monkeypatch):
+        # away from every edge the profile runs 3 times a row and the kernel
+        # only for P1's meridian images
+        counts = {"profile": 0, "xy": 0}
+
+        def counting(cls, name, key):
+            def wrapper(*args, _fn=getattr(cls, name)):
+                counts[key] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(EquidistantConic, "_radius", "profile")
+        counting(Mercator, "_ordinate", "profile")
+        counting(_Conic, "_xy", "xy")
+        counting(_Cylindrical, "_xy", "xy")
+        rows = distortion_grid(proj, region, 11, 13)
+        assert 0 < counts["profile"] <= 3 * 11 and counts["xy"] == 0
+        counts.update(profile=0, xy=0)
+        euler_property_report(proj, region, 11, 13)
+        # P1's images each read the profile once more
+        assert counts["xy"] == 11 * 13 and 0 < counts["profile"] <= 3 * 11 + 11 * 13
+        monkeypatch.undo()
+        assert _hex_rows(rows) == _hex_rows(_tissot_grid(proj, region, 11, 13))
+
+
+class TestGridCap:
+    """A grid above MAX_GRID_SAMPLES is refused before any axis is built."""
+
+    @pytest.mark.parametrize("entry", [distortion_grid, euler_property_report,
+                                       max_distortion_scan])
+    def test_above_the_cap_is_refused_unbuilt(self, entry, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(distortion, "linspace", refuse)
+        nlon = MAX_GRID_SAMPLES // 11 + 1
+        message = (f"grid of 11x{nlon} = {11 * nlon} samples exceeds the cap of "
+                   f"{MAX_GRID_SAMPLES} samples")
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            entry(Mercator(), SMALL, 11, nlon)
+
+    def test_the_cap_itself_is_built(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(distortion, "linspace", built)
+        with pytest.raises(Built):
+            distortion_grid(Mercator(), SMALL, 1000, MAX_GRID_SAMPLES // 1000)
 
 
 class TestDistortionSampleMatchesGeneratedDataclass:

@@ -452,6 +452,17 @@ class TestGeoRegion:
         with pytest.raises(ParameterError):
             GeoRegion.from_degrees(0, 10, 30, 20)
 
+    @pytest.mark.parametrize("index, name", enumerate(("lat_lo", "lat_hi", "lon_lo", "lon_hi")))
+    def test_nan_bound_is_named(self, index, name):
+        bounds = [0.0, 10.0, 0.0, 10.0]
+        bounds[index] = math.nan
+        with pytest.raises(ParameterError, match=rf"^region bound {name} is not a number$"):
+            GeoRegion.from_degrees(*bounds)
+        # named before its partner bound's ordering error
+        bounds[index ^ 1] = -math.inf
+        with pytest.raises(ParameterError, match=rf"^region bound {name} is not a number$"):
+            GeoRegion(*bounds)
+
     def test_from_degrees(self):
         r = GeoRegion.from_degrees(45, 70, 30, 150)
         assert r.lat_lo == pytest.approx(math.radians(45))
