@@ -9,8 +9,11 @@ path strings. Under the cylindrical and conic families (Equirectangular,
 Mercator, LambertCylindricalEqualArea, EquidistantConic,
 LambertConformalConic) a graticule projects as a tensor product: each
 parallel's ordinate or radius once per latitude, each meridian's abscissa or
-angle once per longitude. The azimuthal families and Werner, whose images
-do not separate so, project each curve sample by sample.
+angle once per longitude. The azimuthal families take the sine and cosine of
+each axis value once and project each curve's unit vectors in one batch
+(``_Azimuthal._images``), which marks a sample outside the domain instead of
+raising. Werner, whose images do not separate, projects each curve sample by
+sample.
 
 The gazetteer format is CSV with header ``name,lat,lon``; coordinates are
 decimal degrees or degree-minute strings like ``60°30′``, and lines starting
@@ -27,7 +30,8 @@ meridians, geodesics, points, labels), all numbers fixed to 6 decimals (which
 also absorbs cross-platform libm jitter), an explicit viewBox computed from
 the projected bounds plus margins, and the y axis flipped so north is up.
 Projected parallels that are circular to within 1e-9 are emitted as SVG arc
-commands rather than polylines, so a conic graticule round-trips its radii.
+commands rather than polylines, so a conic graticule round-trips its radii;
+a straight parallel (all its xs, or all its ys, equal) is not fitted.
 """
 
 from __future__ import annotations
@@ -42,12 +46,14 @@ from itertools import repeat
 from html import escape
 
 from .errors import DomainError, ParameterError
-from .geo import HALF_PI, GeoCoord, GeoRegion, linspace, sample_great_circle, wrap_longitude
+from .geo import (
+    HALF_PI, MAX_SAMPLES, GeoCoord, GeoRegion, linspace, sample_great_circle, wrap_longitude,
+)
 # rendering goes through the two float boundaries by these module names;
 # project_polyline is not used here: perfbench's tracer and
 # tests/test_projections.py import it from this module
 from .geodesics import _project_floats, _three_point_fit, project_polyline
-from .projections import Projection, _separable_profile
+from .projections import Projection, _Azimuthal, _separable_profile
 
 # meridian curves stop this far (radians) from the singular pole points
 POLE_CLIP = 1e-6
@@ -114,15 +120,23 @@ class MapScene:
             raise ParameterError("scale must be positive and margin non-negative, both finite")
 
 
+def _multiple_range(lo: float, hi: float, step: float) -> range:
+    """The k of the multiples k * step inside [lo, hi], with slack for radian
+    rounding."""
+    return range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
+
+
 def _multiples(lo: float, hi: float, step: float) -> list[float]:
     """Multiples of step inside [lo, hi], with slack for radian rounding."""
-    k_lo = math.ceil(lo / step - 1e-9)
-    k_hi = math.floor(hi / step + 1e-9)
-    return [k * step for k in range(k_lo, k_hi + 1)]
+    return [k * step for k in _multiple_range(lo, hi, step)]
+
+
+def _sample_count(lo: float, hi: float, per_degree: float) -> int:
+    return max(2, int(round(math.degrees(hi - lo) * per_degree)) + 1)
 
 
 def _samples(lo: float, hi: float, per_degree: float) -> list[float]:
-    return linspace(lo, hi, max(2, int(round(math.degrees(hi - lo) * per_degree)) + 1))
+    return linspace(lo, hi, _sample_count(lo, hi, per_degree))
 
 
 def build_graticule(
@@ -132,7 +146,10 @@ def build_graticule(
     crossing the region, each sampled ``samples_per_degree`` times per degree
     of arc. Poles never appear on meridian curves (singular points of the
     foliation); a spacing wider than the region degrades to the region's
-    boundary curves.
+    boundary curves. A graticule of more than :data:`MAX_SAMPLES` samples is
+    refused before any curve is built; the count takes at least 2 curves of
+    each kind, and every multiple of the spacings in the region, before the
+    poles and a repeated seam meridian are dropped.
     """
     if not (0 < dphi < math.inf and 0 < dlam < math.inf):
         raise ParameterError("graticule spacings must be positive and finite")
@@ -140,6 +157,22 @@ def build_graticule(
         raise ParameterError("sampling density must be positive and finite")
 
     lat_cap = HALF_PI - POLE_CLIP
+    mer_lo = max(region.lat_lo, -lat_cap)
+    mer_hi = min(region.lat_hi, lat_cap)
+    try:
+        # a spacing wider than the region still gives up to 2 boundary curves
+        count = (
+            max(2, len(_multiple_range(region.lat_lo, region.lat_hi, dphi)))
+            * _sample_count(region.lon_lo, region.lon_hi, samples_per_degree)
+            + max(2, len(_multiple_range(region.lon_lo, region.lon_hi, dlam)))
+            * _sample_count(mer_lo, mer_hi, samples_per_degree)
+        )
+    except OverflowError:  # a count past any float or index
+        count = math.inf
+    if count > MAX_SAMPLES:
+        raise ParameterError(
+            f"graticule of {count} samples exceeds the cap of {MAX_SAMPLES} samples"
+        )
     lats = [v for v in _multiples(region.lat_lo, region.lat_hi, dphi) if abs(v) < lat_cap]
     if not lats:
         lats = sorted({max(region.lat_lo, -lat_cap), min(region.lat_hi, lat_cap)})
@@ -153,8 +186,6 @@ def build_graticule(
     if not lons:
         lons = [region.lon_lo, region.lon_hi]
 
-    mer_lo = max(region.lat_lo, -lat_cap)
-    mer_hi = min(region.lat_hi, lat_cap)
     # canonical axes: every latitude lies strictly inside +-(90° - POLE_CLIP)
     # and every longitude in (-180°, 180°]
     return Graticule(
@@ -263,8 +294,17 @@ def _pixels(tr, xs, ys) -> tuple[list[float], list[float]]:
 
 def _path_arc(xs, ys, px, py, tr) -> str | None:
     """Arc-command path for a circular segment, or None if it is not one.
-    The fit runs on the plane points ``xs, ys``; ``px, py`` are their pixels."""
+    The fit runs on the plane points ``xs, ys``; ``px, py`` are their pixels.
+    A segment whose ys, or whose xs, are all equal is a line: the fit's
+    deviations from its chord are all 0.0, or the chord is degenerate, so
+    it is not fitted. The ends and the middle are compared first, so an arc
+    does not pay for a full comparison."""
     if len(xs) < 3:
+        return None
+    mid = len(xs) // 2
+    if (ys[0] == ys[-1] == ys[mid] and ys.count(ys[0]) == len(ys)) or (
+        xs[0] == xs[-1] == xs[mid] and xs.count(xs[0]) == len(xs)
+    ):
         return None
     try:
         fit = _three_point_fit(xs, ys)
@@ -305,6 +345,15 @@ def _segments(proj: Projection, curves) -> list[tuple[list[float], list[float]]]
     return [seg for lats, lons in curves for seg in _project_floats(proj, lats, lons)[0]]
 
 
+def _runs(images) -> list[tuple[list[float], list[float]]]:
+    """The runs of at least 2 points between the Nones of ``images``, a list
+    of (x, y) or None, as (xs, ys) lists."""
+    gaps = [-1] + [i for i, p in enumerate(images) if p is None] + [len(images)]
+    return [
+        tuple(map(list, zip(*images[a + 1:b]))) for a, b in zip(gaps, gaps[1:]) if b - a > 2
+    ]
+
+
 def _project_graticule(proj: Projection, grat: Graticule) -> tuple[list, list]:
     """The runs of the parallels and of the meridians, each list equal to
     what :func:`_segments` gives for the curves.
@@ -315,8 +364,26 @@ def _project_graticule(proj: Projection, grat: Graticule) -> tuple[list, list]:
     the domain depends on latitude alone, which keeps or drops a parallel
     whole and splits every meridian at the same samples; the tear depends
     on longitude alone, which splits every parallel at the same samples
-    and no meridian. Other kernels project curve by curve.
+    and no meridian. On the azimuthal kernel each curve's unit vectors are
+    products of the sines and cosines of the axes, taken once per axis
+    value, and the curve projects in one batch with the breaks where it
+    leaves the domain. Other kernels project curve by curve.
     """
+    if type(proj)._xy is _Azimuthal._xy:
+        # _Azimuthal._xy's unit vector (cos lat cos lon, cos lat sin lon, sin lat)
+        cos, sin, images = math.cos, math.sin, proj._images
+        cos_lons, sin_lons = list(map(cos, grat.lon_samples)), list(map(sin, grat.lon_samples))
+        cos_lats, sin_lats = list(map(cos, grat.lat_samples)), list(map(sin, grat.lat_samples))
+        parallels, meridians = [], []
+        for lat in grat.lats:
+            c = cos(lat)
+            parallels += _runs(images([c * v for v in cos_lons], [c * v for v in sin_lons],
+                                      repeat(sin(lat))))
+        for lon in grat.lons:
+            c, s = cos(lon), sin(lon)
+            meridians += _runs(images([v * c for v in cos_lats], [v * s for v in cos_lats],
+                                      sin_lats))
+        return parallels, meridians
     separable = _separable_profile(proj)
     if separable is None:
         return (

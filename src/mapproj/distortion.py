@@ -36,9 +36,11 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParameterError
-from .geo import HALF_PI, PI, GeoCoord, GeoRegion, _canonical, linspace, wrap_longitude
+from .geo import (
+    HALF_PI, MAX_SAMPLES, PI, GeoCoord, GeoRegion, _canonical, linspace, wrap_longitude,
+)
 from .geodesics import _deviations
-from .projections import Projection, _separable_profile
+from .projections import Projection, _Azimuthal, _separable_profile
 
 if TYPE_CHECKING:
     import numpy
@@ -162,11 +164,27 @@ def local_jacobian(proj: Projection, c: GeoCoord) -> numpy.ndarray:
     return numpy.array([[xp, xl], [yp, yl]])
 
 
-def _tissot(xy, cut: float | None, lat: float, lon: float) -> tuple[float, ...]:
-    """The fields of :class:`DistortionSample`, in order, at canonical floats."""
+# an azimuthal kernel may exclude its centre's antipode alone, a point no
+# stencil about it samples; samples this close to its latitude are projected
+ANTIPODE_BAND = 1e-11
+
+
+def _antipode_lat(proj: Projection) -> float:
+    """Latitude of the antipode of an azimuthal projection's centre, else inf."""
+    return -proj.center.lat if isinstance(proj, _Azimuthal) else math.inf
+
+
+def _tissot(xy, cut: float | None, lat: float, lon: float, antipode: float
+            ) -> tuple[float, ...]:
+    """The fields of :class:`DistortionSample`, in order, at canonical floats.
+    A sample on the latitude ``antipode`` is projected as well, so that the
+    kernel's own error rejects a point it excludes alone."""
     if abs(lat) >= HALF_PI - 1e-12:
         raise DomainError("parallel scale is undefined at the poles")
-    return _fields(lat, lon, *_jacobian(xy, cut, lat, lon))
+    fields = _fields(lat, lon, *_jacobian(xy, cut, lat, lon))
+    if abs(lat - antipode) <= ANTIPODE_BAND:
+        xy(lat, lon)
+    return fields
 
 
 def _fields(lat: float, lon: float, xp: float, xl: float, yp: float, yl: float
@@ -196,12 +214,18 @@ def tissot(proj: Projection, c: GeoCoord) -> DistortionSample:
     q = |(xp + yl, yp - xl)| and r = |(xp - yl, yp + xl)|, a = (q + r)/2,
     b = |q - r|/2 and sin(omega/2) = min(q, r)/max(q, r), which holds for a
     mirror-image Jacobian too and has no cancellation near a conformal point.
+    A point the kernel excludes on its own, such as the centre's antipode of
+    the stereographic and Lambert azimuthal maps, raises the kernel's own
+    ``DomainError``, as ``forward`` does, though the stencil about it lies
+    in the domain.
     """
-    return DistortionSample(*_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon))
+    return DistortionSample(
+        *_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon, _antipode_lat(proj))
+    )
 
 
 # _grid_axes refuses a grid of more samples than this before building it
-MAX_GRID_SAMPLES = 10_000_000
+MAX_GRID_SAMPLES = MAX_SAMPLES
 
 
 def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], list[float]]:
@@ -230,16 +254,18 @@ def _grid(proj: Projection, lats: list[float], lons: list[float]):
     assembled with _xy's own operations from the profile at lat and
     lat +- STEP, evaluated once per row, and the angle or abscissa at lon
     and lon +- STEP, once per column; any other kernel makes the four
-    calls. Every other sample runs _tissot: a row near a pole or whose
-    profile fails, a column near the cut, a stencil that raises
-    DomainError. A degenerate Jacobian raises as in _tissot.
+    calls. Every other sample runs _tissot: a row near a pole, on the
+    latitude of an azimuthal centre's antipode or whose profile fails, a
+    column near the cut, a stencil that raises DomainError. A degenerate
+    Jacobian raises as in _tissot.
     """
-    xy, cut = proj._xy, proj.cut_longitude
+    xy, cut, antipode = proj._xy, proj.cut_longitude, _antipode_lat(proj)
     s, inv = STEP, 0.5 / STEP
     # each row's stencil latitudes and each column's canonical stencil
     # longitudes, as _jacobian takes them; None where _tissot must run
-    rows = [(lat, lat + s, lat - s) if -HALF_PI < lat - s and lat + s < HALF_PI else None
-            for lat in lats]
+    rows = [(lat, lat + s, lat - s)
+            if -HALF_PI < lat - s and lat + s < HALF_PI and abs(lat - antipode) > ANTIPODE_BAND
+            else None for lat in lats]
     cols = [(lon, wrap_longitude(lon + s), wrap_longitude(lon - s))
             if cut is None or abs(wrap_longitude(lon - cut)) >= 2.0 * s else None
             for lon in lons]
@@ -285,7 +311,7 @@ def _grid(proj: Projection, lats: list[float], lons: list[float]):
                 else:
                     yield _fields(lat, lon, *jacobian)
                     continue
-            yield _tissot(xy, cut, lat, lon)
+            yield _tissot(xy, cut, lat, lon, antipode)
 
 
 def distortion_grid(

@@ -34,6 +34,10 @@ COS_CLAMP_TOL = 1e-9
 # from_unit_vector rejects vectors whose norm is further than this from 1
 UNIT_NORM_TOL = 1e-9
 
+# the most samples a great-circle sampling, a graticule or a distortion grid
+# may hold; a larger one is refused before any sample is built
+MAX_SAMPLES = 10_000_000
+
 
 def wrap_longitude(lon: float) -> float:
     """Reduce a longitude to the canonical interval (-pi, pi].
@@ -215,10 +219,13 @@ def sample_great_circle(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
     """n points from a to b, equally spaced in arc length along the minor arc.
 
     Spherical linear interpolation of the unit vectors; endpoints are returned
-    exactly. Antipodal endpoints are rejected (no unique minor arc).
+    exactly. Antipodal endpoints are rejected (no unique minor arc), and so
+    is n above :data:`MAX_SAMPLES`.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 samples, got {n}")
+    if n > MAX_SAMPLES:
+        raise ParameterError(f"{n} samples exceed the cap of {MAX_SAMPLES} samples")
     u, v = _unit(a), _unit(b)
     omega = _angle(u, v)
     if omega < 1e-15:

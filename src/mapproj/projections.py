@@ -15,7 +15,10 @@ antimeridian; ``_Cylindrical`` for the three cylindrical families, and
 ``_Conic`` for the apex-and-rays geometry of the two conics. The profile
 hooks of these two (``_ordinate`` and ``_radius``) depend on latitude alone,
 which lets a graticule or a distortion grid be evaluated as a tensor product
-of its axes (``_separable_profile``).
+of its axes (``_separable_profile``). The azimuthal hook ``_radial(c)``
+depends on the arc distance c alone and returns None outside the domain, so
+``_Azimuthal._images`` projects a whole curve in one batch, without an
+exception per rejected sample.
 Each field is declared once, on the class that introduces or re-defaults it.
 Each family writes its forward formula once, as the private float kernel
 ``_xy(lat, lon) -> (x, y)``; ``Projection.forward`` wraps it, and the sample
@@ -150,11 +153,17 @@ class _Meridional(Projection):
 class _Azimuthal(Projection):
     """Shared machinery: radial profile r(c) applied to the arc distance c
     from the tangent point, direction taken from the local east/north frame.
-    A family's two hooks: ``_radial(c, lat, lon)`` returns r(c) or raises
-    ``_OutOfDomain`` for (lat, lon); ``_radial_inverse(r)`` returns c or
-    raises ``DomainError``."""
+    A family's two hooks: ``_radial(c)`` returns r(c), or None where c lies
+    outside the domain, which ``_xy`` then rejects for the reason
+    ``_excluded``; ``_radial_inverse(r)`` returns c or raises
+    ``DomainError``.
+
+    ``_xy`` projects one point; ``_images`` projects many from their unit
+    vectors, with the frame unpacked once and ``_xy``'s operations in the
+    same order, so both give the same floats."""
 
     center: GeoCoord = NORTH_POLE
+    _excluded: ClassVar[str]
 
     @cached_property
     def _frame(self) -> tuple[tuple[float, float, float], ...]:
@@ -173,11 +182,35 @@ class _Azimuthal(Projection):
         dot = px * cx + py * cy + pz * cz
         tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
         tnorm = math.sqrt(tx * tx + ty * ty + tz * tz)
-        radius = self._radial(math.atan2(tnorm, dot), lat, lon)
+        radius = self._radial(math.atan2(tnorm, dot))
+        if radius is None:
+            raise _OutOfDomain(self, lat, lon, self._excluded)
         if tnorm < 1e-15:
             return 0.0, 0.0
         r = radius / tnorm
         return r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
+
+    def _images(self, pxs, pys, pzs) -> list[tuple[float, float] | None]:
+        """``_xy`` of the points with unit vectors ``zip(pxs, pys, pzs)``,
+        each (x, y) or None where the point lies outside the domain."""
+        (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
+        radial, atan2, sqrt = self._radial, math.atan2, math.sqrt
+        images: list[tuple[float, float] | None] = []
+        for px, py, pz in zip(pxs, pys, pzs):
+            dot = px * cx + py * cy + pz * cz
+            tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
+            tnorm = sqrt(tx * tx + ty * ty + tz * tz)
+            radius = radial(atan2(tnorm, dot))
+            if radius is None:
+                images.append(None)
+            elif tnorm < 1e-15:
+                images.append((0.0, 0.0))
+            else:
+                r = radius / tnorm
+                images.append(
+                    (r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz))
+                )
+        return images
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
@@ -203,11 +236,10 @@ class Stereographic(_Azimuthal):
 
     center: GeoCoord = SOUTH_POLE
     family: ClassVar[str] = "stereographic"
+    _excluded: ClassVar[str] = "the projection source maps to infinity"
 
-    def _radial(self, c: float, lat: float, lon: float) -> float:
-        if c >= math.pi - 1e-12:
-            raise _OutOfDomain(self, lat, lon, "the projection source maps to infinity")
-        return 2.0 * math.tan(0.5 * c)
+    def _radial(self, c: float) -> float | None:
+        return None if c >= math.pi - 1e-12 else 2.0 * math.tan(0.5 * c)
 
     def _radial_inverse(self, r: float) -> float:
         return 2.0 * math.atan(0.5 * r)
@@ -222,11 +254,10 @@ class Gnomonic(_Azimuthal):
 
     center: GeoCoord = SOUTH_POLE
     family: ClassVar[str] = "gnomonic"
+    _excluded: ClassVar[str] = "on or beyond the horizon of the tangent point"
 
-    def _radial(self, c: float, lat: float, lon: float) -> float:
-        if c >= HALF_PI - 1e-12:
-            raise _OutOfDomain(self, lat, lon, "on or beyond the horizon of the tangent point")
-        return math.tan(c)
+    def _radial(self, c: float) -> float | None:
+        return None if c >= HALF_PI - 1e-12 else math.tan(c)
 
     def _radial_inverse(self, r: float) -> float:
         return math.atan(r)
@@ -251,11 +282,10 @@ class Orthographic(_Azimuthal):
     closed near hemisphere."""
 
     family: ClassVar[str] = "orthographic"
+    _excluded: ClassVar[str] = "on the hidden hemisphere"
 
-    def _radial(self, c: float, lat: float, lon: float) -> float:
-        if c > HALF_PI + 1e-12:
-            raise _OutOfDomain(self, lat, lon, "on the hidden hemisphere")
-        return math.sin(c)
+    def _radial(self, c: float) -> float | None:
+        return None if c > HALF_PI + 1e-12 else math.sin(c)
 
     def _radial_inverse(self, r: float) -> float:
         if r > 1.0 + 1e-9:
@@ -268,11 +298,10 @@ class LambertAzimuthalEqualArea(_Azimuthal):
     antipode of the center."""
 
     family: ClassVar[str] = "lambert_azimuthal_equal_area"
+    _excluded: ClassVar[str] = "antipode of the center is excluded"
 
-    def _radial(self, c: float, lat: float, lon: float) -> float:
-        if c >= math.pi - 1e-12:
-            raise _OutOfDomain(self, lat, lon, "antipode of the center is excluded")
-        return 2.0 * math.sin(0.5 * c)
+    def _radial(self, c: float) -> float | None:
+        return None if c >= math.pi - 1e-12 else 2.0 * math.sin(0.5 * c)
 
     def _radial_inverse(self, r: float) -> float:
         if r > 2.0 + 1e-9:

@@ -35,8 +35,8 @@ from mapproj.atlas import (
     render_svg,
 )
 from mapproj.distortion import tissot
-from mapproj.errors import DomainError, ParameterError
-from mapproj.geo import HALF_PI, linspace, wrap_longitude
+from mapproj.errors import DomainError, MapError, ParameterError
+from mapproj.geo import HALF_PI, MAX_SAMPLES, linspace, wrap_longitude
 from mapproj.geodesics import PlanePolyline, _three_point_fit, fit_circular_arc, straightness
 from mapproj.projections import PlanePoint, parse_projection
 
@@ -79,6 +79,51 @@ class TestBuildGraticule:
         g = build_graticule(BAND, math.radians(5), math.radians(5), samples_per_degree=2.0)
         parallel = g.parallels[0]
         assert len(parallel) == 241  # 120 degrees * 2 + 1
+
+
+class TestGraticuleCap:
+    """A graticule above MAX_SAMPLES is refused before any axis is built."""
+
+    # 2 parallels and 2 meridians, each of round(10 * density) + 1 samples
+    SQUARE = GeoRegion.from_degrees(0, 10, 0, 10)
+
+    @pytest.fixture
+    def unbuilt(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an axis was built")
+
+        monkeypatch.setattr(mapproj.atlas, "linspace", refuse)
+
+    def test_above_the_cap_is_refused_unbuilt(self, unbuilt):
+        assert MAX_SAMPLES == 10_000_000
+        message = "graticule of 10000004 samples exceeds the cap of 10000000 samples"
+        with pytest.raises(ParameterError, match=f"^{message}$"):
+            build_graticule(self.SQUARE, math.radians(10), math.radians(10), 250_000.0)
+
+    def test_the_cap_itself_is_built(self, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def built(*args):
+            raise Built
+
+        monkeypatch.setattr(mapproj.atlas, "linspace", built)
+        with pytest.raises(Built):
+            build_graticule(self.SQUARE, math.radians(10), math.radians(10), 249_999.9)
+
+    @pytest.mark.parametrize("dphi, count", [
+        # about 3e15 multiples of the spacing, once a loop of as many steps
+        (1e-15, "4527035013822918390"),
+        # multiples past any index, and past any float
+        (1e-300, "inf"), (5e-324, "inf"),
+    ])
+    def test_tiny_spacing_is_refused_unbuilt(self, unbuilt, dphi, count):
+        with pytest.raises(ParameterError, match=f"^graticule of {count} samples exceeds"):
+            build_graticule(WORLD, dphi, math.radians(10))
+
+    def test_huge_density_is_refused_unbuilt(self, unbuilt):
+        with pytest.raises(ParameterError, match="^graticule of inf samples exceeds"):
+            build_graticule(WORLD, math.radians(10), math.radians(10), 1e308)
 
 
 def _by_constructor(region, dphi, dlam, per_degree):
@@ -416,11 +461,13 @@ class TestRenderSvg:
         # module globals, so a tracer that patches them sees every call
         delisle = _delisle_scene()
         werner = replace(delisle, projection=parse_projection("werner lon0=90"))
+        orthographic = replace(delisle, projection=parse_projection("orthographic center=57,90"))
         grat = delisle.graticule
         curves = len(grat.lats) + len(grat.lons)
-        # the conic projects its graticule as one tensor product and its
-        # geodesic as one curve; Werner projects every curve on its own
-        for scene, per_curve in ((delisle, 1), (werner, 1 + curves)):
+        # the conic and the orthographic map project their graticule from
+        # its axes and their geodesic as one curve; Werner projects every
+        # curve on its own
+        for scene, per_curve in ((delisle, 1), (werner, 1 + curves), (orthographic, 1)):
             calls = {"_project_graticule": 0, "_project_floats": 0, "_three_point_fit": 0}
 
             def counting(name):
@@ -441,7 +488,34 @@ class TestRenderSvg:
             assert calls == {
                 "_project_graticule": 1, "_project_floats": per_curve, "_three_point_fit": fits,
             }
-        assert (curves, _arc_fits(delisle)) == (6 + 13, 6)
+        assert (curves, _arc_fits(delisle), _arc_fits(orthographic)) == (6 + 13, 6, 6)
+
+    def test_straight_parallels_are_not_fitted(self, monkeypatch):
+        # Mercator's parallels are horizontal lines, whose fit would come
+        # back collinear: none is fitted, and the SVG stays pinned
+        scene = _world_scene("mercator")
+        assert _arc_fits(scene) > 0
+
+        def refuse(*args):
+            raise AssertionError("a straight segment was fitted")
+
+        monkeypatch.setattr(mapproj.atlas, "_three_point_fit", refuse)
+        svg = render_svg(scene)
+        assert hashlib.sha256(svg.encode()).hexdigest() == WORLD_SCENES["mercator"][3]
+        tr = (20.0, 200.0, 0.0, 0.0)
+        for xs, ys in (([0.0, 1.0, 2.5], [0.5] * 3), ([-0.3] * 4, [0.0, 0.1, 0.2, 0.4]),
+                       ([1.0] * 3, [2.0] * 3)):
+            assert mapproj.atlas._path_arc(xs, ys, *mapproj.atlas._pixels(tr, xs, ys), tr) is None
+        monkeypatch.undo()
+        # equal ends and middle, or equal ends alone, are not a line
+        for xs, ys in (([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, -1.0, 0.0]),
+                       ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])):
+            fits = []
+            monkeypatch.setattr(mapproj.atlas, "_three_point_fit",
+                                lambda *args: fits.append(args) or _three_point_fit(*args))
+            mapproj.atlas._path_arc(xs, ys, *mapproj.atlas._pixels(tr, xs, ys), tr)
+            monkeypatch.undo()
+            assert len(fits) == 1
 
     def test_render_builds_no_per_sample_objects(self, monkeypatch):
         # only the place markers, the arc centres and the geodesic samples
@@ -591,6 +665,54 @@ def test_world_scene_svg_is_pinned(kind):
     assert svg.count(" A ") == arcs
     assert svg.count("<circle") == markers
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+AZIMUTHAL = ("stereographic", "gnomonic", "central", "orthographic", "lambert_azimuthal_equal_area")
+
+
+def _azimuthal_render_digest(count: int) -> str:
+    """SHA-256 over ``count`` seeded azimuthal scenes, the five families in
+    turn, centred at a pole, on the equator or obliquely, over regions that
+    often cross +-180°: each scene's graticule runs as float.hex, the
+    kernel's image or error text at its three places, and its SVG."""
+    rng = random.Random(1818)
+    u = rng.uniform
+    digest = hashlib.sha256()
+    for i in range(count):
+        lat_c = rng.choice([90.0, -90.0, 0.0, round(u(-89.0, 89.0), 3)])
+        proj = parse_projection(
+            f"{AZIMUTHAL[i % len(AZIMUTHAL)]} center={lat_c},{round(u(-180.0, 180.0), 3)}")
+        lat_lo = u(-90.0, 80.0)
+        lat_hi = rng.choice([90.0, u(lat_lo + 5.0, 90.0)])
+        lon_lo = u(-270.0, 170.0)
+        region = GeoRegion.from_degrees(lat_lo, lat_hi, lon_lo, lon_lo + u(10.0, 360.0))
+        grat = build_graticule(region, math.radians(rng.choice([10, 15, 30])),
+                               math.radians(rng.choice([15, 30, 45])),
+                               samples_per_degree=rng.choice([0.25, 0.5, 1.0]))
+        places = [GeoCoord.from_degrees(u(-90.0, 90.0), u(-180.0, 180.0)) for _ in range(3)]
+        scene = MapScene(
+            projection=proj, graticule=grat,
+            places=tuple(GazetteerEntry(f"P{j}", c) for j, c in enumerate(places)),
+            geodesics=((places[0], places[1], 17),),
+        )
+        for segs in mapproj.atlas._project_graticule(proj, grat):
+            for xs, ys in segs:
+                digest.update((" ".join(map(float.hex, xs + ys)) + "\n").encode())
+        for c in places:
+            try:
+                digest.update(repr(proj._xy(c.lat, c.lon)).encode())
+            except MapError as exc:
+                digest.update(str(exc).encode())
+        digest.update(render_svg(scene).encode())
+    return digest.hexdigest()
+
+
+def test_azimuthal_renders_are_pinned():
+    # recorded when every azimuthal curve was still projected sample by
+    # sample through _xy, before the graticule was projected from its axes
+    assert _azimuthal_render_digest(400) == (
+        "8017b1fb21c4f358b7b09c677db9bd88b4125eb4687310628757f570aeacc619"
+    )
 
 
 # The criterion-12 Delisle scene and the Mercator world scene at margin 0,
@@ -903,6 +1025,9 @@ class TestProjectGraticule:
     @pytest.mark.parametrize("spec", [
         "equirectangular lat0=40", "mercator cutoff=60", "lambert_cylindrical_equal_area",
         "equidistant_conic lat1=-45 lat2=-60", "lambert_conformal_conic lat1=30 lat2=60",
+        # the azimuthal families project each curve from the axes in one batch
+        "orthographic center=35,60", "stereographic", "gnomonic center=50,20",
+        "central center=-45,100", "lambert_azimuthal_equal_area center=0,180",
     ])
     def test_separable_families_project_no_curve(self, spec, monkeypatch):
         def refuse(*args):

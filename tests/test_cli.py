@@ -263,8 +263,24 @@ class TestGeodesic:
         assert "found 2" in err
         assert "ratio=" not in out
 
+    def test_samples_above_the_cap_exit_one(self, capsys):
+        code, out, err = run(
+            capsys, "geodesic", "--proj", "mercator", "--from", "10,10", "--to", "20,20",
+            "-n", "10000001",
+        )
+        assert code == 1 and out == ""
+        assert err == "error: 10000001 samples exceed the cap of 10000000 samples\n"
+
 
 class TestRender:
+    def test_graticule_above_the_cap_is_exit_one(self, capsys):
+        code, out, err = run(
+            capsys, "render", "--proj", "mercator", "--region", "0:10,0:10", "--step", "1e-13",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error: graticule of ")
+        assert err.endswith(" samples exceeds the cap of 10000000 samples\n")
+
     def test_svg_to_file(self, capsys, tmp_path):
         target = tmp_path / "map.svg"
         code, _, _ = run(

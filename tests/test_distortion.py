@@ -725,6 +725,56 @@ class TestGridRoutine:
         assert _hex_rows(rows) == _hex_rows(_tissot_grid(proj, region, 11, 13))
 
 
+class TestAntipode:
+    """The stereographic and Lambert azimuthal kernels exclude their centre's
+    antipode alone, a point no stencil about it samples: tissot and the
+    grids raise the kernel's own error there, as forward does."""
+
+    @pytest.mark.parametrize("spec", [
+        "stereographic center=0,180", "lambert_azimuthal_equal_area center=0,180",
+        "stereographic center=30,-60", "lambert_azimuthal_equal_area center=-45,100",
+    ])
+    def test_entries_raise_the_kernels_error(self, spec):
+        proj = parse_projection(spec)
+        c = proj.center
+        antipode = GeoCoord(-c.lat, c.lon + math.pi)
+        region = GeoRegion(antipode.lat - 0.1, antipode.lat + 0.1,
+                           antipode.lon - 0.2, antipode.lon + 0.2)
+        # the 3x5 grid's middle node is the antipode, to rounding
+        node = GeoCoord(linspace(region.lat_lo, region.lat_hi, 3)[1],
+                        linspace(region.lon_lo, region.lon_hi, 5)[2])
+        for entry, at in ((lambda: tissot(proj, antipode), antipode),
+                          (lambda: distortion_grid(proj, region, 3, 5), node),
+                          (lambda: max_distortion_scan(proj, region, 3, 5), node)):
+            with pytest.raises(DomainError) as want:
+                proj.forward(at)
+            assert str(want.value).endswith(f"domain: {proj._excluded}")
+            with pytest.raises(DomainError) as info:
+                entry()
+            assert type(info.value) is type(want.value)
+            assert str(info.value) == str(want.value)
+
+    def test_only_the_antipodes_latitude_pays_a_kernel_call(self, monkeypatch):
+        proj = parse_projection("stereographic center=30,0")
+        calls = []
+
+        def counting(self, lat, lon, _xy=Stereographic._xy):
+            calls.append(lat)
+            return _xy(self, lat, lon)
+
+        monkeypatch.setattr(Stereographic, "_xy", counting)
+        # rows at -40°, -30° (the antipode's latitude) and -20°, off its meridian
+        distortion_grid(proj, GeoRegion.from_degrees(-40, -20, 0, 20), 3, 3)
+        assert len(calls) == 4 * 9 + 3
+        calls.clear()
+        distortion_grid(proj, GeoRegion.from_degrees(-41, -21, 0, 20), 3, 3)
+        assert len(calls) == 4 * 9
+        for lat, extra in ((-30.0, 1), (-30.0 + 1e-9, 0), (-29.0, 0)):
+            calls.clear()
+            tissot(proj, GeoCoord.from_degrees(lat, 10.0))
+            assert len(calls) == 4 + extra, lat
+
+
 class TestGridCap:
     """A grid above MAX_GRID_SAMPLES is refused before any axis is built."""
 

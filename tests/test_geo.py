@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mapproj.geo
 from mapproj.errors import (
     AmbiguousGeodesicError,
     DomainError,
@@ -17,6 +18,7 @@ from mapproj.errors import (
     ParameterError,
 )
 from mapproj.geo import (
+    MAX_SAMPLES,
     GeoCoord,
     _canonical,
     GeoRegion,
@@ -443,6 +445,17 @@ class TestSampleGreatCircle:
         c = GeoCoord(0.3, 0.4)
         with pytest.raises(ParameterError):
             sample_great_circle(c, c, 5)
+
+    def test_above_the_cap_is_refused_unbuilt(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a sample was built")
+
+        monkeypatch.setattr(mapproj.geo, "_unit", refuse)
+        monkeypatch.setattr(mapproj.geo, "from_unit_vector", refuse)
+        n = MAX_SAMPLES + 1
+        with pytest.raises(ParameterError,
+                           match="^10000001 samples exceed the cap of 10000000 samples$"):
+            sample_great_circle(GeoCoord(0, 0), GeoCoord(0, 1), n)
 
 
 class TestGeoRegion:

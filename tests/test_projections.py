@@ -825,7 +825,10 @@ class TestNonFiniteInverse:
 # value as float.hex and every error as its type and text. The digests were
 # recorded before the per-family float kernels replaced the forwards, so they
 # pin that the kernels, the finite-difference stencil and the deferred error
-# messages reproduce the old bits.
+# messages reproduce the old bits. Those of instances 8 and 16 were recorded
+# again when tissot began to reject the centre's antipode, which forward
+# rejects: only the Tissot column of their antipode probes changed, from a
+# finite sample to forward's own error.
 EDGE_INSTANCES = all_family_instances() + [
     EquidistantConic(math.radians(-45), math.radians(-60), lon0=math.radians(-100)),
     EquidistantConic(math.radians(45), math.radians(60), cutoff=math.radians(80)),
@@ -844,7 +847,7 @@ EDGE_DIGESTS = {
     5: "6f8b31c9d91880d05f148f248f6fd898f18212f3f17ef334a929640da45420ab",  # mercator
     6: "0fa38c871df2aba5797b36d1dd48d2ac671ace717bfa424ed932482b793b4f97",  # equidistant_conic
     7: "4468a555280c46b653787a8c00bdab143cb39f88f4b818cc53620335a70e37f8",  # lambert_conformal_conic
-    8: "7ecb4d662b711264d501143565d086244ca2f5ddd26f031cf6b25d16c1b68825",  # lambert_azimuthal_equal_area
+    8: "08046530504659c114cbe91d150056638481a00508a107dfe691365d422c2377",  # lambert_azimuthal_equal_area
     9: "293d99901781c9c550a1961f02cb764343d14832c24d78fb634e497415cc7b42",  # lambert_cylindrical_equal_area
     10: "a673c49cd96349f9193058926e3afbe9dbb735e7dd395c73c8f15d10fcf7d06c",  # werner
     11: "8b1ddd0c8fff6ce4586d0a3d77fbea575dc3e3bfff010df61804f46326fbf448",  # equidistant_conic
@@ -852,7 +855,7 @@ EDGE_DIGESTS = {
     13: "016f06efc32408bfec897725c2b29407809b43c24f94f74aed5b949e1faedf4e",  # lambert_conformal_conic
     14: "90f4895fce121e1e8347475c8422402828d9dc8b7753668ad2f84f6ec0e33d79",  # mercator
     15: "56296c93b8346bc50133791049fd7dccb1d1e6f1009f08476dd0524130939eee",  # orthographic
-    16: "4e30e6b84d79730af02a82ecdc1e71042e8fd30071908f886665bea590f088cd",  # stereographic
+    16: "c98c7afc03a722330411862eb2642dc1eace6c3dcff34cbea6136592e2c059c8",  # stereographic
     17: "8af39b693b1ce1ac8efeeaa5143efaaff16cedaa50eb522c0b2034ac5447fdd6",  # gnomonic
 }
 
@@ -923,6 +926,76 @@ class TestFamilyKernels:
                 p = proj.forward(c)
                 assert type(p) is PlanePoint
                 assert (p.x, p.y) == proj._xy(c.lat, c.lon)
+
+
+AZIMUTHAL_FAMILIES = ("stereographic", "gnomonic", "central", "orthographic",
+                      "lambert_azimuthal_equal_area")
+
+
+def _azimuthal_probes(proj, rng):
+    """The centre itself, the limb and the horizon each side by 1e-12 and
+    2e-12, the antipode and near it, and random points, as (lat, lon)."""
+    center = proj.center
+    probes = [GeoCoord(center.lat, center.lon)]
+    for dist in (0.0, 1e-15, 1e-12, math.pi / 2 - 2e-12, math.pi / 2 - 1e-12, math.pi / 2,
+                 math.pi / 2 + 1e-12, math.pi / 2 + 2e-12, math.pi - 2e-12, math.pi - 1e-12,
+                 math.pi - 1e-13, math.pi):
+        probes += [_at_distance(center, dist, az) for az in (0.0, 1.0, 2.5, math.pi, -2.0)]
+    probes.append(GeoCoord(-center.lat, wrap_longitude(center.lon + math.pi)))
+    probes += [GeoCoord(math.asin(rng.uniform(-1.0, 1.0)), rng.uniform(-math.pi, math.pi))
+               for _ in range(200)]
+    return [(c.lat, c.lon) for c in probes]
+
+
+class TestAzimuthalImages:
+    """``_Azimuthal._images`` is ``_xy`` on many points at once: the same
+    floats, and None exactly where ``_xy`` raises."""
+
+    @pytest.mark.parametrize("family", AZIMUTHAL_FAMILIES)
+    @pytest.mark.parametrize("center", [(90, 0), (-90, 0), (90, 45), (0, 0), (0, 180),
+                                        (35, 60), (-20, -179), (60, 150)])
+    def test_images_equal_the_kernel(self, family, center, rng):
+        proj = parse_projection(f"{family} center={center[0]},{center[1]}")
+        points = _azimuthal_probes(proj, rng)
+        cos_lats = [math.cos(lat) for lat, _ in points]
+        images = proj._images(
+            [c * math.cos(lon) for c, (_, lon) in zip(cos_lats, points)],
+            [c * math.sin(lon) for c, (_, lon) in zip(cos_lats, points)],
+            [math.sin(lat) for lat, _ in points],
+        )
+        assert len(images) == len(points)
+        rejected = 0
+        for (lat, lon), image in zip(points, images):
+            try:
+                x, y = proj._xy(lat, lon)
+            except DomainError as exc:
+                assert image is None, (lat, lon)
+                assert str(exc).endswith(f"outside {family} domain: {proj._excluded}")
+                rejected += 1
+            else:
+                assert image is not None, (lat, lon)
+                assert (image[0].hex(), image[1].hex()) == (x.hex(), y.hex()), (lat, lon)
+        # every family rejects its centre's antipode
+        assert rejected > 0
+        assert images[0] == (0.0, 0.0)
+
+    @pytest.mark.parametrize("spec, lat, lon, message", [
+        ("stereographic center=10,20", -10, -160, "(lat -10.000000°, lon -160.000000°) outside "
+         "stereographic domain: the projection source maps to infinity"),
+        ("gnomonic", 10, 0, "(lat 10.000000°, lon 0.000000°) outside gnomonic domain: "
+         "on or beyond the horizon of the tangent point"),
+        ("central", -10, 0, "(lat -10.000000°, lon 0.000000°) outside central domain: "
+         "on or beyond the horizon of the tangent point"),
+        ("orthographic", -10, 0, "(lat -10.000000°, lon 0.000000°) outside orthographic "
+         "domain: on the hidden hemisphere"),
+        ("lambert_azimuthal_equal_area center=10,20", -10, -160, "(lat -10.000000°, lon "
+         "-160.000000°) outside lambert_azimuthal_equal_area domain: antipode of the center "
+         "is excluded"),
+    ])
+    def test_rejection_messages_are_unchanged(self, spec, lat, lon, message):
+        with pytest.raises(DomainError) as info:
+            parse_projection(spec).forward(GeoCoord.from_degrees(lat, lon))
+        assert str(info.value) == message
 
 
 class TestPlanePointMatchesGeneratedDataclass:
