@@ -5,15 +5,10 @@ A graticule is kept as its canonical float axes: the latitudes of its
 parallels, the longitudes of its meridians and the two sample axes. Its
 curves as tuples of ``GeoCoord`` are built from the axes on first read, and
 rendering never builds them: it works on floats from the axes down to the
-path strings. Under the cylindrical and conic families (Equirectangular,
-Mercator, LambertCylindricalEqualArea, EquidistantConic,
-LambertConformalConic) a graticule projects as a tensor product: each
-parallel's ordinate or radius once per latitude, each meridian's abscissa or
-angle once per longitude. The azimuthal families take the sine and cosine of
-each axis value once and project each curve's unit vectors in one batch
-(``_Azimuthal._images``), which marks a sample outside the domain instead of
-raising. Werner, whose images do not separate, projects each curve sample by
-sample.
+path strings. Every family projects a graticule through its grid kernel
+(``_rows`` for the parallels, ``_columns`` for the meridians), and this
+module only splits the curves into runs, at the kernel's holes and at the
+tear.
 
 The gazetteer format is CSV with header ``name,lat,lon``; coordinates are
 decimal degrees or degree-minute strings like ``60°30′``, and lines starting
@@ -53,7 +48,7 @@ from .geo import (
 # project_polyline is not used here: perfbench's tracer and
 # tests/test_projections.py import it from this module
 from .geodesics import _project_floats, _three_point_fit, project_polyline
-from .projections import Projection, _Azimuthal, _separable_profile
+from .projections import Projection
 
 # meridian curves stop this far (radians) from the singular pole points
 POLE_CLIP = 1e-6
@@ -84,6 +79,9 @@ class Graticule:
         for axis in ("lats", "lons", "lat_samples", "lon_samples"):
             if not all(map(math.isfinite, getattr(self, axis))):
                 raise ParameterError(f"graticule axis {axis} holds a non-finite value")
+            if axis.startswith("lat") and any(abs(v) > HALF_PI for v in getattr(self, axis)):
+                raise ParameterError(
+                    f"graticule axis {axis} holds a latitude outside [-90°, 90°]")
 
     @cached_property
     def parallels(self) -> tuple[tuple[GeoCoord, ...], ...]:
@@ -269,7 +267,13 @@ def dump_gazetteer(entries) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["name", "lat", "lon"])
     for entry in entries:
-        writer.writerow([entry.name, repr(entry.coord.lat_deg), repr(entry.coord.lon_deg)])
+        coords = [repr(entry.coord.lat_deg), repr(entry.coord.lon_deg)]
+        if entry.name.lstrip().startswith("#"):
+            # quoted, so that loading does not read the line as a comment
+            out.write('"%s",' % entry.name.replace('"', '""'))
+            writer.writerow(coords)
+        else:
+            writer.writerow([entry.name, *coords])
     return out.getvalue()
 
 
@@ -345,97 +349,34 @@ def _segments(proj: Projection, curves) -> list[tuple[list[float], list[float]]]
     return [seg for lats, lons in curves for seg in _project_floats(proj, lats, lons)[0]]
 
 
-def _runs(images) -> list[tuple[list[float], list[float]]]:
-    """The runs of at least 2 points between the Nones of ``images``, a list
-    of (x, y) or None, as (xs, ys) lists."""
-    gaps = [-1] + [i for i, p in enumerate(images) if p is None] + [len(images)]
-    return [
-        tuple(map(list, zip(*images[a + 1:b]))) for a, b in zip(gaps, gaps[1:]) if b - a > 2
-    ]
+def _runs(xs, ys, holes, tears) -> list[tuple[list[float], list[float]]]:
+    """The runs of at least 2 samples of the grid curve ``(xs, ys, holes)``,
+    split around each of its holes and before each index in ``tears``, as
+    (xs, ys) lists."""
+    bounds = [-1, *holes, len(xs)]
+    runs = []
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a > 2:
+            cuts = [a + 1, *[t for t in tears if a + 1 < t < b], b]
+            runs += [(xs[c:d], ys[c:d]) for c, d in zip(cuts, cuts[1:]) if d - c >= 2]
+    return runs
 
 
 def _project_graticule(proj: Projection, grat: Graticule) -> tuple[list, list]:
     """The runs of the parallels and of the meridians, each list equal to
-    what :func:`_segments` gives for the curves.
-
-    On the conic and cylindrical kernels a latitude fixes the parallel's
-    radius or ordinate and a longitude fixes the angle or abscissa, so each
-    axis value is projected once and the curves are the tensor product:
-    the domain depends on latitude alone, which keeps or drops a parallel
-    whole and splits every meridian at the same samples; the tear depends
-    on longitude alone, which splits every parallel at the same samples
-    and no meridian. On the azimuthal kernel each curve's unit vectors are
-    products of the sines and cosines of the axes, taken once per axis
-    value, and the curve projects in one batch with the breaks where it
-    leaves the domain. Other kernels project curve by curve.
-    """
-    if type(proj)._xy is _Azimuthal._xy:
-        # _Azimuthal._xy's unit vector (cos lat cos lon, cos lat sin lon, sin lat)
-        cos, sin, images = math.cos, math.sin, proj._images
-        cos_lons, sin_lons = list(map(cos, grat.lon_samples)), list(map(sin, grat.lon_samples))
-        cos_lats, sin_lats = list(map(cos, grat.lat_samples)), list(map(sin, grat.lat_samples))
-        parallels, meridians = [], []
-        for lat in grat.lats:
-            c = cos(lat)
-            parallels += _runs(images([c * v for v in cos_lons], [c * v for v in sin_lons],
-                                      repeat(sin(lat))))
-        for lon in grat.lons:
-            c, s = cos(lon), sin(lon)
-            meridians += _runs(images([v * c for v in cos_lats], [v * s for v in cos_lats],
-                                      sin_lats))
-        return parallels, meridians
-    separable = _separable_profile(proj)
-    if separable is None:
-        return (
-            _segments(proj, ((repeat(lat), grat.lon_samples) for lat in grat.lats)),
-            _segments(proj, ((grat.lat_samples, repeat(lon)) for lon in grat.lons)),
-        )
-    conic, profile = separable
-
-    # the runs of at least 2 samples, as [a, b) index ranges: the parallels
-    # split at the tear, found as _project_floats finds it, a jump of more
-    # than pi in the wrapped longitude between neighbours; the meridians
-    # break at every sample outside the domain
-    lon0 = wrap_longitude(proj.cut_longitude + math.pi)
-    u = [wrap_longitude(lon - lon0) for lon in grat.lon_samples]
-    cuts = [0] + [j for j in range(1, len(u)) if abs(u[j] - u[j - 1]) > math.pi] + [len(u)]
-    lon_runs = [(a, b) for a, b in zip(cuts, cuts[1:]) if b - a >= 2]
-    rows = [p for p in map(profile, grat.lats) if p is not None]
-    cols = list(map(profile, grat.lat_samples))
-    gaps = [-1] + [i for i, p in enumerate(cols) if p is None] + [len(cols)]
-    lat_runs = [(a + 1, b) for a, b in zip(gaps, gaps[1:]) if b - a > 2]
-
-    dlam = [wrap_longitude(lon - proj.lon0) for lon in grat.lon_samples]
-    if not conic:
-        k = proj._x_scale
-        xs = [d * k for d in dlam]
-        return (
-            [(xs[a:b], [y] * (b - a)) for y in rows for a, b in lon_runs],
-            [
-                ([wrap_longitude(lon - proj.lon0) * k] * (b - a), cols[a:b])
-                for lon in grat.lons for a, b in lat_runs
-            ],
-        )
-    # the conic placement of _Conic._xy, with the sine and cosine of each
-    # meridian angle taken once
-    n, rho_ref = proj._cone
-    thetas = [n * d for d in dlam]
-    sines, cosines = list(map(math.sin, thetas)), list(map(math.cos, thetas))
-    parallels = [
-        ([rho * s for s in sines[a:b]], [rho_ref - rho * c for c in cosines[a:b]])
-        for rho in rows for a, b in lon_runs
-    ]
-    meridians = []
-    for lon in grat.lons:
-        theta = n * wrap_longitude(lon - proj.lon0)
-        s, c = math.sin(theta), math.cos(theta)
-        meridians += [
-            ([rho * s for rho in cols[a:b]], [rho_ref - rho * c for rho in cols[a:b]])
-            for a, b in lat_runs
-        ]
-    if proj._south:
-        return tuple([(xs, [-y for y in ys]) for xs, ys in segs] for segs in (parallels, meridians))
-    return parallels, meridians
+    what :func:`_segments` gives for the curves. The tear splits every
+    parallel at the same samples, found as _project_floats finds it, a jump
+    of more than pi in the wrapped longitude between neighbours, and no
+    meridian."""
+    tears = []
+    if proj.cut_longitude is not None:
+        centre = wrap_longitude(proj.cut_longitude + math.pi)
+        u = [wrap_longitude(lon - centre) for lon in grat.lon_samples]
+        tears = [j for j in range(1, len(u)) if abs(u[j] - u[j - 1]) > math.pi]
+    return (
+        [run for row in proj._rows(grat.lats, grat.lon_samples) for run in _runs(*row, tears)],
+        [run for col in proj._columns(grat.lat_samples, grat.lons) for run in _runs(*col, ())],
+    )
 
 
 def render_svg(scene: MapScene) -> str:

@@ -13,18 +13,17 @@ next to the antimeridian tear) of the projection's float kernel
 1e-7 rad where the stencil leaves the domain. A new projection needs only its
 forward map: either the kernel, or just ``forward``, which the base class's
 fallback kernel calls.
-Analytic derivatives appear solely as test oracles. The sample loops, P1's
-meridian images included, run on bare floats; the public functions wrap the
-results in their types. Only :func:`local_jacobian`, which returns a numpy
-array, imports numpy, and only when called.
+Analytic derivatives appear solely as test oracles. The sample loops run on
+bare floats; the public functions wrap the results in their types. Only
+:func:`local_jacobian`, which returns a numpy array, imports numpy, and only
+when called.
 
 A grid (:func:`distortion_grid`, :func:`euler_property_report`) is evaluated
-by one routine, with the same results as sample by sample. On the separable
-conic and cylindrical kernels the stencil is built per axis: each row's
-profile and each column's angle or abscissa are evaluated once. Other
-kernels take the central stencil directly. Samples at the edges (near a
-pole or the cut, or where the stencil leaves the domain) take the full
-routine with its one-sided rule and step shrink. A grid of more than
+by one routine, with the same results as sample by sample: the central
+stencils come from the family's grid kernel (``_rows``) in two calls, and
+P1's meridians from ``_columns``. Samples at the edges (near a pole or the
+cut, or where the stencil leaves the domain) take the full routine with its
+one-sided rule and step shrink. A grid of more than
 :data:`MAX_GRID_SAMPLES` samples is refused before it is built.
 """
 
@@ -40,7 +39,7 @@ from .geo import (
     HALF_PI, MAX_SAMPLES, PI, GeoCoord, GeoRegion, _canonical, linspace, wrap_longitude,
 )
 from .geodesics import _deviations
-from .projections import Projection, _Azimuthal, _separable_profile
+from .projections import Projection, _Azimuthal
 
 if TYPE_CHECKING:
     import numpy
@@ -111,11 +110,22 @@ class FieldRange:
     argmax: GeoCoord
 
 
-def _jacobian(xy, cut: float | None, lat: float, lon: float):
+# an azimuthal kernel may exclude its centre's antipode alone, a point no
+# stencil about it samples; samples this close to its latitude are projected
+ANTIPODE_BAND = 1e-11
+
+
+def _antipode_lat(proj: Projection) -> float:
+    """Latitude of the antipode of an azimuthal projection's centre, else inf."""
+    return -proj.center.lat if isinstance(proj, _Azimuthal) else math.inf
+
+
+def _jacobian(xy, cut: float | None, antipode: float, lat: float, lon: float):
     """(dx/dlat, dx/dlon, dy/dlat, dy/dlon) of the kernel ``xy`` at canonical
     floats; see :func:`local_jacobian`. The stencil's neighbours take the
     canonical form a GeoCoord would give them, since a step can cross a pole
-    or the seam."""
+    or the seam. A sample on the latitude ``antipode`` is projected as well,
+    so that the kernel's own error rejects a point it excludes alone."""
     to_cut = math.inf if cut is None else wrap_longitude(lon - cut)
     last_error: DomainError | None = None
     for s in (STEP, 0.1 * STEP):
@@ -134,6 +144,8 @@ def _jacobian(xy, cut: float | None, lat: float, lon: float):
         except DomainError as exc:
             last_error = exc
             continue
+        if abs(lat - antipode) <= ANTIPODE_BAND:
+            xy(lat, lon)
         inv = 0.5 / s
         (x_n, y_n), (x_s, y_s), *along = f
         if len(along) == 3:
@@ -157,34 +169,22 @@ def local_jacobian(proj: Projection, c: GeoCoord) -> numpy.ndarray:
     derivative is one-sided, (-3 f0 + 4 f1 - f2) / 2s, on the side the
     sample's own image belongs to, so the stencil never spans the tear. If
     the step neighborhood leaves the domain the step is shrunk once (by 10x)
-    before giving up. Returns a numpy array, importing numpy when called."""
+    before giving up. A point the kernel excludes on its own, such as the
+    centre's antipode of the stereographic and Lambert azimuthal maps,
+    raises the kernel's own ``DomainError``, as ``forward`` does. Returns a
+    numpy array, importing numpy when called."""
     import numpy
 
-    xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, c.lat, c.lon)
+    xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, _antipode_lat(proj), c.lat, c.lon)
     return numpy.array([[xp, xl], [yp, yl]])
 
 
-# an azimuthal kernel may exclude its centre's antipode alone, a point no
-# stencil about it samples; samples this close to its latitude are projected
-ANTIPODE_BAND = 1e-11
-
-
-def _antipode_lat(proj: Projection) -> float:
-    """Latitude of the antipode of an azimuthal projection's centre, else inf."""
-    return -proj.center.lat if isinstance(proj, _Azimuthal) else math.inf
-
-
-def _tissot(xy, cut: float | None, lat: float, lon: float, antipode: float
+def _tissot(xy, cut: float | None, antipode: float, lat: float, lon: float
             ) -> tuple[float, ...]:
-    """The fields of :class:`DistortionSample`, in order, at canonical floats.
-    A sample on the latitude ``antipode`` is projected as well, so that the
-    kernel's own error rejects a point it excludes alone."""
+    """The fields of :class:`DistortionSample`, in order, at canonical floats."""
     if abs(lat) >= HALF_PI - 1e-12:
         raise DomainError("parallel scale is undefined at the poles")
-    fields = _fields(lat, lon, *_jacobian(xy, cut, lat, lon))
-    if abs(lat - antipode) <= ANTIPODE_BAND:
-        xy(lat, lon)
-    return fields
+    return _fields(lat, lon, *_jacobian(xy, cut, antipode, lat, lon))
 
 
 def _fields(lat: float, lon: float, xp: float, xl: float, yp: float, yl: float
@@ -220,7 +220,7 @@ def tissot(proj: Projection, c: GeoCoord) -> DistortionSample:
     in the domain.
     """
     return DistortionSample(
-        *_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon, _antipode_lat(proj))
+        *_tissot(proj._xy, proj.cut_longitude, _antipode_lat(proj), c.lat, c.lon)
     )
 
 
@@ -248,70 +248,41 @@ def _grid(proj: Projection, lats: list[float], lons: list[float]):
     """The :func:`_tissot` fields at each point of the grid ``lats`` x
     ``lons`` (canonical floats), latitude-major, to the bit.
 
-    A sample whose stencil stays off the poles and at least 2 steps off the
-    cut takes _jacobian's first, central stencil on the canonical
-    neighbours _jacobian takes. A separable kernel's four images are
-    assembled with _xy's own operations from the profile at lat and
-    lat +- STEP, evaluated once per row, and the angle or abscissa at lon
-    and lon +- STEP, once per column; any other kernel makes the four
-    calls. Every other sample runs _tissot: a row near a pole, on the
-    latitude of an azimuthal centre's antipode or whose profile fails, a
-    column near the cut, a stencil that raises DomainError. A degenerate
-    Jacobian raises as in _tissot.
+    A sample whose stencil stays off the poles and 2 steps from the cut, off
+    the latitude of an azimuthal centre's antipode, takes _jacobian's
+    central stencil on the neighbours _jacobian takes, from two ``_rows``
+    calls: the north and south rows at the centre columns, the centre rows
+    at the east and west columns. Every other sample runs _tissot, as does one with a
+    stencil image outside the domain. A degenerate Jacobian raises as in
+    _tissot.
     """
     xy, cut, antipode = proj._xy, proj.cut_longitude, _antipode_lat(proj)
     s, inv = STEP, 0.5 / STEP
-    # each row's stencil latitudes and each column's canonical stencil
-    # longitudes, as _jacobian takes them; None where _tissot must run
-    rows = [(lat, lat + s, lat - s)
-            if -HALF_PI < lat - s and lat + s < HALF_PI and abs(lat - antipode) > ANTIPODE_BAND
-            else None for lat in lats]
-    cols = [(lon, wrap_longitude(lon + s), wrap_longitude(lon - s))
-            if cut is None or abs(wrap_longitude(lon - cut)) >= 2.0 * s else None
-            for lon in lons]
-    separable = _separable_profile(proj)
-    if separable is None:
-        def stencil(row, col):
-            (p0, pn, ps), (q0, qe, qw) = row, col
-            (x_n, y_n), (x_s, y_s) = xy(pn, q0), xy(ps, q0)
-            (x_e, y_e), (x_w, y_w) = xy(p0, qe), xy(p0, qw)
-            return (x_n - x_s) * inv, (x_e - x_w) * inv, (y_n - y_s) * inv, (y_e - y_w) * inv
-    else:
-        conic, profile = separable
-        # a row whose profile fails anywhere on its stencil takes _tissot
-        profiles = [row and tuple(map(profile, row)) for row in rows]
-        rows = [p if p and None not in p else None for p in profiles]
-        lon0 = proj.lon0
-        dlams = [col and [wrap_longitude(q - lon0) for q in col] for col in cols]
-        if conic:
-            n, rho_ref = proj._cone
-            # -1.0 * y is -y to the bit: the south mirror of _Conic._xy
-            m = -1.0 if proj._south else 1.0
-            cols = [d and [(math.sin(n * v), math.cos(n * v)) for v in d] for d in dlams]
-
-            def stencil(row, col):
-                (r0, rn, rs), ((s0, c0), (se, ce), (sw, cw)) = row, col
-                return ((rn * s0 - rs * s0) * inv, (r0 * se - r0 * sw) * inv,
-                        (m * (rho_ref - rn * c0) - m * (rho_ref - rs * c0)) * inv,
-                        (m * (rho_ref - r0 * ce) - m * (rho_ref - r0 * cw)) * inv)
-        else:
-            k = proj._x_scale
-            cols = [d and [v * k for v in d] for d in dlams]
-
-            def stencil(row, col):
-                (y0, yn, ys), (x0, xe, xw) = row, col
-                return (x0 - x0) * inv, (xe - xw) * inv, (yn - ys) * inv, (y0 - y0) * inv
-    for lat, row in zip(lats, rows):
-        for lon, col in zip(lons, cols):
-            if row is not None and col is not None:
-                try:
-                    jacobian = stencil(row, col)
-                except DomainError:
-                    pass
-                else:
-                    yield _fields(lat, lon, *jacobian)
-                    continue
-            yield _tissot(xy, cut, lat, lon, antipode)
+    inner = [i for i, lat in enumerate(lats)
+             if -HALF_PI < lat - s and lat + s < HALF_PI and abs(lat - antipode) > ANTIPODE_BAND]
+    centre = [j for j, lon in enumerate(lons)
+              if cut is None or abs(wrap_longitude(lon - cut)) >= 2.0 * s]
+    north_south = proj._rows([p for i in inner for p in (lats[i] + s, lats[i] - s)],
+                             [lons[j] for j in centre])
+    east_west = proj._rows([lats[i] for i in inner], [
+        q for j in centre for q in (wrap_longitude(lons[j] + s), wrap_longitude(lons[j] - s))
+    ])
+    rows = dict(zip(inner, zip(north_south[0::2], north_south[1::2], east_west)))
+    columns = {j: b for b, j in enumerate(centre)}
+    for i, lat in enumerate(lats):
+        row = rows.get(i)
+        if row is not None:
+            (xn, yn, north), (xs, ys, south), (xm, ym, mid) = row
+            xe, xw, ye, yw = xm[0::2], xm[1::2], ym[0::2], ym[1::2]
+            # the centre columns with a stencil image outside the domain
+            holes = {*north, *south, *(h // 2 for h in mid)}
+        for j, lon in enumerate(lons):
+            b = columns.get(j)
+            if row is None or b is None or b in holes:
+                yield _tissot(xy, cut, antipode, lat, lon)
+            else:
+                yield _fields(lat, lon, (xn[b] - xs[b]) * inv, (xe[b] - xw[b]) * inv,
+                              (yn[b] - ys[b]) * inv, (ye[b] - yw[b]) * inv)
 
 
 def distortion_grid(
@@ -340,10 +311,12 @@ def euler_property_report(
         p2 = max(p2, abs(h - 1.0))
         p3 = max(p3, abs(theta_prime - HALF_PI))
         p4 = max(p4, abs(k / h - 1.0))
-    xy = proj._xy
     p1 = 0.0
-    for lon in lons:
-        chord, dev = _deviations(*zip(*[xy(lat, lon) for lat in lats]))
+    for lon, (xs, ys, holes) in zip(lons, proj._columns(lats, lons)):
+        if holes:
+            # the kernel's own error for the first node it rejects
+            proj._xy(lats[holes[0]], lon)
+        chord, dev = _deviations(xs, ys)
         p1 = max(p1, max(dev) / chord)
     return PropertyReport(p1=p1, p2=p2, p3=p3, p4=p4)
 

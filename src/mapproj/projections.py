@@ -12,17 +12,18 @@ Eleven families are implemented, each a frozen dataclass with ``forward`` and
 Families that share geometry share a base: ``_Azimuthal``; ``_Meridional``
 for the rest, which holds the central meridian ``lon0`` and the tear at its
 antimeridian; ``_Cylindrical`` for the three cylindrical families, and
-``_Conic`` for the apex-and-rays geometry of the two conics. The profile
-hooks of these two (``_ordinate`` and ``_radius``) depend on latitude alone,
-which lets a graticule or a distortion grid be evaluated as a tensor product
-of its axes (``_separable_profile``). The azimuthal hook ``_radial(c)``
-depends on the arc distance c alone and returns None outside the domain, so
-``_Azimuthal._images`` projects a whole curve in one batch, without an
-exception per rejected sample.
+``_Conic`` for the apex-and-rays geometry of the two conics.
 Each field is declared once, on the class that introduces or re-defaults it.
 Each family writes its forward formula once, as the private float kernel
-``_xy(lat, lon) -> (x, y)``; ``Projection.forward`` wraps it, and the sample
-loops of distortion analysis and curve projection call it directly.
+``_xy(lat, lon) -> (x, y)``; ``Projection.forward`` wraps it, and curve
+projection and the edge samples of distortion analysis call it directly.
+A grid of latitudes by longitudes has one kernel per family, ``_rows`` and
+``_columns``: its curves of constant latitude or longitude, with holes
+where ``_xy`` raises. The base class calls ``_xy`` per sample; the
+cylindrical and conic families evaluate their profile (``_ordinate``,
+``_radius``) once per latitude and their abscissa or angle once per
+longitude; the azimuthal families take the sine and cosine of each axis
+value once, and their ``_radial`` marks a hole without raising.
 
 Plane conventions: x east, y north on the central meridian; map units are
 unit-sphere radians. Conic apexes sit above the map (positive y). Azimuthal
@@ -42,6 +43,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import ClassVar
 
 from .errors import DomainError, MapError, ParameterError
@@ -112,6 +114,35 @@ class Projection:
         p = self.forward(GeoCoord(lat, lon))
         return p.x, p.y
 
+    def _rows(self, lats, lons) -> list[tuple[list, list, list[int]]]:
+        """The images of the grid ``lats`` x ``lons`` (float sequences), one
+        latitude at a time. Each curve is ``(xs, ys, holes)``: float lists
+        with None at the samples where ``_xy`` raises ``DomainError``, and
+        the indices of those samples. Curves may share lists, which callers
+        only read. A base that overrides the grid methods gives the same
+        floats from the axes."""
+        return [self._curve(repeat(lat), lons) for lat in lats]
+
+    def _columns(self, lats, lons) -> list[tuple[list, list, list[int]]]:
+        """The images of the grid ``lats`` x ``lons`` one longitude at a
+        time, as :meth:`_rows` gives them."""
+        return [self._curve(lats, repeat(lon)) for lon in lons]
+
+    def _curve(self, lats, lons) -> tuple[list, list, list[int]]:
+        """The curve through the points ``zip(lats, lons)``, ``_xy`` per
+        sample, as :meth:`_rows` gives a curve."""
+        xy = self._xy
+        xs, ys, holes = [], [], []
+        for j, (lat, lon) in enumerate(zip(lats, lons)):
+            try:
+                x, y = xy(lat, lon)
+            except DomainError:
+                x = y = None
+                holes.append(j)
+            xs.append(x)
+            ys.append(y)
+        return xs, ys, holes
+
     def inverse(self, p: PlanePoint) -> GeoCoord:
         raise NotImplementedError
 
@@ -158,9 +189,10 @@ class _Azimuthal(Projection):
     ``_excluded``; ``_radial_inverse(r)`` returns c or raises
     ``DomainError``.
 
-    ``_xy`` projects one point; ``_images`` projects many from their unit
-    vectors, with the frame unpacked once and ``_xy``'s operations in the
-    same order, so both give the same floats."""
+    ``_xy`` projects one point; the grid methods take the sine and cosine of
+    each axis value once and project each curve from its unit vectors, with
+    the frame unpacked once and ``_xy``'s operations in the same order, so
+    both give the same floats."""
 
     center: GeoCoord = NORTH_POLE
     _excluded: ClassVar[str]
@@ -190,27 +222,43 @@ class _Azimuthal(Projection):
         r = radius / tnorm
         return r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
 
-    def _images(self, pxs, pys, pzs) -> list[tuple[float, float] | None]:
-        """``_xy`` of the points with unit vectors ``zip(pxs, pys, pzs)``,
-        each (x, y) or None where the point lies outside the domain."""
+    def _rows(self, lats, lons):
+        cos_lons, sin_lons = list(map(math.cos, lons)), list(map(math.sin, lons))
+        return [
+            self._through([c * v for v in cos_lons], [c * v for v in sin_lons],
+                          repeat(math.sin(lat)))
+            for lat, c in zip(lats, map(math.cos, lats))
+        ]
+
+    def _columns(self, lats, lons):
+        cos_lats, sin_lats = list(map(math.cos, lats)), list(map(math.sin, lats))
+        return [
+            self._through([v * c for v in cos_lats], [v * s for v in cos_lats], sin_lats)
+            for c, s in zip(map(math.cos, lons), map(math.sin, lons))
+        ]
+
+    def _through(self, pxs, pys, pzs) -> tuple[list, list, list[int]]:
+        """The curve through the unit vectors ``zip(pxs, pys, pzs)``, as
+        :meth:`Projection._rows` gives a curve."""
         (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
         radial, atan2, sqrt = self._radial, math.atan2, math.sqrt
-        images: list[tuple[float, float] | None] = []
-        for px, py, pz in zip(pxs, pys, pzs):
+        xs, ys, holes = [], [], []
+        for j, (px, py, pz) in enumerate(zip(pxs, pys, pzs)):
             dot = px * cx + py * cy + pz * cz
             tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
             tnorm = sqrt(tx * tx + ty * ty + tz * tz)
             radius = radial(atan2(tnorm, dot))
             if radius is None:
-                images.append(None)
+                x = y = None
+                holes.append(j)
             elif tnorm < 1e-15:
-                images.append((0.0, 0.0))
+                x = y = 0.0
             else:
                 r = radius / tnorm
-                images.append(
-                    (r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz))
-                )
-        return images
+                x, y = r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
+            xs.append(x)
+            ys.append(y)
+        return xs, ys, holes
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
@@ -324,11 +372,36 @@ class _Cylindrical(_Meridional):
     """Base of the cylindrical families: x = ``_x_scale`` * (lon - lon0),
     wrapped, and y = ``_ordinate(lat, lon)``, the family's profile. The
     profile depends on lat alone; it raises ``_OutOfDomain``, naming the
-    point (lat, lon), where the domain ends."""
+    point (lat, lon), where the domain ends. The grid methods take it once
+    per latitude and x once per longitude."""
 
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         y = self._ordinate(lat, lon)
         return wrap_longitude(lon - self.lon0) * self._x_scale, y
+
+    def _profile(self, lat: float) -> float | None:
+        """The ordinate of the parallel lat, or None outside the domain."""
+        try:
+            return self._ordinate(lat, 0.0)
+        except DomainError:
+            return None
+
+    def _rows(self, lats, lons):
+        xs = [wrap_longitude(lon - self.lon0) * self._x_scale for lon in lons]
+        n = len(xs)
+        return [([None] * n, [None] * n, list(range(n))) if y is None else (xs, [y] * n, [])
+                for y in map(self._profile, lats)]
+
+    def _columns(self, lats, lons):
+        ys = list(map(self._profile, lats))
+        holes = [i for i, y in enumerate(ys) if y is None]
+        columns = []
+        for lon in lons:
+            xs = [wrap_longitude(lon - self.lon0) * self._x_scale] * len(ys)
+            for i in holes:
+                xs[i] = None
+            columns.append((xs, ys, holes))
+        return columns
 
 
 @dataclass(frozen=True)
@@ -496,6 +569,46 @@ class _Conic(_Meridional):
         y = rho_ref - rho * math.cos(theta)
         return x, -y if south else y
 
+    def _profile(self, lat: float) -> float | None:
+        """The radius of the parallel lat, or None outside the domain."""
+        try:
+            return self._radius(-lat if self._south else lat, lat, 0.0)
+        except DomainError:
+            return None
+
+    def _placed(self, xs, ys, holes) -> tuple[list, list, list[int]]:
+        """The grid curve through the northern-aspect points ``(xs, ys)``,
+        mirrored in y in a southern aspect, with None at its holes."""
+        if self._south:
+            ys = [-y for y in ys]
+        for i in holes:
+            xs[i] = ys[i] = None
+        return xs, ys, holes
+
+    def _rows(self, lats, lons):
+        n, rho_ref = self._cone
+        thetas = [n * wrap_longitude(lon - self.lon0) for lon in lons]
+        sines, cosines = list(map(math.sin, thetas)), list(map(math.cos, thetas))
+        k = len(thetas)
+        return [
+            ([None] * k, [None] * k, list(range(k))) if rho is None
+            else self._placed([rho * s for s in sines], [rho_ref - rho * c for c in cosines], [])
+            for rho in map(self._profile, lats)
+        ]
+
+    def _columns(self, lats, lons):
+        n, rho_ref = self._cone
+        rhos = list(map(self._profile, lats))
+        holes = [i for i, rho in enumerate(rhos) if rho is None]
+        rhos = [0.0 if rho is None else rho for rho in rhos]
+        columns = []
+        for lon in lons:
+            theta = n * wrap_longitude(lon - self.lon0)
+            s, c = math.sin(theta), math.cos(theta)
+            columns.append(self._placed([rho * s for rho in rhos],
+                                        [rho_ref - rho * c for rho in rhos], holes))
+        return columns
+
     def inverse(self, p: PlanePoint) -> GeoCoord:
         n, rho_ref = self._cone
         y = -p.y if self._south else p.y
@@ -604,39 +717,6 @@ class LambertConformalConic(_Conic):
     def _latitude(self, rho: float) -> float:
         n, f, _ = self._nF
         return 2.0 * math.atan((f / rho) ** (1.0 / n)) - HALF_PI
-
-
-def _separable_profile(proj: Projection):
-    """``(conic, profile)`` if the kernel of ``proj`` is a tensor product of
-    its axes, else None.
-
-    Under ``_Conic._xy`` and ``_Cylindrical._xy`` the image of (lat, lon)
-    depends on lat only through the parallel's radius (the south mirror
-    applied) or its ordinate, and on lon only through the wrapped
-    lon - lon0; the domain depends on lat alone. ``profile(lat)`` is that
-    radius or ordinate, or None where the kernel rejects the parallel.
-    """
-    kernel = type(proj)._xy
-    if kernel is _Conic._xy:
-        radius, south = proj._radius, proj._south
-
-        def at(lat):
-            return radius(-lat if south else lat, lat, 0.0)
-    elif kernel is _Cylindrical._xy:
-        ordinate = proj._ordinate
-
-        def at(lat):
-            return ordinate(lat, 0.0)
-    else:
-        return None
-
-    def profile(lat: float) -> float | None:
-        try:
-            return at(lat)
-        except DomainError:
-            return None
-
-    return kernel is _Conic._xy, profile
 
 
 # ---------------------------------------------------------------------------

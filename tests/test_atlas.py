@@ -335,8 +335,15 @@ class TestGazetteer:
     def test_round_trip(self):
         entries = load_gazetteer(
             'name,lat,lon\nAlexandria,31.2,29.92\n"Comma, Town",-5.25,170.125\n'
+            '"#3 Station",10,20\n'
         )
-        back = load_gazetteer(dump_gazetteer(entries))
+        text = dump_gazetteer(entries)
+        # a name that would read as a comment is quoted; no other name is
+        assert text.splitlines()[1:] == [
+            "Alexandria,31.2,29.92", '"Comma, Town",-5.25,170.125', '"#3 Station",10.0,20.0',
+        ]
+        back = load_gazetteer(text)
+        assert len(back) == len(entries) == 3
         for a, b in zip(entries, back):
             assert a.name == b.name
             assert a.coord.lat == pytest.approx(b.coord.lat, abs=1e-12)
@@ -350,7 +357,7 @@ class TestGazetteer:
                         blacklist_categories=("Cs", "Cc"), blacklist_characters="\n\r"
                     ),
                     min_size=1,
-                ).map(str.strip).filter(lambda s: s and not s.startswith("#")),
+                ).map(str.strip).filter(bool),
                 st.floats(-89.99, 89.99),
                 st.floats(-179.99, 179.99),
             ),
@@ -464,10 +471,9 @@ class TestRenderSvg:
         orthographic = replace(delisle, projection=parse_projection("orthographic center=57,90"))
         grat = delisle.graticule
         curves = len(grat.lats) + len(grat.lons)
-        # the conic and the orthographic map project their graticule from
-        # its axes and their geodesic as one curve; Werner projects every
-        # curve on its own
-        for scene, per_curve in ((delisle, 1), (werner, 1 + curves), (orthographic, 1)):
+        # every family projects its graticule through its grid kernel and
+        # its geodesic as one curve
+        for scene, per_curve in ((delisle, 1), (werner, 1), (orthographic, 1)):
             calls = {"_project_graticule": 0, "_project_floats": 0, "_three_point_fit": 0}
 
             def counting(name):
@@ -942,6 +948,20 @@ class TestGraticuleValue:
         with pytest.raises(ParameterError, match=f"graticule axis {axis} holds a non-finite value"):
             Graticule(**axes)
 
+    @pytest.mark.parametrize("axis", ["lats", "lat_samples"])
+    @pytest.mark.parametrize("value", [2.0, -HALF_PI - 1e-12, math.nextafter(HALF_PI, 4.0)])
+    def test_latitude_beyond_a_pole_rejected(self, axis, value):
+        axes = dict(lats=(0.1,), lons=(0.2,), lat_samples=(0.0, 0.3), lon_samples=(0.0, 0.4))
+        axes[axis] += (value,)
+        with pytest.raises(ParameterError, match=f"^graticule axis {axis} holds a latitude "
+                                                 "outside \\[-90°, 90°\\]$"):
+            Graticule(**axes)
+
+    def test_the_poles_themselves_are_latitudes(self):
+        g = Graticule(lats=(-HALF_PI, HALF_PI), lons=(2.0, 4.0),
+                      lat_samples=(-HALF_PI, HALF_PI), lon_samples=(2.0, 4.0))
+        assert g.lats == g.lat_samples == (-HALF_PI, HALF_PI)
+
     def test_curves_are_cached_tuples(self):
         g = build_graticule(BAND, math.radians(5), math.radians(10))
         curves = g.parallels + g.meridians
@@ -1028,6 +1048,8 @@ class TestProjectGraticule:
         # the azimuthal families project each curve from the axes in one batch
         "orthographic center=35,60", "stereographic", "gnomonic center=50,20",
         "central center=-45,100", "lambert_azimuthal_equal_area center=0,180",
+        # Werner projects sample by sample, through the same grid kernel
+        "werner lon0=-100",
     ])
     def test_separable_families_project_no_curve(self, spec, monkeypatch):
         def refuse(*args):

@@ -700,8 +700,8 @@ class TestGridRoutine:
         (Mercator(), GeoRegion.from_degrees(-60, 60, -170, 170)),
     ])
     def test_separable_grid_reads_each_axis_once(self, proj, region, monkeypatch):
-        # away from every edge the profile runs 3 times a row and the kernel
-        # only for P1's meridian images
+        # away from every edge the profile runs 3 times a row, once more for
+        # P1's meridian images, and the kernel never
         counts = {"profile": 0, "xy": 0}
 
         def counting(cls, name, key):
@@ -719,16 +719,16 @@ class TestGridRoutine:
         assert 0 < counts["profile"] <= 3 * 11 and counts["xy"] == 0
         counts.update(profile=0, xy=0)
         euler_property_report(proj, region, 11, 13)
-        # P1's images each read the profile once more
-        assert counts["xy"] == 11 * 13 and 0 < counts["profile"] <= 3 * 11 + 11 * 13
+        assert counts["xy"] == 0 and 0 < counts["profile"] <= 4 * 11
         monkeypatch.undo()
         assert _hex_rows(rows) == _hex_rows(_tissot_grid(proj, region, 11, 13))
 
 
 class TestAntipode:
     """The stereographic and Lambert azimuthal kernels exclude their centre's
-    antipode alone, a point no stencil about it samples: tissot and the
-    grids raise the kernel's own error there, as forward does."""
+    antipode alone, a point no stencil about it samples: tissot,
+    local_jacobian and the grids raise the kernel's own error there, as
+    forward does."""
 
     @pytest.mark.parametrize("spec", [
         "stereographic center=0,180", "lambert_azimuthal_equal_area center=0,180",
@@ -744,6 +744,7 @@ class TestAntipode:
         node = GeoCoord(linspace(region.lat_lo, region.lat_hi, 3)[1],
                         linspace(region.lon_lo, region.lon_hi, 5)[2])
         for entry, at in ((lambda: tissot(proj, antipode), antipode),
+                          (lambda: local_jacobian(proj, antipode), antipode),
                           (lambda: distortion_grid(proj, region, 3, 5), node),
                           (lambda: max_distortion_scan(proj, region, 3, 5), node)):
             with pytest.raises(DomainError) as want:
@@ -763,12 +764,14 @@ class TestAntipode:
             return _xy(self, lat, lon)
 
         monkeypatch.setattr(Stereographic, "_xy", counting)
-        # rows at -40°, -30° (the antipode's latitude) and -20°, off its meridian
+        # rows at -40°, -30° (the antipode's latitude) and -20°, off its
+        # meridian: the grid kernel projects the stencils of the other rows,
+        # and each sample of the antipode's row pays its stencil and a probe
         distortion_grid(proj, GeoRegion.from_degrees(-40, -20, 0, 20), 3, 3)
-        assert len(calls) == 4 * 9 + 3
+        assert len(calls) == 5 * 3
         calls.clear()
         distortion_grid(proj, GeoRegion.from_degrees(-41, -21, 0, 20), 3, 3)
-        assert len(calls) == 4 * 9
+        assert len(calls) == 0
         for lat, extra in ((-30.0, 1), (-30.0 + 1e-9, 0), (-29.0, 0)):
             calls.clear()
             tissot(proj, GeoCoord.from_degrees(lat, 10.0))

@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from mapproj.cli import main
 from mapproj.distortion import local_jacobian, tissot
 from mapproj.errors import DomainError, ParameterError
 from mapproj.geo import NORTH_POLE, SOUTH_POLE, wrap_longitude
-from mapproj.projections import FAMILIES, Projection
+from mapproj.projections import FAMILIES, RHO_MIN, Projection
 from conftest import all_family_instances, sample_in_domain
 
 
@@ -828,7 +829,9 @@ class TestNonFiniteInverse:
 # messages reproduce the old bits. Those of instances 8 and 16 were recorded
 # again when tissot began to reject the centre's antipode, which forward
 # rejects: only the Tissot column of their antipode probes changed, from a
-# finite sample to forward's own error.
+# finite sample to forward's own error. They were recorded a third time when
+# local_jacobian began to reject it too: only the Jacobian column of the same
+# probes changed, in the same way.
 EDGE_INSTANCES = all_family_instances() + [
     EquidistantConic(math.radians(-45), math.radians(-60), lon0=math.radians(-100)),
     EquidistantConic(math.radians(45), math.radians(60), cutoff=math.radians(80)),
@@ -847,7 +850,7 @@ EDGE_DIGESTS = {
     5: "6f8b31c9d91880d05f148f248f6fd898f18212f3f17ef334a929640da45420ab",  # mercator
     6: "0fa38c871df2aba5797b36d1dd48d2ac671ace717bfa424ed932482b793b4f97",  # equidistant_conic
     7: "4468a555280c46b653787a8c00bdab143cb39f88f4b818cc53620335a70e37f8",  # lambert_conformal_conic
-    8: "08046530504659c114cbe91d150056638481a00508a107dfe691365d422c2377",  # lambert_azimuthal_equal_area
+    8: "15dc022d80922e498a1a75790345eb5b72f6cb04ec9a50cf083c24f4da3652e5",  # lambert_azimuthal_equal_area
     9: "293d99901781c9c550a1961f02cb764343d14832c24d78fb634e497415cc7b42",  # lambert_cylindrical_equal_area
     10: "a673c49cd96349f9193058926e3afbe9dbb735e7dd395c73c8f15d10fcf7d06c",  # werner
     11: "8b1ddd0c8fff6ce4586d0a3d77fbea575dc3e3bfff010df61804f46326fbf448",  # equidistant_conic
@@ -855,7 +858,7 @@ EDGE_DIGESTS = {
     13: "016f06efc32408bfec897725c2b29407809b43c24f94f74aed5b949e1faedf4e",  # lambert_conformal_conic
     14: "90f4895fce121e1e8347475c8422402828d9dc8b7753668ad2f84f6ec0e33d79",  # mercator
     15: "56296c93b8346bc50133791049fd7dccb1d1e6f1009f08476dd0524130939eee",  # orthographic
-    16: "c98c7afc03a722330411862eb2642dc1eace6c3dcff34cbea6136592e2c059c8",  # stereographic
+    16: "e0733d2f8e3541ee6c89a4098d47366251a312822e1abcd33e7942bcb042556b",  # stereographic
     17: "8af39b693b1ce1ac8efeeaa5143efaaff16cedaa50eb522c0b2034ac5447fdd6",  # gnomonic
 }
 
@@ -928,57 +931,102 @@ class TestFamilyKernels:
                 assert (p.x, p.y) == proj._xy(c.lat, c.lon)
 
 
-AZIMUTHAL_FAMILIES = ("stereographic", "gnomonic", "central", "orthographic",
-                      "lambert_azimuthal_equal_area")
+class _Clipped(Projection):
+    """A projection that defines forward alone, torn at longitude 3: its grid
+    methods are the base class's, over the fallback kernel."""
+
+    family: ClassVar[str] = "clipped"
+    cut_longitude: ClassVar[float] = 3.0
+
+    def forward(self, c):
+        if c.lat < -1.0:
+            raise DomainError("south of -1 rad")
+        return PlanePoint(c.lon * math.cos(c.lat), c.lat)
 
 
-def _azimuthal_probes(proj, rng):
-    """The centre itself, the limb and the horizon each side by 1e-12 and
-    2e-12, the antipode and near it, and random points, as (lat, lon)."""
-    center = proj.center
-    probes = [GeoCoord(center.lat, center.lon)]
-    for dist in (0.0, 1e-15, 1e-12, math.pi / 2 - 2e-12, math.pi / 2 - 1e-12, math.pi / 2,
-                 math.pi / 2 + 1e-12, math.pi / 2 + 2e-12, math.pi - 2e-12, math.pi - 1e-12,
-                 math.pi - 1e-13, math.pi):
-        probes += [_at_distance(center, dist, az) for az in (0.0, 1.0, 2.5, math.pi, -2.0)]
-    probes.append(GeoCoord(-center.lat, wrap_longitude(center.lon + math.pi)))
-    probes += [GeoCoord(math.asin(rng.uniform(-1.0, 1.0)), rng.uniform(-math.pi, math.pi))
-               for _ in range(200)]
-    return [(c.lat, c.lon) for c in probes]
+GRID_KERNEL_SPECS = [
+    "equirectangular", "equirectangular lat0=40 lon0=180", "equirectangular lon0=-179.9",
+    "mercator lon0=30", "mercator lon0=-179.9 cutoff=60", "mercator cutoff=89.9",
+    "lambert_cylindrical_equal_area", "lambert_cylindrical_equal_area lat0=-30 lon0=-90",
+    "equidistant_conic lat1=45 lat2=60 lon0=90", "equidistant_conic lat1=45 lat2=60 cutoff=80",
+    "equidistant_conic lat1=-20 lat2=-50 lon0=180 cutoff=-70",
+    "equidistant_conic lat1=60 lat2=89.999999 lon0=-100",
+    "equidistant_conic lat1=-60 lat2=-89.999999",
+    "lambert_conformal_conic lat1=30 lat2=60 lon0=-100",
+    "lambert_conformal_conic lat1=-10 lat2=-40 lon0=180",
+    "lambert_conformal_conic lat1=-30 lat2=-60 lon0=170",
+    "orthographic", "orthographic center=35,60", "orthographic center=-20,179",
+    "orthographic center=-90,0", "orthographic center=0,180", "orthographic center=90,45",
+    "stereographic", "stereographic center=10,-170", "stereographic center=90,45",
+    "stereographic center=0,0", "stereographic center=-20,170",
+    "gnomonic", "gnomonic center=50,20", "gnomonic center=0,180", "gnomonic center=90,0",
+    "central", "central center=-45,100",
+    "lambert_azimuthal_equal_area", "lambert_azimuthal_equal_area center=0,180",
+    "lambert_azimuthal_equal_area center=-20,-179", "lambert_azimuthal_equal_area center=60,150",
+    "lambert_azimuthal_equal_area center=35,60",
+    "werner", "werner lon0=-179", "werner lon0=180",
+    "clipped",
+]
 
 
-class TestAzimuthalImages:
-    """``_Azimuthal._images`` is ``_xy`` on many points at once: the same
-    floats, and None exactly where ``_xy`` raises."""
+def _kernel_axes(proj, rng):
+    """Latitudes and longitudes through every edge probe of ``proj``, through
+    its cutoff and its conic apex each side by 1e-12, across +-180°, and at
+    random."""
+    probes = _edge_probes(proj)
+    lats = {c.lat for c in probes} | {math.asin(rng.uniform(-1.0, 1.0)) for _ in range(10)}
+    lons = {c.lon for c in probes} | {rng.uniform(-math.pi, math.pi) for _ in range(10)}
+    lons |= {-math.pi + 1e-12, math.pi - 1e-12, math.pi}
+    edges = [getattr(proj, "cutoff", None) or 0.0]
+    if isinstance(proj, EquidistantConic):
+        edges.append(math.copysign(proj._rho_equator - RHO_MIN, proj.phi_a))
+    lats |= {sign * e + d for e in edges for sign in (-1.0, 1.0) for d in (-1e-12, 0.0, 1e-12)
+             if abs(e + d) <= math.pi / 2}
+    return sorted(lats), sorted(lons)
 
-    @pytest.mark.parametrize("family", AZIMUTHAL_FAMILIES)
-    @pytest.mark.parametrize("center", [(90, 0), (-90, 0), (90, 45), (0, 0), (0, 180),
-                                        (35, 60), (-20, -179), (60, 150)])
-    def test_images_equal_the_kernel(self, family, center, rng):
-        proj = parse_projection(f"{family} center={center[0]},{center[1]}")
-        points = _azimuthal_probes(proj, rng)
-        cos_lats = [math.cos(lat) for lat, _ in points]
-        images = proj._images(
-            [c * math.cos(lon) for c, (_, lon) in zip(cos_lats, points)],
-            [c * math.sin(lon) for c, (_, lon) in zip(cos_lats, points)],
-            [math.sin(lat) for lat, _ in points],
-        )
-        assert len(images) == len(points)
-        rejected = 0
-        for (lat, lon), image in zip(points, images):
-            try:
-                x, y = proj._xy(lat, lon)
-            except DomainError as exc:
-                assert image is None, (lat, lon)
-                assert str(exc).endswith(f"outside {family} domain: {proj._excluded}")
-                rejected += 1
-            else:
-                assert image is not None, (lat, lon)
-                assert (image[0].hex(), image[1].hex()) == (x.hex(), y.hex()), (lat, lon)
-        # every family rejects its centre's antipode
-        assert rejected > 0
-        assert images[0] == (0.0, 0.0)
 
+def _hex_curve(xs, ys, holes):
+    images = [None if x is None and y is None else (x.hex(), y.hex()) for x, y in zip(xs, ys)]
+    return images, holes
+
+
+class TestGridKernels:
+    """Every kernel's grid methods give ``_xy``'s floats, one curve per
+    latitude (``_rows``) or per longitude (``_columns``), with None and a
+    hole exactly where ``_xy`` raises."""
+
+    @pytest.mark.parametrize("spec", GRID_KERNEL_SPECS)
+    def test_rows_and_columns_equal_the_kernel(self, spec, rng):
+        proj = _Clipped() if spec == "clipped" else parse_projection(spec)
+        lats, lons = _kernel_axes(proj, rng)
+        want = []
+        for lat in lats:
+            row = []
+            for lon in lons:
+                try:
+                    x, y = proj._xy(lat, lon)
+                except DomainError:
+                    row.append(None)
+                else:
+                    row.append((x.hex(), y.hex()))
+            want.append(row)
+
+        def curve(images):
+            return list(images), [k for k, image in enumerate(images) if image is None]
+
+        assert [_hex_curve(*c) for c in proj._rows(lats, lons)] == list(map(curve, want))
+        assert [_hex_curve(*c) for c in proj._columns(lats, lons)] == list(
+            map(curve, zip(*want)))
+        # the axes leave every domain with an edge on the sphere; the two
+        # cylindrical maps without a cutoff, Werner, and a conic whose apex
+        # lies beyond the pole have none
+        unbounded = spec == "equidistant_conic lat1=45 lat2=60 lon0=90" or proj.family in (
+            "equirectangular", "lambert_cylindrical_equal_area", "werner")
+        assert any(None in row for row in want) != unbounded
+        assert -math.pi / 2 in lats and math.pi / 2 in lats
+
+
+class TestAzimuthalRejections:
     @pytest.mark.parametrize("spec, lat, lon, message", [
         ("stereographic center=10,20", -10, -160, "(lat -10.000000°, lon -160.000000°) outside "
          "stereographic domain: the projection source maps to infinity"),

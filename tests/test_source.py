@@ -1,6 +1,7 @@
-"""No module defines the same top-level function or class twice: the second
-definition rebinds the name at import and leaves the first dead, which no
-runtime test notices."""
+"""Static checks of the source. No module defines the same top-level
+function or class twice: the second definition rebinds the name at import
+and leaves the first dead, which no runtime test notices. The graticule and
+distortion code reads no family's formula: each lives in projections."""
 
 import ast
 from collections import Counter
@@ -21,3 +22,34 @@ def test_no_top_level_name_defined_twice():
             if repeated := sorted(name for name, n in names.items() if n > 1):
                 twice[str(path.relative_to(ROOT))] = repeated
     assert twice == {}
+
+
+# the names under which a family keeps its formula; atlas and distortion
+# reach every family through _xy and the grid methods _rows and _columns
+KERNEL_INTERNALS = {"_cone", "_south", "_x_scale", "_radius", "_ordinate", "_radial", "_frame",
+                    "lon0"}
+
+
+def _kernel_reads(source: str) -> list[str]:
+    """Each read of a kernel internal, and each comparison of a ``type(...)._xy``."""
+    reads = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_INTERNALS:
+            reads.append(f"line {node.lineno}: .{node.attr}")
+        if isinstance(node, ast.Compare):
+            for side in (node.left, *node.comparators):
+                if (isinstance(side, ast.Attribute) and side.attr == "_xy"
+                        and isinstance(side.value, ast.Call)
+                        and isinstance(side.value.func, ast.Name) and side.value.func.id == "type"):
+                    reads.append(f"line {node.lineno}: type(...)._xy")
+    return reads
+
+
+def test_consumers_do_not_read_kernel_internals():
+    assert _kernel_reads("if type(p)._xy is K._xy:\n    n, r = p._cone\n    q = p.lon0\n") == [
+        "line 1: type(...)._xy", "line 2: ._cone", "line 3: .lon0"]
+    reads = {
+        name: _kernel_reads((ROOT / "src/mapproj" / name).read_text(encoding="utf-8"))
+        for name in ("atlas.py", "distortion.py")
+    }
+    assert reads == {"atlas.py": [], "distortion.py": []}
