@@ -6,9 +6,9 @@ parallels, the longitudes of its meridians and the two sample axes. Its
 curves as tuples of ``GeoCoord`` are built from the axes on first read, and
 rendering never builds them: it works on floats from the axes down to the
 path strings. Every family projects a graticule through its grid kernel
-(``_rows`` for the parallels, ``_columns`` for the meridians), and this
-module only splits the curves into runs, at the kernel's holes and at the
-tear.
+(``_rows`` for the parallels, ``_columns`` for the meridians). The curve
+splitter of :mod:`mapproj.geodesics` cuts the curves into runs at the
+kernel's holes and at the tear, as it cuts a geodesic.
 
 The gazetteer format is CSV with header ``name,lat,lon``; coordinates are
 decimal degrees or degree-minute strings like ``60°30′``, and lines starting
@@ -44,10 +44,10 @@ from .errors import DomainError, ParameterError
 from .geo import (
     HALF_PI, MAX_SAMPLES, GeoCoord, GeoRegion, linspace, sample_great_circle, wrap_longitude,
 )
-# rendering goes through the two float boundaries by these module names;
-# project_polyline is not used here: perfbench's tracer and
+# rendering reaches the curve projector and the arc fit by these module
+# names; project_polyline is not used here: perfbench's tracer and
 # tests/test_projections.py import it from this module
-from .geodesics import _project_floats, _three_point_fit, project_polyline
+from .geodesics import _project_floats, _runs, _tears, _three_point_fit, project_polyline
 from .projections import Projection
 
 # meridian curves stop this far (radians) from the singular pole points
@@ -94,12 +94,20 @@ class Graticule:
 
 @dataclass(frozen=True)
 class GazetteerEntry:
+    """A named place. The name is one line of text, not blank, without
+    leading or trailing whitespace: the names that :func:`load_gazetteer`
+    can give back."""
+
     name: str
     coord: GeoCoord
 
     def __post_init__(self):
         if not self.name:
             raise ParameterError("gazetteer entry needs a non-empty name")
+        if self.name.splitlines() != [self.name] or self.name != self.name.strip():
+            raise ParameterError(
+                f"gazetteer name {self.name!r} must be one line without leading or "
+                "trailing whitespace")
 
 
 @dataclass(frozen=True)
@@ -344,35 +352,11 @@ def _curve_layer(name: str, segments, tr, style: str, arcs: bool) -> list[str]:
     return lines
 
 
-def _segments(proj: Projection, curves) -> list[tuple[list[float], list[float]]]:
-    """The unbroken runs of every curve, given as (lats, lons) axes, in order."""
-    return [seg for lats, lons in curves for seg in _project_floats(proj, lats, lons)[0]]
-
-
-def _runs(xs, ys, holes, tears) -> list[tuple[list[float], list[float]]]:
-    """The runs of at least 2 samples of the grid curve ``(xs, ys, holes)``,
-    split around each of its holes and before each index in ``tears``, as
-    (xs, ys) lists."""
-    bounds = [-1, *holes, len(xs)]
-    runs = []
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a > 2:
-            cuts = [a + 1, *[t for t in tears if a + 1 < t < b], b]
-            runs += [(xs[c:d], ys[c:d]) for c, d in zip(cuts, cuts[1:]) if d - c >= 2]
-    return runs
-
-
 def _project_graticule(proj: Projection, grat: Graticule) -> tuple[list, list]:
     """The runs of the parallels and of the meridians, each list equal to
-    what :func:`_segments` gives for the curves. The tear splits every
-    parallel at the same samples, found as _project_floats finds it, a jump
-    of more than pi in the wrapped longitude between neighbours, and no
-    meridian."""
-    tears = []
-    if proj.cut_longitude is not None:
-        centre = wrap_longitude(proj.cut_longitude + math.pi)
-        u = [wrap_longitude(lon - centre) for lon in grat.lon_samples]
-        tears = [j for j in range(1, len(u)) if abs(u[j] - u[j - 1]) > math.pi]
+    what :func:`_project_floats` gives curve by curve. The tear splits every
+    parallel at the same samples and no meridian."""
+    tears = _tears(proj, grat.lon_samples)
     return (
         [run for row in proj._rows(grat.lats, grat.lon_samples) for run in _runs(*row, tears)],
         [run for col in proj._columns(grat.lat_samples, grat.lons) for run in _runs(*col, ())],
@@ -388,8 +372,10 @@ def render_svg(scene: MapScene) -> str:
     parallel_segs = meridian_segs = []
     if grat is not None:
         parallel_segs, meridian_segs = _project_graticule(proj, grat)
-    arcs = (sample_great_circle(a, b, n) for a, b, n in scene.geodesics)
-    geodesic_segs = _segments(proj, (([c.lat for c in s], [c.lon for c in s]) for s in arcs))
+    geodesic_segs = []
+    for a, b, n in scene.geodesics:
+        arc = sample_great_circle(a, b, n)
+        geodesic_segs += _project_floats(proj, [c.lat for c in arc], [c.lon for c in arc])
     markers: list[tuple[float, float, str]] = []
     for entry in scene.places:
         try:

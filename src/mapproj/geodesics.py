@@ -8,9 +8,12 @@ gnomonic/central families the images are exactly straight; under the
 equidistant conic they bow slightly, along near-circular arcs of large
 radius.
 
-Projection, deviations and the primary fit run on float lists. numpy is
-imported only by :func:`fit_circular_arc`, when it computes the
-least-squares refinement.
+Projection, deviations and the primary fit run on float lists. A curve
+projects through its family's kernel ``_curve``, which marks the samples
+outside the domain as holes; :func:`_runs` splits it there and at the tear
+crossings :func:`_tears` finds, and :mod:`mapproj.atlas` splits the curves
+of a graticule with the same two. numpy is imported only by
+:func:`fit_circular_arc`, when it computes the least-squares refinement.
 """
 
 from __future__ import annotations
@@ -91,61 +94,56 @@ class ArcFit:
     ls_max_residual: float | None = None
 
 
-def _project_floats(
-    proj: Projection, lats, lons
-) -> tuple[list[tuple[list[float], list[float]]], DomainError | None]:
-    """Forward image of the samples ``zip(lats, lons)`` on floats: the
-    unbroken runs as ``(xs, ys)`` float lists, and the first rejection (a
-    ``DomainError``, its message unformatted) or None.
+def _tears(proj: Projection, lons) -> list[int]:
+    """The indices j at which a curve through the longitudes ``lons`` (a
+    sequence) crosses the tear of ``proj``: a jump of more than pi in the
+    longitude, wrapped about the central meridian, from sample j - 1 to j.
+    A family without a tear has none."""
+    if proj.cut_longitude is None:
+        return []
+    centre = wrap_longitude(proj.cut_longitude + math.pi)
+    u = [wrap_longitude(lon - centre) for lon in lons]
+    return [j for j in range(1, len(u)) if abs(u[j] - u[j - 1]) > math.pi]
 
-    Out-of-domain samples open a break. Families with an antimeridian tear
-    (cylindrical, conic, cordiform) additionally split wherever the curve
-    crosses the cut, detected as a wrapped-longitude jump larger than pi
-    between consecutive samples. Runs shorter than 2 points are dropped.
-    """
-    xy = proj._xy
-    cut = proj.cut_longitude
-    lon0 = None if cut is None else wrap_longitude(cut + math.pi)
-    segments: list[tuple[list[float], list[float]]] = []
-    xs: list[float] = []
-    ys: list[float] = []
-    first: DomainError | None = None
-    prev_u: float | None = None
-    for lat, lon in zip(lats, lons):
-        if lon0 is not None:
-            u = wrap_longitude(lon - lon0)
-            if prev_u is not None and abs(u - prev_u) > math.pi:
-                if len(xs) >= 2:
-                    segments.append((xs, ys))
-                xs, ys = [], []
-            prev_u = u
-        try:
-            x, y = xy(lat, lon)
-        except DomainError as exc:
-            if first is None:
-                first = exc
-            if len(xs) >= 2:
-                segments.append((xs, ys))
-            xs, ys = [], []
-            continue
-        xs.append(x)
-        ys.append(y)
-    if len(xs) >= 2:
-        segments.append((xs, ys))
-    return segments, first
+
+def _runs(xs, ys, holes, tears) -> list[tuple[list[float], list[float]]]:
+    """The runs of at least 2 samples of the curve ``(xs, ys, holes)``, as a
+    grid kernel gives it, split around each of its holes and before each
+    index in ``tears``, as (xs, ys) lists."""
+    bounds = [-1, *holes, len(xs)]
+    runs = []
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a > 2:
+            cuts = [a + 1, *[t for t in tears if a + 1 < t < b], b]
+            runs += [(xs[c:d], ys[c:d]) for c, d in zip(cuts, cuts[1:]) if d - c >= 2]
+    return runs
+
+
+def _project_floats(proj: Projection, lats, lons) -> list[tuple[list[float], list[float]]]:
+    """Forward image of the samples ``zip(lats, lons)`` (two float
+    sequences) as its unbroken runs of at least 2 points, ``(xs, ys)`` float
+    lists. A run ends at each sample outside the domain, and before each
+    crossing of the tear (:func:`_tears`)."""
+    return _runs(*proj._curve(lats, lons), _tears(proj, lons))
 
 
 def project_polyline(proj: Projection, curve) -> PlanePolyline:
     """Forward image of a sampled curve of ``GeoCoord``, split into unbroken
     segments where :func:`_project_floats` splits it (domain breaks and the
-    tear). ``note`` is the first rejection's message when nothing is left.
+    tear). When no segment is left, ``note`` is the message of the first
+    sample the projection rejects, if any.
     """
     curve = list(curve)
-    segments, first = _project_floats(proj, [c.lat for c in curve], [c.lon for c in curve])
-    return PlanePolyline(
-        tuple(tuple(map(PlanePoint, xs, ys)) for xs, ys in segments),
-        note=str(first) if first is not None and not segments else None,
-    )
+    lats, lons = [c.lat for c in curve], [c.lon for c in curve]
+    runs = _project_floats(proj, lats, lons)
+    note = None
+    if not runs:
+        try:
+            for lat, lon in zip(lats, lons):
+                proj._xy(lat, lon)
+        except DomainError as exc:
+            note = str(exc)
+    return PlanePolyline(tuple(tuple(map(PlanePoint, xs, ys)) for xs, ys in runs), note=note)
 
 
 def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> PlanePolyline:

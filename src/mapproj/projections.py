@@ -361,19 +361,13 @@ class LambertAzimuthalEqualArea(_Azimuthal):
 # cylindrical-like families
 
 
-def _within_width(dlam: float, x: float) -> float:
-    """dlam, checked to lie inside a map whose x is linear in longitude."""
-    if not abs(dlam) <= math.pi + 1e-9:  # NaN fails too
-        raise DomainError(f"no preimage: x = {x:.9g} beyond the map width")
-    return dlam
-
-
 class _Cylindrical(_Meridional):
     """Base of the cylindrical families: x = ``_x_scale`` * (lon - lon0),
     wrapped, and y = ``_ordinate(lat, lon)``, the family's profile. The
     profile depends on lat alone; it raises ``_OutOfDomain``, naming the
-    point (lat, lon), where the domain ends. The grid methods take it once
-    per latitude and x once per longitude."""
+    point (lat, lon), where the domain ends. Its inverse ``_latitude(y)``
+    raises ``DomainError`` on an ordinate without a preimage. The grid
+    methods take the profile once per latitude and x once per longitude."""
 
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         y = self._ordinate(lat, lon)
@@ -403,6 +397,13 @@ class _Cylindrical(_Meridional):
             columns.append((xs, ys, holes))
         return columns
 
+    def inverse(self, p: PlanePoint) -> GeoCoord:
+        lat = self._latitude(p.y)
+        dlam = p.x / self._x_scale
+        if not abs(dlam) <= math.pi + 1e-9:  # NaN fails too
+            raise DomainError(f"no preimage: x = {p.x:.9g} beyond the map width")
+        return GeoCoord(lat, self.lon0 + dlam)
+
 
 @dataclass(frozen=True)
 class _StandardParallel(_Cylindrical):
@@ -431,11 +432,10 @@ class Equirectangular(_StandardParallel):
     def _ordinate(self, lat: float, lon: float) -> float:
         return lat
 
-    def inverse(self, p: PlanePoint) -> GeoCoord:
-        if not abs(p.y) <= HALF_PI + 1e-12:  # NaN fails too
-            raise DomainError(f"no preimage: |y| = {abs(p.y):.9g} beyond the pole line")
-        dlam = _within_width(p.x / self._x_scale, p.x)
-        return GeoCoord(max(-HALF_PI, min(HALF_PI, p.y)), self.lon0 + dlam)
+    def _latitude(self, y: float) -> float:
+        if not abs(y) <= HALF_PI + 1e-12:  # NaN fails too
+            raise DomainError(f"no preimage: |y| = {abs(y):.9g} beyond the pole line")
+        return max(-HALF_PI, min(HALF_PI, y))
 
 
 @dataclass(frozen=True)
@@ -446,7 +446,7 @@ class Mercator(_Cylindrical):
     lon0: float = 0.0
     cutoff: float = math.radians(85.0)
     family: ClassVar[str] = "mercator"
-    # x is the wrapped longitude itself: multiplying by 1.0 is exact
+    # x is the wrapped longitude itself: multiplying and dividing by 1.0 are exact
     _x_scale: ClassVar[float] = 1.0
 
     def __post_init__(self):
@@ -464,12 +464,12 @@ class Mercator(_Cylindrical):
         # asinh(tan(lat)) == ln tan(pi/4 + lat/2), but exactly odd in floats
         return math.asinh(math.tan(lat))
 
-    def inverse(self, p: PlanePoint) -> GeoCoord:
-        dlam = _within_width(p.x, p.x)
-        lat = math.atan(math.sinh(p.y))
+    def _latitude(self, y: float) -> float:
+        # sinh overflows past |y| = 710; from 700 on, atan(sinh(y)) is +-pi/2
+        lat = math.copysign(HALF_PI, y) if abs(y) >= 700.0 else math.atan(math.sinh(y))
         if not abs(lat) <= self.cutoff + 1e-12:  # NaN fails too
-            raise DomainError(f"no preimage: y = {p.y:.9g} beyond the latitude cutoff")
-        return GeoCoord(lat, self.lon0 + dlam)
+            raise DomainError(f"no preimage: y = {y:.9g} beyond the latitude cutoff")
+        return lat
 
 
 class LambertCylindricalEqualArea(_StandardParallel):
@@ -480,13 +480,11 @@ class LambertCylindricalEqualArea(_StandardParallel):
     def _ordinate(self, lat: float, lon: float) -> float:
         return math.sin(lat) / self._x_scale
 
-    def inverse(self, p: PlanePoint) -> GeoCoord:
-        cos0 = self._x_scale
-        sin_lat = p.y * cos0
+    def _latitude(self, y: float) -> float:
+        sin_lat = y * self._x_scale
         if not abs(sin_lat) <= 1.0 + 1e-9:  # NaN fails too
-            raise DomainError(f"no preimage: y = {p.y:.9g} beyond the pole line")
-        dlam = _within_width(p.x / cos0, p.x)
-        return GeoCoord(math.asin(max(-1.0, min(1.0, sin_lat))), self.lon0 + dlam)
+            raise DomainError(f"no preimage: y = {y:.9g} beyond the pole line")
+        return math.asin(max(-1.0, min(1.0, sin_lat)))
 
 
 # ---------------------------------------------------------------------------
@@ -716,7 +714,11 @@ class LambertConformalConic(_Conic):
 
     def _latitude(self, rho: float) -> float:
         n, f, _ = self._nF
-        return 2.0 * math.atan((f / rho) ** (1.0 / n)) - HALF_PI
+        try:
+            t = (f / rho) ** (1.0 / n)
+        except OverflowError:  # a radius within rounding of the excluded pole's
+            raise DomainError(f"no preimage: radius {rho:.9g} at the excluded pole") from None
+        return 2.0 * math.atan(t) - HALF_PI
 
 
 # ---------------------------------------------------------------------------

@@ -234,7 +234,7 @@ class TestGraticuleAxes:
         )
         assert g.lon_samples[-1] == math.pi
         for lat in g.lats:
-            segments, _ = mapproj.atlas._project_floats(
+            segments = mapproj.atlas._project_floats(
                 proj, [lat] * len(g.lon_samples), g.lon_samples
             )
             assert len(segments) == 1
@@ -266,6 +266,11 @@ class TestProjectPolyline:
         curve = [GeoCoord.from_degrees(-50, d) for d in range(-180, 180, 2)]
         poly = project_polyline(Stereographic(), curve)
         assert len(poly.segments) == 1
+
+
+# the characters str.splitlines breaks a line at, and some that str.strip
+# removes and it does not
+LINE_BREAKS_AND_SPACES = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029 \t\x1f\xa0\u3000"
 
 
 class TestGazetteer:
@@ -349,15 +354,21 @@ class TestGazetteer:
             assert a.coord.lat == pytest.approx(b.coord.lat, abs=1e-12)
             assert a.coord.lon == pytest.approx(b.coord.lon, abs=1e-12)
 
+    @pytest.mark.parametrize("name", [
+        "", " ", "\t", " Paris", "Paris ", "Paris\n", "Pa\nris", "Pa\u2028ris", "Pa\x85ris",
+        "Pa\fris", "Pa\vris", "Pa\x1cris", "Pa\rris",
+    ])
+    def test_entry_refuses_a_name_no_gazetteer_gives(self, name):
+        with pytest.raises(ParameterError):
+            GazetteerEntry(name, GeoCoord(0.1, 0.2))
+
     @given(
         st.lists(
             st.tuples(
                 st.text(
-                    alphabet=st.characters(
-                        blacklist_categories=("Cs", "Cc"), blacklist_characters="\n\r"
-                    ),
-                    min_size=1,
-                ).map(str.strip).filter(bool),
+                    alphabet=st.characters(blacklist_categories=("Cs", "Cc"))
+                    | st.sampled_from(LINE_BREAKS_AND_SPACES),
+                ),
                 st.floats(-89.99, 89.99),
                 st.floats(-179.99, 179.99),
             ),
@@ -367,10 +378,17 @@ class TestGazetteer:
     )
     @settings(max_examples=60)
     def test_round_trip_property(self, rows):
-        entries = [
-            GazetteerEntry(name=n, coord=GeoCoord.from_degrees(lat, lon))
-            for n, lat, lon in rows
-        ]
+        # every name either round-trips or is refused when its entry is built
+        entries = []
+        for n, lat, lon in rows:
+            coord = GeoCoord.from_degrees(lat, lon)
+            if not n.strip() or n != n.strip() or len(n.splitlines()) > 1:
+                with pytest.raises(ParameterError):
+                    GazetteerEntry(name=n, coord=coord)
+            else:
+                entries.append(GazetteerEntry(name=n, coord=coord))
+        if not entries:
+            return
         back = load_gazetteer(dump_gazetteer(entries))
         assert [e.name for e in back] == [e.name for e in entries]
         for a, b in zip(entries, back):
@@ -400,7 +418,7 @@ def _arc_fits(scene) -> int:
         len(xs) >= 3
         for lat in grat.lats
         for xs, _ in mapproj.atlas._project_floats(
-            scene.projection, [lat] * len(grat.lon_samples), grat.lon_samples)[0]
+            scene.projection, [lat] * len(grat.lon_samples), grat.lon_samples)
     )
 
 
@@ -1023,6 +1041,40 @@ def _hex_runs(segments):
     return [([x.hex() for x in xs], [y.hex() for y in ys]) for xs, ys in segments]
 
 
+# the per-sample curve projector that the grid kernels' _curve and
+# geodesics._runs and _tears replaced, kept as the reference for both the
+# graticule and the curve splitting
+def _reference_project_floats(proj, lats, lons):
+    """The runs of ``zip(lats, lons)`` as (xs, ys) lists, and the first
+    DomainError or None."""
+    xy = proj._xy
+    cut = proj.cut_longitude
+    lon0 = None if cut is None else wrap_longitude(cut + math.pi)
+    segments, xs, ys, first, prev_u = [], [], [], None, None
+    for lat, lon in zip(lats, lons):
+        if lon0 is not None:
+            u = wrap_longitude(lon - lon0)
+            if prev_u is not None and abs(u - prev_u) > math.pi:
+                if len(xs) >= 2:
+                    segments.append((xs, ys))
+                xs, ys = [], []
+            prev_u = u
+        try:
+            x, y = xy(lat, lon)
+        except DomainError as exc:
+            if first is None:
+                first = exc
+            if len(xs) >= 2:
+                segments.append((xs, ys))
+            xs, ys = [], []
+            continue
+        xs.append(x)
+        ys.append(y)
+    if len(xs) >= 2:
+        segments.append((xs, ys))
+    return segments, first
+
+
 class TestProjectGraticule:
     @pytest.mark.parametrize("family", sorted(projections.FAMILIES))
     def test_equals_the_curve_by_curve_runs(self, family):
@@ -1031,10 +1083,12 @@ class TestProjectGraticule:
         for params in GRID_SPECS.get(family, ("",)):
             proj = parse_projection(f"{family} {params}")
             for grat in grats:
-                parallels = mapproj.atlas._segments(
-                    proj, ((repeat(lat), grat.lon_samples) for lat in grat.lats))
-                meridians = mapproj.atlas._segments(
-                    proj, ((grat.lat_samples, repeat(lon)) for lon in grat.lons))
+                parallels = [
+                    run for lat in grat.lats for run in _reference_project_floats(
+                        proj, repeat(lat), grat.lon_samples)[0]]
+                meridians = [
+                    run for lon in grat.lons for run in _reference_project_floats(
+                        proj, grat.lat_samples, repeat(lon))[0]]
                 got = mapproj.atlas._project_graticule(proj, grat)
                 assert [_hex_runs(segs) for segs in got] == [
                     _hex_runs(parallels), _hex_runs(meridians)
@@ -1059,3 +1113,114 @@ class TestProjectGraticule:
         parallels, meridians = mapproj.atlas._project_graticule(
             parse_projection(spec), build_graticule(WORLD, math.radians(30), math.radians(30)))
         assert parallels and meridians
+
+
+def _inside(proj, lat, lon) -> bool:
+    try:
+        proj._xy(lat, lon)
+    except DomainError:
+        return False
+    return True
+
+
+def _on_chord(a, b, t):
+    """(lat, lon) of the point a fraction t along the chord from the unit
+    vector a to b, pushed out onto the sphere."""
+    vx, vy, vz = ((1.0 - t) * p + t * q for p, q in zip(a, b))
+    norm = math.sqrt(vx * vx + vy * vy + vz * vz)
+    return math.asin(max(-1.0, min(1.0, vz / norm))), math.atan2(vy, vx)
+
+
+def _edge_curve(proj, rng):
+    """A short curve about a point where the domain ends, found by bisection
+    on a chord from the centre (or the north pole) to near its antipode,
+    which crosses the cutoffs, the apex, the excluded poles or the limb."""
+    centre = getattr(proj, "center", GeoCoord(HALF_PI, 0.0))
+    cos_lat = math.cos(centre.lat)
+    a = (cos_lat * math.cos(centre.lon), cos_lat * math.sin(centre.lon), math.sin(centre.lat))
+    b = tuple(-v + rng.uniform(-0.3, 0.3) for v in a)
+    ts = linspace(0.0, 1.0, 65)
+    flips = [(t0, t1) for t0, t1 in zip(ts, ts[1:])
+             if _inside(proj, *_on_chord(a, b, t0)) != _inside(proj, *_on_chord(a, b, t1))]
+    if not flips:
+        return [_on_chord(a, b, t) for t in ts]
+    lo, hi = rng.choice(flips)
+    side = _inside(proj, *_on_chord(a, b, lo))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if _inside(proj, *_on_chord(a, b, mid)) == side else (lo, mid)
+    h = rng.choice([1e-16, 1e-13, 1e-10, 1e-6, 1e-3])
+    m = rng.randint(1, 6)
+    return [_on_chord(a, b, lo + k * h) for k in range(-m, m + 1)]
+
+
+def _sweep_curve(proj, rng, kind):
+    """A seeded curve of one of six kinds, as (lat, lon) pairs."""
+    def anywhere():
+        return math.asin(rng.uniform(-1.0, 1.0)), rng.uniform(-math.pi, math.pi)
+
+    if kind == "geodesic":
+        a, b = (GeoCoord(*anywhere()) for _ in range(2))
+        return [(c.lat, c.lon) for c in sample_great_circle(a, b, rng.randint(3, 65))]
+    if kind == "walk":  # starts near the tear and steps across it
+        cut = proj.cut_longitude
+        lat, lon = anywhere()
+        lon = wrap_longitude((lon if cut is None else cut) + rng.uniform(-0.5, 0.5))
+        points = []
+        for _ in range(rng.randint(2, 40)):
+            points.append((lat, lon))
+            lat = max(-HALF_PI, min(HALF_PI, lat + rng.uniform(-0.15, 0.15)))
+            lon = wrap_longitude(lon + rng.uniform(-0.5, 0.5))
+        return points
+    if kind == "pole":  # meridians and parallels through the poles themselves
+        n = rng.randint(2, 40)
+        lon = anywhere()[1]
+        if rng.random() < 0.3:
+            lat = rng.choice([-HALF_PI, HALF_PI])
+            return [(lat, v) for v in linspace(-math.pi, math.pi, n)]
+        lons = [lon] * n if rng.random() < 0.5 else linspace(lon, lon + 1.0, n)
+        return list(zip(linspace(-HALF_PI, HALF_PI, n), map(wrap_longitude, lons)))
+    if kind == "edge":
+        return _edge_curve(proj, rng)
+    # 1 to 3 samples, some of them at a pole or at an edge
+    points = [anywhere() for _ in range(rng.randint(1, 3))]
+    if rng.random() < 0.3:
+        points[0] = (rng.choice([-HALF_PI, HALF_PI]), points[0][1])
+    if rng.random() < 0.3:
+        points[-1] = rng.choice(_edge_curve(proj, rng))
+    return points
+
+
+SWEEP_KINDS = ("geodesic", "walk", "pole", "edge", "short", "short")
+
+
+class TestProjectFloats:
+    def test_equals_the_per_sample_loop(self):
+        # runs as float.hex and project_polyline's note against the
+        # reference, over every family and aspect of GRID_SPECS
+        rng = random.Random(2020)
+        curves = notes = tear_splits = hole_splits = 0
+        families = set()
+        for family in sorted(projections.FAMILIES):
+            for params in GRID_SPECS.get(family, ("",)):
+                proj = parse_projection(f"{family} {params}")
+                families.add(proj.family)
+                for i in range(160):
+                    points = [GeoCoord(lat, lon)
+                              for lat, lon in _sweep_curve(proj, rng, SWEEP_KINDS[i % 6])]
+                    lats, lons = [c.lat for c in points], [c.lon for c in points]
+                    want, first = _reference_project_floats(proj, lats, lons)
+                    got = mapproj.atlas._project_floats(proj, lats, lons)
+                    assert _hex_runs(got) == _hex_runs(want), (params, points)
+                    note = str(first) if first is not None and not want else None
+                    poly = project_polyline(proj, points)
+                    assert poly.note == note, (params, points)
+                    assert [[_hex(p) for p in seg] for seg in poly.segments] == [
+                        list(zip(*run)) for run in _hex_runs(want)]
+                    curves += 1
+                    notes += note is not None
+                    tear_splits += first is None and len(want) > 1
+                    hole_splits += first is not None and len(want) > 1
+        assert len(families) == 11
+        assert curves >= 3000
+        assert min(notes, tear_splits, hole_splits) >= 50, (notes, tear_splits, hole_splits)

@@ -821,6 +821,52 @@ class TestNonFiniteInverse:
         assert capsys.readouterr().err == "error: no preimage: |y| = nan beyond the pole line\n"
 
 
+# A point bad in both coordinates: the cylindrical inverse checks y first.
+# Mercator checked x first until the three families shared one inverse.
+BAD_IN_BOTH = [
+    ("equirectangular lat0=30 lon0=10", 10.0, 3.0, "no preimage: |y| = 3 beyond the pole line"),
+    ("lambert_cylindrical_equal_area lat0=15", -10.0, 5.0,
+     "no preimage: y = 5 beyond the pole line"),
+    ("mercator lon0=-20", 10.0, 5.0, "no preimage: y = 5 beyond the latitude cutoff"),
+]
+
+# Points whose inverse once overflowed a float and raised a bare OverflowError
+OVERFLOWING_INVERSES = [
+    ("mercator", 0.0, 1000.0, "no preimage: y = 1000 beyond the latitude cutoff"),
+    ("mercator cutoff=89.9", 1.717e-4, -5.742e120,
+     "no preimage: y = -5.742e+120 beyond the latitude cutoff"),
+    ("lambert_conformal_conic lat1=0.01 lat2=0.02", -0.0117304475, 788.8719442,
+     "no preimage: radius 3030.84666 at the excluded pole"),
+]
+
+
+class TestInverseErrors:
+    @pytest.mark.parametrize("spec, x, y, text", BAD_IN_BOTH + OVERFLOWING_INVERSES)
+    def test_library_message(self, spec, x, y, text):
+        with pytest.raises(DomainError) as err:
+            parse_projection(spec).inverse(PlanePoint(x, y))
+        assert str(err.value) == text
+
+    @pytest.mark.parametrize("spec, x, y, text", OVERFLOWING_INVERSES)
+    def test_cli_exits_one(self, capsys, spec, x, y, text):
+        code = main(["inverse", "--proj", spec, f"--x={x!r}", f"--y={y!r}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {text}\n"
+
+    def test_mercator_guard_keeps_the_bits(self):
+        # from |y| = 700 on, atan(sinh(y)) is already +-pi/2, which the guard
+        # gives without calling sinh; so a cutoff within the inverse's 1e-12
+        # tolerance of the pole takes any such y to the pole, as it took 705
+        for y in (700.0, 705.0, 710.0):
+            assert math.atan(math.sinh(y)) == math.pi / 2 == -math.atan(math.sinh(-y))
+        proj = Mercator(cutoff=math.pi / 2 - 5e-13)
+        for y in (705.0, 1e300, math.inf):
+            assert proj.inverse(PlanePoint(0.5, y)).lat == math.pi / 2
+            assert proj.inverse(PlanePoint(0.5, -y)).lat == -math.pi / 2
+
+
 # Forward, inverse, Tissot and the Jacobian at the edges of every family (poles, the tear
 # and the stencil's reach around it, cutoffs, limbs and antipodes), every
 # value as float.hex and every error as its type and text. The digests were

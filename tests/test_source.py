@@ -1,7 +1,8 @@
 """Static checks of the source. No module defines the same top-level
 function or class twice: the second definition rebinds the name at import
-and leaves the first dead, which no runtime test notices. The graticule and
-distortion code reads no family's formula: each lives in projections."""
+and leaves the first dead, which no runtime test notices. The graticule,
+distortion and curve code reads no family's formula: each lives in
+projections."""
 
 import ast
 from collections import Counter
@@ -24,8 +25,9 @@ def test_no_top_level_name_defined_twice():
     assert twice == {}
 
 
-# the names under which a family keeps its formula; atlas and distortion
-# reach every family through _xy and the grid methods _rows and _columns
+# the names under which a family keeps its formula; atlas, distortion and
+# geodesics reach every family through _xy and the grid methods _rows,
+# _columns and _curve
 KERNEL_INTERNALS = {"_cone", "_south", "_x_scale", "_radius", "_ordinate", "_radial", "_frame",
                     "lon0"}
 
@@ -50,6 +52,6 @@ def test_consumers_do_not_read_kernel_internals():
         "line 1: type(...)._xy", "line 2: ._cone", "line 3: .lon0"]
     reads = {
         name: _kernel_reads((ROOT / "src/mapproj" / name).read_text(encoding="utf-8"))
-        for name in ("atlas.py", "distortion.py")
+        for name in ("atlas.py", "distortion.py", "geodesics.py")
     }
-    assert reads == {"atlas.py": [], "distortion.py": []}
+    assert reads == {"atlas.py": [], "distortion.py": [], "geodesics.py": []}
