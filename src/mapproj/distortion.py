@@ -10,7 +10,9 @@ Everything is measured on the unit sphere, so "no distortion" means scale
 exactly 1. The Jacobian is taken by finite differences (central, one-sided
 next to the antimeridian tear) of the projection's float kernel
 ``_xy(lat, lon)``, at the fixed step :data:`STEP` of 1e-6 rad, shrunk once to
-1e-7 rad where the stencil leaves the domain. A new projection needs only its
+1e-7 rad where the stencil leaves the domain. The sample's own image is part
+of every stencil, so a point the kernel excludes on its own raises the
+kernel's error, as ``forward`` does. A new projection needs only its
 forward map: either the kernel, or just ``forward``, which the base class's
 fallback kernel calls.
 Analytic derivatives appear solely as test oracles. The sample loops run on
@@ -20,10 +22,10 @@ when called.
 
 A grid (:func:`distortion_grid`, :func:`euler_property_report`) is evaluated
 by one routine, with the same results as sample by sample: the central
-stencils come from the family's grid kernel (``_rows``) in two calls, and
-P1's meridians from ``_columns``. Samples at the edges (near a pole or the
-cut, or where the stencil leaves the domain) take the full routine with its
-one-sided rule and step shrink. A grid of more than
+stencils and the samples' own images come from the family's grid kernel
+(``_rows``) in two calls, and P1's meridians from ``_columns``. Samples at
+the edges (near a pole or the cut, or where an image leaves the domain) take
+the full routine with its one-sided rule and step shrink. A grid of more than
 :data:`MAX_GRID_SAMPLES` samples is refused before it is built.
 """
 
@@ -39,7 +41,7 @@ from .geo import (
     HALF_PI, MAX_SAMPLES, PI, GeoCoord, GeoRegion, _canonical, linspace, wrap_longitude,
 )
 from .geodesics import _deviations
-from .projections import Projection, _Azimuthal
+from .projections import Projection
 
 if TYPE_CHECKING:
     import numpy
@@ -110,22 +112,12 @@ class FieldRange:
     argmax: GeoCoord
 
 
-# an azimuthal kernel may exclude its centre's antipode alone, a point no
-# stencil about it samples; samples this close to its latitude are projected
-ANTIPODE_BAND = 1e-11
-
-
-def _antipode_lat(proj: Projection) -> float:
-    """Latitude of the antipode of an azimuthal projection's centre, else inf."""
-    return -proj.center.lat if isinstance(proj, _Azimuthal) else math.inf
-
-
-def _jacobian(xy, cut: float | None, antipode: float, lat: float, lon: float):
+def _jacobian(xy, cut: float | None, lat: float, lon: float):
     """(dx/dlat, dx/dlon, dy/dlat, dy/dlon) of the kernel ``xy`` at canonical
     floats; see :func:`local_jacobian`. The stencil's neighbours take the
     canonical form a GeoCoord would give them, since a step can cross a pole
-    or the seam. A sample on the latitude ``antipode`` is projected as well,
-    so that the kernel's own error rejects a point it excludes alone."""
+    or the seam. The sample itself is projected as well, so that the
+    kernel's own error rejects a point it excludes on its own."""
     to_cut = math.inf if cut is None else wrap_longitude(lon - cut)
     last_error: DomainError | None = None
     for s in (STEP, 0.1 * STEP):
@@ -144,8 +136,7 @@ def _jacobian(xy, cut: float | None, antipode: float, lat: float, lon: float):
         except DomainError as exc:
             last_error = exc
             continue
-        if abs(lat - antipode) <= ANTIPODE_BAND:
-            xy(lat, lon)
+        xy(lat, lon)
         inv = 0.5 / s
         (x_n, y_n), (x_s, y_s), *along = f
         if len(along) == 3:
@@ -169,22 +160,20 @@ def local_jacobian(proj: Projection, c: GeoCoord) -> numpy.ndarray:
     derivative is one-sided, (-3 f0 + 4 f1 - f2) / 2s, on the side the
     sample's own image belongs to, so the stencil never spans the tear. If
     the step neighborhood leaves the domain the step is shrunk once (by 10x)
-    before giving up. A point the kernel excludes on its own, such as the
-    centre's antipode of the stereographic and Lambert azimuthal maps,
-    raises the kernel's own ``DomainError``, as ``forward`` does. Returns a
-    numpy array, importing numpy when called."""
+    before giving up. A point the kernel excludes on its own, though its
+    stencil lies in the domain, raises the kernel's own ``DomainError``, as
+    ``forward`` does. Returns a numpy array, importing numpy when called."""
     import numpy
 
-    xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, _antipode_lat(proj), c.lat, c.lon)
+    xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, c.lat, c.lon)
     return numpy.array([[xp, xl], [yp, yl]])
 
 
-def _tissot(xy, cut: float | None, antipode: float, lat: float, lon: float
-            ) -> tuple[float, ...]:
+def _tissot(xy, cut: float | None, lat: float, lon: float) -> tuple[float, ...]:
     """The fields of :class:`DistortionSample`, in order, at canonical floats."""
     if abs(lat) >= HALF_PI - 1e-12:
         raise DomainError("parallel scale is undefined at the poles")
-    return _fields(lat, lon, *_jacobian(xy, cut, antipode, lat, lon))
+    return _fields(lat, lon, *_jacobian(xy, cut, lat, lon))
 
 
 def _fields(lat: float, lon: float, xp: float, xl: float, yp: float, yl: float
@@ -214,14 +203,10 @@ def tissot(proj: Projection, c: GeoCoord) -> DistortionSample:
     q = |(xp + yl, yp - xl)| and r = |(xp - yl, yp + xl)|, a = (q + r)/2,
     b = |q - r|/2 and sin(omega/2) = min(q, r)/max(q, r), which holds for a
     mirror-image Jacobian too and has no cancellation near a conformal point.
-    A point the kernel excludes on its own, such as the centre's antipode of
-    the stereographic and Lambert azimuthal maps, raises the kernel's own
-    ``DomainError``, as ``forward`` does, though the stencil about it lies
-    in the domain.
+    A point the kernel excludes on its own, though its stencil lies in the
+    domain, raises the kernel's own ``DomainError``, as ``forward`` does.
     """
-    return DistortionSample(
-        *_tissot(proj._xy, proj.cut_longitude, _antipode_lat(proj), c.lat, c.lon)
-    )
+    return DistortionSample(*_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon))
 
 
 # _grid_axes refuses a grid of more samples than this before building it
@@ -248,24 +233,24 @@ def _grid(proj: Projection, lats: list[float], lons: list[float]):
     """The :func:`_tissot` fields at each point of the grid ``lats`` x
     ``lons`` (canonical floats), latitude-major, to the bit.
 
-    A sample whose stencil stays off the poles and 2 steps from the cut, off
-    the latitude of an azimuthal centre's antipode, takes _jacobian's
-    central stencil on the neighbours _jacobian takes, from two ``_rows``
-    calls: the north and south rows at the centre columns, the centre rows
-    at the east and west columns. Every other sample runs _tissot, as does one with a
-    stencil image outside the domain. A degenerate Jacobian raises as in
-    _tissot.
+    A sample whose stencil stays off the poles and 2 steps from the cut
+    takes _jacobian's central stencil on the neighbours _jacobian takes, from
+    two ``_rows`` calls: the north and south rows at the centre columns, the
+    centre rows at the east, centre and west columns. Every other sample runs
+    _tissot, as does one with an image outside the domain, its own or a
+    neighbour's, so a point the kernel excludes on its own raises the
+    kernel's error. A degenerate Jacobian raises as in _tissot.
     """
-    xy, cut, antipode = proj._xy, proj.cut_longitude, _antipode_lat(proj)
+    xy, cut = proj._xy, proj.cut_longitude
     s, inv = STEP, 0.5 / STEP
-    inner = [i for i, lat in enumerate(lats)
-             if -HALF_PI < lat - s and lat + s < HALF_PI and abs(lat - antipode) > ANTIPODE_BAND]
+    inner = [i for i, lat in enumerate(lats) if -HALF_PI < lat - s and lat + s < HALF_PI]
     centre = [j for j, lon in enumerate(lons)
               if cut is None or abs(wrap_longitude(lon - cut)) >= 2.0 * s]
     north_south = proj._rows([p for i in inner for p in (lats[i] + s, lats[i] - s)],
                              [lons[j] for j in centre])
     east_west = proj._rows([lats[i] for i in inner], [
-        q for j in centre for q in (wrap_longitude(lons[j] + s), wrap_longitude(lons[j] - s))
+        q for j in centre
+        for q in (wrap_longitude(lons[j] + s), lons[j], wrap_longitude(lons[j] - s))
     ])
     rows = dict(zip(inner, zip(north_south[0::2], north_south[1::2], east_west)))
     columns = {j: b for b, j in enumerate(centre)}
@@ -273,13 +258,13 @@ def _grid(proj: Projection, lats: list[float], lons: list[float]):
         row = rows.get(i)
         if row is not None:
             (xn, yn, north), (xs, ys, south), (xm, ym, mid) = row
-            xe, xw, ye, yw = xm[0::2], xm[1::2], ym[0::2], ym[1::2]
-            # the centre columns with a stencil image outside the domain
-            holes = {*north, *south, *(h // 2 for h in mid)}
+            xe, xw, ye, yw = xm[0::3], xm[2::3], ym[0::3], ym[2::3]
+            # the centre columns with an image outside the domain
+            holes = {*north, *south, *(h // 3 for h in mid)}
         for j, lon in enumerate(lons):
             b = columns.get(j)
             if row is None or b is None or b in holes:
-                yield _tissot(xy, cut, antipode, lat, lon)
+                yield _tissot(xy, cut, lat, lon)
             else:
                 yield _fields(lat, lon, (xn[b] - xs[b]) * inv, (xe[b] - xw[b]) * inv,
                               (yn[b] - ys[b]) * inv, (ye[b] - yw[b]) * inv)

@@ -20,10 +20,11 @@ projection and the edge samples of distortion analysis call it directly.
 A grid of latitudes by longitudes has one kernel per family, ``_rows`` and
 ``_columns``: its curves of constant latitude or longitude, with holes
 where ``_xy`` raises. The base class calls ``_xy`` per sample; the
-cylindrical and conic families evaluate their profile (``_ordinate``,
-``_radius``) once per latitude and their abscissa or angle once per
-longitude; the azimuthal families take the sine and cosine of each axis
-value once, and their ``_radial`` marks a hole without raising.
+cylindrical and conic families evaluate their profile (``_level``, the
+ordinate or the radius of a parallel) once per latitude and their abscissa
+or angle once per longitude; the azimuthal families take the sine and
+cosine of each axis value once, and their ``_radial`` marks a hole without
+raising.
 
 Plane conventions: x east, y north on the central meridian; map units are
 unit-sphere radians. Conic apexes sit above the map (positive y). Azimuthal
@@ -164,7 +165,10 @@ class _OutOfDomain(DomainError):
 class _Meridional(Projection):
     """Base of the families laid out about a central meridian ``lon0``,
     declared by the dataclass under it: lon0 is wrapped once on
-    construction, and the map tears along its antimeridian."""
+    construction, and the map tears along its antimeridian. The cylindrical
+    and conic bases supply ``_level(lat, lon)``, the ordinate or radius of
+    the parallel lat, which raises ``_OutOfDomain``, naming the point
+    (lat, lon), where the domain ends."""
 
     def __post_init__(self):
         if not math.isfinite(self.lon0):
@@ -174,6 +178,13 @@ class _Meridional(Projection):
     @cached_property
     def cut_longitude(self) -> float:
         return wrap_longitude(self.lon0 + math.pi)
+
+    def _profile(self, lat: float) -> float | None:
+        """The ``_level`` of the parallel lat, or None outside the domain."""
+        try:
+            return self._level(lat, 0.0)
+        except DomainError:
+            return None
 
 
 # ---------------------------------------------------------------------------
@@ -363,22 +374,13 @@ class LambertAzimuthalEqualArea(_Azimuthal):
 
 class _Cylindrical(_Meridional):
     """Base of the cylindrical families: x = ``_x_scale`` * (lon - lon0),
-    wrapped, and y = ``_ordinate(lat, lon)``, the family's profile. The
-    profile depends on lat alone; it raises ``_OutOfDomain``, naming the
-    point (lat, lon), where the domain ends. Its inverse ``_latitude(y)``
-    raises ``DomainError`` on an ordinate without a preimage. The grid
-    methods take the profile once per latitude and x once per longitude."""
+    wrapped, and y = ``_level(lat, lon)``, the family's profile, which
+    depends on lat alone. Its inverse ``_latitude(y)`` raises
+    ``DomainError`` on an ordinate without a preimage. The grid methods take
+    the profile once per latitude and x once per longitude."""
 
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
-        y = self._ordinate(lat, lon)
-        return wrap_longitude(lon - self.lon0) * self._x_scale, y
-
-    def _profile(self, lat: float) -> float | None:
-        """The ordinate of the parallel lat, or None outside the domain."""
-        try:
-            return self._ordinate(lat, 0.0)
-        except DomainError:
-            return None
+        return wrap_longitude(lon - self.lon0) * self._x_scale, self._level(lat, lon)
 
     def _rows(self, lats, lons):
         xs = [wrap_longitude(lon - self.lon0) * self._x_scale for lon in lons]
@@ -429,7 +431,7 @@ class Equirectangular(_StandardParallel):
 
     family: ClassVar[str] = "equirectangular"
 
-    def _ordinate(self, lat: float, lon: float) -> float:
+    def _level(self, lat: float, lon: float) -> float:
         return lat
 
     def _latitude(self, y: float) -> float:
@@ -456,7 +458,7 @@ class Mercator(_Cylindrical):
             )
         super().__post_init__()
 
-    def _ordinate(self, lat: float, lon: float) -> float:
+    def _level(self, lat: float, lon: float) -> float:
         if abs(lat) > self.cutoff:
             raise _OutOfDomain(
                 self, lat, lon, f"beyond the ±{math.degrees(self.cutoff):.4f}° cutoff"
@@ -477,7 +479,7 @@ class LambertCylindricalEqualArea(_StandardParallel):
 
     family: ClassVar[str] = "lambert_cylindrical_equal_area"
 
-    def _ordinate(self, lat: float, lon: float) -> float:
+    def _level(self, lat: float, lon: float) -> float:
         return math.sin(lat) / self._x_scale
 
     def _latitude(self, y: float) -> float:
@@ -558,21 +560,17 @@ class _Conic(_Meridional):
     def _south(self) -> bool:
         return self.phi_a < 0.0
 
+    def _level(self, lat: float, lon: float) -> float:
+        """The ``_radius`` of the parallel lat, mirrored in a southern aspect."""
+        return self._radius(-lat if self._south else lat, lat, lon)
+
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         n, rho_ref = self._cone
-        south = self._south
-        rho = self._radius(-lat if south else lat, lat, lon)
+        rho = self._level(lat, lon)
         theta = n * wrap_longitude(lon - self.lon0)
         x = rho * math.sin(theta)
         y = rho_ref - rho * math.cos(theta)
-        return x, -y if south else y
-
-    def _profile(self, lat: float) -> float | None:
-        """The radius of the parallel lat, or None outside the domain."""
-        try:
-            return self._radius(-lat if self._south else lat, lat, 0.0)
-        except DomainError:
-            return None
+        return x, -y if self._south else y
 
     def _placed(self, xs, ys, holes) -> tuple[list, list, list[int]]:
         """The grid curve through the northern-aspect points ``(xs, ys)``,
@@ -715,10 +713,12 @@ class LambertConformalConic(_Conic):
     def _latitude(self, rho: float) -> float:
         n, f, _ = self._nF
         try:
-            t = (f / rho) ** (1.0 / n)
+            lat = 2.0 * math.atan((f / rho) ** (1.0 / n)) - HALF_PI
         except OverflowError:  # a radius within rounding of the excluded pole's
-            raise DomainError(f"no preimage: radius {rho:.9g} at the excluded pole") from None
-        return 2.0 * math.atan(t) - HALF_PI
+            lat = HALF_PI
+        if abs(lat) == HALF_PI:
+            raise DomainError(f"no preimage: radius {rho:.9g} at the excluded pole")
+        return lat
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +751,8 @@ class Werner(_Meridional):
         if r > math.pi + 1e-9:
             raise DomainError(f"no preimage: radius {r:.9g} beyond the south pole arc")
         lat = HALF_PI - min(r, math.pi)
-        if lat <= -HALF_PI + 1e-12:
+        # the south pole's image is the tip (0, -pi); the outline check rejects the rest
+        if lat <= -HALF_PI + 1e-12 and math.hypot(p.x, p.y + math.pi) <= 1e-9:
             return GeoCoord(-HALF_PI, 0.0)
         theta = math.atan2(p.x, -p.y)
         dlam = theta * r / math.cos(lat)

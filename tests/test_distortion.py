@@ -712,7 +712,7 @@ class TestGridRoutine:
             monkeypatch.setattr(cls, name, wrapper)
 
         counting(EquidistantConic, "_radius", "profile")
-        counting(Mercator, "_ordinate", "profile")
+        counting(Mercator, "_level", "profile")
         counting(_Conic, "_xy", "xy")
         counting(_Cylindrical, "_xy", "xy")
         rows = distortion_grid(proj, region, 11, 13)
@@ -728,7 +728,7 @@ class TestAntipode:
     """The stereographic and Lambert azimuthal kernels exclude their centre's
     antipode alone, a point no stencil about it samples: tissot,
     local_jacobian and the grids raise the kernel's own error there, as
-    forward does."""
+    forward does, since every stencil includes the sample's own image."""
 
     @pytest.mark.parametrize("spec", [
         "stereographic center=0,180", "lambert_azimuthal_equal_area center=0,180",
@@ -755,8 +755,8 @@ class TestAntipode:
             assert type(info.value) is type(want.value)
             assert str(info.value) == str(want.value)
 
-    def test_only_the_antipodes_latitude_pays_a_kernel_call(self, monkeypatch):
-        proj = parse_projection("stereographic center=30,0")
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
         calls = []
 
         def counting(self, lat, lon, _xy=Stereographic._xy):
@@ -764,18 +764,23 @@ class TestAntipode:
             return _xy(self, lat, lon)
 
         monkeypatch.setattr(Stereographic, "_xy", counting)
+        return calls
+
+    def test_the_grid_over_the_antipodes_row_makes_no_kernel_call(self, kernel_calls):
         # rows at -40°, -30° (the antipode's latitude) and -20°, off its
-        # meridian: the grid kernel projects the stencils of the other rows,
-        # and each sample of the antipode's row pays its stencil and a probe
-        distortion_grid(proj, GeoRegion.from_degrees(-40, -20, 0, 20), 3, 3)
-        assert len(calls) == 5 * 3
-        calls.clear()
-        distortion_grid(proj, GeoRegion.from_degrees(-41, -21, 0, 20), 3, 3)
-        assert len(calls) == 0
-        for lat, extra in ((-30.0, 1), (-30.0 + 1e-9, 0), (-29.0, 0)):
-            calls.clear()
+        # meridian: the grid kernel projects every stencil and node
+        distortion_grid(parse_projection("stereographic center=30,0"),
+                        GeoRegion.from_degrees(-40, -20, 0, 20), 3, 3)
+        assert kernel_calls == []
+
+    def test_tissot_makes_five_kernel_calls_everywhere(self, kernel_calls):
+        # the four neighbours and the sample itself, on the antipode's
+        # latitude and off it
+        proj = parse_projection("stereographic center=30,0")
+        for lat in (-30.0, -30.0 + 1e-9, -29.0, 0.0, 60.0):
+            kernel_calls.clear()
             tissot(proj, GeoCoord.from_degrees(lat, 10.0))
-            assert len(calls) == 4 + extra, lat
+            assert len(kernel_calls) == 5, lat
 
 
 class TestGridCap:

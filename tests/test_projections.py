@@ -387,6 +387,24 @@ class TestLambertConformalConic:
         with pytest.raises(DomainError):
             self.proj.forward(GeoCoord.from_degrees(-90, 0))
 
+    @pytest.mark.parametrize("spec, x, y", [
+        ("lambert_conformal_conic lat1=45 lat2=60", 0.0, -1e15),
+        ("lambert_conformal_conic lat1=0.01 lat2=0.02", 0.0, 60.0),
+        ("lambert_conformal_conic lat1=-45 lat2=-60", 0.0, 1e15),
+        ("lambert_conformal_conic lat1=-0.01 lat2=-0.02", 0.0, -60.0),
+    ])
+    def test_inverse_rejects_the_exact_poles(self, spec, x, y):
+        # the radius's latitude rounds to the pole itself, without overflow
+        with pytest.raises(DomainError, match=r"^no preimage: radius \S+ at the excluded pole$"):
+            parse_projection(spec).inverse(PlanePoint(x, y))
+
+    def test_inverse_keeps_a_latitude_next_to_the_pole(self):
+        # -90° + 1.12e-12 rad lies outside forward's 1e-12 pole band: a
+        # preimage, though it prints as -90°
+        lat = self.proj.inverse(PlanePoint(0.0, -1e10)).lat
+        assert 1e-12 < lat + math.pi / 2 < 2e-12
+        assert self.proj.forward(GeoCoord(lat, 0.0)).y == pytest.approx(-1e10, rel=1e-5)
+
     def test_southern_aspect_mirror(self):
         south = LambertConformalConic(math.radians(-45), math.radians(-60))
         p_n = self.proj.forward(GeoCoord.from_degrees(55, 30))
@@ -447,6 +465,24 @@ class TestWerner:
         assert math.hypot(a.x - b.x, a.y - b.y) == pytest.approx(
             math.radians(60), abs=1e-15
         )
+
+    @pytest.mark.parametrize("x, y", [(0.0, math.pi), (math.pi, 0.0)])
+    def test_far_from_the_tip_is_not_the_south_pole(self, capsys, x, y):
+        # both lie on the south pole's radius pi, but its image is the tip (0, -pi)
+        text = "no preimage: outside the cordiform outline"
+        with pytest.raises(DomainError, match=f"^{text}$"):
+            Werner().inverse(PlanePoint(x, y))
+        assert main(["inverse", "--proj", "werner", f"--x={x!r}", f"--y={y!r}"]) == 1
+        assert capsys.readouterr() == ("", f"error: {text}\n")
+
+    @pytest.mark.parametrize("lon0", [0.0, 2.5, -math.pi + 0.01])
+    def test_images_next_to_the_south_pole_invert(self, rng, lon0):
+        proj = Werner(lon0=lon0)
+        assert proj.inverse(PlanePoint(0.0, -math.pi)) == SOUTH_POLE
+        for k in range(1000):
+            gap = 10 ** rng.uniform(-17, -8) if k % 2 else rng.uniform(0, 1e-8)
+            c = GeoCoord(-math.pi / 2 + gap, lon0 + rng.uniform(-math.pi + 1e-3, math.pi - 1e-3))
+            assert great_circle_distance(c, proj.inverse(proj.forward(c))) < 1e-11
 
 
 class TestRoundTrips:

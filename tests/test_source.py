@@ -2,7 +2,7 @@
 function or class twice: the second definition rebinds the name at import
 and leaves the first dead, which no runtime test notices. The graticule,
 distortion and curve code reads no family's formula: each lives in
-projections."""
+projections, and those modules import only its interface."""
 
 import ast
 from collections import Counter
@@ -28,15 +28,24 @@ def test_no_top_level_name_defined_twice():
 # the names under which a family keeps its formula; atlas, distortion and
 # geodesics reach every family through _xy and the grid methods _rows,
 # _columns and _curve
-KERNEL_INTERNALS = {"_cone", "_south", "_x_scale", "_radius", "_ordinate", "_radial", "_frame",
-                    "lon0"}
+KERNEL_INTERNALS = {"_cone", "_south", "_x_scale", "_radius", "_level", "_radial", "_frame",
+                    "lon0", "center"}
+# a geodesics arc fit has a center of its own, which a name bound to a fit reads
+ARC_FITS = {"_three_point_fit", "fit_circular_arc"}
 
 
 def _kernel_reads(source: str) -> list[str]:
-    """Each read of a kernel internal, and each comparison of a ``type(...)._xy``."""
+    """Each read of a kernel internal, except on a name bound to an arc fit,
+    and each comparison of a ``type(...)._xy``."""
+    tree = ast.parse(source)
+    fits = {target.id for node in ast.walk(tree)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name) and node.value.func.id in ARC_FITS
+            for target in node.targets if isinstance(target, ast.Name)}
     reads = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in KERNEL_INTERNALS:
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in KERNEL_INTERNALS
+                and not (isinstance(node.value, ast.Name) and node.value.id in fits)):
             reads.append(f"line {node.lineno}: .{node.attr}")
         if isinstance(node, ast.Compare):
             for side in (node.left, *node.comparators):
@@ -50,8 +59,29 @@ def _kernel_reads(source: str) -> list[str]:
 def test_consumers_do_not_read_kernel_internals():
     assert _kernel_reads("if type(p)._xy is K._xy:\n    n, r = p._cone\n    q = p.lon0\n") == [
         "line 1: type(...)._xy", "line 2: ._cone", "line 3: .lon0"]
+    assert _kernel_reads("fit = _three_point_fit(xs, ys)\nc = fit.center\nd = p.center\n") == [
+        "line 3: .center"]
     reads = {
         name: _kernel_reads((ROOT / "src/mapproj" / name).read_text(encoding="utf-8"))
         for name in ("atlas.py", "distortion.py", "geodesics.py")
     }
     assert reads == {"atlas.py": [], "distortion.py": [], "geodesics.py": []}
+
+
+def _projections_imports(source: str) -> list[str]:
+    """The names imported from ``.projections``, at any depth."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "projections" and node.level == 1
+            for alias in node.names]
+
+
+def test_consumers_import_only_the_interface():
+    assert _projections_imports(
+        "from .projections import Projection, _Azimuthal\nif X:\n    from .projections import F\n"
+    ) == ["Projection", "_Azimuthal", "F"]
+    imports = {
+        name: _projections_imports((ROOT / "src/mapproj" / name).read_text(encoding="utf-8"))
+        for name in ("atlas.py", "distortion.py", "geodesics.py")
+    }
+    assert {name: set(names) - {"Projection", "PlanePoint"} for name, names in imports.items()} == {
+        "atlas.py": set(), "distortion.py": set(), "geodesics.py": set()}
