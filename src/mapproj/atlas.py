@@ -42,7 +42,8 @@ from html import escape
 
 from .errors import DomainError, ParameterError
 from .geo import (
-    HALF_PI, MAX_SAMPLES, GeoCoord, GeoRegion, linspace, sample_great_circle, wrap_longitude,
+    HALF_PI, MAX_SAMPLES, PI, TWO_PI, GeoCoord, GeoRegion, linspace, sample_great_circle,
+    wrap_longitude,
 )
 # rendering reaches the curve projector and the arc fit by these module
 # names; project_polyline is not used here: perfbench's tracer and
@@ -328,7 +329,14 @@ def _path_arc(xs, ys, px, py, tr) -> str | None:
     angles = [math.atan2(y - cy, x - cx) for x, y in zip(px, py)]
     swept = 0.0
     for a0, a1 in zip(angles, angles[1:]):
-        swept += wrap_longitude(a1 - a0)  # the turn between samples, in (-pi, pi]
+        # the turn between samples in (-pi, pi]: d lies in [-2pi, 2pi], where
+        # one step of 2pi gives wrap_longitude's float (its fmod is exact there)
+        d = a1 - a0
+        if d > PI:
+            d -= TWO_PI
+        elif d <= -PI:
+            d += TWO_PI
+        swept += d
     if abs(swept) >= 2 * math.pi - 0.1:
         return None
     radius = fit.radius * tr[1]
@@ -341,12 +349,17 @@ def _path_arc(xs, ys, px, py, tr) -> str | None:
 
 
 def _curve_layer(name: str, segments, tr, style: str, arcs: bool) -> list[str]:
+    """The SVG group of a layer's segments, each an arc command if ``arcs``
+    and it fits one, else a polyline; each polyline is one ``%`` over its
+    interleaved pixels, every float through the same ``%.6f``."""
     lines = [f'  <g id="{name}" {style}>']
     for xs, ys in segments:
         px, py = _pixels(tr, xs, ys)
         d = _path_arc(xs, ys, px, py, tr) if arcs else None
         if d is None:
-            d = "M " + " L ".join("%.6f %.6f" % p for p in zip(px, py))
+            flat = px + py
+            flat[::2], flat[1::2] = px, py
+            d = ("M " + " L ".join(repeat("%.6f %.6f", len(px)))) % tuple(flat)
         lines.append(f'    <path d="{d}"/>')
     lines.append("  </g>")
     return lines

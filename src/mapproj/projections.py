@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -466,12 +467,18 @@ class Mercator(_Cylindrical):
         # asinh(tan(lat)) == ln tan(pi/4 + lat/2), but exactly odd in floats
         return math.asinh(math.tan(lat))
 
+    @cached_property
+    def _y_max(self) -> float:
+        # the cutoff's image, widened by 4 eps for the rounding of an ordinate
+        return self._level(self.cutoff, 0.0) * (1 + 4 * sys.float_info.epsilon)
+
     def _latitude(self, y: float) -> float:
-        # sinh overflows past |y| = 710; from 700 on, atan(sinh(y)) is +-pi/2
-        lat = math.copysign(HALF_PI, y) if abs(y) >= 700.0 else math.atan(math.sinh(y))
-        if not abs(lat) <= self.cutoff + 1e-12:  # NaN fails too
+        # one rule: no preimage beyond _y_max, and the rest inverted into
+        # [-cutoff, cutoff], which forward accepts; sinh sees |y| < 37 at most
+        if not abs(y) <= self._y_max:  # NaN fails too
             raise DomainError(f"no preimage: y = {y:.9g} beyond the latitude cutoff")
-        return lat
+        lat = math.atan(math.sinh(y))
+        return lat if abs(lat) <= self.cutoff else math.copysign(self.cutoff, lat)
 
 
 class LambertCylindricalEqualArea(_StandardParallel):
@@ -755,10 +762,13 @@ class Werner(_Meridional):
         if lat <= -HALF_PI + 1e-12 and math.hypot(p.x, p.y + math.pi) <= 1e-9:
             return GeoCoord(-HALF_PI, 0.0)
         theta = math.atan2(p.x, -p.y)
-        dlam = theta * r / math.cos(lat)
-        if abs(dlam) > math.pi + 1e-9:
+        # tested before dividing: next to a pole cos(lat) is tiny, and the
+        # rounding lat carries from r (under 1e-15) would blow the quotient past
+        # the bound; times |dlam| <= pi that rounding stays below 4e-15
+        cos_lat = math.cos(lat)
+        if not abs(theta) * r <= (math.pi + 1e-9) * cos_lat + 4e-15:
             raise DomainError("no preimage: outside the cordiform outline")
-        return GeoCoord(lat, self.lon0 + dlam)
+        return GeoCoord(lat, self.lon0 + theta * r / cos_lat)
 
 
 # ---------------------------------------------------------------------------

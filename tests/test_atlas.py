@@ -764,6 +764,80 @@ def test_zero_margin_svg_is_pinned(kind):
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
+def _reference_curve_layer(name, segments, tr, style, arcs):
+    """_curve_layer as it was, one ``%`` and one string per point."""
+    lines = [f'  <g id="{name}" {style}>']
+    for xs, ys in segments:
+        px, py = mapproj.atlas._pixels(tr, xs, ys)
+        d = mapproj.atlas._path_arc(xs, ys, px, py, tr) if arcs else None
+        if d is None:
+            d = "M " + " L ".join("%.6f %.6f" % p for p in zip(px, py))
+        lines.append(f'    <path d="{d}"/>')
+    lines.append("  </g>")
+    return lines
+
+
+def _world_parallels(kind):
+    """The world scene's parallel runs and a transform over their extremes."""
+    scene = _world_scene(kind)
+    parallels, _ = mapproj.atlas._project_graticule(scene.projection, scene.graticule)
+    min_x = min(min(xs) for xs, _ in parallels)
+    max_y = max(max(ys) for _, ys in parallels)
+    return parallels, (scene.margin, scene.scale, min_x, max_y)
+
+
+class TestCurveLayer:
+    STYLE = 'fill="none"'
+
+    def test_polylines_equal_the_per_point_join(self):
+        # with tr = (0, 1, 0, 0) the pixels are (x, -y): the values below
+        # reach %.6f as they are
+        rng = random.Random(2222)
+        tr = (0.0, 1.0, 0.0, 0.0)
+        ties = [k + 5e-7 for k in range(-3, 1000)] + [k / 8 + 5e-7 for k in range(64)]
+        specials = [0.0, -0.0, 1e6, math.nextafter(1e6, 0.0), math.nextafter(1e6, 2e6),
+                    999_999.999_999_5, 999_999.999_999_4, 5e-7, 4.999_999_999_999_999e-7]
+        pools = [
+            lambda: rng.uniform(0.0, 1e6),
+            lambda: rng.choice(ties),
+            lambda: rng.choice(specials),
+            lambda: rng.uniform(1e6 - 1e-3, 1e6 + 1e-3),
+            lambda: round(rng.uniform(0.0, 2000.0), 7),
+        ]
+        lengths = [2, 3, 4, 5, 17, 64, 361, 1441, 2000] + [rng.randint(2, 2000) for _ in range(40)]
+        segments = []
+        for n in lengths:
+            values = [rng.choice(pools)() for _ in range(2 * n)]
+            segments.append((values[:n], [-v for v in values[n:]]))
+        layer = mapproj.atlas._curve_layer("t", segments, tr, self.STYLE, arcs=False)
+        assert layer == _reference_curve_layer("t", segments, tr, self.STYLE, arcs=False)
+        assert len(layer) == len(segments) + 2
+        # and through a transform that scales, shifts and flips
+        tr = (20.0, 200.0, -3.0, 2.5)
+        assert (mapproj.atlas._curve_layer("t", segments[:10], tr, self.STYLE, arcs=False)
+                == _reference_curve_layer("t", segments[:10], tr, self.STYLE, arcs=False))
+
+    def test_arc_layer_equals_the_per_point_join(self):
+        parallels, tr = _world_parallels("conic")
+        layer = mapproj.atlas._curve_layer("parallels", parallels, tr, self.STYLE, arcs=True)
+        assert layer == _reference_curve_layer("parallels", parallels, tr, self.STYLE, arcs=True)
+        assert sum(" A " in line for line in layer) == WORLD_SCENES["conic"][4]
+
+    def test_arc_test_makes_no_call_per_sample(self, monkeypatch):
+        # the turn between samples is wrapped inline, not by wrap_longitude
+        parallels, tr = _world_parallels("conic")
+        calls = {"wrap_longitude": 0}
+
+        def counting(lon, _fn=mapproj.atlas.wrap_longitude):
+            calls["wrap_longitude"] += 1
+            return _fn(lon)
+
+        monkeypatch.setattr(mapproj.atlas, "wrap_longitude", counting)
+        layer = mapproj.atlas._curve_layer("parallels", parallels, tr, self.STYLE, arcs=True)
+        assert sum(" A " in line for line in layer) == WORLD_SCENES["conic"][4] == 70
+        assert calls == {"wrap_longitude": 0}
+
+
 # project_polyline and fit_circular_arc are thin wrappers over the float
 # boundaries render_svg uses; these copies of their earlier object-based
 # bodies pin that the wrappers give the same bits.

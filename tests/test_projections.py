@@ -484,6 +484,18 @@ class TestWerner:
             c = GeoCoord(-math.pi / 2 + gap, lon0 + rng.uniform(-math.pi + 1e-3, math.pi - 1e-3))
             assert great_circle_distance(c, proj.inverse(proj.forward(c))) < 1e-11
 
+    @pytest.mark.parametrize("lon0", [0.0, 2.5, -math.pi + 0.01])
+    def test_images_next_to_a_pole_and_the_cut_invert(self, rng, lon0):
+        # cos(lat) there is of the size of the gap to the pole and carries the
+        # rounding of lat; dividing by it first pushed |dlam| past the bound
+        proj = Werner(lon0=lon0)
+        for k in range(2000):
+            gap = 10 ** rng.uniform(-14, -4) if k % 4 else rng.uniform(0, 1e-8)
+            lat = -math.pi / 2 + gap if k % 2 else math.pi / 2 - gap
+            off = 10 ** rng.uniform(-16, -6) if k % 5 else 0.0
+            c = GeoCoord(lat, lon0 + rng.choice((-1.0, 1.0)) * (math.pi - off))
+            assert great_circle_distance(c, proj.inverse(proj.forward(c))) < 1e-11
+
 
 class TestRoundTrips:
     @pytest.mark.parametrize("proj", all_family_instances(), ids=lambda p: p.family)
@@ -891,16 +903,31 @@ class TestInverseErrors:
         assert captured.out == ""
         assert captured.err == f"error: {text}\n"
 
-    def test_mercator_guard_keeps_the_bits(self):
-        # from |y| = 700 on, atan(sinh(y)) is already +-pi/2, which the guard
-        # gives without calling sinh; so a cutoff within the inverse's 1e-12
-        # tolerance of the pole takes any such y to the pole, as it took 705
-        for y in (700.0, 705.0, 710.0):
-            assert math.atan(math.sinh(y)) == math.pi / 2 == -math.atan(math.sinh(-y))
-        proj = Mercator(cutoff=math.pi / 2 - 5e-13)
+    @pytest.mark.parametrize("cutoff", [math.pi / 2 - 5e-13, math.radians(89.99999999999997)])
+    def test_mercator_rejects_beyond_the_cutoffs_image(self, cutoff):
+        # a cutoff within 1e-12 of the pole once took any far ordinate to
+        # the pole, which forward rejects; the ordinate itself is now tested
+        proj = Mercator(cutoff=cutoff)
         for y in (705.0, 1e300, math.inf):
-            assert proj.inverse(PlanePoint(0.5, y)).lat == math.pi / 2
-            assert proj.inverse(PlanePoint(0.5, -y)).lat == -math.pi / 2
+            for sign in (1.0, -1.0):
+                with pytest.raises(DomainError, match="beyond the latitude cutoff$"):
+                    proj.inverse(PlanePoint(0.5, sign * y))
+
+    @pytest.mark.parametrize("cutoff", [
+        math.pi / 2 - 5e-13, math.radians(89.99999999999997), math.radians(85.0),
+        math.radians(80.0), math.radians(1e-6), math.nextafter(math.pi / 2, 0.0),
+    ])
+    def test_mercator_cutoffs_image_inverts_to_the_cutoff(self, cutoff):
+        proj = Mercator(lon0=0.3, cutoff=cutoff)
+        for sign in (1.0, -1.0):
+            p = proj.forward(GeoCoord(sign * cutoff, 1.0))
+            back = proj.inverse(p)
+            assert back.lat == sign * cutoff
+            assert proj.forward(back) == p
+            y = math.nextafter(p.y, sign * math.inf)
+            assert abs(proj.inverse(PlanePoint(p.x, y)).lat) <= cutoff
+            with pytest.raises(DomainError, match="beyond the latitude cutoff$"):
+                proj.inverse(PlanePoint(p.x, sign * (abs(p.y) + 1e-9)))
 
 
 # Forward, inverse, Tissot and the Jacobian at the edges of every family (poles, the tear
