@@ -40,15 +40,12 @@ from functools import cached_property
 from itertools import repeat
 from html import escape
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .geo import (
     HALF_PI, MAX_SAMPLES, PI, TWO_PI, GeoCoord, GeoRegion, linspace, sample_great_circle,
     wrap_longitude,
 )
-# rendering reaches the curve projector and the arc fit by these module
-# names; project_polyline is not used here: perfbench's tracer and
-# tests/test_projections.py import it from this module
-from .geodesics import _project_floats, _runs, _tears, _three_point_fit, project_polyline
+from .geodesics import _project_floats, _runs, _tears, _three_point_fit
 from .projections import Projection
 
 # meridian curves stop this far (radians) from the singular pole points
@@ -389,13 +386,9 @@ def render_svg(scene: MapScene) -> str:
     for a, b, n in scene.geodesics:
         arc = sample_great_circle(a, b, n)
         geodesic_segs += _project_floats(proj, [c.lat for c in arc], [c.lon for c in arc])
-    markers: list[tuple[float, float, str]] = []
-    for entry in scene.places:
-        try:
-            p = proj.forward(entry.coord)
-        except DomainError:
-            continue
-        markers.append((p.x, p.y, entry.name))
+    places = scene.places
+    px, py, _ = proj._curve([e.coord.lat for e in places], [e.coord.lon for e in places])
+    markers = [(x, y, e.name) for x, y, e in zip(px, py, places) if x is not None]
     marker_xs, marker_ys, names = zip(*markers) if markers else ((), (), ())
 
     # the bounds from each segment's extremes, then the markers

@@ -151,10 +151,9 @@ def _cmd_geodesic(args) -> int:
     a = _coord(args, *_parse_latlon(args.src))
     b = _coord(args, *_parse_latlon(args.dst))
     poly = geodesics.project_geodesic(proj, a, b, args.samples)
-    report = geodesics.straightness(poly)
     # the primary fit alone: the least-squares fields are not printed
     fit = geodesics._three_point_fit(*zip(*poly.single_segment))
-    print(f"chord={report.chord:.6f} sagitta={report.sagitta:.6f} ratio={report.ratio:.9f}")
+    print(f"chord={fit.chord:.6f} sagitta={fit.sagitta:.6f} ratio={fit.sagitta / fit.chord:.9f}")
     if fit.collinear:
         print("arc: collinear (infinite radius)")
     else:

@@ -135,12 +135,12 @@ def project_polyline(proj: Projection, curve) -> PlanePolyline:
     """
     curve = list(curve)
     lats, lons = [c.lat for c in curve], [c.lon for c in curve]
-    runs = _project_floats(proj, lats, lons)
+    xs, ys, holes = proj._curve(lats, lons)
+    runs = _runs(xs, ys, holes, _tears(proj, lons))
     note = None
-    if not runs:
+    if not runs and holes:
         try:
-            for lat, lon in zip(lats, lons):
-                proj._xy(lat, lon)
+            proj._xy(lats[holes[0]], lons[holes[0]])
         except DomainError as exc:
             note = str(exc)
     return PlanePolyline(tuple(tuple(map(PlanePoint, xs, ys)) for xs, ys in runs), note=note)
@@ -153,15 +153,7 @@ def project_geodesic(proj: Projection, a: GeoCoord, b: GeoCoord, n: int) -> Plan
     """
     if n < 3:
         raise ParameterError(f"need at least 3 samples for a geodesic image, got {n}")
-
-    def in_domain(c: GeoCoord) -> bool:
-        try:
-            proj.forward(c)
-            return True
-        except DomainError:
-            return False
-
-    if not in_domain(a) and not in_domain(b):
+    if len(proj._curve((a.lat, b.lat), (a.lon, b.lon))[2]) == 2:
         raise DomainError(
             f"both endpoints {a.describe()} and {b.describe()} lie outside the domain"
         )

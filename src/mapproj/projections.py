@@ -548,8 +548,6 @@ class _Conic(_Meridional):
     phi_a: float
     phi_b: float
     lon0: float = 0.0
-    # inverse error for a point at the apex, which each family reads differently
-    _APEX_ERROR: ClassVar[str]
 
     def __post_init__(self):
         phi_a, phi_b = self.phi_a, self.phi_b
@@ -619,8 +617,6 @@ class _Conic(_Meridional):
         rho = math.hypot(p.x, dy)
         if not rho < math.inf:  # NaN fails too
             raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
-        if rho <= RHO_MIN:
-            raise DomainError(self._APEX_ERROR)
         theta = math.atan2(p.x, dy)
         dlam = theta / n
         if abs(dlam) > math.pi + 1e-9:
@@ -645,7 +641,6 @@ class EquidistantConic(_Conic):
 
     cutoff: float | None = None
     family: ClassVar[str] = "equidistant_conic"
-    _APEX_ERROR: ClassVar[str] = "no preimage: point at or beyond the cone apex"
 
     def __post_init__(self):
         super().__post_init__()
@@ -678,6 +673,8 @@ class EquidistantConic(_Conic):
         return rho
 
     def _latitude(self, rho: float) -> float:
+        if rho <= RHO_MIN:
+            raise DomainError("no preimage: point at or beyond the cone apex")
         lat = self._rho_equator - rho
         if lat < -HALF_PI - 1e-9:
             raise DomainError("no preimage: radius beyond the far pole")
@@ -692,7 +689,6 @@ class LambertConformalConic(_Conic):
     Southern aspects mirror the northern formulas in y."""
 
     family: ClassVar[str] = "lambert_conformal_conic"
-    _APEX_ERROR: ClassVar[str] = "no preimage: the apex corresponds to the excluded pole"
 
     @cached_property
     def _nF(self) -> tuple[float, float, float]:
@@ -721,7 +717,7 @@ class LambertConformalConic(_Conic):
         n, f, _ = self._nF
         try:
             lat = 2.0 * math.atan((f / rho) ** (1.0 / n)) - HALF_PI
-        except OverflowError:  # a radius within rounding of the excluded pole's
+        except (OverflowError, ZeroDivisionError):  # radius 0, or within rounding of the pole's
             lat = HALF_PI
         if abs(lat) == HALF_PI:
             raise DomainError(f"no preimage: radius {rho:.9g} at the excluded pole")

@@ -31,13 +31,14 @@ from mapproj.atlas import (
     build_graticule,
     dump_gazetteer,
     load_gazetteer,
-    project_polyline,
     render_svg,
 )
 from mapproj.distortion import tissot
 from mapproj.errors import DomainError, MapError, ParameterError
 from mapproj.geo import HALF_PI, MAX_SAMPLES, linspace, wrap_longitude
-from mapproj.geodesics import PlanePolyline, _three_point_fit, fit_circular_arc, straightness
+from mapproj.geodesics import (
+    PlanePolyline, _three_point_fit, fit_circular_arc, project_polyline, straightness,
+)
 from mapproj.projections import PlanePoint, parse_projection
 
 DELISLE = EquidistantConic(math.radians(45), math.radians(60), lon0=math.radians(90))

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from mapproj import EquidistantConic, GeoCoord, sample_great_circle
+from mapproj import EquidistantConic, GeoCoord, geodesics, parse_projection, sample_great_circle
 from mapproj.cli import build_parser, main
 from mapproj.conic_design import LatBand
 from mapproj.errors import ParameterError
@@ -219,6 +219,28 @@ class TestGeodesic:
         assert code == 0
         assert "ratio=0.031011719" in out
         assert "radius=" in out
+
+    @pytest.mark.parametrize("spec, src, dst, n", [
+        ("equidistant_conic lat1=45 lat2=60 lon0=90", "55.75,37.6", "59.4,143.2", "101"),
+        ("gnomonic center=-90,0", "-60,-30", "-50,40", "21"),
+        ("mercator", "10,10", "50,120", "7"),
+        # two visible samples: the fit and straightness refuse them alike
+        ("orthographic center=0,0", "0,0", "0,150", "4"),
+    ])
+    def test_first_line_is_the_straightness_report(self, capsys, spec, src, dst, n):
+        code, out, err = run(capsys, "geodesic", "--proj", spec, f"--from={src}", f"--to={dst}",
+                             "-n", n)
+        poly = geodesics.project_geodesic(
+            parse_projection(spec), GeoCoord.from_degrees(*map(float, src.split(","))),
+            GeoCoord.from_degrees(*map(float, dst.split(","))), int(n))
+        try:
+            report = geodesics.straightness(poly)
+        except ParameterError as exc:
+            assert (code, out, err) == (1, "", f"error: {exc}\n")
+        else:
+            assert code == 0
+            assert out.splitlines()[0] == (
+                f"chord={report.chord:.6f} sagitta={report.sagitta:.6f} ratio={report.ratio:.9f}")
 
     def test_csv_samples(self, capsys, tmp_path):
         # negative coordinates need the = form so argparse does not read

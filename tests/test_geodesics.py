@@ -8,6 +8,7 @@ from mapproj import (
     GeoCoord,
     Gnomonic,
     Mercator,
+    Orthographic,
     PlanePoint,
     sample_great_circle,
 )
@@ -15,6 +16,7 @@ from mapproj.geodesics import (
     PlanePolyline,
     fit_circular_arc,
     project_geodesic,
+    project_polyline,
     straightness,
 )
 from mapproj.errors import DomainError, ParameterError
@@ -105,9 +107,59 @@ class TestProjectGeodesic:
                 proj, GeoCoord.from_degrees(80, 0), GeoCoord.from_degrees(82, 40), 11
             )
 
+    @pytest.mark.parametrize("a, b", [((0, 120), (10, 150)), ((0, -100), (0, 100))])
+    def test_both_endpoints_outside_message(self, a, b):
+        # the second arc crosses the visible hemisphere, and is refused all the same
+        a, b = GeoCoord.from_degrees(*a), GeoCoord.from_degrees(*b)
+        with pytest.raises(DomainError) as err:
+            project_geodesic(Orthographic(center=GeoCoord(0.0, 0.0)), a, b, 21)
+        assert str(err.value) == (
+            f"both endpoints {a.describe()} and {b.describe()} lie outside the domain")
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_one_endpoint_outside_keeps_the_visible_run(self, reverse):
+        # samples every 12.5 degrees; the 8 nearest lon 0 lie on the visible hemisphere
+        proj = Orthographic(center=GeoCoord(0.0, 0.0))
+        a, b = GeoCoord.from_degrees(0, 0), GeoCoord.from_degrees(0, 150)
+        if reverse:
+            a, b = b, a
+        arc = sample_great_circle(a, b, 13)
+        visible = arc[5:] if reverse else arc[:8]
+        poly = project_geodesic(proj, a, b, 13)
+        assert poly.segments == (tuple(proj.forward(c) for c in visible),)
+        assert poly.note is None
+
     def test_too_few_samples(self):
         with pytest.raises(ParameterError):
             project_geodesic(DELISLE, MOSCOW, OKHOTSK, 2)
+
+
+class TestProjectPolyline:
+    def test_note_projects_one_sample_after_the_curve(self, monkeypatch):
+        # visible and hidden samples alternate, so no run of 2 is left; the
+        # note is the message of the first hidden sample, taken from one
+        # projection of it rather than of every sample up to it
+        curve_kernel, xy_kernel = Orthographic._curve, Orthographic._xy
+        calls = []
+
+        def curve(self, lats, lons):
+            result = curve_kernel(self, lats, lons)
+            calls.append("curve")
+            return result
+
+        def xy(self, lat, lon):
+            calls.append("xy")
+            return xy_kernel(self, lat, lon)
+
+        monkeypatch.setattr(Orthographic, "_curve", curve)
+        monkeypatch.setattr(Orthographic, "_xy", xy)
+        curve = [GeoCoord.from_degrees(0, lon) for lon in (0, 120, 10, 130, 20)]
+        poly = project_polyline(Orthographic(center=GeoCoord(0.0, 0.0)), curve)
+        assert poly.segments == ()
+        assert poly.note == (
+            "(lat 0.000000°, lon 120.000000°) outside orthographic domain: "
+            "on the hidden hemisphere")
+        assert calls[calls.index("curve") + 1:] == ["xy"]
 
 
 class TestStraightness:

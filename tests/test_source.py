@@ -2,7 +2,8 @@
 function or class twice: the second definition rebinds the name at import
 and leaves the first dead, which no runtime test notices. The graticule,
 distortion and curve code reads no family's formula: each lives in
-projections, and those modules import only its interface."""
+projections, and those modules import only its interface. They call no
+``forward`` either: the kernels' holes tell them which samples are rejected."""
 
 import ast
 from collections import Counter
@@ -85,3 +86,21 @@ def test_consumers_import_only_the_interface():
     }
     assert {name: set(names) - {"Projection", "PlanePoint"} for name, names in imports.items()} == {
         "atlas.py": set(), "distortion.py": set(), "geodesics.py": set()}
+
+
+def _forward_calls(source: str) -> list[int]:
+    """The lines that call a ``.forward`` attribute."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "forward"]
+
+
+def test_consumers_project_through_the_kernels():
+    # a rejection reaches them as a kernel's hole, never as a caught
+    # DomainError per point
+    assert _forward_calls("p = proj.forward(c)\nf = proj.forward\nq = forward(c)\n") == [1]
+    calls = {
+        name: _forward_calls((ROOT / "src/mapproj" / name).read_text(encoding="utf-8"))
+        for name in ("atlas.py", "distortion.py", "geodesics.py")
+    }
+    assert calls == {"atlas.py": [], "distortion.py": [], "geodesics.py": []}
