@@ -42,8 +42,8 @@ from html import escape
 
 from .errors import ParameterError
 from .geo import (
-    HALF_PI, MAX_SAMPLES, PI, TWO_PI, GeoCoord, GeoRegion, linspace, sample_great_circle,
-    wrap_longitude,
+    HALF_PI, MAX_SAMPLES, PI, TWO_PI, GeoCoord, GeoRegion, _fmt, linspace,
+    sample_great_circle, wrap_longitude,
 )
 from .geodesics import _project_floats, _runs, _tears, _three_point_fit
 from .projections import Projection
@@ -285,11 +285,6 @@ def dump_gazetteer(entries) -> str:
 
 # ---------------------------------------------------------------------------
 # SVG rendering
-
-def _fmt(v: float) -> str:
-    s = f"{v:.6f}"
-    return "0.000000" if s == "-0.000000" else s
-
 
 def _pixels(tr, xs, ys) -> tuple[list[float], list[float]]:
     """Plane points to SVG pixels by ``tr = (margin, scale, min_x, max_y)``:

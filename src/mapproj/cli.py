@@ -19,7 +19,7 @@ import sys
 
 from . import conic_design
 from .errors import MapError
-from .geo import GeoCoord, GeoRegion, great_circle_distance, wrap_longitude
+from .geo import GeoCoord, GeoRegion, _fmt, great_circle_distance, wrap_longitude
 from .projections import PlanePoint, UnknownFamilyError, parse_projection
 
 
@@ -67,7 +67,7 @@ def _write(path: str | None, text: str) -> None:
 def _cmd_project(args) -> int:
     proj = parse_projection(args.proj)
     p = proj.forward(_coord(args, args.lat, args.lon))
-    print(f"x={p.x:.6f} y={p.y:.6f}")
+    print(f"x={_fmt(p.x)} y={_fmt(p.y)}")
     return 0
 
 
@@ -75,7 +75,7 @@ def _cmd_inverse(args) -> int:
     proj = parse_projection(args.proj)
     c = proj.inverse(PlanePoint(args.x, args.y))
     lon_out = math.degrees(wrap_longitude(c.lon - math.radians(args.prime_meridian)))
-    print(f"lat={c.lat_deg:.6f} lon={lon_out:.6f}")
+    print(f"lat={_fmt(c.lat_deg)} lon={_fmt(lon_out)}")
     return 0
 
 

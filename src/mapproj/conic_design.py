@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .geo import HALF_PI, linspace
+from .geo import HALF_PI, _slot_setters, linspace
 from .projections import ConicConstants, RHO_MIN, conic_constants
 
 SCAN_POINTS = 10_001
@@ -43,21 +43,23 @@ DEFAULT_TOL = 1e-6
 _DIP_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LatBand:
     """Northern latitude band 0 <= phi_lo < phi_hi < pi/2."""
 
     phi_lo: float
     phi_hi: float
 
-    def __post_init__(self):
-        if not 0.0 <= self.phi_lo < self.phi_hi < HALF_PI:
+    def __init__(self, phi_lo: float, phi_hi: float):
+        if not 0.0 <= phi_lo < phi_hi < HALF_PI:
             raise ParameterError(
                 "band must satisfy 0 <= lo < hi < 90°, got "
-                f"[{math.degrees(self.phi_lo):.4f}°, {math.degrees(self.phi_hi):.4f}°]"
+                f"[{math.degrees(phi_lo):.4f}°, {math.degrees(phi_hi):.4f}°]"
             )
-        if self.phi_hi - self.phi_lo <= 1e-6:
+        if phi_hi - phi_lo <= 1e-6:
             raise ParameterError("band narrower than 1e-6 rad")
+        _set_phi_lo(self, phi_lo)
+        _set_phi_hi(self, phi_hi)
 
     @classmethod
     def from_degrees(cls, lo_deg: float, hi_deg: float) -> "LatBand":
@@ -68,7 +70,7 @@ class LatBand:
         return self.phi_hi - self.phi_lo
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ParallelChoice:
     """A pair of standard parallels with its worst error max |k - 1| over
     the band."""
@@ -76,6 +78,15 @@ class ParallelChoice:
     phi_a: float
     phi_b: float
     max_error: float
+
+    def __init__(self, phi_a: float, phi_b: float, max_error: float):
+        _set_phi_a(self, phi_a)
+        _set_phi_b(self, phi_b)
+        _set_max_error(self, max_error)
+
+
+_set_phi_lo, _set_phi_hi = _slot_setters(LatBand)
+_set_phi_a, _set_phi_b, _set_max_error = _slot_setters(ParallelChoice)
 
 
 def _scale_error(constants: ConicConstants, phi_a: float, phi: float) -> float:
@@ -95,9 +106,10 @@ def parallel_scale(constants: ConicConstants, phi_a: float, phi: float) -> float
 
 
 def _newton(f, lo: float, hi: float, tol: float, what: str) -> float:
-    """Root of f in [lo, hi], where f(phi) returns (value, slope) and the
-    values at lo and hi differ in sign. Newton steps that would leave the
-    bracket are replaced by bisection; stops once a step is within tol."""
+    """Root of f in the ordered bracket lo <= hi, as every caller passes it,
+    where f(phi) returns (value, slope) and the values at lo and hi differ
+    in sign. Newton steps that would leave the bracket are replaced by
+    bisection; stops once a step is within tol."""
     f_lo, f_hi = f(lo)[0], f(hi)[0]
     if f_lo == 0.0:
         return lo
@@ -105,19 +117,20 @@ def _newton(f, lo: float, hi: float, tol: float, what: str) -> float:
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         raise ConvergenceError(f"no sign change bracketing the {what}")
-    if f_lo > 0.0:
-        lo, hi = hi, lo  # keep f(lo) < 0 < f(hi)
+    # the bracket stays ordered; each x replaces the end whose value has
+    # its sign, which is hi for a negative value when f falls
+    falling = f_lo > 0.0
     x = 0.5 * (lo + hi)
     for _ in range(MAX_NEWTON_STEPS):
         value, slope = f(x)
         if value == 0.0:
             return x
-        if value < 0.0:
+        if (value < 0.0) != falling:
             lo = x
         else:
             hi = x
         nxt = x - value / slope if slope != 0.0 else math.nan
-        if not min(lo, hi) < nxt < max(lo, hi):
+        if not lo < nxt < hi:
             nxt = 0.5 * (lo + hi)
         if abs(nxt - x) <= tol:
             return nxt

@@ -38,7 +38,8 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParameterError
 from .geo import (
-    HALF_PI, MAX_SAMPLES, PI, GeoCoord, GeoRegion, _canonical, linspace, wrap_longitude,
+    HALF_PI, MAX_SAMPLES, PI, GeoCoord, GeoRegion, _canonical, _clamp, _slot_setters,
+    linspace, wrap_longitude,
 )
 from .geodesics import _deviations
 from .projections import Projection
@@ -77,10 +78,8 @@ class DistortionSample:
         _set_s(self, s)
 
 
-# the slots' own setters, as for GeoCoord and PlanePoint
-(_set_h, _set_k, _set_theta_prime, _set_a, _set_b, _set_omega, _set_s) = (
-    DistortionSample.__dict__[name].__set__ for name in DistortionSample.__slots__
-)
+_set_h, _set_k, _set_theta_prime, _set_a, _set_b, _set_omega, _set_s = _slot_setters(
+    DistortionSample)
 
 
 @dataclass(frozen=True)
@@ -186,10 +185,11 @@ def _fields(lat: float, lon: float, xp: float, xl: float, yp: float, yl: float
     if h <= 0.0 or k <= 0.0:
         raise DomainError(f"degenerate Jacobian at {GeoCoord(lat, lon).describe()}")
     cos_theta = (xp * xl + yp * yl) / (h * k)
-    theta_prime = math.acos(max(-1.0, min(1.0, cos_theta)))
+    theta_prime = math.acos(_clamp(cos_theta, -1.0, 1.0))
     q = math.hypot(xp + yl, yp - xl)
     r = math.hypot(xp - yl, yp + xl)
-    omega = 2.0 * math.asin(min(q, r) / max(q, r))
+    # min(q, r) / max(q, r) by the builtins' own rule, NaN included
+    omega = 2.0 * math.asin((r if r < q else q) / (r if r > q else q))
     return h, k, theta_prime, 0.5 * (q + r), 0.5 * abs(q - r), omega, h * k * math.sin(theta_prime)
 
 
@@ -291,18 +291,27 @@ def euler_property_report(
     family sacrifices.
     """
     lats, lons = _grid_axes(region, nlat, nlon)
+    # running maxima as max(p, e) would give them: e replaces p only when larger
     p2 = p3 = p4 = 0.0
     for h, k, theta_prime, *_ in _grid(proj, lats, lons):
-        p2 = max(p2, abs(h - 1.0))
-        p3 = max(p3, abs(theta_prime - HALF_PI))
-        p4 = max(p4, abs(k / h - 1.0))
+        e = abs(h - 1.0)
+        if e > p2:
+            p2 = e
+        e = abs(theta_prime - HALF_PI)
+        if e > p3:
+            p3 = e
+        e = abs(k / h - 1.0)
+        if e > p4:
+            p4 = e
     p1 = 0.0
     for lon, (xs, ys, holes) in zip(lons, proj._columns(lats, lons)):
         if holes:
             # the kernel's own error for the first node it rejects
             proj._xy(lats[holes[0]], lon)
         chord, dev = _deviations(xs, ys)
-        p1 = max(p1, max(dev) / chord)
+        e = max(dev) / chord
+        if e > p1:
+            p1 = e
     return PropertyReport(p1=p1, p2=p2, p3=p3, p4=p4)
 
 

@@ -57,6 +57,21 @@ def wrap_longitude(lon: float) -> float:
     return lon
 
 
+def _fmt(v: float) -> str:
+    """``%.6f``, except that a value rounding to a negative zero prints as
+    0.000000: the CLI's coordinates and the SVG's numbers."""
+    s = f"{v:.6f}"
+    return "0.000000" if s == "-0.000000" else s
+
+
+def _clamp(v: float, lo: float, hi: float) -> float:
+    """``max(lo, min(hi, v))`` to the bit, NaN and signed zeros included,
+    by comparisons: on Python 3.11 the two builtin calls cost several times
+    the clamp itself."""
+    v = v if v < hi else hi
+    return v if v > lo else lo
+
+
 def _canonical(lat: float, lon: float) -> tuple[float, float]:
     """(lat, lon) as :class:`GeoCoord` stores it, or its error. A pair with
     ``-pi/2 < lat < pi/2`` and ``-pi < lon <= pi`` comes back unchanged, so
@@ -65,8 +80,15 @@ def _canonical(lat: float, lon: float) -> tuple[float, float]:
         raise DomainError("coordinates must be finite")
     if abs(lat) > HALF_PI + 1e-12:
         raise DomainError(f"latitude {math.degrees(lat):.6f}° outside [-90°, 90°]")
-    lat = max(-HALF_PI, min(HALF_PI, lat))
+    lat = _clamp(lat, -HALF_PI, HALF_PI)
     return lat, (0.0 if abs(lat) == HALF_PI else wrap_longitude(lon))
+
+
+def _slot_setters(cls) -> tuple:
+    """The slots' own setters of a frozen slotted dataclass, in field order,
+    for its ``__init__``: the class's __setattr__ refuses, and
+    object.__setattr__ would look the slot up again on every call."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -107,10 +129,7 @@ class GeoCoord:
         return f"(lat {self.lat_deg:.6f}°, lon {self.lon_deg:.6f}°)"
 
 
-# the slots' own setters: a frozen dataclass's __setattr__ refuses, and
-# object.__setattr__ would look the slot up again on every call
-_set_lat = GeoCoord.__dict__["lat"].__set__
-_set_lon = GeoCoord.__dict__["lon"].__set__
+_set_lat, _set_lon = _slot_setters(GeoCoord)
 
 
 NORTH_POLE = GeoCoord(HALF_PI, 0.0)
@@ -166,7 +185,7 @@ def from_unit_vector(v) -> GeoCoord:
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise DomainError(f"not a unit vector: |v| = {norm:.12g}")
     x, y, z = x / norm, y / norm, z / norm
-    lat = math.asin(max(-1.0, min(1.0, z)))
+    lat = math.asin(_clamp(z, -1.0, 1.0))
     lon = math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0
     return GeoCoord(lat, lon)
 
@@ -206,7 +225,7 @@ def spherical_angle_from_sides(ab: float, ac: float, bc: float) -> float:
         raise InconsistentTriangleError(
             f"sides admit no spherical triangle (cos A = {cos_a:.9g})"
         )
-    return math.acos(max(-1.0, min(1.0, cos_a)))
+    return math.acos(_clamp(cos_a, -1.0, 1.0))
 
 
 def linspace(lo: float, hi: float, n: int) -> list[float]:

@@ -54,6 +54,8 @@ from .geo import (
     NORTH_POLE,
     SOUTH_POLE,
     GeoCoord,
+    _clamp,
+    _slot_setters,
     from_unit_vector,
     wrap_longitude,
 )
@@ -82,9 +84,7 @@ class PlanePoint:
         yield self.y
 
 
-# the slots' own setters, as for GeoCoord
-_set_x = PlanePoint.__dict__["x"].__set__
-_set_y = PlanePoint.__dict__["y"].__set__
+_set_x, _set_y = _slot_setters(PlanePoint)
 
 
 class Projection:
@@ -350,7 +350,7 @@ class Orthographic(_Azimuthal):
     def _radial_inverse(self, r: float) -> float:
         if r > 1.0 + 1e-9:
             raise DomainError(f"no preimage: radius {r:.9g} beyond the orthographic limb")
-        return math.asin(min(1.0, r))
+        return math.asin(_clamp(r, -1.0, 1.0))
 
 
 class LambertAzimuthalEqualArea(_Azimuthal):
@@ -366,7 +366,7 @@ class LambertAzimuthalEqualArea(_Azimuthal):
     def _radial_inverse(self, r: float) -> float:
         if r > 2.0 + 1e-9:
             raise DomainError(f"no preimage: radius {r:.9g} beyond the equal-area disc")
-        return 2.0 * math.asin(min(1.0, 0.5 * r))
+        return 2.0 * math.asin(_clamp(0.5 * r, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +438,7 @@ class Equirectangular(_StandardParallel):
     def _latitude(self, y: float) -> float:
         if not abs(y) <= HALF_PI + 1e-12:  # NaN fails too
             raise DomainError(f"no preimage: |y| = {abs(y):.9g} beyond the pole line")
-        return max(-HALF_PI, min(HALF_PI, y))
+        return _clamp(y, -HALF_PI, HALF_PI)
 
 
 @dataclass(frozen=True)
@@ -493,14 +493,14 @@ class LambertCylindricalEqualArea(_StandardParallel):
         sin_lat = y * self._x_scale
         if not abs(sin_lat) <= 1.0 + 1e-9:  # NaN fails too
             raise DomainError(f"no preimage: y = {y:.9g} beyond the pole line")
-        return math.asin(max(-1.0, min(1.0, sin_lat)))
+        return math.asin(_clamp(sin_lat, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
 # conic families
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ConicConstants:
     """Cone constant n, radius of the reference (inner) parallel, and the
     distance of the meridian convergence point beyond the pole, all for the
@@ -509,6 +509,14 @@ class ConicConstants:
     n: float
     rho_ref: float
     apex_overshoot: float
+
+    def __init__(self, n: float, rho_ref: float, apex_overshoot: float):
+        _set_n(self, n)
+        _set_rho_ref(self, rho_ref)
+        _set_apex_overshoot(self, apex_overshoot)
+
+
+_set_n, _set_rho_ref, _set_apex_overshoot = _slot_setters(ConicConstants)
 
 
 def conic_constants(phi_a: float, phi_b: float) -> ConicConstants:
@@ -680,7 +688,7 @@ class EquidistantConic(_Conic):
             raise DomainError("no preimage: radius beyond the far pole")
         if self.cutoff is not None and lat > abs(self.cutoff) + 1e-12:
             raise DomainError("no preimage: beyond the latitude cutoff")
-        return max(-HALF_PI, min(HALF_PI, lat))
+        return _clamp(lat, -HALF_PI, HALF_PI)
 
 
 class LambertConformalConic(_Conic):
@@ -753,7 +761,7 @@ class Werner(_Meridional):
             return GeoCoord(HALF_PI, 0.0)
         if r > math.pi + 1e-9:
             raise DomainError(f"no preimage: radius {r:.9g} beyond the south pole arc")
-        lat = HALF_PI - min(r, math.pi)
+        lat = HALF_PI - _clamp(r, 0.0, math.pi)
         # the south pole's image is the tip (0, -pi); the outline check rejects the rest
         if lat <= -HALF_PI + 1e-12 and math.hypot(p.x, p.y + math.pi) <= 1e-9:
             return GeoCoord(-HALF_PI, 0.0)

@@ -72,7 +72,26 @@ class TestProject:
         assert proc.stdout == "x=0.000000 y=0.172788\n"
 
 
+    @pytest.mark.parametrize("proj, lat, lon", [
+        ("equirectangular", "0", "-0.0000001"),
+        ("equirectangular", "-0.00001", "-0.00001"),
+        ("mercator", "-1e-300", "-0.0"),
+    ])
+    def test_no_negative_zero(self, capsys, proj, lat, lon):
+        # a coordinate that rounds to zero prints without its sign, as in the
+        # SVG: -1e-5 degrees is -1.7e-7 rad, which %.6f prints as -0.000000
+        code, out, _ = run(capsys, "project", "--proj", proj, "--lat", lat, "--lon", lon)
+        assert (code, out) == (0, "x=0.000000 y=0.000000\n")
+
+
 class TestInverse:
+    def test_no_negative_zero(self, capsys):
+        # the gnomonic horizon: the latitude comes back as a tiny negative
+        code, out, _ = run(capsys, "inverse", "--proj", "gnomonic", "--x", "0", "--y", "1e20")
+        assert (code, out) == (0, "lat=0.000000 lon=90.000000\n")
+        code, out, _ = run(capsys, "inverse", "--proj", "mercator", "--x", "-1e-9", "--y", "-0.0")
+        assert (code, out) == (0, "lat=0.000000 lon=0.000000\n")
+
     def test_round_trip_of_project(self, capsys):
         code, out, _ = run(
             capsys, "inverse", "--proj", "mercator lon0=0", "--x", "0.174533", "--y", "0.881374"
@@ -595,6 +614,24 @@ def test_atlas_import_loads_no_network_or_mail_modules():
     # 40 ms of render's start-up, for one escape; html.escape needs none
     heavy = ["xml.sax", "urllib.request", "http.client", "email"]
     probe = f"import sys, mapproj.atlas; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_point_commands_do_not_load_the_heavy_modules():
+    # project and inverse format through geo's %.6f helper, not atlas's
+    probe = (
+        "import contextlib, io, sys, mapproj.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    mapproj.cli.main(['project', '--proj', 'mercator', '--lat', '1', '--lon', '2'])\n"
+        "    mapproj.cli.main(['inverse', '--proj', 'mercator', '--x', '0.1', '--y', '0.2'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[-1] in "
+        "('atlas', 'distortion', 'geodesics')))\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         cwd=ROOT, capture_output=True, text=True, timeout=60,

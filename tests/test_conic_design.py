@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import math
+import pickle
 import random
 from decimal import Decimal, localcontext
 
@@ -23,7 +25,8 @@ from mapproj.conic_design import (
     semicircle_longitude_span,
 )
 from mapproj.distortion import tissot
-from mapproj.errors import DomainError, ParameterError
+from mapproj.errors import ConvergenceError, DomainError, ParameterError
+from mapproj.projections import ConicConstants
 
 
 class TestParallelScale:
@@ -66,6 +69,47 @@ class TestLatBand:
             LatBand.from_degrees(45, 90)
         with pytest.raises(ParameterError):
             LatBand(1.0, 1.0 + 1e-8)
+
+
+_VALUE_TYPES = [
+    (LatBand, ("phi_lo", "phi_hi"), (0.5, 1.0)),
+    (ParallelChoice, ("phi_a", "phi_b", "max_error"), (0.6, 0.9, 0.01)),
+    (ConicConstants, ("n", "rho_ref", "apex_overshoot"), (0.7, 1.1, 0.2)),
+]
+
+
+class TestSlottedValueTypes:
+    """LatBand, ParallelChoice and ConicConstants set their slots
+    themselves; they still behave as the frozen dataclasses they were."""
+
+    @pytest.mark.parametrize("cls, fields, values", _VALUE_TYPES)
+    def test_dataclass_behaviour(self, cls, fields, values):
+        value = cls(*values)
+        assert cls.__slots__ == fields and not hasattr(value, "__dict__")
+        assert tuple(f.name for f in dataclasses.fields(cls)) == fields
+        assert tuple(getattr(value, f) for f in fields) == values
+        assert cls(**dict(zip(fields, values))) == value
+        assert repr(value) == f"{cls.__name__}(" + ", ".join(
+            f"{f}={v!r}" for f, v in zip(fields, values)) + ")"
+        assert value != cls(*values[:-1], 1.25) and hash(value) == hash(values)
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, name, 0.0)
+        assert dataclasses.replace(value, **{fields[-1]: 1.25}) == cls(*values[:-1], 1.25)
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert dataclasses.astuple(value) == values
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+
+    def test_band_validates_on_replace(self):
+        band = LatBand(0.5, 1.0)
+        with pytest.raises(ParameterError, match=r"^band must satisfy 0 <= lo < hi < 90°, got "
+                                                 r"\[28\.6479°, 14\.3239°\]$"):
+            dataclasses.replace(band, phi_hi=0.5 * band.phi_lo)
+        with pytest.raises(ParameterError, match=r"^band narrower than 1e-6 rad$"):
+            dataclasses.replace(band, phi_hi=band.phi_lo + 1e-7)
+        with pytest.raises(ParameterError, match="must satisfy"):
+            LatBand(phi_lo=math.nan, phi_hi=1.0)
 
 
 class TestQuarterRule:
@@ -405,3 +449,51 @@ class TestSemicircleSpan:
         if pb <= pa:
             return
         assert semicircle_longitude_span(pa, pb) > 180.0
+
+
+def _seeded_bands(n: int, seed: int) -> list[LatBand]:
+    """n bands: widths log-uniform from 1e-4 rad to 86°, every eighth one
+    under 1e-4 rad (where a failed bracket falls back to the quarter rule
+    instead of raising), and every sixteenth starting at the equator."""
+    rng = random.Random(seed)
+    bands = []
+    for i in range(n):
+        if i % 8 == 0:
+            width = rng.uniform(2e-6, 1e-4)
+        else:
+            width = math.exp(rng.uniform(math.log(1e-4), math.log(1.5)))
+        lo = 0.0 if i % 16 == 1 else rng.uniform(0.0, math.pi / 2 - 1e-6 - width)
+        bands.append(LatBand(lo, lo + width))
+    return bands
+
+
+def _design_line(band: LatBand) -> str:
+    """Every conic_design output for one band, as float.hex text: each rule's
+    parallels, worst error and residual, and its cone's apex and span; an
+    error as its type and message (and a fallback's parallels)."""
+    fields = []
+    for rule in (quarter_rule, minimax_parallels):
+        try:
+            choice = rule(band)
+        except ConvergenceError as exc:
+            fields.append(f"{type(exc).__name__}:{exc}")
+            choice = exc.best
+        for value in (choice.phi_a, choice.phi_b, choice.max_error,
+                      equioscillation_residual(band, choice),
+                      apex_overshoot_degrees(choice.phi_a, choice.phi_b),
+                      semicircle_longitude_span(choice.phi_a, choice.phi_b)):
+            fields.append(float.hex(value))
+    return " ".join(fields)
+
+
+DESIGN_DIGEST = "4551189ba584783a3a11129e2512a54536697df707184ddf6cd84a02ed1f0b0f"
+
+
+class TestDesignDigest:
+    """Every conic_design output over 2400 seeded bands, to the bit."""
+
+    def test_pinned(self):
+        bands = _seeded_bands(2400, 20261019)
+        assert sum(band.width < 1e-4 for band in bands) == 300
+        text = "\n".join(_design_line(band) for band in bands)
+        assert hashlib.sha256(text.encode()).hexdigest() == DESIGN_DIGEST

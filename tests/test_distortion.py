@@ -8,6 +8,8 @@ from typing import ClassVar
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mapproj import (
     EquidistantConic,
@@ -840,3 +842,89 @@ class TestDistortionSampleMatchesGeneratedDataclass:
         assert dataclasses.astuple(sample) == values
         with pytest.raises(TypeError):
             DistortionSample(*values[:-1])
+
+
+def _outcome(f, *args):
+    """f(*args), or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (ArithmeticError, ValueError, MapError) as exc:
+        return type(exc)
+
+
+def _same_outcome(a, b) -> bool:
+    """Both the same error type, or floats equal to the bit (any NaN equal)."""
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    return len(a) == len(b) and all(
+        math.isnan(x) and math.isnan(y) or float.hex(x) == float.hex(y) for x, y in zip(a, b))
+
+
+def _fields_by_builtins(lat, lon, xp, xl, yp, yl):
+    """distortion._fields as it was written with min and max."""
+    cos_lat = math.cos(lat)
+    xl, yl = xl / cos_lat, yl / cos_lat
+    h = math.hypot(xp, yp)
+    k = math.hypot(xl, yl)
+    if h <= 0.0 or k <= 0.0:
+        raise DomainError("degenerate Jacobian")
+    cos_theta = (xp * xl + yp * yl) / (h * k)
+    theta_prime = math.acos(max(-1.0, min(1.0, cos_theta)))
+    q = math.hypot(xp + yl, yp - xl)
+    r = math.hypot(xp - yl, yp + xl)
+    omega = 2.0 * math.asin(min(q, r) / max(q, r))
+    return h, k, theta_prime, 0.5 * (q + r), 0.5 * abs(q - r), omega, h * k * math.sin(theta_prime)
+
+
+def _report_by_builtins(samples, columns):
+    """euler_property_report's maxima as they were written with max."""
+    p2 = p3 = p4 = 0.0
+    for h, k, theta_prime in samples:
+        p2 = max(p2, abs(h - 1.0))
+        p3 = max(p3, abs(theta_prime - HALF_PI))
+        p4 = max(p4, abs(k / h - 1.0))
+    p1 = 0.0
+    for chord, dev in columns:
+        p1 = max(p1, max(dev) / chord)
+    return p1, p2, p3, p4
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+# each the Jacobian of a conformal, mirrored, collapsed or non-finite map
+_JACOBIANS = [
+    (1.0, 0.0, 0.0, 1.0), (1.0, 0.0, 0.0, -1.0), (1.0, 1.0, 1.0, 1.0), (1.0, -1.0, -1.0, 1.0),
+    (2.0, 0.0, 0.0, 2.0), (0.0, 1.0, 1.0, 0.0), (-0.0, -1.0, 1.0, -0.0), (1e-300, 0.0, 0.0, 1e-300),
+    (math.inf, 0.0, 0.0, 1.0), (1.0, math.inf, math.inf, 1.0), (math.nan, 1.0, 0.0, 1.0),
+    (1.0, 0.0, 0.0, math.nan), (1e300, 1e300, 1e300, -1e300), (0.0, 0.0, 0.0, 1.0),
+]
+
+
+class TestHotLoopsMatchBuiltins:
+    """_fields and euler_property_report compare instead of calling min and
+    max; their results are the builtins', to the bit, NaN included."""
+
+    @pytest.mark.parametrize("lat", [0.0, 0.7, -1.5])
+    @pytest.mark.parametrize("jacobian", _JACOBIANS)
+    def test_fields_at_edges(self, lat, jacobian):
+        assert _same_outcome(_outcome(distortion._fields, lat, 0.0, *jacobian),
+                             _outcome(_fields_by_builtins, lat, 0.0, *jacobian))
+
+    @given(st.sampled_from([0.0, 0.7, -1.5]), st.tuples(*[_ANY_FLOAT] * 4))
+    def test_fields_at_any_jacobian(self, lat, jacobian):
+        assert _same_outcome(_outcome(distortion._fields, lat, 0.0, *jacobian),
+                             _outcome(_fields_by_builtins, lat, 0.0, *jacobian))
+
+    @given(st.lists(st.tuples(_ANY_FLOAT, _ANY_FLOAT, _ANY_FLOAT), max_size=6)
+           | st.just([(1.0, 1.0, HALF_PI), (math.nan, 1.0, 0.0), (-0.0, 0.0, -0.0)]),
+           st.lists(st.tuples(_ANY_FLOAT, st.lists(_ANY_FLOAT, min_size=1, max_size=3)),
+                    min_size=3, max_size=5))
+    def test_report_maxima(self, samples, columns):
+        # the report folds the samples _grid yields and the deviations of
+        # each meridian's column, both stood in for here
+        reported = iter(columns)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(distortion, "_grid", lambda proj, lats, lons: iter(samples))
+            mp.setattr(distortion, "_deviations", lambda xs, ys: next(reported))
+            got = _outcome(lambda: dataclasses.astuple(euler_property_report(
+                Equirectangular(), GeoRegion.from_degrees(10, 20, 30, 40), 3, len(columns))))
+        assert _same_outcome(got, _outcome(_report_by_builtins, samples, columns))

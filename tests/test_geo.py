@@ -18,9 +18,11 @@ from mapproj.errors import (
     ParameterError,
 )
 from mapproj.geo import (
+    HALF_PI,
     MAX_SAMPLES,
     GeoCoord,
     _canonical,
+    _clamp,
     GeoRegion,
     from_unit_vector,
     great_circle_distance,
@@ -91,6 +93,40 @@ _EDGES = [
 ]
 _EDGES += [math.nextafter(v, d) for v in _EDGES for d in (-math.inf, math.inf)]
 _SPECIAL = [math.nan, math.inf, -math.inf, 0, 1, -3, 4, True, np.float64(-math.pi), np.float64(0.5)]
+
+
+def _same_float(a, b) -> bool:
+    """Equal to the bit, with every NaN equal to every other."""
+    return math.isnan(a) and math.isnan(b) or float.hex(a) == float.hex(b)
+
+
+# the bounds _clamp is called with, each with its neighbours
+_CLAMP_BOUNDS = [(-1.0, 1.0), (-HALF_PI, HALF_PI), (0.0, math.pi)]
+_CLAMP_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -1e-300] + [
+    math.nextafter(v, d) if d else v
+    for pair in _CLAMP_BOUNDS for v in pair for d in (-math.inf, 0, math.inf)
+]
+
+
+class TestClampMatchesBuiltins:
+    """_clamp is max(lo, min(hi, v)) to the bit, signed zeros and NaN
+    included; it replaced that expression on the hot paths."""
+
+    @pytest.mark.parametrize("lo, hi", _CLAMP_BOUNDS)
+    @pytest.mark.parametrize("v", _CLAMP_VALUES)
+    def test_edges(self, v, lo, hi):
+        assert _same_float(_clamp(v, lo, hi), max(lo, min(hi, v)))
+
+    @given(st.floats(allow_nan=True, allow_infinity=True), st.sampled_from(_CLAMP_BOUNDS))
+    def test_any_float(self, v, bounds):
+        lo, hi = bounds
+        assert _same_float(_clamp(v, lo, hi), max(lo, min(hi, v)))
+
+    def test_ties_and_nan(self):
+        # a tie returns the bound, which min and max take as their first
+        # argument; NaN compares false, so min(hi, NaN) and the clamp give hi
+        assert float.hex(_clamp(-0.0, 0.0, math.pi)) == float.hex(0.0)
+        assert _clamp(math.nan, -1.0, 1.0) == 1.0
 
 
 class TestGeoCoordMatchesItsChecks:

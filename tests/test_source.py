@@ -3,7 +3,9 @@ function or class twice: the second definition rebinds the name at import
 and leaves the first dead, which no runtime test notices. The graticule,
 distortion and curve code reads no family's formula: each lives in
 projections, and those modules import only its interface. They call no
-``forward`` either: the kernels' holes tell them which samples are rejected."""
+``forward`` either: the kernels' holes tell them which samples are rejected.
+The per-sample and per-step functions call no two-argument ``min`` or
+``max``, which Python 3.11 runs through its slow varargs path."""
 
 import ast
 from collections import Counter
@@ -104,3 +106,60 @@ def test_consumers_project_through_the_kernels():
         for name in ("atlas.py", "distortion.py", "geodesics.py")
     }
     assert calls == {"atlas.py": [], "distortion.py": [], "geodesics.py": []}
+
+
+# the functions that run per sample, per inverse or per solver step, as
+# "name" or "Class.name"
+HOT_FUNCTIONS = {
+    "conic_design.py": {"_newton"},
+    "distortion.py": {"_fields", "euler_property_report"},
+    "geo.py": {"_clamp", "_canonical", "from_unit_vector", "spherical_angle_from_sides"},
+    "projections.py": {
+        "Equirectangular._latitude", "LambertCylindricalEqualArea._latitude",
+        "EquidistantConic._latitude", "Orthographic._radial_inverse",
+        "LambertAzimuthalEqualArea._radial_inverse", "Werner.inverse",
+    },
+}
+
+
+def _pairwise_min_max(source: str, names: set[str]) -> dict[str, list[int]]:
+    """For each named function found, the lines where it calls ``min`` or
+    ``max`` on two or more arguments (a reduction over one iterable loops
+    in C and is not counted)."""
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name + ".")
+            elif isinstance(child, ast.FunctionDef) and prefix + child.name in names:
+                found[prefix + child.name] = [
+                    call.lineno for call in ast.walk(child)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                    and call.func.id in ("min", "max")
+                    and (len(call.args) > 1 or any(isinstance(a, ast.Starred) for a in call.args))
+                ]
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_hot_functions_compare_instead_of_calling_min_max():
+    # the positive control is the form these functions had
+    assert _pairwise_min_max(
+        "def _newton(f, lo, hi):\n"
+        "    if not min(lo, hi) < nxt < max(lo, hi):\n"
+        "        pass\n"
+        "class Werner:\n"
+        "    def inverse(self, p):\n"
+        "        lat = HALF_PI - min(r, math.pi)\n"
+        "        return max(dev), max(*dev), min(dev, key=abs)\n"
+        "def _fields(q, r):\n"
+        "    return min(q, r) / max(q, r)\n",
+        {"_newton", "Werner.inverse", "inverse"},
+    ) == {"_newton": [2, 2], "Werner.inverse": [6, 7]}
+    calls = {
+        name: _pairwise_min_max((ROOT / "src/mapproj" / name).read_text(encoding="utf-8"), names)
+        for name, names in HOT_FUNCTIONS.items()
+    }
+    assert calls == {name: dict.fromkeys(names, []) for name, names in HOT_FUNCTIONS.items()}
