@@ -42,7 +42,7 @@ from html import escape
 
 from .errors import ParameterError
 from .geo import (
-    HALF_PI, MAX_SAMPLES, PI, TWO_PI, GeoCoord, GeoRegion, _fmt, linspace,
+    HALF_PI, MAX_SAMPLES, GeoCoord, GeoRegion, _fmt, linspace,
     sample_great_circle, wrap_longitude,
 )
 from .geodesics import _project_floats, _runs, _tears, _three_point_fit
@@ -297,13 +297,14 @@ def _pixels(tr, xs, ys) -> tuple[list[float], list[float]]:
     return [margin + (x - min_x) * scale for x in xs], [margin + (max_y - y) * scale for y in ys]
 
 
-def _path_arc(xs, ys, px, py, tr) -> str | None:
-    """Arc-command path for a circular segment, or None if it is not one.
-    The fit runs on the plane points ``xs, ys``; ``px, py`` are their pixels.
-    A segment whose ys, or whose xs, are all equal is a line: the fit's
-    deviations from its chord are all 0.0, or the chord is degenerate, so
-    it is not fitted. The ends and the middle are compared first, so an arc
-    does not pay for a full comparison."""
+def _path_arc(xs, ys, tr) -> str | None:
+    """Arc-command path for a circular segment of plane points, or None if
+    it is not one. A segment whose ys, or whose xs, are all equal is a line
+    and is not fitted; its ends and middle are compared first. An arc lies
+    on one side of its chord, the side of an interior sample. It is the
+    larger arc when the fit's centre lies there too, and it runs clockwise
+    (sweep 1 in y-down pixels) when it bulges to the chord's left. A larger
+    arc within 0.1 rad of a full circle is left to the polyline."""
     if len(xs) < 3:
         return None
     mid = len(xs) // 2
@@ -315,40 +316,33 @@ def _path_arc(xs, ys, px, py, tr) -> str | None:
         fit = _three_point_fit(xs, ys)
     except ParameterError:
         return None
-    if fit.collinear or fit.max_residual > ARC_RESIDUAL or fit.center is None:
+    if fit.collinear or fit.max_residual > ARC_RESIDUAL:
         return None
-    (cx,), (cy,) = _pixels(tr, (fit.center.x,), (fit.center.y,))
-    angles = [math.atan2(y - cy, x - cx) for x, y in zip(px, py)]
-    swept = 0.0
-    for a0, a1 in zip(angles, angles[1:]):
-        # the turn between samples in (-pi, pi]: d lies in [-2pi, 2pi], where
-        # one step of 2pi gives wrap_longitude's float (its fmod is exact there)
-        d = a1 - a0
-        if d > PI:
-            d -= TWO_PI
-        elif d <= -PI:
-            d += TWO_PI
-        swept += d
-    if abs(swept) >= 2 * math.pi - 0.1:
+    x0, y0 = xs[0], ys[0]
+    dx, dy = xs[-1] - x0, ys[-1] - y0
+    bulge = dx * (ys[mid] - y0) - dy * (xs[mid] - x0)
+    large_arc = 1 if bulge * (dx * (fit.center.y - y0) - dy * (fit.center.x - x0)) > 0 else 0
+    if large_arc and fit.chord <= 2 * fit.radius * math.sin(0.05):
         return None
     radius = fit.radius * tr[1]
-    large_arc = 1 if abs(swept) > math.pi else 0
-    sweep = 1 if swept > 0 else 0
+    (px0, px1), (py0, py1) = _pixels(tr, (x0, xs[-1]), (y0, ys[-1]))
     return (
-        f"M {_fmt(px[0])} {_fmt(py[0])} "
-        f"A {_fmt(radius)} {_fmt(radius)} 0 {large_arc} {sweep} {_fmt(px[-1])} {_fmt(py[-1])}"
+        f"M {_fmt(px0)} {_fmt(py0)} "
+        f"A {_fmt(radius)} {_fmt(radius)} 0 {large_arc} {1 if bulge > 0 else 0} "
+        f"{_fmt(px1)} {_fmt(py1)}"
     )
 
 
 def _curve_layer(name: str, segments, tr, style: str, arcs: bool) -> list[str]:
     """The SVG group of a layer's segments, each an arc command if ``arcs``
     and it fits one, else a polyline; each polyline is one ``%`` over its
-    interleaved pixels, every float through the same ``%.6f``."""
+    interleaved pixels, every float through the same ``%.6f``. Only a
+    polyline converts its samples to pixels."""
     lines = [f'  <g id="{name}" {style}>']
     for xs, ys in segments:
-        px, py = _pixels(tr, xs, ys)
-        d = _path_arc(xs, ys, px, py, tr) if arcs else None
+        d = _path_arc(xs, ys, tr) if arcs else None
         if d is None:
+            px, py = _pixels(tr, xs, ys)
             flat = px + py
             flat[::2], flat[1::2] = px, py
             d = ("M " + " L ".join(repeat("%.6f %.6f", len(px)))) % tuple(flat)

@@ -304,10 +304,7 @@ def euler_property_report(
         if e > p4:
             p4 = e
     p1 = 0.0
-    for lon, (xs, ys, holes) in zip(lons, proj._columns(lats, lons)):
-        if holes:
-            # the kernel's own error for the first node it rejects
-            proj._xy(lats[holes[0]], lon)
+    for xs, ys, _ in proj._columns(lats, lons):
         chord, dev = _deviations(xs, ys)
         e = max(dev) / chord
         if e > p1:

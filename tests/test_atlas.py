@@ -329,6 +329,16 @@ class TestGazetteer:
         with pytest.raises(ParameterError, match="header"):
             load_gazetteer("place,y,x\nA,1,2\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("# only a comment\n", "gazetteer is empty"),
+        ('name,lat,lon\n"  ",1,2\n', "empty name, line 2"),
+    ], ids=["comments only", "blank quoted name"])
+    def test_rejection_messages(self, text, message):
+        with pytest.raises(ParameterError) as info:
+            load_gazetteer(text)
+        assert type(info.value) is ParameterError
+        assert str(info.value) == message
+
     def test_prime_meridian_offset(self):
         # longitudes measured east of Alexandria (29.92 E of Greenwich)
         entries = load_gazetteer("name,lat,lon\nA,31.2,0\n", prime_meridian_deg=29.92)
@@ -530,7 +540,7 @@ class TestRenderSvg:
         tr = (20.0, 200.0, 0.0, 0.0)
         for xs, ys in (([0.0, 1.0, 2.5], [0.5] * 3), ([-0.3] * 4, [0.0, 0.1, 0.2, 0.4]),
                        ([1.0] * 3, [2.0] * 3)):
-            assert mapproj.atlas._path_arc(xs, ys, *mapproj.atlas._pixels(tr, xs, ys), tr) is None
+            assert mapproj.atlas._path_arc(xs, ys, tr) is None
         monkeypatch.undo()
         # equal ends and middle, or equal ends alone, are not a line
         for xs, ys in (([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, -1.0, 0.0]),
@@ -538,7 +548,7 @@ class TestRenderSvg:
             fits = []
             monkeypatch.setattr(mapproj.atlas, "_three_point_fit",
                                 lambda *args: fits.append(args) or _three_point_fit(*args))
-            mapproj.atlas._path_arc(xs, ys, *mapproj.atlas._pixels(tr, xs, ys), tr)
+            mapproj.atlas._path_arc(xs, ys, tr)
             monkeypatch.undo()
             assert len(fits) == 1
 
@@ -695,11 +705,12 @@ def test_world_scene_svg_is_pinned(kind):
 AZIMUTHAL = ("stereographic", "gnomonic", "central", "orthographic", "lambert_azimuthal_equal_area")
 
 
-def _azimuthal_render_digest(count: int) -> str:
+def _azimuthal_render_digest(count: int, svg_edit=None) -> str:
     """SHA-256 over ``count`` seeded azimuthal scenes, the five families in
     turn, centred at a pole, on the equator or obliquely, over regions that
     often cross +-180°: each scene's graticule runs as float.hex, the
-    kernel's image or error text at its three places, and its SVG."""
+    kernel's image or error text at its three places, and its SVG, passed
+    through ``svg_edit`` if one is given."""
     rng = random.Random(1818)
     u = rng.uniform
     digest = hashlib.sha256()
@@ -728,16 +739,60 @@ def _azimuthal_render_digest(count: int) -> str:
                 digest.update(repr(proj._xy(c.lat, c.lon)).encode())
             except MapError as exc:
                 digest.update(str(exc).encode())
-        digest.update(render_svg(scene).encode())
+        svg = render_svg(scene)
+        digest.update((svg if svg_edit is None else svg_edit(svg)).encode())
     return digest.hexdigest()
+
+
+# the one arc of the pinned azimuthal scenes whose flags changed when they
+# came from the circle fit instead of a turn summed sample by sample: the
+# 40° parallel of scene 10, see test_arc_past_the_far_side_is_the_larger_arc
+FAR_SIDE_ARC = ("M 16934.849743 25550.877650 A 17223.999923 17223.999923 0 {} "
+                "13489.628158 25583.267760")
 
 
 def test_azimuthal_renders_are_pinned():
     # recorded when every azimuthal curve was still projected sample by
-    # sample through _xy, before the graticule was projected from its axes
+    # sample through _xy, before the graticule was projected from its axes;
+    # re-pinned for FAR_SIDE_ARC alone, whose old flags give the old digest
+    found = []
+
+    def old_flags(svg):
+        found.append(svg.count(FAR_SIDE_ARC.format("1 0")))
+        return svg.replace(FAR_SIDE_ARC.format("1 0"), FAR_SIDE_ARC.format("0 1"))
+
     assert _azimuthal_render_digest(400) == (
+        "b47ae5f064ae273cbcc4583739f28c7700cd180393350d1ed47b56c24c9038b2"
+    )
+    assert _azimuthal_render_digest(400, old_flags) == (
         "8017b1fb21c4f358b7b09c677db9bd88b4125eb4687310628757f570aeacc619"
     )
+    assert sum(found) == found[10] == 1
+
+
+def test_arc_past_the_far_side_is_the_larger_arc():
+    # this oblique stereographic parallel passes near the projection's far
+    # side, where one step between its 18 samples turns 3.138 rad about the
+    # circle's centre; summed step by step, the turn read -0.2 rad and the
+    # arc was drawn short and the wrong way round (flags 0 1)
+    proj = parse_projection("stereographic center=-38.682,79.464")
+    lat = math.radians(40.0)
+    lons = linspace(math.radians(-130.87723765550948), math.radians(-64.2787219510808), 18)
+    ((xs, ys, holes),) = proj._rows([lat], lons)
+    assert holes == []
+    tr = (20.0, 200.0, min(xs), max(ys))
+    layer = mapproj.atlas._curve_layer("parallels", [(xs, ys)], tr, 'fill="none"', arcs=True)
+    assert re.fullmatch(r'    <path d="M \S+ \S+ A (\S+) \1 0 1 0 \S+ \S+"/>', layer[1]), layer[1]
+    # a 64 times denser sampling turns +6.083 rad (counterclockwise with y
+    # up) about the fit's centre in steps of under 0.1 rad: the larger arc,
+    # clockwise in the y-down pixels (sweep 0)
+    center = _three_point_fit(xs, ys).center
+    dense = [a + (b - a) * t / 64 for a, b in zip(lons, lons[1:]) for t in range(64)]
+    angles = [math.atan2(y - center.y, x - center.x)
+              for x, y in (proj._xy(lat, lon) for lon in dense + [lons[-1]])]
+    steps = [(b - a + math.pi) % (2 * math.pi) - math.pi for a, b in zip(angles, angles[1:])]
+    assert max(map(abs, steps)) < 0.1
+    assert sum(steps) == pytest.approx(6.083, abs=1e-3)
 
 
 # The criterion-12 Delisle scene and the Mercator world scene at margin 0,
@@ -769,9 +824,9 @@ def _reference_curve_layer(name, segments, tr, style, arcs):
     """_curve_layer as it was, one ``%`` and one string per point."""
     lines = [f'  <g id="{name}" {style}>']
     for xs, ys in segments:
-        px, py = mapproj.atlas._pixels(tr, xs, ys)
-        d = mapproj.atlas._path_arc(xs, ys, px, py, tr) if arcs else None
+        d = mapproj.atlas._path_arc(xs, ys, tr) if arcs else None
         if d is None:
+            px, py = mapproj.atlas._pixels(tr, xs, ys)
             d = "M " + " L ".join("%.6f %.6f" % p for p in zip(px, py))
         lines.append(f'    <path d="{d}"/>')
     lines.append("  </g>")
@@ -825,18 +880,28 @@ class TestCurveLayer:
         assert sum(" A " in line for line in layer) == WORLD_SCENES["conic"][4]
 
     def test_arc_test_makes_no_call_per_sample(self, monkeypatch):
-        # the turn between samples is wrapped inline, not by wrap_longitude
+        # an arc's flags come from its fit, not from a turn wrapped per
+        # sample, and only its two ends are converted to pixels
         parallels, tr = _world_parallels("conic")
         calls = {"wrap_longitude": 0}
+        converted = []
 
         def counting(lon, _fn=mapproj.atlas.wrap_longitude):
             calls["wrap_longitude"] += 1
             return _fn(lon)
 
+        def pixels(tr, xs, ys, _fn=mapproj.atlas._pixels):
+            converted.append(len(xs))
+            return _fn(tr, xs, ys)
+
         monkeypatch.setattr(mapproj.atlas, "wrap_longitude", counting)
+        monkeypatch.setattr(mapproj.atlas, "_pixels", pixels)
         layer = mapproj.atlas._curve_layer("parallels", parallels, tr, self.STYLE, arcs=True)
         assert sum(" A " in line for line in layer) == WORLD_SCENES["conic"][4] == 70
         assert calls == {"wrap_longitude": 0}
+        assert converted == [2 if " A " in line else len(xs)
+                             for line, (xs, _) in zip(layer[1:], parallels)]
+        assert converted.count(2) == 70
 
 
 # project_polyline and fit_circular_arc are thin wrappers over the float

@@ -172,6 +172,16 @@ class TestDistortion:
         assert err == ("error: grid of 11x909091 = 10000001 samples exceeds the cap of "
                        "10000000 samples\n")
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("--region", "1:2", "expected LATLO:LATHI,LONLO:LONHI in degrees, got '1:2'"),
+        ("--grid", "5", "expected NxM, got '5'"),
+    ])
+    def test_malformed_argument_is_exit_one(self, capsys, option, value, message):
+        argv = {"--region": "0:10,0:10", "--grid": "3x3", option: value}
+        code, out, err = run(capsys, "distortion", "--proj", "mercator",
+                             *(item for pair in argv.items() for item in pair))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestProperties:
     def test_report_lines(self, capsys):
@@ -204,6 +214,14 @@ class TestOptimize:
 
     def test_bad_band(self, capsys):
         assert run(capsys, "optimize", "--band", "70:45")[0] == 1
+
+    def test_thin_band_at_the_pole_prints_the_quarter_rule_twice(self, capsys):
+        # minimax_parallels falls back to the quarter rule on this band
+        code, out, _ = run(capsys, "optimize", "--band", "89.9999:89.99999")
+        quarter, minimax = out.splitlines()[1:3]
+        assert code == 0
+        assert (quarter.split()[0], minimax.split()[0]) == ("quarter", "minimax")
+        assert quarter.split()[1:] == minimax.split()[1:]
 
     @pytest.mark.parametrize("lo, hi", [(70.0, 45.0), (45.0, 45.00001)])
     def test_band_error_keeps_its_reason(self, capsys, lo, hi):
@@ -321,6 +339,11 @@ class TestRender:
         assert code == 1 and out == ""
         assert err.startswith("error: graticule of ")
         assert err.endswith(" samples exceeds the cap of 10000000 samples\n")
+
+    def test_malformed_geodesic_is_exit_one(self, capsys):
+        code, out, err = run(capsys, "render", "--proj", "mercator", "--region", "0:10,0:10",
+                             "--geodesic", "1,2")
+        assert (code, out, err) == (1, "", "error: expected LAT,LON:LAT,LON, got '1,2'\n")
 
     def test_svg_to_file(self, capsys, tmp_path):
         target = tmp_path / "map.svg"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapproj import EquidistantConic, GeoCoord, conic_constants
+from mapproj import EquidistantConic, GeoCoord, conic_constants, conic_design
 from mapproj.conic_design import (
     SCAN_POINTS,
     LatBand,
@@ -26,6 +26,7 @@ from mapproj.conic_design import (
 )
 from mapproj.distortion import tissot
 from mapproj.errors import ConvergenceError, DomainError, ParameterError
+from mapproj.geo import HALF_PI
 from mapproj.projections import ConicConstants
 
 
@@ -179,11 +180,42 @@ class TestMinimax:
         assert all(b >= a for a, b in zip(errors, errors[1:]))
 
     def test_degenerate_band_collapses_to_quarter_rule(self):
+        # the exchange converges on this hair-thin band at 50°, without the
+        # quarter-rule fallback, to parallels near the quarter rule's
         band = LatBand(math.radians(50), math.radians(50) + 2e-6)
         q = quarter_rule(band)
         m = minimax_parallels(band)
         assert abs(m.phi_a - q.phi_a) < 10 * band.width
         assert abs(m.phi_b - q.phi_b) < 10 * band.width
+
+    def test_thin_band_at_the_pole_falls_back_to_the_quarter_rule(self, monkeypatch):
+        # on a band of 1e-4 rad or less that ends within about 1e-6 rad of
+        # the pole, rounding hides the sign change of the dip equation; the
+        # failed bracket returns the quarter rule itself
+        band = LatBand(HALF_PI - 1e-9 - 2e-6, HALF_PI - 1e-9)
+        calls = []
+        monkeypatch.setattr(conic_design, "quarter_rule",
+                            lambda b: calls.append(b) or quarter_rule(b))
+        assert minimax_parallels(band) == quarter_rule(band)
+        assert calls == [band]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConvergenceError,
+        reason=(
+            "known defect: a band 1e-3 to 0.5 rad wide whose upper edge lies "
+            "within about 1e-10 rad of the pole loses the sign of the dip "
+            "equation at that edge to rounding, and the exchange raises "
+            "'no sign change bracketing the interior dip'"
+        ),
+    )
+    @pytest.mark.parametrize("lo, hi", [
+        (math.radians(89.9), math.radians(89.99999999999)),
+        (HALF_PI - 1e-3, HALF_PI - 5e-11),
+    ], ids=["cli band 89.9:89.99999999999", "1e-3 rad band"])
+    def test_band_ending_at_the_pole_is_optimized(self, lo, hi):
+        band = LatBand(lo, hi)
+        assert minimax_parallels(band).max_error <= quarter_rule(band).max_error
 
     def test_deterministic(self):
         band = LatBand.from_degrees(45, 70)
@@ -453,8 +485,9 @@ class TestSemicircleSpan:
 
 def _seeded_bands(n: int, seed: int) -> list[LatBand]:
     """n bands: widths log-uniform from 1e-4 rad to 86°, every eighth one
-    under 1e-4 rad (where a failed bracket falls back to the quarter rule
-    instead of raising), and every sixteenth starting at the equator."""
+    under 1e-4 rad, and every sixteenth starting at the equator. The thin
+    ones end too far from the pole to take minimax_parallels' quarter-rule
+    fallback (see test_thin_band_at_the_pole_falls_back_to_the_quarter_rule)."""
     rng = random.Random(seed)
     bands = []
     for i in range(n):

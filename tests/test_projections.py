@@ -352,6 +352,20 @@ class TestEquidistantConic:
         assert p_s.x == pytest.approx(p_n.x, abs=1e-15)
         assert p_s.y == pytest.approx(-p_n.y, abs=1e-15)
 
+    @pytest.mark.parametrize("cutoff, below_apex, message", [
+        (None, 1e-10, "no preimage: point at or beyond the cone apex"),
+        (None, 5.0, "no preimage: radius beyond the far pole"),
+        (70.0, 0.3, "no preimage: beyond the latitude cutoff"),
+    ])
+    def test_inverse_rejections(self, cutoff, below_apex, message):
+        # points on the central meridian, this far below the apex
+        proj = EquidistantConic(math.radians(45), math.radians(60),
+                                cutoff=None if cutoff is None else math.radians(cutoff))
+        with pytest.raises(DomainError) as info:
+            proj.inverse(PlanePoint(0.0, proj.constants.rho_ref - below_apex))
+        assert type(info.value) is DomainError
+        assert str(info.value) == message
+
     def test_parallel_ordering_enforced(self):
         with pytest.raises(ParameterError):
             EquidistantConic(math.radians(60), math.radians(45))
@@ -666,6 +680,23 @@ class TestParseProjection:
     def test_bad_value(self):
         with pytest.raises(ParameterError):
             parse_projection("mercator lon0=abc")
+
+    @pytest.mark.parametrize("spec, error, message", [
+        ("", UnknownFamilyError,
+         "empty projection spec; valid families: " + ", ".join(sorted(FAMILIES))),
+        ("mercator lon0", ParameterError, "malformed parameter 'lon0'; expected key=value"),
+        # the coordinate's own error passes through unchanged
+        ("stereographic center=95,0", DomainError, "latitude 95.000000° outside [-90°, 90°]"),
+        ("equidistant_conic lat1=0 lat2=60", ParameterError,
+         "standard parallels must lie strictly between equator and pole"),
+        ("equidistant_conic lat1=45 lat2=60 cutoff=90.001", ParameterError,
+         "cutoff outside the conic's valid domain"),
+    ])
+    def test_rejection_messages(self, spec, error, message):
+        with pytest.raises(error) as info:
+            parse_projection(spec)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("spec, key", [
         ("equidistant_conic lat1=45 lat2=60 lat1=50", "lat1"),

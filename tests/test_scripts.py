@@ -41,3 +41,36 @@ def test_parallel_selection_study_profile(tmp_path):
     assert lines[0] == "lat_deg,quarter_error,minimax_error"
     assert len(lines) == 1 + SCAN_POINTS
     assert lines[1].startswith("45.000000,") and lines[-1].startswith("70.000000,")
+
+
+def test_line_coverage_reports_the_function_never_called(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        '"""A module with one function its test calls and one it does not."""\n'
+        "\n"
+        "\n"
+        "def used(x):\n"
+        "    return x + 1\n"
+        "\n"
+        "\n"
+        "def unused(x):\n"
+        "    y = x * 2\n"
+        "    return y\n"
+    )
+    (tmp_path / "test_mod.py").write_text(
+        "from pkg.mod import used\n\n\ndef test_used():\n    assert used(1) == 2\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "line_coverage.py"),
+         "--source", str(package), "--", "-q", "-p", "no:cacheprovider", str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "1 passed" in proc.stdout
+    never = [line for line in lines if line.startswith(str(package))]
+    assert never == [f"{package / 'mod.py'}:9: y = x * 2", f"{package / 'mod.py'}:10: return y"]
+    assert lines[-1] == f"2 of 6 executable lines under {package} never ran"

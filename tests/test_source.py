@@ -5,7 +5,8 @@ distortion and curve code reads no family's formula: each lives in
 projections, and those modules import only its interface. They call no
 ``forward`` either: the kernels' holes tell them which samples are rejected.
 The per-sample and per-step functions call no two-argument ``min`` or
-``max``, which Python 3.11 runs through its slow varargs path."""
+``max``, which Python 3.11 runs through its slow varargs path. The SVG arc
+test takes its flags from the circle fit, without a pass over the samples."""
 
 import ast
 from collections import Counter
@@ -163,3 +164,38 @@ def test_hot_functions_compare_instead_of_calling_min_max():
         for name, names in HOT_FUNCTIONS.items()
     }
     assert calls == {name: dict.fromkeys(names, []) for name, names in HOT_FUNCTIONS.items()}
+
+
+def _arc_sample_passes(source: str) -> list[str]:
+    """In ``_path_arc``: each call of an ``atan2``, and each loop or
+    comprehension below the line that calls ``_three_point_fit``."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_path_arc":
+            break
+    else:
+        return ["no _path_arc"]
+    fit_line = min(call.lineno for call in ast.walk(node) if isinstance(call, ast.Call)
+                   and isinstance(call.func, ast.Name) and call.func.id == "_three_point_fit")
+    passes = []
+    for child in ast.walk(node):
+        if isinstance(child, ast.Call) and "atan2" in (
+                getattr(child.func, "attr", None), getattr(child.func, "id", None)):
+            passes.append(f"line {child.lineno}: atan2")
+        elif isinstance(child, (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+                                ast.GeneratorExp)) and child.lineno > fit_line:
+            passes.append(f"line {child.lineno}: {type(child).__name__}")
+    return sorted(passes)
+
+
+def test_arc_flags_come_from_the_fit():
+    # the positive control is the turn loop the flags once came from
+    assert _arc_sample_passes(
+        "def _path_arc(xs, ys, px, py, tr):\n"
+        "    if ys.count(ys[0]) == len(ys) or any(x is None for x in xs):\n"
+        "        return None\n"
+        "    fit = _three_point_fit(xs, ys)\n"
+        "    angles = [math.atan2(y - cy, x - cx) for x, y in zip(px, py)]\n"
+        "    for a0, a1 in zip(angles, angles[1:]):\n"
+        "        swept += a1 - a0\n"
+    ) == ["line 5: ListComp", "line 5: atan2", "line 6: For"]
+    assert _arc_sample_passes((ROOT / "src/mapproj/atlas.py").read_text(encoding="utf-8")) == []
