@@ -26,7 +26,8 @@ also absorbs cross-platform libm jitter), an explicit viewBox computed from
 the projected bounds plus margins, and the y axis flipped so north is up.
 Projected parallels that are circular to within 1e-9 are emitted as SVG arc
 commands rather than polylines, so a conic graticule round-trips its radii;
-a straight parallel (all its xs, or all its ys, equal) is not fitted.
+a straight curve (all its xs, or all its ys, equal) is not fitted, and the
+values its lines share are formatted once per layer.
 """
 
 from __future__ import annotations
@@ -299,19 +300,14 @@ def _pixels(tr, xs, ys) -> tuple[list[float], list[float]]:
 
 def _path_arc(xs, ys, tr) -> str | None:
     """Arc-command path for a circular segment of plane points, or None if
-    it is not one. A segment whose ys, or whose xs, are all equal is a line
-    and is not fitted; its ends and middle are compared first. An arc lies
-    on one side of its chord, the side of an interior sample. It is the
+    it is not one. The caller keeps axis-parallel lines away from it. An arc
+    lies on one side of its chord, the side of an interior sample. It is the
     larger arc when the fit's centre lies there too, and it runs clockwise
     (sweep 1 in y-down pixels) when it bulges to the chord's left. A larger
     arc within 0.1 rad of a full circle is left to the polyline."""
     if len(xs) < 3:
         return None
     mid = len(xs) // 2
-    if (ys[0] == ys[-1] == ys[mid] and ys.count(ys[0]) == len(ys)) or (
-        xs[0] == xs[-1] == xs[mid] and xs.count(xs[0]) == len(xs)
-    ):
-        return None
     try:
         fit = _three_point_fit(xs, ys)
     except ParameterError:
@@ -333,19 +329,48 @@ def _path_arc(xs, ys, tr) -> str | None:
     )
 
 
+def _memo_texts(texts: dict, values, pixel):
+    """The ``%.6f`` text of each value's pixel, formatting only the values
+    not yet in ``texts``; equal values, 0.0 and -0.0 too, share one text.
+    The lines of a layer share most values, so the lookup is tried first."""
+    try:
+        return list(map(texts.__getitem__, values))
+    except KeyError:
+        for v in set(values).difference(texts):
+            texts[v] = "%.6f" % pixel(v)
+        return list(map(texts.__getitem__, values))
+
+
 def _curve_layer(name: str, segments, tr, style: str, arcs: bool) -> list[str]:
-    """The SVG group of a layer's segments, each an arc command if ``arcs``
-    and it fits one, else a polyline; each polyline is one ``%`` over its
-    interleaved pixels, every float through the same ``%.6f``. Only a
-    polyline converts its samples to pixels."""
+    """The SVG group of a layer's segments. A segment whose ys, or whose
+    xs, are all equal is a line (its ends and middle are compared first):
+    its constant pixel is formatted once, and the other coordinate's texts
+    come from a dict of this call, so a value shared by the layer's lines
+    is formatted once. Any other segment is an arc command if ``arcs`` and
+    it fits one, else a polyline, one ``%`` over its interleaved pixels.
+    Every number has the bytes ``_pixels`` and ``%.6f`` give it."""
+    margin, scale, min_x, max_y = tr
+    margin += 0.0
+    x_texts: dict[float, str] = {}
+    y_texts: dict[float, str] = {}
     lines = [f'  <g id="{name}" {style}>']
     for xs, ys in segments:
-        d = _path_arc(xs, ys, tr) if arcs else None
-        if d is None:
-            px, py = _pixels(tr, xs, ys)
-            flat = px + py
-            flat[::2], flat[1::2] = px, py
-            d = ("M " + " L ".join(repeat("%.6f %.6f", len(px)))) % tuple(flat)
+        mid = len(xs) // 2
+        if ys[0] == ys[-1] == ys[mid] and ys.count(ys[0]) == len(ys):
+            fixed = " %.6f" % (margin + (max_y - ys[0]) * scale)
+            texts = _memo_texts(x_texts, xs, lambda x: margin + (x - min_x) * scale)
+            d = "M " + (fixed + " L ").join(texts) + fixed
+        elif xs[0] == xs[-1] == xs[mid] and xs.count(xs[0]) == len(xs):
+            fixed = "%.6f " % (margin + (xs[0] - min_x) * scale)
+            texts = _memo_texts(y_texts, ys, lambda y: margin + (max_y - y) * scale)
+            d = "M " + fixed + (" L " + fixed).join(texts)
+        else:
+            d = _path_arc(xs, ys, tr) if arcs else None
+            if d is None:
+                px, py = _pixels(tr, xs, ys)
+                flat = px + py
+                flat[::2], flat[1::2] = px, py
+                d = ("M " + " L ".join(repeat("%.6f %.6f", len(px)))) % tuple(flat)
         lines.append(f'    <path d="{d}"/>')
     lines.append("  </g>")
     return lines

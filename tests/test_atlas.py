@@ -537,18 +537,20 @@ class TestRenderSvg:
         monkeypatch.setattr(mapproj.atlas, "_three_point_fit", refuse)
         svg = render_svg(scene)
         assert hashlib.sha256(svg.encode()).hexdigest() == WORLD_SCENES["mercator"][3]
+        # a horizontal line, a vertical one and a single point, in one layer
         tr = (20.0, 200.0, 0.0, 0.0)
-        for xs, ys in (([0.0, 1.0, 2.5], [0.5] * 3), ([-0.3] * 4, [0.0, 0.1, 0.2, 0.4]),
-                       ([1.0] * 3, [2.0] * 3)):
-            assert mapproj.atlas._path_arc(xs, ys, tr) is None
+        lines = [([0.0, 1.0, 2.5], [0.5] * 3), ([-0.3] * 4, [0.0, 0.1, 0.2, 0.4]),
+                 ([1.0] * 3, [2.0] * 3)]
+        layer = mapproj.atlas._curve_layer("parallels", lines, tr, 'fill="none"', arcs=True)
         monkeypatch.undo()
+        assert layer == _reference_curve_layer("parallels", lines, tr, 'fill="none"', arcs=False)
         # equal ends and middle, or equal ends alone, are not a line
         for xs, ys in (([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, -1.0, 0.0]),
                        ([-1.0, 0.0, 1.0], [0.0, 1.0, 0.0])):
             fits = []
             monkeypatch.setattr(mapproj.atlas, "_three_point_fit",
                                 lambda *args: fits.append(args) or _three_point_fit(*args))
-            mapproj.atlas._path_arc(xs, ys, tr)
+            mapproj.atlas._curve_layer("parallels", [(xs, ys)], tr, 'fill="none"', arcs=True)
             monkeypatch.undo()
             assert len(fits) == 1
 
@@ -651,10 +653,12 @@ class TestRenderSvg:
             assert len(frac) == 6
 
 
-# World scenes at 1 sample per degree (about 0.4 s for all three), pinned by
+# World scenes at 1 sample per degree (about 0.6 s for all five), pinned by
 # the SHA-256 of their SVG the way criterion 12 pins the Delisle scene: they
 # cover what that scene does not, namely parallels split at the conic tear,
-# a Mercator cutoff that drops a place, and a hidden orthographic hemisphere.
+# a Mercator cutoff that drops a place, a hidden orthographic hemisphere, and
+# the straight lines of two more cylindrical maps off their default standard
+# parallel and meridian, one with a geodesic along the equator.
 WORLD = GeoRegion.from_degrees(-90, 90, -180, 180)
 WORLD_PLACES = (
     ("Paris", 48.85, 2.35), ("Okhotsk", 59.4, 143.2), ("Lima", -12.05, -77.04),
@@ -673,6 +677,14 @@ WORLD_SCENES = {
     "orthographic": (
         "orthographic center=35,60", 10.0, ((48.85, 2.35), (59.4, 143.2)),
         "ac51a97f16d4dd0bcfeca9bb264e378bfadb2862bea9c8640fa0949239cb5b8c", 0, 4,
+    ),
+    "equirectangular": (
+        "equirectangular lat0=30 lon0=-100", 10.0, ((0.0, -60.0), (0.0, 60.0)),
+        "f3c1c80aa245d10416a7ff75419c58c70fa93d0c99b4783676b0eb1eb670ef8b", 0, 6,
+    ),
+    "lambert_cylindrical_equal_area": (
+        "lambert_cylindrical_equal_area lat0=-25 lon0=75", 10.0, ((48.85, 2.35), (-12.05, -77.04)),
+        "e9a7ce00dee8912edc36a7971f8f7b461ee3bd55648eddfdfb611744286acb23", 0, 6,
     ),
 }
 
@@ -700,6 +712,20 @@ def test_world_scene_svg_is_pinned(kind):
     assert svg.count(" A ") == arcs
     assert svg.count("<circle") == markers
     assert hashlib.sha256(svg.encode()).hexdigest() == digest
+
+
+# the Mercator world scene at scale 37.5, recorded before straight lines
+# took their texts from a per-layer dict
+SMALL_MERCATOR = "c16f755b277bc63fd0e0b0919b27504c9bf616e1c9c7987873f8ad7ca3ae3e8d"
+
+
+def test_mercator_renders_at_two_scales_back_to_back():
+    # the texts one render formats are not reused by the next
+    scene = _world_scene("mercator")
+    pinned = WORLD_SCENES["mercator"][3]
+    for scale, digest in ((200.0, pinned), (37.5, SMALL_MERCATOR), (200.0, pinned)):
+        svg = render_svg(replace(scene, scale=scale))
+        assert hashlib.sha256(svg.encode()).hexdigest() == digest
 
 
 AZIMUTHAL = ("stereographic", "gnomonic", "central", "orthographic", "lambert_azimuthal_equal_area")
@@ -902,6 +928,71 @@ class TestCurveLayer:
         assert converted == [2 if " A " in line else len(xs)
                              for line, (xs, _) in zip(layer[1:], parallels)]
         assert converted.count(2) == 70
+
+    @pytest.mark.parametrize("tr", [
+        (0.0, 1.0, 0.0, 0.0), (-0.0, 1.0, -0.0, -0.0), (0.0, 200.0, -3.0, 2.5),
+        (-0.0, 37.5, 0.0, -0.0), (20.0, 200.0, -3.0, 2.5), (7.25, 0.001, 1e3, -1e3),
+    ])
+    def test_lines_equal_the_per_point_join(self, tr, monkeypatch):
+        # horizontal and vertical lines, 2-sample ones and single points,
+        # over values the lines share, +-0.0 and the transform's min_x and
+        # max_y; a layer of lines alone is neither fitted nor sent through
+        # _pixels, and a mixed one keeps its arcs and polylines
+        rng = random.Random(2626)
+        margin, scale, min_x, max_y = tr
+        pool = [0.0, -0.0, min_x, max_y, -min_x, -max_y, 5e-7, -5e-7]
+        pool += [round(rng.uniform(-3.0, 3.0), rng.randint(0, 9)) for _ in range(40)]
+        # values whose pixels lie within rounding of a %.6f tie, where a
+        # pixel computed in another order prints differently
+        ties = [(k + 5e-7 - margin) / scale for k in range(-400, 400, 3)]
+        pool += [min_x + t for t in ties] + [max_y - t for t in ties]
+        lines = []
+        for n in [1, 2, 2, 3, 4, 17, 64, 361] + [rng.randint(2, 200) for _ in range(20)]:
+            run = [rng.choice(pool) for _ in range(n)]
+            lines += [(run, [rng.choice(pool)] * n), ([rng.choice(pool)] * n, run[::-1]),
+                      ([rng.choice(pool)] * n, [rng.choice(pool)] * n)]
+        want = _reference_curve_layer("t", lines, tr, self.STYLE, arcs=False)
+
+        def refuse(*args):
+            raise AssertionError("a line was fitted or converted sample by sample")
+
+        for name in ("_three_point_fit", "_pixels"):
+            monkeypatch.setattr(mapproj.atlas, name, refuse)
+        assert mapproj.atlas._curve_layer("t", lines, tr, self.STYLE, arcs=True) == want
+        monkeypatch.undo()
+        arcs = [([math.cos(a) + k for a in angles], [math.sin(a) - k for a in angles])
+                for k, angles in enumerate([[0.1, 0.7, 1.3], [2.0, 2.5, 3.0, 3.5]])]
+        # two polylines, the second with equal xs at its ends and middle,
+        # and an arc whose end xs are -0.0 and 0.0
+        curves = [([0.0, 1.0, 3.0, 4.0, 6.0], [0.0, 1.0, 1.5, 0.2, 3.0]),
+                  ([2.0, 1.0, 2.0, 3.0, 2.0], [-1.0, 0.0, 1.0, 0.0, 3.0]),
+                  ([-0.0, -1.0, 0.0], [1.0, 2.0, 3.0])]
+        mixed = lines[:30] + arcs + lines[30:60] + curves + lines[60:]
+        layer = mapproj.atlas._curve_layer("t", mixed, tr, self.STYLE, arcs=True)
+        assert layer == _reference_curve_layer("t", mixed, tr, self.STYLE, arcs=True)
+        assert sum(" A " in line for line in layer) == 3
+
+    def test_a_layer_formats_each_line_value_once(self, monkeypatch):
+        # the parallels of the Mercator world map share their xs and its
+        # meridians their ys: each value is formatted once per layer, and
+        # the next layer formats it again
+        scene = _world_scene("mercator")
+        parallels, meridians = mapproj.atlas._project_graticule(scene.projection, scene.graticule)
+        tr = (scene.margin, scene.scale, -math.pi, 2.5)
+        formatted = []
+
+        def memo(texts, values, pixel, _fn=mapproj.atlas._memo_texts):
+            return _fn(texts, values, lambda v: formatted.append(v) or pixel(v))
+
+        monkeypatch.setattr(mapproj.atlas, "_memo_texts", memo)
+        for segments, axis in ((parallels, 0), (meridians, 1)):
+            values = {v for segment in segments for v in segment[axis]}
+            for _ in range(2):
+                formatted.clear()
+                mapproj.atlas._curve_layer("t", segments, tr, self.STYLE, arcs=axis == 0)
+                assert len(formatted) == len(set(formatted)) == len(values)
+                assert set(formatted) == values
+            assert len(values) < sum(len(segment[axis]) for segment in segments) / 10
 
 
 # project_polyline and fit_circular_arc are thin wrappers over the float

@@ -247,6 +247,33 @@ class TestMinimax:
         assert minimax_parallels(LatBand.from_degrees(45, 70)).max_error <= 0.012164594363393455
 
 
+class TestNewton:
+    @pytest.mark.parametrize("root, lo, hi", [(1.0, 1.0, 3.0), (3.0, 1.0, 3.0)])
+    def test_a_zero_at_a_bracket_end_is_the_root(self, root, lo, hi):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - root, 1.0
+
+        assert conic_design._newton(f, lo, hi, 1e-12, "root") == root
+        assert calls == [lo, hi]
+
+    def test_step_cap(self):
+        # no float squares to exactly 2, and no step is within a negative tol
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x * x - 2.0, 2.0 * x
+
+        with pytest.raises(ConvergenceError) as err:
+            conic_design._newton(f, 1.0, 2.0, -1.0, "root of x*x - 2")
+        assert str(err.value) == (
+            f"root of x*x - 2 did not converge in {conic_design.MAX_NEWTON_STEPS} steps")
+        assert len(calls) == 2 + conic_design.MAX_NEWTON_STEPS
+
+
 class TestBandMaxError:
     @staticmethod
     def _scan(phi_a, phi_b, band):

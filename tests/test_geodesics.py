@@ -14,6 +14,7 @@ from mapproj import (
 )
 from mapproj.geodesics import (
     PlanePolyline,
+    _circle_through,
     fit_circular_arc,
     project_geodesic,
     project_polyline,
@@ -191,6 +192,10 @@ class TestFitCircularArc:
         assert fit.max_residual < 1e-12
         assert fit.ls_radius == pytest.approx(5.0, abs=1e-9)
         assert fit.ls_max_residual < 1e-9
+
+    def test_collinear_points_have_no_circumcircle(self):
+        with pytest.raises(ParameterError, match="^collinear points have no circumcircle$"):
+            _circle_through(0.0, 0.0, 1.0, 2.0, 2.0, 4.0)
 
     def test_collinear_flag(self):
         poly = PlanePolyline(

@@ -506,6 +506,12 @@ class TestWerner:
         assert main(["inverse", "--proj", "werner", f"--x={x!r}", f"--y={y!r}"]) == 1
         assert capsys.readouterr() == ("", f"error: {text}\n")
 
+    def test_beyond_the_south_pole_arc_has_no_preimage(self):
+        # the south pole's image lies at radius pi from the north pole
+        with pytest.raises(DomainError) as err:
+            Werner().inverse(PlanePoint(0.0, -4.0))
+        assert str(err.value) == "no preimage: radius 4 beyond the south pole arc"
+
     @pytest.mark.parametrize("lon0", [0.0, 2.5, -math.pi + 0.01])
     def test_images_next_to_the_south_pole_invert(self, rng, lon0):
         proj = Werner(lon0=lon0)
@@ -1102,6 +1108,12 @@ class _Clipped(Projection):
         if c.lat < -1.0:
             raise DomainError("south of -1 rad")
         return PlanePoint(c.lon * math.cos(c.lat), c.lat)
+
+
+def test_a_projection_without_an_inverse_says_so():
+    # the base class has no inverse to fall back on
+    with pytest.raises(NotImplementedError):
+        _Clipped().inverse(PlanePoint(0.0, 0.0))
 
 
 GRID_KERNEL_SPECS = [

@@ -6,7 +6,8 @@ projections, and those modules import only its interface. They call no
 ``forward`` either: the kernels' holes tell them which samples are rejected.
 The per-sample and per-step functions call no two-argument ``min`` or
 ``max``, which Python 3.11 runs through its slow varargs path. The SVG arc
-test takes its flags from the circle fit, without a pass over the samples."""
+test takes its flags from the circle fit, without a pass over the samples,
+and the atlas keeps no state that outlives one render."""
 
 import ast
 from collections import Counter
@@ -199,3 +200,40 @@ def test_arc_flags_come_from_the_fit():
         "        swept += a1 - a0\n"
     ) == ["line 5: ListComp", "line 5: atan2", "line 6: For"]
     assert _arc_sample_passes((ROOT / "src/mapproj/atlas.py").read_text(encoding="utf-8")) == []
+
+
+def _import_time_state(source: str) -> list[str]:
+    """Each ``global`` statement, and each dict, list or set display or
+    comprehension evaluated at import: at module or class level, or in a
+    function's defaults or decorators, but not in a function body."""
+    tree = ast.parse(source)
+    found = [(node.lineno, "global") for node in ast.walk(tree) if isinstance(node, ast.Global)]
+    todo = [tree]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)):
+            found.append((node.lineno, type(node).__name__))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            todo += [*node.decorator_list, node.args]
+        elif isinstance(node, ast.Lambda):
+            todo.append(node.args)
+        else:
+            todo.extend(ast.iter_child_nodes(node))
+    return [f"line {line}: {kind}" for line, kind in sorted(found)]
+
+
+def test_atlas_keeps_no_state_between_renders():
+    # the positive control builds a cache at import in each place the check
+    # looks; a function body's own dicts live for one call and are not counted
+    assert _import_time_state(
+        "_TEXTS = {}\n"
+        "_ORDER, _SEEN = [k for k in range(3)], {0.0}\n"
+        "class Layer:\n"
+        "    memo = {0.0: '0.000000'}\n"
+        "def layer(segments, texts={}, key=lambda v, seen=[]: v):\n"
+        "    global _TEXTS\n"
+        "    local = {v: str(v) for v in segments}\n"
+        "    return [local[v] for v in segments]\n"
+    ) == ["line 1: Dict", "line 2: ListComp", "line 2: Set", "line 4: Dict", "line 5: Dict",
+          "line 5: List", "line 6: global"]
+    assert _import_time_state((ROOT / "src/mapproj/atlas.py").read_text(encoding="utf-8")) == []
