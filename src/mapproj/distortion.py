@@ -8,11 +8,11 @@ latitude-degree ratio (P4).
 
 Everything is measured on the unit sphere, so "no distortion" means scale
 exactly 1. The Jacobian is taken by finite differences (central, one-sided
-next to the antimeridian tear) of the projection's float kernel
-``_xy(lat, lon)``, at the fixed step :data:`STEP` of 1e-6 rad, shrunk once to
-1e-7 rad where the stencil leaves the domain. The sample's own image is part
-of every stencil, so a point the kernel excludes on its own raises the
-kernel's error, as ``forward`` does. A new projection needs only its
+next to the tear, on the side ``_offsets`` puts the sample) of the float
+kernel ``_xy(lat, lon)``, at the fixed step :data:`STEP` of 1e-6 rad, shrunk
+once to 1e-7 rad where the stencil leaves the domain. The sample's own image
+is part of every stencil, so a point the kernel excludes on its own raises
+the kernel's error, as ``forward`` does. A new projection needs only its
 forward map: either the kernel, or just ``forward``, which the base class's
 fallback kernel calls.
 Analytic derivatives appear solely as test oracles. The sample loops run on
@@ -111,18 +111,18 @@ class FieldRange:
     argmax: GeoCoord
 
 
-def _jacobian(xy, cut: float | None, lat: float, lon: float):
-    """(dx/dlat, dx/dlon, dy/dlat, dy/dlon) of the kernel ``xy`` at canonical
-    floats; see :func:`local_jacobian`. The stencil's neighbours take the
-    canonical form a GeoCoord would give them, since a step can cross a pole
-    or the seam. The sample itself is projected as well, so that the
+def _jacobian(proj: Projection, lat: float, lon: float):
+    """(dx/dlat, dx/dlon, dy/dlat, dy/dlon) of the kernel of ``proj`` at
+    canonical floats; see :func:`local_jacobian`. Neighbours take a GeoCoord's
+    canonical form, as a step can cross a pole or the seam; without a tear a
+    sample counts as offset 0. The sample is projected too, so that the
     kernel's own error rejects a point it excludes on its own."""
-    to_cut = math.inf if cut is None else wrap_longitude(lon - cut)
+    xy, (u,) = proj._xy, proj._offsets((lon,)) or (0.0,)
     last_error: DomainError | None = None
     for s in (STEP, 0.1 * STEP):
-        if abs(to_cut) < 2.0 * s:
-            # a sample on the cut maps with its western neighbours
-            side = s if to_cut > 0.0 else -s
+        if math.pi - abs(u) < 2.0 * s:
+            # a sample at offset pi, on the east edge, maps with its western neighbours
+            side = -s if u > 0.0 else s
             at = ((lat + s, lon), (lat - s, lon), (lat, lon), (lat, lon + side),
                   (lat, lon + 2.0 * side))
         else:
@@ -155,24 +155,24 @@ def _jacobian(xy, cut: float | None, lat: float, lon: float):
 
 def local_jacobian(proj: Projection, c: GeoCoord) -> numpy.ndarray:
     """2x2 matrix with columns d(x,y)/dlat and d(x,y)/dlon, by central
-    differences. Within 2 steps of the antimeridian tear the longitude
-    derivative is one-sided, (-3 f0 + 4 f1 - f2) / 2s, on the side the
-    sample's own image belongs to, so the stencil never spans the tear. If
-    the step neighborhood leaves the domain the step is shrunk once (by 10x)
-    before giving up. A point the kernel excludes on its own, though its
-    stencil lies in the domain, raises the kernel's own ``DomainError``, as
-    ``forward`` does. Returns a numpy array, importing numpy when called."""
+    differences. Within 2 steps of the tear the longitude derivative is
+    one-sided, (-3 f0 + 4 f1 - f2) / 2s, inward from the edge the projection's
+    ``_offsets`` put the sample on, so the stencil never spans the tear. If the
+    step neighborhood leaves the domain the step is shrunk once (by 10x) before
+    giving up. A point the kernel excludes on its own, though its stencil lies
+    in the domain, raises the kernel's own ``DomainError``, as ``forward``
+    does. Returns a numpy array, importing numpy when called."""
     import numpy
 
-    xp, xl, yp, yl = _jacobian(proj._xy, proj.cut_longitude, c.lat, c.lon)
+    xp, xl, yp, yl = _jacobian(proj, c.lat, c.lon)
     return numpy.array([[xp, xl], [yp, yl]])
 
 
-def _tissot(xy, cut: float | None, lat: float, lon: float) -> tuple[float, ...]:
+def _tissot(proj: Projection, lat: float, lon: float) -> tuple[float, ...]:
     """The fields of :class:`DistortionSample`, in order, at canonical floats."""
     if abs(lat) >= HALF_PI - 1e-12:
         raise DomainError("parallel scale is undefined at the poles")
-    return _fields(lat, lon, *_jacobian(xy, cut, lat, lon))
+    return _fields(lat, lon, *_jacobian(proj, lat, lon))
 
 
 def _fields(lat: float, lon: float, xp: float, xl: float, yp: float, yl: float
@@ -206,7 +206,7 @@ def tissot(proj: Projection, c: GeoCoord) -> DistortionSample:
     A point the kernel excludes on its own, though its stencil lies in the
     domain, raises the kernel's own ``DomainError``, as ``forward`` does.
     """
-    return DistortionSample(*_tissot(proj._xy, proj.cut_longitude, c.lat, c.lon))
+    return DistortionSample(*_tissot(proj, c.lat, c.lon))
 
 
 # _grid_axes refuses a grid of more samples than this before building it
@@ -241,11 +241,10 @@ def _grid(proj: Projection, lats: list[float], lons: list[float]):
     neighbour's, so a point the kernel excludes on its own raises the
     kernel's error. A degenerate Jacobian raises as in _tissot.
     """
-    xy, cut = proj._xy, proj.cut_longitude
     s, inv = STEP, 0.5 / STEP
     inner = [i for i, lat in enumerate(lats) if -HALF_PI < lat - s and lat + s < HALF_PI]
-    centre = [j for j, lon in enumerate(lons)
-              if cut is None or abs(wrap_longitude(lon - cut)) >= 2.0 * s]
+    offsets = proj._offsets(lons) or [0.0] * len(lons)
+    centre = [j for j, u in enumerate(offsets) if math.pi - abs(u) >= 2.0 * s]
     north_south = proj._rows([p for i in inner for p in (lats[i] + s, lats[i] - s)],
                              [lons[j] for j in centre])
     east_west = proj._rows([lats[i] for i in inner], [
@@ -264,7 +263,7 @@ def _grid(proj: Projection, lats: list[float], lons: list[float]):
         for j, lon in enumerate(lons):
             b = columns.get(j)
             if row is None or b is None or b in holes:
-                yield _tissot(xy, cut, lat, lon)
+                yield _tissot(proj, lat, lon)
             else:
                 yield _fields(lat, lon, (xn[b] - xs[b]) * inv, (xe[b] - xw[b]) * inv,
                               (yn[b] - ys[b]) * inv, (ye[b] - yw[b]) * inv)

@@ -11,9 +11,9 @@ radius.
 Projection, deviations and the primary fit run on float lists. A curve
 projects through its family's kernel ``_curve``, which marks the samples
 outside the domain as holes; :func:`_runs` splits it there and at the tear
-crossings :func:`_tears` finds, and :mod:`mapproj.atlas` splits the curves
-of a graticule with the same two. numpy is imported only by
-:func:`fit_circular_arc`, when it computes the least-squares refinement.
+crossings :func:`_tears` reads off the projection's ``_offsets``, and
+:mod:`mapproj.atlas` splits a graticule's curves with the same two. numpy is
+imported only by :func:`fit_circular_arc`, for the least-squares refinement.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DomainError, ParameterError
-from .geo import GeoCoord, sample_great_circle, wrap_longitude
+from .geo import GeoCoord, sample_great_circle
 from .projections import PlanePoint, Projection
 
 # curves whose sagitta/chord falls below this are collinear: infinite radius
@@ -95,14 +95,13 @@ class ArcFit:
 
 
 def _tears(proj: Projection, lons) -> list[int]:
-    """The indices j at which a curve through the longitudes ``lons`` (a
-    sequence) crosses the tear of ``proj``: a jump of more than pi in the
-    longitude, wrapped about the central meridian, from sample j - 1 to j.
-    A family without a tear has none."""
-    if proj.cut_longitude is None:
+    """The indices j at which a curve through the longitudes ``lons``
+    crosses the tear of ``proj``: a jump of more than pi in the offset from
+    the central meridian, as the projection wraps it, from sample j - 1 to
+    j. A family without a tear has none."""
+    u = proj._offsets(lons)
+    if u is None:
         return []
-    centre = wrap_longitude(proj.cut_longitude + math.pi)
-    u = [wrap_longitude(lon - centre) for lon in lons]
     return [j for j in range(1, len(u)) if abs(u[j] - u[j - 1]) > math.pi]
 
 

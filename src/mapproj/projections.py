@@ -153,6 +153,14 @@ class Projection:
         """Longitude of the antimeridian tear, or None for azimuthal families."""
         return None
 
+    def _offsets(self, lons) -> list[float] | None:
+        """Each longitude's offset from the central meridian, in (-pi, pi], as
+        the kernel wraps it, or None without a tear; here from cut_longitude."""
+        if self.cut_longitude is None:
+            return None
+        centre = wrap_longitude(self.cut_longitude + math.pi)
+        return [wrap_longitude(lon - centre) for lon in lons]
+
 
 class _OutOfDomain(DomainError):
     """A kernel's rejection of ``(lat, lon)``; the message is formatted only
@@ -166,7 +174,8 @@ class _OutOfDomain(DomainError):
 class _Meridional(Projection):
     """Base of the families laid out about a central meridian ``lon0``,
     declared by the dataclass under it: lon0 is wrapped once on
-    construction, and the map tears along its antimeridian. The cylindrical
+    construction, and the map tears along its antimeridian, where
+    ``_offsets``, the kernels' wrap of lon - lon0, jumps. The cylindrical
     and conic bases supply ``_level(lat, lon)``, the ordinate or radius of
     the parallel lat, which raises ``_OutOfDomain``, naming the point
     (lat, lon), where the domain ends."""
@@ -179,6 +188,9 @@ class _Meridional(Projection):
     @cached_property
     def cut_longitude(self) -> float:
         return wrap_longitude(self.lon0 + math.pi)
+
+    def _offsets(self, lons) -> list[float]:
+        return [wrap_longitude(lon - self.lon0) for lon in lons]
 
     def _profile(self, lat: float) -> float | None:
         """The ``_level`` of the parallel lat, or None outside the domain."""
@@ -384,7 +396,7 @@ class _Cylindrical(_Meridional):
         return wrap_longitude(lon - self.lon0) * self._x_scale, self._level(lat, lon)
 
     def _rows(self, lats, lons):
-        xs = [wrap_longitude(lon - self.lon0) * self._x_scale for lon in lons]
+        xs = [u * self._x_scale for u in self._offsets(lons)]
         n = len(xs)
         return [([None] * n, [None] * n, list(range(n))) if y is None else (xs, [y] * n, [])
                 for y in map(self._profile, lats)]
@@ -393,8 +405,8 @@ class _Cylindrical(_Meridional):
         ys = list(map(self._profile, lats))
         holes = [i for i, y in enumerate(ys) if y is None]
         columns = []
-        for lon in lons:
-            xs = [wrap_longitude(lon - self.lon0) * self._x_scale] * len(ys)
+        for u in self._offsets(lons):
+            xs = [u * self._x_scale] * len(ys)
             for i in holes:
                 xs[i] = None
             columns.append((xs, ys, holes))
@@ -596,7 +608,7 @@ class _Conic(_Meridional):
 
     def _rows(self, lats, lons):
         n, rho_ref = self._cone
-        thetas = [n * wrap_longitude(lon - self.lon0) for lon in lons]
+        thetas = [n * u for u in self._offsets(lons)]
         sines, cosines = list(map(math.sin, thetas)), list(map(math.cos, thetas))
         k = len(thetas)
         return [
@@ -611,8 +623,8 @@ class _Conic(_Meridional):
         holes = [i for i, rho in enumerate(rhos) if rho is None]
         rhos = [0.0 if rho is None else rho for rho in rhos]
         columns = []
-        for lon in lons:
-            theta = n * wrap_longitude(lon - self.lon0)
+        for u in self._offsets(lons):
+            theta = n * u
             s, c = math.sin(theta), math.cos(theta)
             columns.append(self._placed([rho * s for rho in rhos],
                                         [rho_ref - rho * c for rho in rhos], holes))

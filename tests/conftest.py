@@ -37,6 +37,16 @@ def all_family_instances():
     ]
 
 
+# central meridians (degrees) whose antimeridian, wrapped and wrapped back,
+# misses lon0 by an ulp, so that a consumer deriving the meridian from
+# cut_longitude put a sample on the tear on the other edge than the kernel;
+# at 0 the round trip is exact, but a stencil one ulp east of the cut once
+# took the wrong side
+TEAR_LON0S = (-128.0, -0.5, 0.0, 37.0, 100.0)
+# a cylinder, a conic and the cordiform map, as spec strings without lon0
+TEAR_FAMILIES = ("mercator", "equidistant_conic lat1=45 lat2=60", "werner")
+
+
 def sample_in_domain(proj, rng: random.Random, count: int):
     """Uniform-on-sphere samples restricted to the projection's domain."""
     out = []

@@ -40,6 +40,7 @@ from mapproj.geodesics import (
     PlanePolyline, _three_point_fit, fit_circular_arc, project_polyline, straightness,
 )
 from mapproj.projections import PlanePoint, parse_projection
+from conftest import TEAR_FAMILIES, TEAR_LON0S
 
 DELISLE = EquidistantConic(math.radians(45), math.radians(60), lon0=math.radians(90))
 BAND = GeoRegion.from_degrees(45, 70, 30, 150)
@@ -1344,6 +1345,21 @@ class TestProjectGraticule:
         parallels, meridians = mapproj.atlas._project_graticule(
             parse_projection(spec), build_graticule(WORLD, math.radians(30), math.radians(30)))
         assert parallels and meridians
+
+
+@pytest.mark.parametrize("lon0", TEAR_LON0S)
+@pytest.mark.parametrize("family", TEAR_FAMILIES)
+def test_world_parallels_do_not_jump_across_the_map(family, lon0):
+    # the tear splits each parallel where the kernel wraps lon - lon0, so
+    # the sample on the cut stays on the edge its image lies on
+    proj = parse_projection(f"{family} lon0={lon0}")
+    parallels, meridians = mapproj.atlas._project_graticule(
+        proj, build_graticule(WORLD, math.radians(10), math.radians(10), 4.0))
+    every_x = [x for xs, _ in parallels + meridians for x in xs]
+    half_width = 0.5 * (max(every_x) - min(every_x))
+    jumps = [(ys[0], step) for xs, ys in parallels
+             for step in map(math.hypot, np.diff(xs), np.diff(ys)) if step > half_width]
+    assert jumps == []
 
 
 def _inside(proj, lat, lon) -> bool:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -149,6 +150,20 @@ class TestDistortion:
         lines = target.read_text().strip().splitlines()
         assert lines[0].startswith("lat_deg,lon_deg,h,k")
         assert len(lines) == 10
+
+    def test_column_on_the_tear_is_conformal(self, capsys):
+        # the -80° column lies on the tear of lon0 = 100°: its stencil takes
+        # the side the kernel puts it on, so Mercator's k equals h there too
+        code, out, _ = run(
+            capsys, "distortion", "--proj", "mercator lon0=100",
+            "--region", "-60:60,-80:280", "--grid", "3x5",
+        )
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[1:]]
+        assert [row[1] for row in rows[:5]] == [
+            "-80.0000", "10.0000", "100.0000", "-170.0000", "-80.0000"]
+        assert [(h, k, omega) for _, _, h, k, _, omega, _ in rows] == [
+            (h, h, "0.000000") for h in ["2.000000"] * 5 + ["1.000000"] * 5 + ["2.000000"] * 5]
 
     def test_201x201_table_is_pinned(self, capsys):
         # the benchmark's end-to-end CLI run; digest recorded before the
@@ -339,6 +354,19 @@ class TestRender:
         assert code == 1 and out == ""
         assert err.startswith("error: graticule of ")
         assert err.endswith(" samples exceeds the cap of 10000000 samples\n")
+
+    def test_parallels_do_not_cross_the_map_at_the_tear(self, capsys):
+        # lon0 = -128° puts a graticule sample on the tear; each parallel is
+        # split there and neither half draws a stroke across the map
+        code, out, _ = run(capsys, "render", "--proj", "mercator lon0=-128",
+                           "--region", "-80:80,-180:180", "--step", "10")
+        assert code == 0
+        width = float(re.search(r'viewBox="0 0 (\S+) ', out).group(1))
+        paths = re.findall(r'd="([^"]*)"', out.split('<g id="parallels"')[1].split("</g>")[0])
+        assert len(paths) == 34
+        for d in paths:
+            xs = [float(x) for x in re.findall(r"[ML] (\S+) ", d)]
+            assert max(abs(b - a) for a, b in zip(xs, xs[1:])) < 0.5 * width, d[:40]
 
     def test_malformed_geodesic_is_exit_one(self, capsys):
         code, out, err = run(capsys, "render", "--proj", "mercator", "--region", "0:10,0:10",

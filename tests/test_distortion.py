@@ -43,7 +43,7 @@ from mapproj.distortion import (
 from mapproj.errors import DomainError, MapError, ParameterError
 from mapproj.geo import HALF_PI, linspace, wrap_longitude
 from mapproj.projections import PlanePoint, Projection, _Conic, _Cylindrical
-from conftest import all_family_instances
+from conftest import TEAR_FAMILIES, TEAR_LON0S, all_family_instances
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,24 @@ class TestLocalJacobian:
         closed = parallel_scale(conic_constants(pa, pb), pa, lat)
         sample = tissot(EquidistantConic(pa, pb), GeoCoord(lat, math.radians(lon_deg)))
         assert sample.k == pytest.approx(closed, abs=1e-8)
+
+
+@pytest.mark.parametrize("lon0", TEAR_LON0S)
+@pytest.mark.parametrize("family", TEAR_FAMILIES)
+def test_scale_on_the_tear_matches_the_central_meridian(family, lon0):
+    # k depends on the latitude alone on these maps, so the one-sided
+    # stencil on the cut and an ulp either side must find the value of the
+    # central meridian; the stencil's side follows the kernel's wrap
+    proj = parse_projection(f"{family} lon0={lon0}")
+    lat = math.radians(50)
+    centre = GeoCoord(lat, proj.lon0)
+    k = tissot(proj, centre).k
+    k_column = np.hypot(*local_jacobian(proj, centre)[:, 1])
+    cut = proj.cut_longitude
+    for lon in (math.nextafter(cut, -math.inf), cut, math.nextafter(cut, math.inf)):
+        c = GeoCoord(lat, lon)
+        assert tissot(proj, c).k == pytest.approx(k, rel=1e-6), lon
+        assert np.hypot(*local_jacobian(proj, c)[:, 1]) == pytest.approx(k_column, rel=1e-6), lon
 
 
 class TestTissot:

@@ -16,6 +16,7 @@ from mapproj import (
     EquidistantConic,
     Equirectangular,
     GeoCoord,
+    GeoRegion,
     Gnomonic,
     LambertAzimuthalEqualArea,
     LambertConformalConic,
@@ -32,6 +33,7 @@ from mapproj import (
     sample_great_circle,
     to_unit_vector,
 )
+from mapproj.atlas import MapScene, build_graticule, render_svg
 from mapproj.cli import main
 from mapproj.distortion import local_jacobian, tissot
 from mapproj.errors import DomainError, ParameterError
@@ -998,6 +1000,13 @@ class TestInverseErrors:
 # the conformal conic's inverse stopped reading every radius up to RHO_MIN as
 # the apex: of its 14 probes at 90° - 1e-10°, 11 now invert and the 3 on the
 # cut raise "outside the cone wedge", where the map angle is ill-conditioned.
+# Those of instances 7, 9, 11, 12, 13 and 14 were recorded again when the
+# one-sided stencil began to follow the kernel's own offset from lon0: only
+# the Tissot and Jacobian columns changed, at 84 of their 1788 probes. The 9
+# on the cut of instance 11 had k off by a factor of 2.3e6 and now match the
+# central meridian; 75 exactly 2 steps from the cut switched stencil, 72 of
+# them within 1e-6 of the central meridian either way and 3 conformal-conic
+# probes at ±89.9999° within 1.9e-6.
 EDGE_INSTANCES = all_family_instances() + [
     EquidistantConic(math.radians(-45), math.radians(-60), lon0=math.radians(-100)),
     EquidistantConic(math.radians(45), math.radians(60), cutoff=math.radians(80)),
@@ -1015,14 +1024,14 @@ EDGE_DIGESTS = {
     4: "6cb96792a9830a35f1c7721a9c5a5b861370889c2593c30daf40cb9db49e323a",  # orthographic
     5: "6f8b31c9d91880d05f148f248f6fd898f18212f3f17ef334a929640da45420ab",  # mercator
     6: "0fa38c871df2aba5797b36d1dd48d2ac671ace717bfa424ed932482b793b4f97",  # equidistant_conic
-    7: "3da6dfe648f375a3c855bb625f39a2fbef01473df5ef7bc0fa75bb55d49f51a0",  # lambert_conformal_conic
+    7: "db519131630f3dad18407fa47c0ec0c37b049ec8e24007080839279804f24046",  # lambert_conformal_conic
     8: "15dc022d80922e498a1a75790345eb5b72f6cb04ec9a50cf083c24f4da3652e5",  # lambert_azimuthal_equal_area
-    9: "293d99901781c9c550a1961f02cb764343d14832c24d78fb634e497415cc7b42",  # lambert_cylindrical_equal_area
+    9: "2bcdbee093cccc48b49744875ea02f737f6ab66f3a580684edfa5f1357081145",  # lambert_cylindrical_equal_area
     10: "a673c49cd96349f9193058926e3afbe9dbb735e7dd395c73c8f15d10fcf7d06c",  # werner
-    11: "8b1ddd0c8fff6ce4586d0a3d77fbea575dc3e3bfff010df61804f46326fbf448",  # equidistant_conic
-    12: "201cf96f783cdf593bfe7b5b639ffebd993efd2af4c9598cbd63e22dbc6cbfa6",  # equidistant_conic
-    13: "016f06efc32408bfec897725c2b29407809b43c24f94f74aed5b949e1faedf4e",  # lambert_conformal_conic
-    14: "90f4895fce121e1e8347475c8422402828d9dc8b7753668ad2f84f6ec0e33d79",  # mercator
+    11: "ca21a4013d8a629cee645fd5c95b4ecdd6d051040b8aca66c6e279912e741236",  # equidistant_conic
+    12: "d340771a16ceaf01f9fa0d80788c88d5229c35336f632beb14c2750031eb44a8",  # equidistant_conic
+    13: "3096a5536dc2389411eb79e42676b3df6405845f59b4f71515ea21c6835433fe",  # lambert_conformal_conic
+    14: "a837d7e8b6587ee6c1ec2140252d1294f71442fb18c3ba6074ea1d5b2f1cd9e9",  # mercator
     15: "56296c93b8346bc50133791049fd7dccb1d1e6f1009f08476dd0524130939eee",  # orthographic
     16: "e0733d2f8e3541ee6c89a4098d47366251a312822e1abcd33e7942bcb042556b",  # stereographic
     17: "8af39b693b1ce1ac8efeeaa5143efaaff16cedaa50eb522c0b2034ac5447fdd6",  # gnomonic
@@ -1108,6 +1117,30 @@ class _Clipped(Projection):
         if c.lat < -1.0:
             raise DomainError("south of -1 rad")
         return PlanePoint(c.lon * math.cos(c.lat), c.lat)
+
+
+def test_a_forward_only_projection_tears_at_its_cut_longitude():
+    # the base class finds the tear from cut_longitude alone: the splitter
+    # cuts every parallel there, and the stencil stays on one side of it
+    proj = _Clipped()
+    poly = project_polyline(proj, [GeoCoord(0.5, lon) for lon in (2.9, 2.95, 2.99, 3.01, 3.05)])
+    assert [len(seg) for seg in poly.segments] == [3, 2]
+    grat = build_graticule(GeoRegion(0.0, 0.5, 2.5, 3.1), 0.25, 0.25)
+    svg = render_svg(MapScene(proj, grat))
+    parallels = svg.split('<g id="parallels"')[1].split("</g>")[0]
+    assert parallels.count("<path ") == 2 * len(grat.lats) == 6
+    seen = []
+
+    class Recording(_Clipped):
+        def forward(self, c):
+            seen.append(c.lon)
+            return super().forward(c)
+
+    # the sides of the sample its stencil's longitudes lie on: east is True
+    for lon, sides in ((3.0 - 1e-7, {False}), (3.0 + 1e-7, {True}), (2.9, {False, True})):
+        seen.clear()
+        tissot(Recording(), GeoCoord(0.5, lon))
+        assert {q > lon for q in seen if q != lon} == sides, lon
 
 
 def test_a_projection_without_an_inverse_says_so():

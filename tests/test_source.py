@@ -1,7 +1,7 @@
 """Static checks of the source. No module defines the same top-level
 function or class twice: the second definition rebinds the name at import
 and leaves the first dead, which no runtime test notices. The graticule,
-distortion and curve code reads no family's formula: each lives in
+distortion and curve code reads no family's formula or tear: each lives in
 projections, and those modules import only its interface. They call no
 ``forward`` either: the kernels' holes tell them which samples are rejected.
 The per-sample and per-step functions call no two-argument ``min`` or
@@ -30,11 +30,12 @@ def test_no_top_level_name_defined_twice():
     assert twice == {}
 
 
-# the names under which a family keeps its formula; atlas, distortion and
-# geodesics reach every family through _xy and the grid methods _rows,
-# _columns and _curve
+# the names under which a family keeps its formula and its tear; atlas,
+# distortion and geodesics reach every family through _xy and the grid
+# methods _rows, _columns and _curve, and find the tear through _offsets, so
+# that it is decided in projections alone
 KERNEL_INTERNALS = {"_cone", "_south", "_x_scale", "_radius", "_level", "_radial", "_frame",
-                    "lon0", "center"}
+                    "lon0", "center", "cut_longitude"}
 # a geodesics arc fit has a center of its own, which a name bound to a fit reads
 ARC_FITS = {"_three_point_fit", "fit_circular_arc"}
 
@@ -64,6 +65,9 @@ def _kernel_reads(source: str) -> list[str]:
 def test_consumers_do_not_read_kernel_internals():
     assert _kernel_reads("if type(p)._xy is K._xy:\n    n, r = p._cone\n    q = p.lon0\n") == [
         "line 1: type(...)._xy", "line 2: ._cone", "line 3: .lon0"]
+    # the form the tear once had in geodesics and distortion
+    assert _kernel_reads("if proj.cut_longitude is None:\n    u = wrap(lon - cut)\n") == [
+        "line 1: .cut_longitude"]
     assert _kernel_reads("fit = _three_point_fit(xs, ys)\nc = fit.center\nd = p.center\n") == [
         "line 3: .center"]
     reads = {
