@@ -309,7 +309,7 @@ def _path_arc(xs, ys, tr) -> str | None:
         return None
     mid = len(xs) // 2
     try:
-        fit = _three_point_fit(xs, ys)
+        fit = _three_point_fit(xs, ys, ARC_RESIDUAL)
     except ParameterError:
         return None
     if fit.collinear or fit.max_residual > ARC_RESIDUAL:

@@ -192,9 +192,12 @@ def _circle_through(ax, ay, bx, by, cx, cy) -> tuple[float, float, float]:
     return ux, uy, math.hypot(ax - ux, ay - uy)
 
 
-def _three_point_fit(xs, ys) -> ArcFit:
+def _three_point_fit(xs, ys, bound=math.inf) -> ArcFit:
     """The primary fit of :func:`fit_circular_arc` on the coordinate lists
-    of one segment, without the ``ls_*`` refinement."""
+    of one segment, without the ``ls_*`` refinement. The residual is first
+    taken at the quarter samples ``n // 4`` and ``3 * n // 4``; if it
+    exceeds ``bound``, the fit stops there and reports it as
+    ``max_residual``, a lower bound of the full maximum."""
     if len(xs) < 3:
         raise ParameterError(f"need at least 3 points, got {len(xs)}")
     chord, dev = _deviations(xs, ys)
@@ -206,7 +209,11 @@ def _three_point_fit(xs, ys) -> ArcFit:
         )
     peak = dev.index(sagitta)  # the first peak, as argmax takes it
     ux, uy, radius = _circle_through(xs[0], ys[0], xs[peak], ys[peak], xs[-1], ys[-1])
-    residual = max([abs(math.hypot(x - ux, y - uy) - radius) for x, y in zip(xs, ys)])
+    n = len(xs)
+    residual = max([abs(math.hypot(xs[j] - ux, ys[j] - uy) - radius)
+                    for j in (n // 4, 3 * n // 4)])
+    if not residual > bound:  # a NaN goes on to the full pass too
+        residual = max([abs(math.hypot(x - ux, y - uy) - radius) for x, y in zip(xs, ys)])
     return ArcFit(
         center=PlanePoint(ux, uy), radius=radius,
         max_residual=residual, chord=chord, sagitta=sagitta,

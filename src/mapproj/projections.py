@@ -23,8 +23,9 @@ where ``_xy`` raises. The base class calls ``_xy`` per sample; the
 cylindrical and conic families evaluate their profile (``_level``, the
 ordinate or the radius of a parallel) once per latitude and their abscissa
 or angle once per longitude; the azimuthal families take the sine and
-cosine of each axis value once, and their ``_radial`` marks a hole without
-raising.
+cosine of each axis value once, and mark a hole where the arc distance
+reaches the family's ``_limit``, without raising; where that limit is a
+horizon, a sample beyond it is a hole by one comparison.
 
 Plane conventions: x east, y north on the central meridian; map units are
 unit-sphere radians. Conic apexes sit above the map (positive y). Azimuthal
@@ -62,6 +63,10 @@ from .geo import (
 
 # conic radii at or below this are treated as beyond the apex
 RHO_MIN = 1e-9
+# an azimuthal grid sample whose dot product with the center falls this far
+# below cos(_limit) is a hole before its arc distance is taken; dot and the
+# tangent norm carry a few ulps of rounding, so the exact test rejects it too
+FAR_SIDE_MARGIN = 1e-9
 
 
 class UnknownFamilyError(ParameterError):
@@ -208,10 +213,11 @@ class _Meridional(Projection):
 class _Azimuthal(Projection):
     """Shared machinery: radial profile r(c) applied to the arc distance c
     from the tangent point, direction taken from the local east/north frame.
-    A family's two hooks: ``_radial(c)`` returns r(c), or None where c lies
-    outside the domain, which ``_xy`` then rejects for the reason
-    ``_excluded``; ``_radial_inverse(r)`` returns c or raises
-    ``DomainError``.
+    A family declares its profile as data: ``_radial_law = (k, f, m)``, a
+    builtin f and two constants with r(c) = k * f(m * c) (a factor 1.0 is
+    exact), and ``_limit``, the smallest arc distance it excludes, which
+    ``_xy`` rejects for the reason ``_excluded``. Its one hook,
+    ``_radial_inverse(r)``, returns c or raises ``DomainError``.
 
     ``_xy`` projects one point; the grid methods take the sine and cosine of
     each axis value once and project each curve from its unit vectors, with
@@ -220,6 +226,8 @@ class _Azimuthal(Projection):
 
     center: GeoCoord = NORTH_POLE
     _excluded: ClassVar[str]
+    _limit: ClassVar[float]
+    _radial_law: ClassVar[tuple]
 
     @cached_property
     def _frame(self) -> tuple[tuple[float, float, float], ...]:
@@ -238,47 +246,53 @@ class _Azimuthal(Projection):
         dot = px * cx + py * cy + pz * cz
         tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
         tnorm = math.sqrt(tx * tx + ty * ty + tz * tz)
-        radius = self._radial(math.atan2(tnorm, dot))
-        if radius is None:
+        c = math.atan2(tnorm, dot)
+        if c >= self._limit:
             raise _OutOfDomain(self, lat, lon, self._excluded)
         if tnorm < 1e-15:
             return 0.0, 0.0
-        r = radius / tnorm
+        k, f, m = self._radial_law
+        r = k * f(m * c) / tnorm
         return r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
 
     def _rows(self, lats, lons):
         cos_lons, sin_lons = list(map(math.cos, lons)), list(map(math.sin, lons))
-        return [
-            self._through([c * v for v in cos_lons], [c * v for v in sin_lons],
-                          repeat(math.sin(lat)))
-            for lat, c in zip(lats, map(math.cos, lats))
-        ]
+        return [self._through(repeat(math.cos(lat)), cos_lons, sin_lons, repeat(math.sin(lat)))
+                for lat in lats]
 
     def _columns(self, lats, lons):
         cos_lats, sin_lats = list(map(math.cos, lats)), list(map(math.sin, lats))
-        return [
-            self._through([v * c for v in cos_lats], [v * s for v in cos_lats], sin_lats)
-            for c, s in zip(map(math.cos, lons), map(math.sin, lons))
-        ]
+        return [self._through(cos_lats, repeat(math.cos(lon)), repeat(math.sin(lon)), sin_lats)
+                for lon in lons]
 
-    def _through(self, pxs, pys, pzs) -> tuple[list, list, list[int]]:
-        """The curve through the unit vectors ``zip(pxs, pys, pzs)``, as
-        :meth:`Projection._rows` gives a curve."""
+    def _through(self, scales, us, vs, pzs) -> tuple[list, list, list[int]]:
+        """The curve through the unit vectors ``(s * u, s * v, pz)`` for
+        ``s, u, v, pz`` in ``zip(scales, us, vs, pzs)``, as
+        :meth:`Projection._rows` gives a curve, with the far side cut by
+        :data:`FAR_SIDE_MARGIN`."""
         (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
-        radial, atan2, sqrt = self._radial, math.atan2, math.sqrt
+        limit, (k, f, m) = self._limit, self._radial_law
+        far = math.cos(limit) - FAR_SIDE_MARGIN
+        atan2, sqrt = math.atan2, math.sqrt
         xs, ys, holes = [], [], []
-        for j, (px, py, pz) in enumerate(zip(pxs, pys, pzs)):
+        for j, (s, u, v, pz) in enumerate(zip(scales, us, vs, pzs)):
+            px, py = s * u, s * v
             dot = px * cx + py * cy + pz * cz
+            if dot < far:
+                xs.append(None)
+                ys.append(None)
+                holes.append(j)
+                continue
             tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
             tnorm = sqrt(tx * tx + ty * ty + tz * tz)
-            radius = radial(atan2(tnorm, dot))
-            if radius is None:
+            c = atan2(tnorm, dot)
+            if c >= limit:
                 x = y = None
                 holes.append(j)
             elif tnorm < 1e-15:
                 x = y = 0.0
             else:
-                r = radius / tnorm
+                r = k * f(m * c) / tnorm
                 x, y = r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
             xs.append(x)
             ys.append(y)
@@ -310,8 +324,8 @@ class Stereographic(_Azimuthal):
     family: ClassVar[str] = "stereographic"
     _excluded: ClassVar[str] = "the projection source maps to infinity"
 
-    def _radial(self, c: float) -> float | None:
-        return None if c >= math.pi - 1e-12 else 2.0 * math.tan(0.5 * c)
+    _limit: ClassVar[float] = math.pi - 1e-12
+    _radial_law: ClassVar[tuple] = (2.0, math.tan, 0.5)
 
     def _radial_inverse(self, r: float) -> float:
         return 2.0 * math.atan(0.5 * r)
@@ -328,8 +342,8 @@ class Gnomonic(_Azimuthal):
     family: ClassVar[str] = "gnomonic"
     _excluded: ClassVar[str] = "on or beyond the horizon of the tangent point"
 
-    def _radial(self, c: float) -> float | None:
-        return None if c >= HALF_PI - 1e-12 else math.tan(c)
+    _limit: ClassVar[float] = HALF_PI - 1e-12
+    _radial_law: ClassVar[tuple] = (1.0, math.tan, 1.0)
 
     def _radial_inverse(self, r: float) -> float:
         return math.atan(r)
@@ -356,8 +370,8 @@ class Orthographic(_Azimuthal):
     family: ClassVar[str] = "orthographic"
     _excluded: ClassVar[str] = "on the hidden hemisphere"
 
-    def _radial(self, c: float) -> float | None:
-        return None if c > HALF_PI + 1e-12 else math.sin(c)
+    _limit: ClassVar[float] = math.nextafter(HALF_PI + 1e-12, math.inf)  # the closed hemisphere
+    _radial_law: ClassVar[tuple] = (1.0, math.sin, 1.0)
 
     def _radial_inverse(self, r: float) -> float:
         if r > 1.0 + 1e-9:
@@ -372,8 +386,8 @@ class LambertAzimuthalEqualArea(_Azimuthal):
     family: ClassVar[str] = "lambert_azimuthal_equal_area"
     _excluded: ClassVar[str] = "antipode of the center is excluded"
 
-    def _radial(self, c: float) -> float | None:
-        return None if c >= math.pi - 1e-12 else 2.0 * math.sin(0.5 * c)
+    _limit: ClassVar[float] = math.pi - 1e-12
+    _radial_law: ClassVar[tuple] = (2.0, math.sin, 0.5)
 
     def _radial_inverse(self, r: float) -> float:
         if r > 2.0 + 1e-9:
@@ -739,7 +753,7 @@ class LambertConformalConic(_Conic):
             lat = 2.0 * math.atan((f / rho) ** (1.0 / n)) - HALF_PI
         except (OverflowError, ZeroDivisionError):  # radius 0, or within rounding of the pole's
             lat = HALF_PI
-        if abs(lat) == HALF_PI:
+        if abs(lat) >= HALF_PI - 1e-12:  # the pole band _radius rejects
             raise DomainError(f"no preimage: radius {rho:.9g} at the excluded pole")
         return lat
 

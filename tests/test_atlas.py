@@ -37,7 +37,7 @@ from mapproj.distortion import tissot
 from mapproj.errors import DomainError, MapError, ParameterError
 from mapproj.geo import HALF_PI, MAX_SAMPLES, linspace, wrap_longitude
 from mapproj.geodesics import (
-    PlanePolyline, _three_point_fit, fit_circular_arc, project_polyline, straightness,
+    PlanePolyline, _runs, _three_point_fit, fit_circular_arc, project_polyline, straightness,
 )
 from mapproj.projections import PlanePoint, parse_projection
 from conftest import TEAR_FAMILIES, TEAR_LON0S
@@ -820,6 +820,80 @@ def test_arc_past_the_far_side_is_the_larger_arc():
     steps = [(b - a + math.pi) % (2 * math.pi) - math.pi for a, b in zip(angles, angles[1:])]
     assert max(map(abs, steps)) < 0.1
     assert sum(steps) == pytest.approx(6.083, abs=1e-3)
+
+
+def _arc_candidates():
+    """Seeded plane runs for the SVG arc test: orthographic parallels, which
+    are ellipse arcs; S-curves; and circle arcs with noise of up to 0, 5e-10
+    or 2e-9, on either side of the arc bound."""
+    rng = random.Random(2828)
+    runs = []
+    for _ in range(40):
+        proj = parse_projection(
+            f"orthographic center={rng.uniform(-89, 89):.6f},{rng.uniform(-180, 180):.6f}")
+        lat = math.asin(rng.uniform(-0.98, 0.98))
+        lons = linspace(-math.pi, math.pi, rng.randint(3, 400))
+        runs += _runs(*proj._rows([lat], lons)[0], [])
+    for _ in range(60):
+        n, amp, turns = rng.randint(3, 300), 10 ** rng.uniform(-9, 0), rng.uniform(0.6, 3.0)
+        ts = linspace(0.0, 1.0, n)
+        runs.append((ts, [amp * math.sin(2 * math.pi * turns * t) for t in ts]))
+    for _ in range(300):
+        n, r = rng.randint(3, 300), 10 ** rng.uniform(-1, 1)
+        cx, cy, a = rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-math.pi, math.pi)
+        noise = rng.choice((0.0, 5e-10, 2e-9))
+        ts = linspace(a, a + rng.uniform(0.2, 6.0), n)
+        runs.append(([cx + r * math.cos(t) + rng.uniform(-noise, noise) for t in ts],
+                     [cy + r * math.sin(t) + rng.uniform(-noise, noise) for t in ts]))
+    return runs
+
+
+class TestArcFitStopsEarly:
+    """The arc test bounds its fit by ARC_RESIDUAL: a fit whose residual at
+    the quarter samples already exceeds it stops there."""
+
+    def test_paths_equal_those_of_the_unbounded_fit(self, monkeypatch):
+        runs = _arc_candidates()
+        tr = (20.0, 200.0, -3.0, 2.5)
+        got = [mapproj.atlas._path_arc(xs, ys, tr) for xs, ys in runs]
+        monkeypatch.setattr(mapproj.atlas, "_three_point_fit",
+                            lambda xs, ys, bound: _three_point_fit(xs, ys))
+        assert got == [mapproj.atlas._path_arc(xs, ys, tr) for xs, ys in runs]
+        # both outcomes occur
+        assert 0 < got.count(None) < len(got)
+
+    def test_a_rejected_fit_reports_a_residual_above_the_bound(self):
+        bound, stopped = mapproj.atlas.ARC_RESIDUAL, 0
+        for xs, ys in _arc_candidates():
+            try:
+                full = _three_point_fit(xs, ys)
+            except ParameterError:
+                continue
+            fit = _three_point_fit(xs, ys, bound)
+            if fit != full:
+                stopped += 1
+                assert bound < fit.max_residual <= full.max_residual
+                assert fit == replace(full, max_residual=fit.max_residual)
+        assert stopped > 100
+
+    def test_fit_circular_arc_reports_the_full_maximum(self):
+        # the parallels of an oblique orthographic map are ellipses: their
+        # circle misses the quarter samples, and the largest miss is elsewhere
+        proj = parse_projection("orthographic center=35,60")
+        lats = [math.radians(d) for d in range(-30, 90, 15)]
+        lons = linspace(-2.5, 2.5, 181)
+        beyond = 0
+        for xs, ys, holes in proj._rows(lats, lons):
+            for run in _runs(xs, ys, holes, []):
+                points = tuple(map(PlanePoint, *run))
+                fit = fit_circular_arc(PlanePolyline((points,)))
+                residuals = [abs(math.hypot(p.x - fit.center.x, p.y - fit.center.y) - fit.radius)
+                             for p in points]
+                assert fit.max_residual == max(residuals)
+                bounded = _three_point_fit(*run, mapproj.atlas.ARC_RESIDUAL)
+                assert mapproj.atlas.ARC_RESIDUAL < bounded.max_residual <= fit.max_residual
+                beyond += bounded.max_residual < fit.max_residual
+        assert beyond > 3
 
 
 # The criterion-12 Delisle scene and the Mercator world scene at margin 0,

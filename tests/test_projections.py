@@ -4,6 +4,7 @@ import math
 import pickle
 import re
 from pathlib import Path
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
@@ -39,6 +40,7 @@ from mapproj.distortion import local_jacobian, tissot
 from mapproj.errors import DomainError, ParameterError
 from mapproj.geo import NORTH_POLE, SOUTH_POLE, wrap_longitude
 from mapproj.geodesics import project_polyline
+from mapproj import projections
 from mapproj.projections import FAMILIES, RHO_MIN, Projection
 from conftest import all_family_instances, sample_in_domain
 
@@ -437,6 +439,42 @@ class TestLambertConformalConic:
             back = proj.inverse(proj.forward(c))
             proj.forward(back)
             assert great_circle_distance(c, back) < 1e-15
+
+    @pytest.mark.parametrize("spec", [
+        "lambert_conformal_conic lat1=45 lat2=60",
+        "lambert_conformal_conic lat1=10 lat2=80",
+        "lambert_conformal_conic lat1=-30 lat2=-70 lon0=170",
+    ])
+    def test_points_next_to_the_apex_have_no_preimage_in_the_pole_band(self, rng, spec):
+        # the inverse rejects the band forward rejects, so a plane point next
+        # to the apex either raises or comes back as a point forward accepts
+        proj = parse_projection(spec)
+        _, rho_ref = proj._cone
+        apex_y = -rho_ref if proj._south else rho_ref
+        for _ in range(20000):
+            gap, angle = 10 ** rng.uniform(-20, -9), rng.uniform(-math.pi, math.pi)
+            try:
+                c = proj.inverse(PlanePoint(gap * math.cos(angle), apex_y + gap * math.sin(angle)))
+            except DomainError:
+                continue
+            proj.forward(c)
+
+    @pytest.mark.parametrize("spec", [
+        "lambert_conformal_conic lat1=45 lat2=60",
+        "lambert_conformal_conic lat1=10 lat2=80",
+        "lambert_conformal_conic lat1=-30 lat2=-70 lon0=170",
+    ])
+    def test_the_latitude_one_ulp_inside_the_pole_band_edge_does_not_invert(self, spec):
+        # the documented cost of rejecting the band: forward accepts the
+        # latitude one ulp short of it on the apex side, whose image rounds
+        # back into the band; the next latitude inverts
+        proj = parse_projection(spec)
+        sign = -1.0 if proj._south else 1.0
+        edge = math.nextafter(math.pi / 2 - 1e-12, 0.0)
+        with pytest.raises(DomainError, match=r"^no preimage: radius \S+ at the excluded pole$"):
+            proj.inverse(proj.forward(GeoCoord(sign * edge, 0.3)))
+        lat = sign * math.nextafter(edge, 0.0)
+        assert proj.inverse(proj.forward(GeoCoord(lat, 0.3))).lat == lat
 
     def test_southern_aspect_mirror(self):
         south = LambertConformalConic(math.radians(-45), math.radians(-60))
@@ -1165,7 +1203,7 @@ GRID_KERNEL_SPECS = [
     "stereographic", "stereographic center=10,-170", "stereographic center=90,45",
     "stereographic center=0,0", "stereographic center=-20,170",
     "gnomonic", "gnomonic center=50,20", "gnomonic center=0,180", "gnomonic center=90,0",
-    "central", "central center=-45,100",
+    "central", "central center=-45,100", "central center=0,-150",
     "lambert_azimuthal_equal_area", "lambert_azimuthal_equal_area center=0,180",
     "lambert_azimuthal_equal_area center=-20,-179", "lambert_azimuthal_equal_area center=60,150",
     "lambert_azimuthal_equal_area center=35,60",
@@ -1174,11 +1212,27 @@ GRID_KERNEL_SPECS = [
 ]
 
 
+def _limit_ring(proj):
+    """Points at arc distance ``_limit`` + d from an azimuthal center, for d
+    in 0, +-1e-12, +-1e-10, +-1e-9 and +-2e-9, at five azimuths each. Their
+    latitudes are taken by atan2, which keeps a ring next to a pole apart
+    from it."""
+    (cx, cy, cz), east, north = proj._frame
+    ring = []
+    for d in (0.0, 1e-12, -1e-12, 1e-10, -1e-10, 1e-9, -1e-9, 2e-9, -2e-9):
+        dist = proj._limit + d
+        for az in (0.0, 0.7, 2.0, 3.3, 4.9):
+            x, y, z = (math.cos(dist) * cv + math.sin(dist) * (math.cos(az) * nv + math.sin(az) * ev)
+                       for cv, ev, nv in zip((cx, cy, cz), east, north))
+            ring.append(GeoCoord(math.atan2(z, math.hypot(x, y)), math.atan2(y, x)))
+    return ring
+
+
 def _kernel_axes(proj, rng):
     """Latitudes and longitudes through every edge probe of ``proj``, through
-    its cutoff and its conic apex each side by 1e-12, across +-180°, and at
-    random."""
-    probes = _edge_probes(proj)
+    the rings of :func:`_limit_ring` of an azimuthal one, through its cutoff
+    and its conic apex each side by 1e-12, across +-180°, and at random."""
+    probes = _edge_probes(proj) + (_limit_ring(proj) if hasattr(proj, "_limit") else [])
     lats = {c.lat for c in probes} | {math.asin(rng.uniform(-1.0, 1.0)) for _ in range(10)}
     lons = {c.lon for c in probes} | {rng.uniform(-math.pi, math.pi) for _ in range(10)}
     lons |= {-math.pi + 1e-12, math.pi - 1e-12, math.pi}
@@ -1229,6 +1283,52 @@ class TestGridKernels:
             "equirectangular", "lambert_cylindrical_equal_area", "werner")
         assert any(None in row for row in want) != unbounded
         assert -math.pi / 2 in lats and math.pi / 2 in lats
+
+
+AZIMUTHAL_SPECS = [spec for spec in GRID_KERNEL_SPECS
+                   if spec != "clipped" and hasattr(parse_projection(spec), "_limit")]
+
+
+class TestAzimuthalFarSide:
+    """The azimuthal grid kernel makes a sample far beyond ``_limit`` a hole
+    by its dot product alone. :class:`TestGridKernels` checks its floats and
+    holes against ``_xy``, on axes through rings of samples next to the
+    limit; here the shortcut is shown to decide no sample that the exact
+    test on the arc distance would keep."""
+
+    @staticmethod
+    def _grid(proj, lats, lons):
+        return ([_hex_curve(*c) for c in proj._rows(lats, lons)],
+                [_hex_curve(*c) for c in proj._columns(lats, lons)])
+
+    @pytest.mark.parametrize("spec", AZIMUTHAL_SPECS)
+    def test_without_the_shortcut_the_grid_is_the_same(self, spec, rng, monkeypatch):
+        proj = parse_projection(spec)
+        lats, lons = _kernel_axes(proj, rng)
+        grid = self._grid(proj, lats, lons)
+        # the rings straddle the limit: _xy rejects some samples, keeps some
+        assert {_outcome(proj._xy, c.lat, c.lon)[1] is None
+                for c in _limit_ring(proj)} == {True, False}
+        monkeypatch.setattr(projections, "FAR_SIDE_MARGIN", math.inf)
+        assert self._grid(proj, lats, lons) == grid
+        # the positive control: a cut 2e-9 inside the limit drops samples
+        # that _xy keeps
+        monkeypatch.setattr(projections, "FAR_SIDE_MARGIN", -2e-9)
+        assert self._grid(proj, lats, lons) != grid
+
+    def test_the_shortcut_is_taken_on_the_hidden_hemisphere(self, rng, monkeypatch):
+        # most of the rejected half of an orthographic grid never reaches
+        # atan2
+        proj = parse_projection("orthographic center=35,60")
+        calls = []
+        fake = SimpleNamespace(**{name: getattr(math, name) for name in dir(math)
+                                  if not name.startswith("_")})
+        fake.atan2 = lambda y, x: calls.append(1) or math.atan2(y, x)
+        monkeypatch.setattr(projections, "math", fake)
+        lats, lons = _kernel_axes(proj, rng)
+        holes = sum(len(h) for _, _, h in proj._rows(lats, lons))
+        assert holes > 0.4 * len(lats) * len(lons)
+        assert len(calls) < len(lats) * len(lons) - 0.9 * holes
 
 
 class TestAzimuthalRejections:

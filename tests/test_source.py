@@ -34,8 +34,8 @@ def test_no_top_level_name_defined_twice():
 # distortion and geodesics reach every family through _xy and the grid
 # methods _rows, _columns and _curve, and find the tear through _offsets, so
 # that it is decided in projections alone
-KERNEL_INTERNALS = {"_cone", "_south", "_x_scale", "_radius", "_level", "_radial", "_frame",
-                    "lon0", "center", "cut_longitude"}
+KERNEL_INTERNALS = {"_cone", "_south", "_x_scale", "_radius", "_level", "_limit", "_radial_law",
+                    "_frame", "lon0", "center", "cut_longitude"}
 # a geodesics arc fit has a center of its own, which a name bound to a fit reads
 ARC_FITS = {"_three_point_fit", "fit_circular_arc"}
 
