@@ -164,7 +164,8 @@ def _cmd_geodesic(args) -> int:
     if args.csv:
         lines = ["x,y"]
         for seg in poly.segments:
-            lines.extend(f"{p.x:.12g},{p.y:.12g}" for p in seg)
+            # + 0.0 turns -0.0 into 0.0, which prints without a sign
+            lines.extend(f"{p.x + 0.0:.12g},{p.y + 0.0:.12g}" for p in seg)
         _write(args.csv, "\n".join(lines) + "\n")
     return 0
 

@@ -214,10 +214,11 @@ MAX_GRID_SAMPLES = MAX_SAMPLES
 
 
 def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], list[float]]:
-    """The grid's latitudes and wrapped longitudes. A region's latitudes lie
-    in [-90°, 90°] and its longitudes are finite, so (lat, wrapped lon) is a
-    grid point's canonical form off the poles, where _tissot raises before
-    reading the longitude."""
+    """The grid's latitudes and wrapped longitudes, with +0.0 for -0.0, which
+    the CLI table and :func:`grid_to_csv` would print signed. A region's
+    latitudes lie in [-90°, 90°] and its longitudes are finite, so (lat,
+    wrapped lon) is a grid point's canonical form off the poles, where
+    _tissot raises before reading the longitude."""
     if nlat < 3 or nlon < 3:
         raise ParameterError(f"grid must be at least 3x3, got {nlat}x{nlon}")
     if nlat * nlon > MAX_GRID_SAMPLES:
@@ -225,8 +226,8 @@ def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], li
             f"grid of {nlat}x{nlon} = {nlat * nlon} samples exceeds the cap of "
             f"{MAX_GRID_SAMPLES} samples"
         )
-    return (linspace(region.lat_lo, region.lat_hi, nlat),
-            [wrap_longitude(lon) for lon in linspace(region.lon_lo, region.lon_hi, nlon)])
+    return ([lat + 0.0 for lat in linspace(region.lat_lo, region.lat_hi, nlat)],
+            [wrap_longitude(lon) + 0.0 for lon in linspace(region.lon_lo, region.lon_hi, nlon)])
 
 
 def _grid(proj: Projection, lats: list[float], lons: list[float]):

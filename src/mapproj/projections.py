@@ -11,8 +11,9 @@ Eleven families are implemented, each a frozen dataclass with ``forward`` and
 
 Families that share geometry share a base: ``_Azimuthal``; ``_Meridional``
 for the rest, which holds the central meridian ``lon0`` and the tear at its
-antimeridian; ``_Cylindrical`` for the three cylindrical families, and
-``_Conic`` for the apex-and-rays geometry of the two conics.
+antimeridian; under it ``_Separable``, placed by one level per parallel and
+one offset per meridian: ``_Cylindrical`` for the three cylindrical families
+and ``_Conic`` for the two conics, whose southern aspect signs the cone.
 Each field is declared once, on the class that introduces or re-defaults it.
 Each family writes its forward formula once, as the private float kernel
 ``_xy(lat, lon) -> (x, y)``; ``Projection.forward`` wraps it, and curve
@@ -20,18 +21,19 @@ projection and the edge samples of distortion analysis call it directly.
 A grid of latitudes by longitudes has one kernel per family, ``_rows`` and
 ``_columns``: its curves of constant latitude or longitude, with holes
 where ``_xy`` raises. The base class calls ``_xy`` per sample; the
-cylindrical and conic families evaluate their profile (``_level``, the
-ordinate or the radius of a parallel) once per latitude and their abscissa
-or angle once per longitude; the azimuthal families take the sine and
-cosine of each axis value once, and mark a hole where the arc distance
-reaches the family's ``_limit``, without raising; where that limit is a
-horizon, a sample beyond it is a hole by one comparison.
+separable families take each parallel's ``_level`` (ordinate or radius)
+once per latitude and each meridian's work once per longitude; the
+azimuthal families take the sine and cosine of each axis value once, and
+mark a hole where the arc distance reaches the family's ``_limit``,
+without raising; where that limit is a horizon, a sample beyond it is a
+hole by one comparison.
 
 Plane conventions: x east, y north on the central meridian; map units are
-unit-sphere radians. Conic apexes sit above the map (positive y). Azimuthal
-families take an arbitrary ``center`` (the tangent point); their plane axes
-follow east/north at the center, except at the poles, where every direction
-is north/south and the axes instead point toward longitudes 0 and 90E.
+unit-sphere radians. A conic's apex sits at y = rho_ref, above the map (below
+in a southern aspect). Azimuthal families take an arbitrary ``center`` (the
+tangent point); their plane axes follow east/north at the center, except at
+the poles, where every direction is north/south and the axes instead point
+toward longitudes 0 and 90E.
 Oblique aspects therefore need no per-family formulas: the radial profile is
 applied to the arc distance from the center.
 
@@ -180,10 +182,7 @@ class _Meridional(Projection):
     """Base of the families laid out about a central meridian ``lon0``,
     declared by the dataclass under it: lon0 is wrapped once on
     construction, and the map tears along its antimeridian, where
-    ``_offsets``, the kernels' wrap of lon - lon0, jumps. The cylindrical
-    and conic bases supply ``_level(lat, lon)``, the ordinate or radius of
-    the parallel lat, which raises ``_OutOfDomain``, naming the point
-    (lat, lon), where the domain ends."""
+    ``_offsets``, the kernels' wrap of lon - lon0, jumps."""
 
     def __post_init__(self):
         if not math.isfinite(self.lon0):
@@ -197,12 +196,42 @@ class _Meridional(Projection):
     def _offsets(self, lons) -> list[float]:
         return [wrap_longitude(lon - self.lon0) for lon in lons]
 
+
+class _Separable(_Meridional):
+    """Base of the families whose graticule is separable: the parallel lat
+    lies at one level, ``_level(lat, lon)`` (its ordinate or radius; it
+    raises ``_OutOfDomain``, naming the point, where the domain ends), and
+    each meridian at one offset from lon0. The grid methods take each level
+    once and leave the placing to two hooks: ``_parallels(offsets)`` returns
+    a function from a parallel's level to its curve's ``(xs, ys)``, and
+    ``_meridian(levels, offset)`` gives a meridian's as new lists, which
+    ``_columns`` marks with the holes (levels 0.0) of the parallels outside
+    the domain."""
+
     def _profile(self, lat: float) -> float | None:
         """The ``_level`` of the parallel lat, or None outside the domain."""
         try:
             return self._level(lat, 0.0)
         except DomainError:
             return None
+
+    def _rows(self, lats, lons):
+        offsets = self._offsets(lons)
+        place, k = self._parallels(offsets), len(offsets)
+        return [([None] * k, [None] * k, list(range(k))) if level is None else (*place(level), [])
+                for level in map(self._profile, lats)]
+
+    def _columns(self, lats, lons):
+        levels = list(map(self._profile, lats))
+        holes = [i for i, level in enumerate(levels) if level is None]
+        levels = [0.0 if level is None else level for level in levels]
+        columns = []
+        for u in self._offsets(lons):
+            xs, ys = self._meridian(levels, u)
+            for i in holes:
+                xs[i] = ys[i] = None
+            columns.append((xs, ys, holes))
+        return columns
 
 
 # ---------------------------------------------------------------------------
@@ -399,32 +428,21 @@ class LambertAzimuthalEqualArea(_Azimuthal):
 # cylindrical-like families
 
 
-class _Cylindrical(_Meridional):
+class _Cylindrical(_Separable):
     """Base of the cylindrical families: x = ``_x_scale`` * (lon - lon0),
     wrapped, and y = ``_level(lat, lon)``, the family's profile, which
     depends on lat alone. Its inverse ``_latitude(y)`` raises
-    ``DomainError`` on an ordinate without a preimage. The grid methods take
-    the profile once per latitude and x once per longitude."""
+    ``DomainError`` on an ordinate without a preimage."""
 
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         return wrap_longitude(lon - self.lon0) * self._x_scale, self._level(lat, lon)
 
-    def _rows(self, lats, lons):
-        xs = [u * self._x_scale for u in self._offsets(lons)]
-        n = len(xs)
-        return [([None] * n, [None] * n, list(range(n))) if y is None else (xs, [y] * n, [])
-                for y in map(self._profile, lats)]
+    def _parallels(self, offsets):
+        xs = [u * self._x_scale for u in offsets]
+        return lambda y: (xs, [y] * len(xs))
 
-    def _columns(self, lats, lons):
-        ys = list(map(self._profile, lats))
-        holes = [i for i, y in enumerate(ys) if y is None]
-        columns = []
-        for u in self._offsets(lons):
-            xs = [u * self._x_scale] * len(ys)
-            for i in holes:
-                xs[i] = None
-            columns.append((xs, ys, holes))
-        return columns
+    def _meridian(self, levels, offset):
+        return [offset * self._x_scale] * len(levels), list(levels)
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         lat = self._latitude(p.y)
@@ -566,15 +584,16 @@ def conic_constants(phi_a: float, phi_b: float) -> ConicConstants:
 
 
 @dataclass(frozen=True)
-class _Conic(_Meridional):
+class _Conic(_Separable):
     """Base of the two-standard-parallel conics. Meridians are rays through
     the apex, at y = rho_ref, at angle n * (lon - lon0); parallels are
-    circles of radius rho(lat) about it. Southern-aspect instances (negative
-    parallels) mirror the northern formulas in y.
+    circles of radius |rho(lat)| about it. As in Snyder's formulas, n,
+    rho_ref and rho carry ``_sign``, -1.0 for a southern aspect (negative
+    parallels), which mirrors the northern one in y.
 
-    A family supplies, for the northern aspect, ``_cone`` = (n, rho_ref),
-    ``_radius(phi, lat, lon)``, the radius of the parallel phi (raising on
-    points outside the domain, which it names by the unmirrored lat, lon),
+    A family supplies ``_cone`` = (n, rho_ref), signed, and for the
+    northern aspect ``_radius(phi, lat, lon)``, the radius of the parallel
+    phi (raising on points outside the domain, which it names by lat, lon),
     and ``_latitude(rho)`` (its inverse, raising on radii without a
     preimage).
     """
@@ -596,67 +615,46 @@ class _Conic(_Meridional):
         super().__post_init__()
 
     @cached_property
-    def _south(self) -> bool:
-        return self.phi_a < 0.0
+    def _sign(self) -> float:
+        return math.copysign(1.0, self.phi_a)
 
     def _level(self, lat: float, lon: float) -> float:
-        """The ``_radius`` of the parallel lat, mirrored in a southern aspect."""
-        return self._radius(-lat if self._south else lat, lat, lon)
+        """The signed radius of the parallel lat."""
+        sign = self._sign
+        return sign * self._radius(sign * lat, lat, lon)
 
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         n, rho_ref = self._cone
         rho = self._level(lat, lon)
         theta = n * wrap_longitude(lon - self.lon0)
-        x = rho * math.sin(theta)
-        y = rho_ref - rho * math.cos(theta)
-        return x, -y if self._south else y
+        return rho * math.sin(theta), rho_ref - rho * math.cos(theta)
 
-    def _placed(self, xs, ys, holes) -> tuple[list, list, list[int]]:
-        """The grid curve through the northern-aspect points ``(xs, ys)``,
-        mirrored in y in a southern aspect, with None at its holes."""
-        if self._south:
-            ys = [-y for y in ys]
-        for i in holes:
-            xs[i] = ys[i] = None
-        return xs, ys, holes
-
-    def _rows(self, lats, lons):
+    def _parallels(self, offsets):
         n, rho_ref = self._cone
-        thetas = [n * u for u in self._offsets(lons)]
+        thetas = [n * u for u in offsets]
         sines, cosines = list(map(math.sin, thetas)), list(map(math.cos, thetas))
-        k = len(thetas)
-        return [
-            ([None] * k, [None] * k, list(range(k))) if rho is None
-            else self._placed([rho * s for s in sines], [rho_ref - rho * c for c in cosines], [])
-            for rho in map(self._profile, lats)
-        ]
+        return lambda rho: ([rho * s for s in sines], [rho_ref - rho * c for c in cosines])
 
-    def _columns(self, lats, lons):
+    def _meridian(self, levels, offset):
         n, rho_ref = self._cone
-        rhos = list(map(self._profile, lats))
-        holes = [i for i, rho in enumerate(rhos) if rho is None]
-        rhos = [0.0 if rho is None else rho for rho in rhos]
-        columns = []
-        for u in self._offsets(lons):
-            theta = n * u
-            s, c = math.sin(theta), math.cos(theta)
-            columns.append(self._placed([rho * s for rho in rhos],
-                                        [rho_ref - rho * c for rho in rhos], holes))
-        return columns
+        theta = n * offset
+        s, c = math.sin(theta), math.cos(theta)
+        return [rho * s for rho in levels], [rho_ref - rho * c for rho in levels]
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         n, rho_ref = self._cone
-        y = -p.y if self._south else p.y
-        dy = rho_ref - y
+        sign = self._sign
+        # the northern aspect's offset below the apex; sign * (rho_ref - p.y)
+        # would give the apex itself -0.0, which atan2 turns into pi
+        dy = sign * rho_ref - sign * p.y
         rho = math.hypot(p.x, dy)
         if not rho < math.inf:  # NaN fails too
             raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
         theta = math.atan2(p.x, dy)
-        dlam = theta / n
+        dlam = sign * theta / n
         if abs(dlam) > math.pi + 1e-9:
             raise DomainError(f"no preimage: map angle {theta:.9g} outside the cone wedge")
-        lat = self._latitude(rho)
-        return GeoCoord(-lat if self._south else lat, self.lon0 + dlam)
+        return GeoCoord(sign * self._latitude(rho), self.lon0 + dlam)
 
 
 @dataclass(frozen=True)
@@ -666,8 +664,8 @@ class EquidistantConic(_Conic):
     Meridians are straight rays through the apex, parallels concentric
     circular arcs spaced by their true latitude difference; the longitude
     degree / latitude degree ratio is exact on both standard parallels. The
-    apex where the meridian images meet lies beyond the pole. Southern-aspect
-    instances (negative parallels) mirror the northern formulas in y.
+    apex where the meridian images meet lies beyond the pole. A southern
+    aspect (negative parallels) is the northern map mirrored in y.
 
     ``cutoff``, when set, bounds the poleward latitude the map accepts;
     otherwise the domain runs to where the parallel radius reaches zero.
@@ -689,7 +687,7 @@ class EquidistantConic(_Conic):
 
     @cached_property
     def _cone(self) -> tuple[float, float]:
-        return self.constants.n, self.constants.rho_ref
+        return self._sign * self.constants.n, self._sign * self.constants.rho_ref
 
     @cached_property
     def _rho_equator(self) -> float:
@@ -720,7 +718,7 @@ class EquidistantConic(_Conic):
 class LambertConformalConic(_Conic):
     """Conformal conic with true scale on both standard parallels; poles are
     excluded (the near pole is the apex limit, the far one is at infinity).
-    Southern aspects mirror the northern formulas in y."""
+    A southern aspect is the northern map mirrored in y."""
 
     family: ClassVar[str] = "lambert_conformal_conic"
 
@@ -736,7 +734,7 @@ class LambertConformalConic(_Conic):
 
     @cached_property
     def _cone(self) -> tuple[float, float]:
-        return self._nF[0], self._nF[2]
+        return self._sign * self._nF[0], self._sign * self._nF[2]
 
     def _rho(self, lat: float) -> float:
         n, f, _ = self._nF

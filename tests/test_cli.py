@@ -165,6 +165,19 @@ class TestDistortion:
         assert [(h, k, omega) for _, _, h, k, _, omega, _ in rows] == [
             (h, h, "0.000000") for h in ["2.000000"] * 5 + ["1.000000"] * 5 + ["2.000000"] * 5]
 
+    def test_region_ending_at_negative_zero_prints_zero(self, capsys, tmp_path):
+        # the axes end at the region's bound -0.0, in the table and the CSV
+        argv = ("distortion", "--proj", "mercator", "--region", "-10:-0,-10:-0", "--grid", "3x3")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [line.split()[:2] for line in out.splitlines()[1:]]
+        assert rows[-1] == ["0.0000", "0.0000"] and "-0.0" not in out
+        target = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        text = target.read_text()
+        assert text.splitlines()[-1].startswith("0.000000,0.000000,") and "-0.0" not in text
+
     def test_201x201_table_is_pinned(self, capsys):
         # the benchmark's end-to-end CLI run; digest recorded before the
         # sample loop moved onto the float kernels
@@ -304,6 +317,19 @@ class TestGeodesic:
         )
         assert code == 0
         assert len(target.read_text().strip().splitlines()) == 22
+
+    @pytest.mark.parametrize("spec, src", [
+        ("mercator", "-0,0"),
+        ("equidistant_conic lat1=-45 lat2=-60", "-45,0"),
+    ])
+    def test_csv_has_no_negative_zero(self, capsys, tmp_path, spec, src):
+        # the first sample's image is (0, -0.0): a latitude of -0 on Mercator,
+        # the inner standard parallel on lon0 of a southern conic
+        target = tmp_path / "geo.csv"
+        code, _, _ = run(capsys, "geodesic", "--proj", spec, f"--from={src}", "--to", "10,10",
+                         "-n", "3", "--csv", str(target))
+        assert code == 0
+        assert target.read_text().splitlines()[1] == "0,0"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("index", [0, 20, 40])

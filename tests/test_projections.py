@@ -348,14 +348,6 @@ class TestEquidistantConic:
                 math.radians(45), math.radians(60), cutoff=math.radians(70)
             ).forward(GeoCoord.from_degrees(75, 0))
 
-    def test_southern_aspect_mirror(self):
-        north = self.proj
-        south = EquidistantConic(math.radians(-45), math.radians(-60))
-        p_n = north.forward(GeoCoord.from_degrees(55, 30))
-        p_s = south.forward(GeoCoord.from_degrees(-55, 30))
-        assert p_s.x == pytest.approx(p_n.x, abs=1e-15)
-        assert p_s.y == pytest.approx(-p_n.y, abs=1e-15)
-
     @pytest.mark.parametrize("cutoff, below_apex, message", [
         (None, 1e-10, "no preimage: point at or beyond the cone apex"),
         (None, 5.0, "no preimage: radius beyond the far pole"),
@@ -449,8 +441,8 @@ class TestLambertConformalConic:
         # the inverse rejects the band forward rejects, so a plane point next
         # to the apex either raises or comes back as a point forward accepts
         proj = parse_projection(spec)
-        _, rho_ref = proj._cone
-        apex_y = -rho_ref if proj._south else rho_ref
+        # the signed cone's apex: at y = rho_ref in either aspect
+        _, apex_y = proj._cone
         for _ in range(20000):
             gap, angle = 10 ** rng.uniform(-20, -9), rng.uniform(-math.pi, math.pi)
             try:
@@ -469,18 +461,12 @@ class TestLambertConformalConic:
         # latitude one ulp short of it on the apex side, whose image rounds
         # back into the band; the next latitude inverts
         proj = parse_projection(spec)
-        sign = -1.0 if proj._south else 1.0
+        sign = proj._sign
         edge = math.nextafter(math.pi / 2 - 1e-12, 0.0)
         with pytest.raises(DomainError, match=r"^no preimage: radius \S+ at the excluded pole$"):
             proj.inverse(proj.forward(GeoCoord(sign * edge, 0.3)))
         lat = sign * math.nextafter(edge, 0.0)
         assert proj.inverse(proj.forward(GeoCoord(lat, 0.3))).lat == lat
-
-    def test_southern_aspect_mirror(self):
-        south = LambertConformalConic(math.radians(-45), math.radians(-60))
-        p_n = self.proj.forward(GeoCoord.from_degrees(55, 30))
-        p_s = south.forward(GeoCoord.from_degrees(-55, 30))
-        assert (p_s.x, p_s.y) == (pytest.approx(p_n.x), pytest.approx(-p_n.y))
 
 
 class TestLambertEqualArea:
@@ -1283,6 +1269,61 @@ class TestGridKernels:
             "equirectangular", "lambert_cylindrical_equal_area", "werner")
         assert any(None in row for row in want) != unbounded
         assert -math.pi / 2 in lats and math.pi / 2 in lats
+
+
+MIRROR_SPECS = [
+    "equidistant_conic lat1=45 lat2=60",
+    "equidistant_conic lat1=20 lat2=50 lon0=180 cutoff=70",
+    "equidistant_conic lat1=60 lat2=89.999999 lon0=-100",
+    "lambert_conformal_conic lat1=45 lat2=60",
+    "lambert_conformal_conic lat1=10 lat2=89.999999 lon0=170",
+]
+
+
+@pytest.mark.parametrize("spec", MIRROR_SPECS)
+def test_southern_aspect_is_an_exact_mirror(spec, rng):
+    # the southern conic's image of -lat is the northern image of lat with y
+    # negated, to the bit: x the same, y = 0.0 - y (so an exact zero stays
+    # +0.0), and the same holes; the inverse of (x, -y) is the negated
+    # latitude at the same longitude, or the same error
+    north = parse_projection(spec)
+    south = parse_projection(re.sub(r"(lat1|lat2|cutoff)=", r"\1=-", spec))
+    assert (north._sign, south._sign) == (1.0, -1.0)
+    lats, lons = _kernel_axes(north, rng)
+    lats = sorted({*lats, north.phi_a})
+    mirrored = [-lat for lat in lats]
+
+    def reflected(curve):
+        xs, ys, holes = curve
+        return _hex_curve(xs, [None if y is None else 0.0 - y for y in ys], holes)
+
+    assert ([_hex_curve(*c) for c in south._rows(mirrored, lons)]
+            == [reflected(c) for c in north._rows(lats, lons)])
+    assert ([_hex_curve(*c) for c in south._columns(mirrored, lons)]
+            == [reflected(c) for c in north._columns(lats, lons)])
+    images = []
+    for lat in lats:
+        for lon in lons:
+            image = _outcome(north._xy, lat, lon)[1]
+            want = None if image is None else (image[0].hex(), (0.0 - image[1]).hex())
+            got = _outcome(south._xy, -lat, lon)[1]
+            assert (None if got is None else (got[0].hex(), got[1].hex())) == want, (lat, lon)
+            if image is not None:
+                images.append(image)
+    # every cone but the first, whose apex lies beyond the pole, has holes
+    assert (len(images) < len(lats) * len(lons)) == (spec != MIRROR_SPECS[0])
+    _, apex_y = north._cone
+    points = rng.sample(images, 1000) + [
+        (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)) for _ in range(2000)] + [
+        (0.0, apex_y), (-0.0, apex_y)]
+    for x, y in points:
+        want = _outcome(lambda: dataclasses.astuple(north.inverse(PlanePoint(x, y))))
+        got = _outcome(lambda: dataclasses.astuple(south.inverse(PlanePoint(x, -y))))
+        if want[1] is None:
+            assert got == want
+        else:
+            lat, lon = want[1]
+            assert got[0] == f"{(-lat).hex()} {lon.hex()}"
 
 
 AZIMUTHAL_SPECS = [spec for spec in GRID_KERNEL_SPECS
