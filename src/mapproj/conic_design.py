@@ -54,7 +54,7 @@ class LatBand:
         if not 0.0 <= phi_lo < phi_hi < HALF_PI:
             raise ParameterError(
                 "band must satisfy 0 <= lo < hi < 90°, got "
-                f"[{math.degrees(phi_lo):.4f}°, {math.degrees(phi_hi):.4f}°]"
+                f"[{math.degrees(phi_lo) + 0.0:.4f}°, {math.degrees(phi_hi) + 0.0:.4f}°]"
             )
         if phi_hi - phi_lo <= 1e-6:
             raise ParameterError("band narrower than 1e-6 rad")

@@ -34,8 +34,8 @@ in a southern aspect). Azimuthal families take an arbitrary ``center`` (the
 tangent point); their plane axes follow east/north at the center, except at
 the poles, where every direction is north/south and the axes instead point
 toward longitudes 0 and 90E.
-Oblique aspects therefore need no per-family formulas: the radial profile is
-applied to the arc distance from the center.
+Oblique aspects therefore need no per-family formulas: the radial law
+``(k, f, m, f_inv)`` is applied to the arc distance from the center.
 
 All parameters are radians; :func:`parse_projection` builds a projection from
 a degree-based plain-text spec string (grammar in its docstring).
@@ -59,7 +59,6 @@ from .geo import (
     GeoCoord,
     _clamp,
     _slot_setters,
-    from_unit_vector,
     wrap_longitude,
 )
 
@@ -69,6 +68,8 @@ RHO_MIN = 1e-9
 # below cos(_limit) is a hole before its arc distance is taken; dot and the
 # tangent norm carry a few ulps of rounding, so the exact test rejects it too
 FAR_SIDE_MARGIN = 1e-9
+# the azimuthal inverse caps its arc distance this far below _limit
+LIMIT_MARGIN = 1e-15
 
 
 class UnknownFamilyError(ParameterError):
@@ -242,19 +243,21 @@ class _Separable(_Meridional):
 class _Azimuthal(Projection):
     """Shared machinery: radial profile r(c) applied to the arc distance c
     from the tangent point, direction taken from the local east/north frame.
-    A family declares its profile as data: ``_radial_law = (k, f, m)``, a
-    builtin f and two constants with r(c) = k * f(m * c) (a factor 1.0 is
-    exact), and ``_limit``, the smallest arc distance it excludes, which
-    ``_xy`` rejects for the reason ``_excluded``. Its one hook,
-    ``_radial_inverse(r)``, returns c or raises ``DomainError``.
+    A family is data alone: ``_radial_law = (k, f, m, f_inv)``, a builtin f,
+    its inverse and constants with r(c) = k * f(m * c) (a factor 1.0 is
+    exact); ``_limit``, the smallest arc distance it excludes, which ``_xy``
+    rejects for the reason ``_excluded``; and ``_rim``, the name of its image.
 
-    ``_xy`` projects one point; the grid methods take the sine and cosine of
-    each axis value once and project each curve from its unit vectors, with
-    the frame unpacked once and ``_xy``'s operations in the same order, so
-    both give the same floats."""
+    ``_xy`` projects one point; the grid methods project each curve from the
+    sines and cosines of its axis values, in ``_xy``'s operations and order,
+    so both give the same floats. ``inverse`` rejects a radius more than 1e-9
+    beyond the rim, inverts the law clamped to the rim, caps the distance
+    ``LIMIT_MARGIN`` below ``_limit``, so that forward accepts the point, and
+    takes its latitude by atan2, which keeps digits that asin(z) rounds away."""
 
     center: GeoCoord = NORTH_POLE
     _excluded: ClassVar[str]
+    _rim: ClassVar[str]
     _limit: ClassVar[float]
     _radial_law: ClassVar[tuple]
 
@@ -280,7 +283,7 @@ class _Azimuthal(Projection):
             raise _OutOfDomain(self, lat, lon, self._excluded)
         if tnorm < 1e-15:
             return 0.0, 0.0
-        k, f, m = self._radial_law
+        k, f, m, _ = self._radial_law
         r = k * f(m * c) / tnorm
         return r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
 
@@ -300,7 +303,7 @@ class _Azimuthal(Projection):
         :meth:`Projection._rows` gives a curve, with the far side cut by
         :data:`FAR_SIDE_MARGIN`."""
         (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
-        limit, (k, f, m) = self._limit, self._radial_law
+        limit, (k, f, m, _) = self._limit, self._radial_law
         far = math.cos(limit) - FAR_SIDE_MARGIN
         atan2, sqrt = math.atan2, math.sqrt
         xs, ys, holes = [], [], []
@@ -331,15 +334,19 @@ class _Azimuthal(Projection):
         r = math.hypot(p.x, p.y)
         if not r < math.inf:  # NaN fails too
             raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
-        dist = self._radial_inverse(r)
+        k, f, m, f_inv = self._radial_law
+        q, q_max = r / k, f(m * self._limit)
+        if r > k * q_max + 1e-9:
+            raise DomainError(f"no preimage: radius {r:.9g} beyond the {self._rim}")
         if r < 1e-15:
             return GeoCoord(self.center.lat, self.center.lon)
+        dist, cap = f_inv(q if q < q_max else q_max) / m, self._limit - LIMIT_MARGIN
+        dist = dist if dist < cap else cap
         (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
         dx, dy, dz = (p.x * ex + p.y * nx) / r, (p.x * ey + p.y * ny) / r, (p.x * ez + p.y * nz) / r
         cos_d, sin_d = math.cos(dist), math.sin(dist)
-        return from_unit_vector(
-            (cos_d * cx + sin_d * dx, cos_d * cy + sin_d * dy, cos_d * cz + sin_d * dz)
-        )
+        x, y = cos_d * cx + sin_d * dx, cos_d * cy + sin_d * dy
+        return GeoCoord(math.atan2(cos_d * cz + sin_d * dz, math.hypot(x, y)), math.atan2(y, x))
 
 
 @dataclass(frozen=True)
@@ -352,12 +359,10 @@ class Stereographic(_Azimuthal):
     center: GeoCoord = SOUTH_POLE
     family: ClassVar[str] = "stereographic"
     _excluded: ClassVar[str] = "the projection source maps to infinity"
+    _rim: ClassVar[str] = "stereographic disc"
 
     _limit: ClassVar[float] = math.pi - 1e-12
-    _radial_law: ClassVar[tuple] = (2.0, math.tan, 0.5)
-
-    def _radial_inverse(self, r: float) -> float:
-        return 2.0 * math.atan(0.5 * r)
+    _radial_law: ClassVar[tuple] = (2.0, math.tan, 0.5, math.atan)
 
 
 @dataclass(frozen=True)
@@ -370,12 +375,10 @@ class Gnomonic(_Azimuthal):
     center: GeoCoord = SOUTH_POLE
     family: ClassVar[str] = "gnomonic"
     _excluded: ClassVar[str] = "on or beyond the horizon of the tangent point"
+    _rim: ClassVar[str] = "gnomonic disc"
 
     _limit: ClassVar[float] = HALF_PI - 1e-12
-    _radial_law: ClassVar[tuple] = (1.0, math.tan, 1.0)
-
-    def _radial_inverse(self, r: float) -> float:
-        return math.atan(r)
+    _radial_law: ClassVar[tuple] = (1.0, math.tan, 1.0, math.atan)
 
 
 @dataclass(frozen=True)
@@ -398,14 +401,10 @@ class Orthographic(_Azimuthal):
 
     family: ClassVar[str] = "orthographic"
     _excluded: ClassVar[str] = "on the hidden hemisphere"
+    _rim: ClassVar[str] = "orthographic limb"
 
     _limit: ClassVar[float] = math.nextafter(HALF_PI + 1e-12, math.inf)  # the closed hemisphere
-    _radial_law: ClassVar[tuple] = (1.0, math.sin, 1.0)
-
-    def _radial_inverse(self, r: float) -> float:
-        if r > 1.0 + 1e-9:
-            raise DomainError(f"no preimage: radius {r:.9g} beyond the orthographic limb")
-        return math.asin(_clamp(r, -1.0, 1.0))
+    _radial_law: ClassVar[tuple] = (1.0, math.sin, 1.0, math.asin)
 
 
 class LambertAzimuthalEqualArea(_Azimuthal):
@@ -414,14 +413,10 @@ class LambertAzimuthalEqualArea(_Azimuthal):
 
     family: ClassVar[str] = "lambert_azimuthal_equal_area"
     _excluded: ClassVar[str] = "antipode of the center is excluded"
+    _rim: ClassVar[str] = "equal-area disc"
 
     _limit: ClassVar[float] = math.pi - 1e-12
-    _radial_law: ClassVar[tuple] = (2.0, math.sin, 0.5)
-
-    def _radial_inverse(self, r: float) -> float:
-        if r > 2.0 + 1e-9:
-            raise DomainError(f"no preimage: radius {r:.9g} beyond the equal-area disc")
-        return 2.0 * math.asin(_clamp(0.5 * r, -1.0, 1.0))
+    _radial_law: ClassVar[tuple] = (2.0, math.sin, 0.5, math.asin)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from mapproj import EquidistantConic, GeoCoord, geodesics, parse_projection, sample_great_circle
+from mapproj import (
+    EquidistantConic, GeoCoord, PlanePoint, geodesics, parse_projection, sample_great_circle,
+)
 from mapproj.cli import build_parser, main
 from mapproj.conic_design import LatBand
 from mapproj.errors import ParameterError
@@ -87,9 +89,12 @@ class TestProject:
 
 class TestInverse:
     def test_no_negative_zero(self, capsys):
-        # the gnomonic horizon: the latitude comes back as a tiny negative
-        code, out, _ = run(capsys, "inverse", "--proj", "gnomonic", "--x", "0", "--y", "1e20")
-        assert (code, out) == (0, "lat=0.000000 lon=90.000000\n")
+        # 1e-12 south of the gnomonic tangent point: the latitude comes back
+        # as a tiny negative, about -5.7e-11 degrees
+        spec = "gnomonic center=0,0"
+        assert -1e-10 < parse_projection(spec).inverse(PlanePoint(0.0, -1e-12)).lat_deg < 0.0
+        code, out, _ = run(capsys, "inverse", "--proj", spec, "--x", "0", "--y", "-1e-12")
+        assert (code, out) == (0, "lat=0.000000 lon=0.000000\n")
         code, out, _ = run(capsys, "inverse", "--proj", "mercator", "--x", "-1e-9", "--y", "-0.0")
         assert (code, out) == (0, "lat=0.000000 lon=0.000000\n")
 
@@ -107,6 +112,14 @@ class TestInverse:
         )
         assert code == 1
         assert "no preimage" in err
+
+    @pytest.mark.parametrize("spec", ["gnomonic", "stereographic"])
+    def test_beyond_the_limits_image_is_exit_one(self, capsys, spec):
+        # 1e20 lies beyond the image of the domain, as the horizon point and
+        # the projection source, which project rejects, lie beyond the domain
+        code, out, err = run(capsys, "inverse", "--proj", spec, "--x", "0", "--y", "1e20")
+        assert (code, out) == (1, "")
+        assert err == f"error: no preimage: radius 1e+20 beyond the {spec} disc\n"
 
     @pytest.mark.parametrize("offset, shown", [("nan", "nan"), ("inf", "-inf"), ("-inf", "inf")])
     def test_non_finite_prime_meridian_is_exit_one(self, capsys, offset, shown):
@@ -242,6 +255,14 @@ class TestOptimize:
 
     def test_bad_band(self, capsys):
         assert run(capsys, "optimize", "--band", "70:45")[0] == 1
+
+    @pytest.mark.parametrize("band, shown", [
+        ("-10:-0", "[-10.0000°, 0.0000°]"), ("-0:-5", "[0.0000°, -5.0000°]"),
+    ], ids=["-10:-0", "-0:-5"])
+    def test_bad_band_echoes_no_negative_zero(self, capsys, band, shown):
+        code, out, err = run(capsys, "optimize", f"--band={band}")
+        assert (code, out) == (1, "")
+        assert err == f"error: band must satisfy 0 <= lo < hi < 90°, got {shown}\n"
 
     def test_thin_band_at_the_pole_prints_the_quarter_rule_twice(self, capsys):
         # minimax_parallels falls back to the quarter rule on this band

@@ -30,14 +30,14 @@ def test_no_top_level_name_defined_twice():
     assert twice == {}
 
 
-# the names under which a family keeps its formula and its tear, the signed
-# cone and its sign included, and the separable families' grid hooks; atlas,
-# distortion and geodesics reach every family through _xy and the grid
-# methods _rows, _columns and _curve, and find the tear through _offsets, so
-# that it is decided in projections alone
+# the names under which a family keeps its formula, its tear and its rim,
+# the signed cone and its sign included, and the separable families' grid
+# hooks; atlas, distortion and geodesics reach every family through _xy and
+# the grid methods _rows, _columns and _curve, and find the tear through
+# _offsets, so that it is decided in projections alone
 KERNEL_INTERNALS = {"_cone", "_sign", "_x_scale", "_radius", "_level", "_profile", "_parallels",
-                    "_meridian", "_limit", "_radial_law", "_frame", "lon0", "center",
-                    "cut_longitude"}
+                    "_meridian", "_limit", "_rim", "_radial_law", "_frame", "lon0",
+                    "center", "cut_longitude"}
 # a geodesics arc fit has a center of its own, which a name bound to a fit reads
 ARC_FITS = {"_three_point_fit", "fit_circular_arc"}
 
@@ -124,8 +124,7 @@ HOT_FUNCTIONS = {
     "geo.py": {"_clamp", "_canonical", "from_unit_vector", "spherical_angle_from_sides"},
     "projections.py": {
         "Equirectangular._latitude", "LambertCylindricalEqualArea._latitude",
-        "EquidistantConic._latitude", "Orthographic._radial_inverse",
-        "LambertAzimuthalEqualArea._radial_inverse", "Werner.inverse",
+        "EquidistantConic._latitude", "_Azimuthal.inverse", "Werner.inverse",
     },
 }
 
