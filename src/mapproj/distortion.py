@@ -114,10 +114,10 @@ class FieldRange:
 def _jacobian(proj: Projection, lat: float, lon: float):
     """(dx/dlat, dx/dlon, dy/dlat, dy/dlon) of the kernel of ``proj`` at
     canonical floats; see :func:`local_jacobian`. Neighbours take a GeoCoord's
-    canonical form, as a step can cross a pole or the seam; without a tear a
-    sample counts as offset 0. The sample is projected too, so that the
-    kernel's own error rejects a point it excludes on its own."""
-    xy, (u,) = proj._xy, proj._offsets((lon,)) or (0.0,)
+    canonical form, as a step can cross a pole or the seam; without a tear
+    ``_offsets`` puts every sample at offset 0. The sample is projected too,
+    so that the kernel's own error rejects a point it excludes on its own."""
+    xy, (u,) = proj._xy, proj._offsets((lon,))
     last_error: DomainError | None = None
     for s in (STEP, 0.1 * STEP):
         if math.pi - abs(u) < 2.0 * s:
@@ -244,7 +244,7 @@ def _grid(proj: Projection, lats: list[float], lons: list[float]):
     """
     s, inv = STEP, 0.5 / STEP
     inner = [i for i, lat in enumerate(lats) if -HALF_PI < lat - s and lat + s < HALF_PI]
-    offsets = proj._offsets(lons) or [0.0] * len(lons)
+    offsets = proj._offsets(lons)
     centre = [j for j, u in enumerate(offsets) if math.pi - abs(u) >= 2.0 * s]
     north_south = proj._rows([p for i in inner for p in (lats[i] + s, lats[i] - s)],
                              [lons[j] for j in centre])

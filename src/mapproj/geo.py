@@ -179,15 +179,13 @@ def to_unit_vector(c: GeoCoord) -> numpy.ndarray:
 
 
 def from_unit_vector(v) -> GeoCoord:
-    """Inverse of :func:`to_unit_vector`; rejects clearly non-unit input."""
+    """Inverse of :func:`to_unit_vector`; rejects clearly non-unit input and
+    reads the rest as it is, by atan2, which does not depend on the length."""
     x, y, z = map(float, v)
     norm = math.sqrt(x * x + y * y + z * z)
     if abs(norm - 1.0) > UNIT_NORM_TOL:
         raise DomainError(f"not a unit vector: |v| = {norm:.12g}")
-    x, y, z = x / norm, y / norm, z / norm
-    lat = math.asin(_clamp(z, -1.0, 1.0))
-    lon = math.atan2(y, x) if (x != 0.0 or y != 0.0) else 0.0
-    return GeoCoord(lat, lon)
+    return GeoCoord(math.atan2(z, math.hypot(x, y)), math.atan2(y, x))
 
 
 def great_circle_distance(a: GeoCoord, b: GeoCoord) -> float:
@@ -239,7 +237,9 @@ def sample_great_circle(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
 
     Spherical linear interpolation of the unit vectors; endpoints are returned
     exactly. Antipodal endpoints are rejected (no unique minor arc), and so
-    is n above :data:`MAX_SAMPLES`.
+    is n above :data:`MAX_SAMPLES`. Each sample is read by atan2, which does
+    not depend on the length of the interpolated vector: close to antipodal
+    endpoints the rounding of omega over sin(omega) moves that length off 1.
     """
     if n < 2:
         raise ParameterError(f"need at least 2 samples, got {n}")
@@ -262,7 +262,6 @@ def sample_great_circle(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
         wx = (su * ux + sv * vx) / sin_omega
         wy = (su * uy + sv * vy) / sin_omega
         wz = (su * uz + sv * vz) / sin_omega
-        norm = math.sqrt(wx * wx + wy * wy + wz * wz)
-        points.append(from_unit_vector((wx / norm, wy / norm, wz / norm)))
+        points.append(GeoCoord(math.atan2(wz, math.hypot(wx, wy)), math.atan2(wy, wx)))
     points.append(b)
     return points

@@ -98,10 +98,8 @@ def _tears(proj: Projection, lons) -> list[int]:
     """The indices j at which a curve through the longitudes ``lons``
     crosses the tear of ``proj``: a jump of more than pi in the offset from
     the central meridian, as the projection wraps it, from sample j - 1 to
-    j. A family without a tear has none."""
+    j. A family without a tear has all offsets 0.0, so none."""
     u = proj._offsets(lons)
-    if u is None:
-        return []
     return [j for j in range(1, len(u)) if abs(u[j] - u[j - 1]) > math.pi]
 
 

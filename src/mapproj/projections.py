@@ -66,7 +66,7 @@ from .geo import (
 RHO_MIN = 1e-9
 # an azimuthal grid sample whose dot product with the center falls this far
 # below cos(_limit) is a hole before its arc distance is taken; dot and the
-# tangent norm carry a few ulps of rounding, so the exact test rejects it too
+# norm of (p.e, p.n) carry a few ulps of rounding, so the exact test rejects it too
 FAR_SIDE_MARGIN = 1e-9
 # the azimuthal inverse caps its arc distance this far below _limit
 LIMIT_MARGIN = 1e-15
@@ -161,11 +161,11 @@ class Projection:
         """Longitude of the antimeridian tear, or None for azimuthal families."""
         return None
 
-    def _offsets(self, lons) -> list[float] | None:
+    def _offsets(self, lons) -> list[float]:
         """Each longitude's offset from the central meridian, in (-pi, pi], as
-        the kernel wraps it, or None without a tear; here from cut_longitude."""
+        the kernel wraps it (0.0 without a tear); here from cut_longitude."""
         if self.cut_longitude is None:
-            return None
+            return [0.0] * len(lons)
         centre = wrap_longitude(self.cut_longitude + math.pi)
         return [wrap_longitude(lon - centre) for lon in lons]
 
@@ -241,12 +241,14 @@ class _Separable(_Meridional):
 
 @dataclass(frozen=True)
 class _Azimuthal(Projection):
-    """Shared machinery: radial profile r(c) applied to the arc distance c
-    from the tangent point, direction taken from the local east/north frame.
-    A family is data alone: ``_radial_law = (k, f, m, f_inv)``, a builtin f,
-    its inverse and constants with r(c) = k * f(m * c) (a factor 1.0 is
-    exact); ``_limit``, the smallest arc distance it excludes, which ``_xy``
-    rejects for the reason ``_excluded``; and ``_rim``, the name of its image.
+    """Shared machinery: a point p has components a, b = p.e, p.n along east
+    and north at the center (both orthogonal to it, so no tangent vector is
+    formed) and its image is (a, b) scaled by r(c) / hypot(a, b), the radial
+    profile at the arc distance c = atan2(hypot(a, b), p.center). A family
+    is data alone: ``_radial_law = (k, f, m, f_inv)``, a builtin f, its
+    inverse and constants with r(c) = k * f(m * c) (a factor 1.0 is exact);
+    ``_limit``, the smallest arc distance it excludes, which ``_xy`` rejects
+    for the reason ``_excluded``; and ``_rim``, the name of its image.
 
     ``_xy`` projects one point; the grid methods project each curve from the
     sines and cosines of its axis values, in ``_xy``'s operations and order,
@@ -266,18 +268,18 @@ class _Azimuthal(Projection):
         """Unit vectors of the center and of east and north at it."""
         sin_lat, cos_lat = math.sin(self.center.lat), math.cos(self.center.lat)
         sin_lon, cos_lon = math.sin(self.center.lon), math.cos(self.center.lon)
-        cv = (cos_lat * cos_lon, cos_lat * sin_lon, sin_lat)
         if abs(self.center.lat) >= HALF_PI:
-            return cv, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
-        return cv, (-sin_lon, cos_lon, 0.0), (-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat)
+            return (0.0, 0.0, sin_lat), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+        return ((cos_lat * cos_lon, cos_lat * sin_lon, sin_lat), (-sin_lon, cos_lon, 0.0),
+                (-sin_lat * cos_lon, -sin_lat * sin_lon, cos_lat))
 
     def _xy(self, lat: float, lon: float) -> tuple[float, float]:
         (cx, cy, cz), (ex, ey, ez), (nx, ny, nz) = self._frame
         cos_lat = math.cos(lat)
         px, py, pz = cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(lat)
         dot = px * cx + py * cy + pz * cz
-        tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
-        tnorm = math.sqrt(tx * tx + ty * ty + tz * tz)
+        a, b = px * ex + py * ey + pz * ez, px * nx + py * ny + pz * nz
+        tnorm = math.sqrt(a * a + b * b)
         c = math.atan2(tnorm, dot)
         if c >= self._limit:
             raise _OutOfDomain(self, lat, lon, self._excluded)
@@ -285,7 +287,7 @@ class _Azimuthal(Projection):
             return 0.0, 0.0
         k, f, m, _ = self._radial_law
         r = k * f(m * c) / tnorm
-        return r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
+        return r * a, r * b
 
     def _rows(self, lats, lons):
         cos_lons, sin_lons = list(map(math.cos, lons)), list(map(math.sin, lons))
@@ -315,8 +317,8 @@ class _Azimuthal(Projection):
                 ys.append(None)
                 holes.append(j)
                 continue
-            tx, ty, tz = px - dot * cx, py - dot * cy, pz - dot * cz
-            tnorm = sqrt(tx * tx + ty * ty + tz * tz)
+            a, b = px * ex + py * ey + pz * ez, px * nx + py * ny + pz * nz
+            tnorm = sqrt(a * a + b * b)
             c = atan2(tnorm, dot)
             if c >= limit:
                 x = y = None
@@ -325,7 +327,7 @@ class _Azimuthal(Projection):
                 x = y = 0.0
             else:
                 r = k * f(m * c) / tnorm
-                x, y = r * (tx * ex + ty * ey + tz * ez), r * (tx * nx + ty * ny + tz * nz)
+                x, y = r * a, r * b
             xs.append(x)
             ys.append(y)
         return xs, ys, holes

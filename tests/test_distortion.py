@@ -423,7 +423,10 @@ class TestCsvExport:
 # The analysis benchmark's six families on its unjittered regions, plus one
 # region east of the antimeridian (longitudes past 180° wrap): SHA-256 of the
 # distortion grid's CSV and of the property report's floats, recorded before
-# the sample loops moved onto the per-family float kernels.
+# the sample loops moved onto the per-family float kernels. The azimuthal two
+# were recorded again when the azimuthal forward stopped forming the tangent
+# vector: against the same stencils evaluated at 40 digits, the median error
+# of the Jacobians, Tissot fields and column images fell in all four.
 BAND, WIDE = (45.0, 70.0, 30.0, 150.0), (10.0, 80.0, 120.0, 260.0)
 ANALYSIS_CASES = {
     "equidistant_conic": ("equidistant_conic lat1=45 lat2=60 lon0=90", BAND),
@@ -436,14 +439,14 @@ ANALYSIS_CASES = {
 ANALYSIS_DIGESTS = {
     ('equidistant_conic', False): "13b147080cf49440184a1ca4b8f28db5c1da6f3c90a18d155e7633d689877868",
     ('equidistant_conic', True): "9dd6434ad4458bf6597687367098b26e1767916cc6520041c15441ef09e146dd",
-    ('lambert_azimuthal_equal_area', False): "19cb327f42d5619d8bb909303a36d05bdded387fc95f9c68ec06568a4d5c57f8",
-    ('lambert_azimuthal_equal_area', True): "e724739d9a1d478c6423f7709366d4a91956a517933b821cffc615b9b7dff9f4",
+    ('lambert_azimuthal_equal_area', False): "b5ce1ffd6e5c45f2b8b4c8a78d524460a1b2f278dd3bf0bc12a6ed9e4b0476ca",
+    ('lambert_azimuthal_equal_area', True): "0e10dc47ce13b92ee6a68bea852c1ce244c58f64a8a666e9ae059c7b5b2596a6",
     ('lambert_conformal_conic', False): "13a7a85b3dc5d8756f23aecada0e875336eaaa71a2ccb380c4f300d1e9418197",
     ('lambert_conformal_conic', True): "2d2f8c26627a5a910e4f617cf9cf9aafa53eb52fa0b33a820a00d0af9ad2aa75",
     ('mercator', False): "6fceb841072a652b249bafe04337015fc787e5620de2608049293d1c23c65994",
     ('mercator', True): "efde233f3658922a709771bba56189b038508d8d8dfa2e481ecfaebdc83a349b",
-    ('stereographic', False): "5d18f001114947d54df37c1d1e072a156706e1f9e7bfdfa3f28380f6ee94b57a",
-    ('stereographic', True): "a2b7407fe0b2e519adb0d4172491d72dfb22a1bd27cf6a8b2876b99b14f05c0b",
+    ('stereographic', False): "c837f3565b6d554aa9ed92f02a7b0ea9c7753d34c9bf54c09086a8114bce7abf",
+    ('stereographic', True): "6f32931ad37b9a73f9011f763f13cb35976261908c79a1a4aeb8cbdbf8dac566",
     ('werner', False): "27fa776ee000dcb167dbfaa3ceb5eb92cec57b7297a00a41d96bbde4ac735093",
     ('werner', True): "dd534cf81b49e123a5dd8e49bd7cb06d49a89c1ee0497c1b028ac9490e0eb0f7",
 }

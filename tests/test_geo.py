@@ -469,6 +469,28 @@ class TestSampleGreatCircle:
         gaps = [great_circle_distance(p, q) for p, q in zip(pts, pts[1:])]
         assert max(gaps) - min(gaps) < 1e-12
 
+    def test_latitudes_over_the_pole(self):
+        # the meridian arc from 89.9999N 0E over the pole to 89.9999N 180E,
+        # where lat = pi/2 - |pi/2 - lat_a - t * omega|; asin(z) of a z this
+        # close to 1 loses half the digits
+        a, b = GeoCoord.from_degrees(89.9999, 0), GeoCoord.from_degrees(89.9999, 180)
+        omega, n = math.pi - 2.0 * a.lat, 101
+        pts = sample_great_circle(a, b, n)
+        for i, p in enumerate(pts):
+            want = math.pi / 2 - abs(math.pi / 2 - a.lat - i / (n - 1) * omega)
+            assert abs(p.lat - want) <= 1e-12, i
+
+    @pytest.mark.parametrize("short", [1e-8, 1e-7])
+    def test_nearly_antipodal_arc_is_sampled(self, short):
+        # an arc this close to antipodal interpolates vectors whose length is
+        # off 1 by about 1e-16 / short, more than from_unit_vector accepts
+        end, n = math.pi - short, 101
+        pts = sample_great_circle(GeoCoord(0, 0), GeoCoord(0, end), n)
+        assert len(pts) == n
+        for i, p in enumerate(pts):
+            assert p.lat == 0.0
+            assert abs(p.lon - i / (n - 1) * end) <= 1e-7, i
+
     def test_antipodal_rejected(self):
         with pytest.raises(AmbiguousGeodesicError):
             sample_great_circle(GeoCoord(0, 0), GeoCoord.from_degrees(0, 180), 5)
