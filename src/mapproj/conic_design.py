@@ -23,12 +23,20 @@ bracket.
 
 A choice holds its two parallels and its worst error; :func:`error_profile`
 samples its error k(phi) - 1 across the band on demand, for plots and CSV.
+
+Every caller asks for a choice's worst error, then its equioscillation
+residual, apex and span, in that order. So the errors at a cone's extremal
+latitudes and the cone's constants each keep the most recent call's result
+(``lru_cache(maxsize=1)``): the residual, apex and span of the choice just
+computed reuse them instead of solving the cone again. A kept result is the
+same float the call would compute; nothing older than the last call is held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, ParameterError
 from .geo import HALF_PI, _slot_setters, linspace
@@ -145,23 +153,27 @@ def _dip(apex: float, lo: float, hi: float, tol: float) -> float:
     below the apex, so the root is unique, and it is evaluated without
     cot(phi), which a band starting at the equator would blow up."""
     def equation(phi: float) -> tuple[float, float]:
-        ray = apex - phi
-        return ray * math.sin(phi) - math.cos(phi), ray * math.cos(phi)
+        ray, cos_phi = apex - phi, math.cos(phi)
+        return ray * math.sin(phi) - cos_phi, ray * cos_phi
     return _newton(equation, lo, hi, tol, "interior dip")
 
 
-def _band_dip(constants: ConicConstants, phi_a: float, band: LatBand) -> float:
-    """The dip of k inside the band, or, when the band holds none and k is
-    monotone over it, the band edge where k is lower."""
+def _band_dip(constants: ConicConstants, phi_a: float, lo: float, hi: float) -> float:
+    """The dip of k inside the band [lo, hi], or, when the band holds none
+    and k is monotone over it, the band edge where k is lower."""
     try:
-        return _dip(constants.rho_ref + phi_a, band.phi_lo, band.phi_hi, _DIP_TOL)
+        return _dip(constants.rho_ref + phi_a, lo, hi, _DIP_TOL)
     except ConvergenceError:
-        return min(band.phi_lo, band.phi_hi, key=lambda phi: _scale_error(constants, phi_a, phi))
+        return min(lo, hi, key=lambda phi: _scale_error(constants, phi_a, phi))
 
 
-def _extremal_errors(phi_a: float, phi_b: float, band: LatBand) -> tuple[list[float], float]:
-    """k - 1 at the band's lower and upper edge and at the interior dip
-    between the standard parallels, and the latitude of the dip."""
+@lru_cache(maxsize=1)
+def _extremal_errors(phi_a: float, phi_b: float,
+                     lo: float, hi: float) -> tuple[tuple[float, float, float], float]:
+    """k - 1 at the lower and upper edge of the band [lo, hi] and at the
+    interior dip between the standard parallels, and the latitude of the
+    dip. Keyed on floats, so the memo hashes in C; the errors are a tuple,
+    so no caller can edit the kept result."""
     constants = conic_constants(phi_a, phi_b)
     try:
         t = _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
@@ -170,8 +182,8 @@ def _extremal_errors(phi_a: float, phi_b: float, band: LatBand) -> tuple[list[fl
         # parallels closer than about 1e-10 rad the rounding of the apex
         # rho_ref + phi_a and of the dip equation can move the computed dip
         # off that bracket
-        t = _band_dip(constants, phi_a, band)
-    return [_scale_error(constants, phi_a, phi) for phi in (band.phi_lo, band.phi_hi, t)], t
+        t = _band_dip(constants, phi_a, lo, hi)
+    return tuple(_scale_error(constants, phi_a, phi) for phi in (lo, hi, t)), t
 
 
 def band_max_error(phi_a: float, phi_b: float, band: LatBand) -> float:
@@ -181,8 +193,12 @@ def band_max_error(phi_a: float, phi_b: float, band: LatBand) -> float:
     and is monotone on either side of it. So the worst error over the band
     is the largest of |e(lo)|, |e(hi)| and, when the dip lies inside the
     band, |e(dip)|.
+
+    The three errors of the most recent call are kept, so that
+    :func:`equioscillation_residual` of the choice just computed does not
+    solve its dip again; every result is the float a fresh call gives.
     """
-    errors, t = _extremal_errors(phi_a, phi_b, band)
+    errors, t = _extremal_errors(phi_a, phi_b, band.phi_lo, band.phi_hi)
     if not band.phi_lo < t < band.phi_hi:
         errors = errors[:2]
     return max(map(abs, errors))
@@ -248,8 +264,12 @@ def equioscillation_residual(band: LatBand, choice: ParallelChoice) -> float:
     Evaluates the error magnitude at the three extremal latitudes (both band
     edges, where k - 1 is positive, and the interior dip, where it is
     negative) and returns the largest deviation from the reported max_error.
+
+    Reads the errors that :func:`band_max_error` kept from its most recent
+    call, so the residual of the choice just computed costs no solve; for
+    any other choice they are computed, to the same floats.
     """
-    e_lo, e_hi, e_dip = _extremal_errors(choice.phi_a, choice.phi_b, band)[0]
+    e_lo, e_hi, e_dip = _extremal_errors(choice.phi_a, choice.phi_b, band.phi_lo, band.phi_hi)[0]
     return max(abs(m - choice.max_error) for m in (e_lo, e_hi, -e_dip))
 
 

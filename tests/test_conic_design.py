@@ -557,3 +557,60 @@ class TestDesignDigest:
         assert sum(band.width < 1e-4 for band in bands) == 300
         text = "\n".join(_design_line(band) for band in bands)
         assert hashlib.sha256(text.encode()).hexdigest() == DESIGN_DIGEST
+
+
+def _clear_memos():
+    conic_design._extremal_errors.cache_clear()
+    conic_constants.cache_clear()
+
+
+class TestLastCallMemo:
+    """_extremal_errors and conic_constants keep the most recent call's
+    result: the key holds every input, a kept result is the float a fresh
+    call gives, and nothing older than the last call is held."""
+
+    def test_band_edges_are_in_the_key(self):
+        pa, pb = math.radians(45), math.radians(60)
+        band_a, band_b = LatBand.from_degrees(40, 70), LatBand.from_degrees(30, 75)
+
+        def outputs(band):
+            worst = band_max_error(pa, pb, band)
+            return worst, equioscillation_residual(band, ParallelChoice(pa, pb, worst))
+
+        cold = {}
+        for band in (band_a, band_b):
+            _clear_memos()
+            cold[band] = outputs(band)
+        assert cold[band_a][0] != cold[band_b][0] and cold[band_a][1] != cold[band_b][1]
+        for band in (band_a, band_b, band_a):
+            assert outputs(band) == cold[band]
+
+    def test_warm_equals_cold(self, monkeypatch):
+        bands = _seeded_bands(200, 20261020) + [LatBand(0.0, 0.5), LatBand(-0.0, 0.5)]
+
+        def outputs():
+            lines = [_design_line(band) for band in bands]
+            # -0.0 and +0.0 are one key: the residual on the -0.0 band reads
+            # the errors kept for the +0.0 band
+            best = minimax_parallels(bands[-2])
+            return lines + [float.hex(equioscillation_residual(bands[-1], best))]
+
+        warm = outputs()
+        for name in ("_extremal_errors", "conic_constants"):
+            monkeypatch.setattr(conic_design, name, getattr(conic_design, name).__wrapped__)
+        assert outputs() == warm
+
+    def test_one_band_solves_each_cone_once(self):
+        band = LatBand.from_degrees(40, 70)
+        band_edges = band.phi_lo, band.phi_hi
+        _clear_memos()
+        quarter_rule(band)
+        best = minimax_parallels(band)
+        equioscillation_residual(band, best)
+        apex_overshoot_degrees(best.phi_a, best.phi_b)
+        semicircle_longitude_span(best.phi_a, best.phi_b)
+        # hits, misses, maxsize, currsize
+        assert tuple(conic_design._extremal_errors.cache_info()) == (1, 2, 1, 1)
+        assert tuple(conic_constants.cache_info()) == (2, 2, 1, 1)
+        # a tuple, so no caller can edit the kept errors
+        assert type(conic_design._extremal_errors(best.phi_a, best.phi_b, *band_edges)[0]) is tuple

@@ -7,7 +7,8 @@ projections, and those modules import only its interface. They call no
 The per-sample and per-step functions call no two-argument ``min`` or
 ``max``, which Python 3.11 runs through its slow varargs path. The SVG arc
 test takes its flags from the circle fit, without a pass over the samples,
-and the atlas keeps no state that outlives one render."""
+and the atlas keeps no state that outlives one render. A memo in the
+library keeps only the last call: every ``lru_cache`` has ``maxsize=1``."""
 
 import ast
 from collections import Counter
@@ -242,3 +243,46 @@ def test_atlas_keeps_no_state_between_renders():
     ) == ["line 1: Dict", "line 2: ListComp", "line 2: Set", "line 4: Dict", "line 5: Dict",
           "line 5: List", "line 6: global"]
     assert _import_time_state((ROOT / "src/mapproj/atlas.py").read_text(encoding="utf-8")) == []
+
+
+_CACHES = {"lru_cache", "cache"}
+
+
+def _unbounded_caches(source: str) -> list[str]:
+    """Each ``lru_cache`` or ``cache`` that may keep more than the last
+    call: a bare decorator, or a call whose only argument is not
+    ``maxsize=1``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and _called_name(node.func) in _CACHES:
+            if [ast.unparse(arg) for arg in (*node.args, *node.keywords)] != ["maxsize=1"]:
+                found.append(node)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [dec for dec in node.decorator_list if _called_name(dec) in _CACHES]
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def _called_name(node: ast.expr) -> str | None:
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_library_memos_keep_only_the_last_call():
+    # the positive control holds each form that keeps more than one result
+    assert _unbounded_caches(
+        "@lru_cache\n"
+        "def a(x): pass\n"
+        "@functools.cache\n"
+        "def b(x): pass\n"
+        "@lru_cache(maxsize=128)\n"
+        "def c(x): pass\n"
+        "@functools.lru_cache(maxsize=1)\n"
+        "def d(x): pass\n"
+        "@cached_property\n"
+        "def e(self): pass\n"
+        "f = lru_cache(maxsize=None)(a)\n"
+    ) == ["line 1: lru_cache", "line 3: functools.cache", "line 5: lru_cache(maxsize=128)",
+          "line 11: lru_cache(maxsize=None)"]
+    sources = sorted((ROOT / "src/mapproj").glob("*.py"))
+    assert {path.name: _unbounded_caches(path.read_text(encoding="utf-8")) for path in sources} == {
+        path.name: [] for path in sources}
