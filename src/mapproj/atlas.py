@@ -290,11 +290,10 @@ def dump_gazetteer(entries) -> str:
 def _pixels(tr, xs, ys) -> tuple[list[float], list[float]]:
     """Plane points to SVG pixels by ``tr = (margin, scale, min_x, max_y)``:
     uniform scale, margins, y flipped north-up. Each pixel is margin + (a
-    nonnegative difference) * scale, so a polyline prints it without _fmt;
-    adding 0.0 turns a -0.0 margin into 0.0, which keeps a zero coordinate
-    from printing as -0.000000."""
+    difference >= 0, perhaps -0.0) * scale, and render_svg makes the margin
+    +0.0 or positive, so the pixel is at least +0.0 and a polyline prints it
+    without _fmt."""
     margin, scale, min_x, max_y = tr
-    margin += 0.0
     return [margin + (x - min_x) * scale for x in xs], [margin + (max_y - y) * scale for y in ys]
 
 
@@ -350,7 +349,6 @@ def _curve_layer(name: str, segments, tr, style: str, arcs: bool) -> list[str]:
     it fits one, else a polyline, one ``%`` over its interleaved pixels.
     Every number has the bytes ``_pixels`` and ``%.6f`` give it."""
     margin, scale, min_x, max_y = tr
-    margin += 0.0
     x_texts: dict[float, str] = {}
     y_texts: dict[float, str] = {}
     lines = [f'  <g id="{name}" {style}>']
@@ -422,7 +420,8 @@ def render_svg(scene: MapScene) -> str:
             f"scale {scene.scale!r} and margin {scene.margin!r} give a map of "
             f"{width!r} by {height!r} pixels, which is not finite"
         )
-    tr = (scene.margin, scene.scale, min_x, max_y)
+    # +0.0 for a -0.0 margin, so that no pixel is -0.0 (see _pixels)
+    tr = (scene.margin + 0.0, scene.scale, min_x, max_y)
     pixels = list(zip(*_pixels(tr, marker_xs, marker_ys)))
 
     lines = [

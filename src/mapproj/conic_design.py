@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConvergenceError, DomainError, ParameterError
-from .geo import HALF_PI, _slot_setters, linspace
+from .geo import HALF_PI, _fmt, _slot_setters, linspace
 from .projections import ConicConstants, RHO_MIN, conic_constants
 
 SCAN_POINTS = 10_001
@@ -60,10 +60,8 @@ class LatBand:
 
     def __init__(self, phi_lo: float, phi_hi: float):
         if not 0.0 <= phi_lo < phi_hi < HALF_PI:
-            raise ParameterError(
-                "band must satisfy 0 <= lo < hi < 90°, got "
-                f"[{math.degrees(phi_lo) + 0.0:.4f}°, {math.degrees(phi_hi) + 0.0:.4f}°]"
-            )
+            lo, hi = (_fmt(math.degrees(phi), ".4f") for phi in (phi_lo, phi_hi))
+            raise ParameterError(f"band must satisfy 0 <= lo < hi < 90°, got [{lo}°, {hi}°]")
         if phi_hi - phi_lo <= 1e-6:
             raise ParameterError("band narrower than 1e-6 rad")
         _set_phi_lo(self, phi_lo)

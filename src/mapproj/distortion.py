@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParameterError
 from .geo import (
-    HALF_PI, MAX_SAMPLES, PI, GeoCoord, GeoRegion, _canonical, _clamp, _slot_setters,
+    HALF_PI, MAX_SAMPLES, PI, GeoCoord, GeoRegion, _canonical, _clamp, _fmt, _slot_setters,
     linspace, wrap_longitude,
 )
 from .geodesics import _deviations
@@ -214,11 +214,10 @@ MAX_GRID_SAMPLES = MAX_SAMPLES
 
 
 def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], list[float]]:
-    """The grid's latitudes and wrapped longitudes, with +0.0 for -0.0, which
-    the CLI table and :func:`grid_to_csv` would print signed. A region's
-    latitudes lie in [-90°, 90°] and its longitudes are finite, so (lat,
-    wrapped lon) is a grid point's canonical form off the poles, where
-    _tissot raises before reading the longitude."""
+    """The grid's latitudes and wrapped longitudes. A region's latitudes lie
+    in [-90°, 90°] and its longitudes are finite, so (lat, wrapped lon) is a
+    grid point's canonical form off the poles, where _tissot raises before
+    reading the longitude."""
     if nlat < 3 or nlon < 3:
         raise ParameterError(f"grid must be at least 3x3, got {nlat}x{nlon}")
     if nlat * nlon > MAX_GRID_SAMPLES:
@@ -226,8 +225,8 @@ def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], li
             f"grid of {nlat}x{nlon} = {nlat * nlon} samples exceeds the cap of "
             f"{MAX_GRID_SAMPLES} samples"
         )
-    return ([lat + 0.0 for lat in linspace(region.lat_lo, region.lat_hi, nlat)],
-            [wrap_longitude(lon) + 0.0 for lon in linspace(region.lon_lo, region.lon_hi, nlon)])
+    return (linspace(region.lat_lo, region.lat_hi, nlat),
+            [wrap_longitude(lon) for lon in linspace(region.lon_lo, region.lon_hi, nlon)])
 
 
 def _grid(proj: Projection, lats: list[float], lons: list[float]):
@@ -334,12 +333,15 @@ def max_distortion_scan(
 
 def grid_to_csv(rows: list[tuple[GeoCoord, DistortionSample]]) -> str:
     """CSV rendering of a distortion grid; angles in degrees, scales raw.
-    No field is ever quoted: every one is a formatted number."""
+    No field is ever quoted: every one is a formatted number. Each distinct
+    latitude and longitude is formatted once, by _fmt; the rest are >= +0."""
     degrees = math.degrees
+    lats = {lat: _fmt(degrees(lat)) for lat in {c.lat for c, _ in rows}}
+    lons = {lon: _fmt(degrees(lon)) for lon in {c.lon for c, _ in rows}}
     lines = ["lat_deg,lon_deg,h,k,theta_prime_deg,a,b,omega_deg,s"]
     lines += [
-        "%.6f,%.6f,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g" % (
-            degrees(c.lat), degrees(c.lon), d.h, d.k, degrees(d.theta_prime),
+        "%s,%s,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g" % (
+            lats[c.lat], lons[c.lon], d.h, d.k, degrees(d.theta_prime),
             d.a, d.b, degrees(d.omega), d.s,
         )
         for c, d in rows

@@ -57,11 +57,12 @@ def wrap_longitude(lon: float) -> float:
     return lon
 
 
-def _fmt(v: float) -> str:
-    """``%.6f``, except that a value rounding to a negative zero prints as
-    0.000000: the CLI's coordinates and the SVG's numbers."""
-    s = f"{v:.6f}"
-    return "0.000000" if s == "-0.000000" else s
+def _fmt(v: float, spec: str = ".6f") -> str:
+    """``format(v, spec)``, but ``format(0.0, spec)`` for a text that reads as
+    zero with a minus sign, so a padded spec keeps its width. Every printed
+    number that can be a negative zero goes through here; none reads -0."""
+    s = format(v, spec)
+    return format(0.0, spec) if "-" in s and float(s) == 0.0 else s
 
 
 def _clamp(v: float, lo: float, hi: float) -> float:
@@ -126,7 +127,7 @@ class GeoCoord:
 
     def describe(self) -> str:
         """Degree-formatted rendering for error messages and reports."""
-        return f"(lat {self.lat_deg:.6f}°, lon {self.lon_deg:.6f}°)"
+        return f"(lat {_fmt(self.lat_deg)}°, lon {_fmt(self.lon_deg)}°)"
 
 
 _set_lat, _set_lon = _slot_setters(GeoCoord)
@@ -214,7 +215,7 @@ def spherical_angle_from_sides(ab: float, ac: float, bc: float) -> float:
     for name, side in (("ab", ab), ("ac", ac), ("bc", bc)):
         if not 0.0 < side < math.pi:
             raise DomainError(
-                f"side {name} = {math.degrees(side):.6f}° not in (0°, 180°)"
+                f"side {name} = {_fmt(math.degrees(side))}° not in (0°, 180°)"
             )
     cos_a = (math.cos(bc) - math.cos(ab) * math.cos(ac)) / (
         math.sin(ab) * math.sin(ac)

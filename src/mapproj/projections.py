@@ -58,6 +58,7 @@ from .geo import (
     SOUTH_POLE,
     GeoCoord,
     _clamp,
+    _fmt,
     _slot_setters,
     wrap_longitude,
 )
@@ -90,6 +91,10 @@ class PlanePoint:
     def __iter__(self):
         yield self.x
         yield self.y
+
+    def describe(self) -> str:
+        """``(x, y)`` to 9 significant digits, for error messages."""
+        return f"({_fmt(self.x, '.9g')}, {_fmt(self.y, '.9g')})"
 
 
 _set_x, _set_y = _slot_setters(PlanePoint)
@@ -335,7 +340,7 @@ class _Azimuthal(Projection):
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
         if not r < math.inf:  # NaN fails too
-            raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
+            raise DomainError(f"no preimage: {p.describe()} is not a finite point")
         k, f, m, f_inv = self._radial_law
         q, q_max = r / k, f(m * self._limit)
         if r > k * q_max + 1e-9:
@@ -496,7 +501,7 @@ class Mercator(_Cylindrical):
     def __post_init__(self):
         if not 0.0 < self.cutoff < HALF_PI:
             raise ParameterError(
-                f"cutoff {math.degrees(self.cutoff):.4f}° must lie in (0°, 90°)"
+                f"cutoff {_fmt(math.degrees(self.cutoff), '.4f')}° must lie in (0°, 90°)"
             )
         super().__post_init__()
 
@@ -575,7 +580,7 @@ def conic_constants(phi_a: float, phi_b: float) -> ConicConstants:
     if not 0.0 < phi_a < phi_b < HALF_PI:
         raise ParameterError(
             "standard parallels must satisfy 0 < phi_a < phi_b < 90° "
-            f"(got {math.degrees(phi_a):.4f}°, {math.degrees(phi_b):.4f}°)"
+            f"(got {_fmt(math.degrees(phi_a), '.4f')}°, {_fmt(math.degrees(phi_b), '.4f')}°)"
         )
     # (cos a - cos b) / (b - a) as a product, which does not cancel as the
     # parallels close up
@@ -651,7 +656,7 @@ class _Conic(_Separable):
         dy = sign * rho_ref - sign * p.y
         rho = math.hypot(p.x, dy)
         if not rho < math.inf:  # NaN fails too
-            raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
+            raise DomainError(f"no preimage: {p.describe()} is not a finite point")
         theta = math.atan2(p.x, dy)
         dlam = sign * theta / n
         if abs(dlam) > math.pi + 1e-9:
@@ -699,7 +704,7 @@ class EquidistantConic(_Conic):
     def _radius(self, phi: float, lat: float, lon: float) -> float:
         if self.cutoff is not None and phi > abs(self.cutoff):
             raise _OutOfDomain(
-                self, lat, lon, f"beyond the {math.degrees(self.cutoff):.4f}° cutoff"
+                self, lat, lon, f"beyond the {_fmt(math.degrees(self.cutoff), '.4f')}° cutoff"
             )
         rho = self._rho_equator - phi
         if rho <= RHO_MIN:
@@ -738,14 +743,11 @@ class LambertConformalConic(_Conic):
     def _cone(self) -> tuple[float, float]:
         return self._sign * self._nF[0], self._sign * self._nF[2]
 
-    def _rho(self, lat: float) -> float:
-        n, f, _ = self._nF
-        return f * math.tan(0.25 * math.pi + 0.5 * lat) ** -n
-
     def _radius(self, phi: float, lat: float, lon: float) -> float:
         if abs(phi) >= HALF_PI - 1e-12:
             raise _OutOfDomain(self, lat, lon, "poles are excluded")
-        return self._rho(phi)
+        n, f, _ = self._nF
+        return f * math.tan(0.25 * math.pi + 0.5 * phi) ** -n
 
     def _latitude(self, rho: float) -> float:
         n, f, _ = self._nF
@@ -782,7 +784,7 @@ class Werner(_Meridional):
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
         if not r < math.inf:  # NaN fails too
-            raise DomainError(f"no preimage: ({p.x:.9g}, {p.y:.9g}) is not a finite point")
+            raise DomainError(f"no preimage: {p.describe()} is not a finite point")
         if r < 1e-15:
             return GeoCoord(HALF_PI, 0.0)
         if r > math.pi + 1e-9:

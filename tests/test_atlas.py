@@ -1012,14 +1012,16 @@ class TestCurveLayer:
         assert converted.count(2) == 70
 
     @pytest.mark.parametrize("tr", [
-        (0.0, 1.0, 0.0, 0.0), (-0.0, 1.0, -0.0, -0.0), (0.0, 200.0, -3.0, 2.5),
-        (-0.0, 37.5, 0.0, -0.0), (20.0, 200.0, -3.0, 2.5), (7.25, 0.001, 1e3, -1e3),
+        (0.0, 1.0, 0.0, 0.0), (0.0, 1.0, -0.0, -0.0), (0.0, 200.0, -3.0, 2.5),
+        (0.0, 37.5, 0.0, -0.0), (20.0, 200.0, -3.0, 2.5), (7.25, 0.001, 1e3, -1e3),
     ])
     def test_lines_equal_the_per_point_join(self, tr, monkeypatch):
         # horizontal and vertical lines, 2-sample ones and single points,
         # over values the lines share, +-0.0 and the transform's min_x and
         # max_y; a layer of lines alone is neither fitted nor sent through
-        # _pixels, and a mixed one keeps its arcs and polylines
+        # _pixels, and a mixed one keeps its arcs and polylines. The margin
+        # is +0.0 or more, as render_svg builds tr
+        # (test_negative_zero_margin_prints_no_negative_zero renders -0.0)
         rng = random.Random(2626)
         margin, scale, min_x, max_y = tr
         pool = [0.0, -0.0, min_x, max_y, -min_x, -max_y, 5e-7, -5e-7]

@@ -25,6 +25,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def negative_zeros(text):
+    """The table or CSV fields of text that read as zero with a minus sign."""
+    return [f for f in re.split(r"[\s,]+", text) if f.startswith("-") and float(f) == 0.0]
+
+
 class TestProject:
     def test_mercator_example(self, capsys):
         code, out, _ = run(
@@ -97,6 +102,10 @@ class TestInverse:
         assert (code, out) == (0, "lat=0.000000 lon=0.000000\n")
         code, out, _ = run(capsys, "inverse", "--proj", "mercator", "--x", "-1e-9", "--y", "-0.0")
         assert (code, out) == (0, "lat=0.000000 lon=0.000000\n")
+        # the message of a non-finite point names its other coordinate, -0.0, as 0
+        code, out, err = run(capsys, "inverse", "--proj", "stereographic",
+                             "--x", "nan", "--y", "-0.0")
+        assert (code, out, err) == (1, "", "error: no preimage: (nan, 0) is not a finite point\n")
 
     def test_round_trip_of_project(self, capsys):
         code, out, _ = run(
@@ -178,18 +187,27 @@ class TestDistortion:
         assert [(h, k, omega) for _, _, h, k, _, omega, _ in rows] == [
             (h, h, "0.000000") for h in ["2.000000"] * 5 + ["1.000000"] * 5 + ["2.000000"] * 5]
 
-    def test_region_ending_at_negative_zero_prints_zero(self, capsys, tmp_path):
-        # the axes end at the region's bound -0.0, in the table and the CSV
-        argv = ("distortion", "--proj", "mercator", "--region", "-10:-0,-10:-0", "--grid", "3x3")
+    @pytest.mark.parametrize("proj, region, corner, csv_corner", [
+        ("mercator", "-10:-0,-10:-0", -1, "0.000000,0.000000,"),
+        ("equirectangular", "-0.00001:10,-0.00001:10", 0, "-0.000010,-0.000010,"),
+        ("equirectangular", "-0.00000001:10,-0.00000001:10", 0, "0.000000,0.000000,"),
+    ], ids=["-0", "-1e-5", "-1e-8"])
+    def test_region_ending_at_negative_zero_prints_zero(self, capsys, tmp_path, proj, region,
+                                                        corner, csv_corner):
+        # the axes end at the region's bound -0.0, or start at a bound that
+        # rounds to zero in the table (-1e-5°) or in the table and the CSV
+        # (-1e-8°); the corner sample is 0 in the table, in the CSV as shown
+        argv = ("distortion", "--proj", proj, f"--region={region}", "--grid", "3x3")
         code, out, _ = run(capsys, *argv)
         assert code == 0
         rows = [line.split()[:2] for line in out.splitlines()[1:]]
-        assert rows[-1] == ["0.0000", "0.0000"] and "-0.0" not in out
+        assert rows[corner] == ["0.0000", "0.0000"] and negative_zeros(out) == []
         target = tmp_path / "scan.csv"
         code, _, _ = run(capsys, *argv, "--out", str(target))
         assert code == 0
         text = target.read_text()
-        assert text.splitlines()[-1].startswith("0.000000,0.000000,") and "-0.0" not in text
+        assert text.splitlines()[1:][corner].startswith(csv_corner)
+        assert negative_zeros(text) == []
 
     def test_201x201_table_is_pinned(self, capsys):
         # the benchmark's end-to-end CLI run; digest recorded before the
@@ -258,7 +276,8 @@ class TestOptimize:
 
     @pytest.mark.parametrize("band, shown", [
         ("-10:-0", "[-10.0000°, 0.0000°]"), ("-0:-5", "[0.0000°, -5.0000°]"),
-    ], ids=["-10:-0", "-0:-5"])
+        ("-0.00001:10", "[0.0000°, 10.0000°]"),
+    ], ids=["-10:-0", "-0:-5", "-0.00001:10"])
     def test_bad_band_echoes_no_negative_zero(self, capsys, band, shown):
         code, out, err = run(capsys, "optimize", f"--band={band}")
         assert (code, out) == (1, "")

@@ -23,6 +23,7 @@ from mapproj.geo import (
     GeoCoord,
     _canonical,
     _clamp,
+    _fmt,
     GeoRegion,
     from_unit_vector,
     great_circle_distance,
@@ -127,6 +128,31 @@ class TestClampMatchesBuiltins:
         # argument; NaN compares false, so min(hi, NaN) and the clamp give hi
         assert float.hex(_clamp(-0.0, 0.0, math.pi)) == float.hex(0.0)
         assert _clamp(math.nan, -1.0, 1.0) == 1.0
+
+
+_FMT_SPECS = [".6f", "10.4f", ".4f", ".12g", ".9e"]
+# each value's text under each spec: a text that reads as zero loses its
+# minus sign and keeps the spec's width; -1e-3, NaN and -inf keep theirs
+_FMT_TEXTS = {
+    -0.0: ["0.000000", "    0.0000", "0.0000", "0", "0.000000000e+00"],
+    -1e-9: ["0.000000", "    0.0000", "0.0000", "-1e-09", "-1.000000000e-09"],
+    -1e-3: ["-0.001000", "   -0.0010", "-0.0010", "-0.001", "-1.000000000e-03"],
+    math.nan: ["nan", "       nan", "nan", "nan", "nan"],
+    -math.inf: ["-inf", "      -inf", "-inf", "-inf", "-inf"],
+}
+
+
+class TestFmt:
+    """_fmt is the one place that decides a printed zero's sign."""
+
+    @pytest.mark.parametrize("v", list(_FMT_TEXTS), ids=repr)
+    @pytest.mark.parametrize("spec", _FMT_SPECS)
+    def test_texts(self, v, spec):
+        assert _fmt(v, spec) == _FMT_TEXTS[v][_FMT_SPECS.index(spec)]
+
+    def test_default_spec_is_six_decimals(self):
+        assert [_fmt(v) for v in (-0.0, -4e-7, -6e-7, 12.5)] == [
+            "0.000000", "0.000000", "-0.000001", "12.500000"]
 
 
 class TestGeoCoordMatchesItsChecks:
@@ -430,6 +456,9 @@ class TestSphericalAngle:
             spherical_angle_from_sides(0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             spherical_angle_from_sides(1.0, math.pi, 1.0)
+        # a side of -1e-12 rad rounds to zero degrees and is named without its sign
+        with pytest.raises(DomainError, match=r"^side ab = 0\.000000° not in \(0°, 180°\)$"):
+            spherical_angle_from_sides(-1e-12, 1.0, 1.0)
 
     def test_inconsistent_triangle(self):
         with pytest.raises(InconsistentTriangleError):

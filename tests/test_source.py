@@ -8,9 +8,13 @@ The per-sample and per-step functions call no two-argument ``min`` or
 ``max``, which Python 3.11 runs through its slow varargs path. The SVG arc
 test takes its flags from the circle fit, without a pass over the samples,
 and the atlas keeps no state that outlives one render. A memo in the
-library keeps only the last call: every ``lru_cache`` has ``maxsize=1``."""
+library keeps only the last call: every ``lru_cache`` has ``maxsize=1``.
+The sign of a printed zero is decided by ``geo._fmt`` alone: no module adds
+a literal zero to turn -0.0 into 0.0 or compares a text with "-0.000000",
+except render_svg, which makes the SVG's margin +0.0 once."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -286,3 +290,49 @@ def test_library_memos_keep_only_the_last_call():
     sources = sorted((ROOT / "src/mapproj").glob("*.py"))
     assert {path.name: _unbounded_caches(path.read_text(encoding="utf-8")) for path in sources} == {
         path.name: [] for path in sources}
+
+
+def _zero_patches(source: str) -> list[str]:
+    """Each sum with a literal zero (``v + 0.0``, ``0 + v``, ``v += 0.0``),
+    which turns a -0.0 into 0.0, and each string literal of a negative
+    zero's text, by the function it is in."""
+    found = []
+
+    def is_zero(node):
+        return (isinstance(node, ast.Constant) and type(node.value) in (int, float)
+                and node.value == 0)
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                and (is_zero(node.left) or is_zero(node.right))):
+            found.append(f"{where}: + 0")
+        elif (isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+              and is_zero(node.value)):
+            found.append(f"{where}: += 0")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"-0(\.0*)?", node.value)):
+            found.append(f"{where}: {node.value!r}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_only_geo_fmt_decides_a_zeros_sign():
+    # the positive control holds each form a patch took before _fmt took
+    # every spec, and forms that leave -0.0 as it is
+    assert _zero_patches(
+        "def f(v):\n"
+        "    v += 0.0\n"
+        "    return 0 + v, v + 0.0, v - 0.0, v * 0.0\n"
+        "def g(s):\n"
+        "    return '0.000000' if s == '-0.000000' else s\n"
+        "w = x + 0\n"
+    ) == ["f: += 0", "f: + 0", "f: + 0", "g: '-0.000000'", "<module>: + 0"]
+    patches = {path.name: _zero_patches(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src/mapproj").glob("*.py"))}
+    assert {name: found for name, found in patches.items() if found} == {
+        "atlas.py": ["render_svg: + 0"]}
