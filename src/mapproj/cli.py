@@ -6,8 +6,7 @@ geodesic, render. All user-facing angles are decimal degrees. Exit codes:
 stderr, results to stdout or to --out.
 
 The heavier modules (distortion, geodesics, atlas) are imported by the
-commands that use them, which keeps ``import mapproj.cli`` light. No module
-imports numpy on load, and no command loads it.
+commands that use them, which keeps ``import mapproj.cli`` light.
 """
 
 from __future__ import annotations
@@ -151,8 +150,7 @@ def _cmd_geodesic(args) -> int:
     a = _coord(args, *_parse_latlon(args.src))
     b = _coord(args, *_parse_latlon(args.dst))
     poly = geodesics.project_geodesic(proj, a, b, args.samples)
-    # the primary fit alone: the least-squares fields are not printed
-    fit = geodesics._three_point_fit(*zip(*poly.single_segment))
+    fit = geodesics.fit_circular_arc(poly)
     print(f"chord={fit.chord:.6f} sagitta={fit.sagitta:.6f} ratio={fit.sagitta / fit.chord:.9f}")
     if fit.collinear:
         print("arc: collinear (infinite radius)")

@@ -16,9 +16,7 @@ the kernel's error, as ``forward`` does. A new projection needs only its
 forward map: either the kernel, or just ``forward``, which the base class's
 fallback kernel calls.
 Analytic derivatives appear solely as test oracles. The sample loops run on
-bare floats; the public functions wrap the results in their types. Only
-:func:`local_jacobian`, which returns a numpy array, imports numpy, and only
-when called.
+bare floats; the public functions wrap the results in their types.
 
 A grid (:func:`distortion_grid`, :func:`euler_property_report`) is evaluated
 by one routine, with the same results as sample by sample: the central
@@ -26,7 +24,7 @@ stencils and the samples' own images come from the family's grid kernel
 (``_rows``) in two calls, and P1's meridians from ``_columns``. Samples at
 the edges (near a pole or the cut, or where an image leaves the domain) take
 the full routine with its one-sided rule and step shrink. A grid of more than
-:data:`MAX_GRID_SAMPLES` samples is refused before it is built.
+:data:`MAX_SAMPLES` samples is refused before it is built.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product
-from typing import TYPE_CHECKING
 
 from .errors import DomainError, ParameterError
 from .geo import (
@@ -43,9 +40,6 @@ from .geo import (
 )
 from .geodesics import _deviations
 from .projections import Projection
-
-if TYPE_CHECKING:
-    import numpy
 
 STEP = 1e-6
 
@@ -153,19 +147,19 @@ def _jacobian(proj: Projection, lat: float, lon: float):
     )
 
 
-def local_jacobian(proj: Projection, c: GeoCoord) -> numpy.ndarray:
-    """2x2 matrix with columns d(x,y)/dlat and d(x,y)/dlon, by central
-    differences. Within 2 steps of the tear the longitude derivative is
-    one-sided, (-3 f0 + 4 f1 - f2) / 2s, inward from the edge the projection's
+def local_jacobian(proj: Projection, c: GeoCoord
+                   ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """2x2 matrix with columns d(x,y)/dlat and d(x,y)/dlon, as the rows
+    ``((dx/dlat, dx/dlon), (dy/dlat, dy/dlon))``, by central differences.
+    Within 2 steps of the tear the longitude derivative is one-sided,
+    (-3 f0 + 4 f1 - f2) / 2s, inward from the edge the projection's
     ``_offsets`` put the sample on, so the stencil never spans the tear. If the
     step neighborhood leaves the domain the step is shrunk once (by 10x) before
     giving up. A point the kernel excludes on its own, though its stencil lies
     in the domain, raises the kernel's own ``DomainError``, as ``forward``
-    does. Returns a numpy array, importing numpy when called."""
-    import numpy
-
+    does."""
     xp, xl, yp, yl = _jacobian(proj, c.lat, c.lon)
-    return numpy.array([[xp, xl], [yp, yl]])
+    return (xp, xl), (yp, yl)
 
 
 def _tissot(proj: Projection, lat: float, lon: float) -> tuple[float, ...]:
@@ -209,10 +203,6 @@ def tissot(proj: Projection, c: GeoCoord) -> DistortionSample:
     return DistortionSample(*_tissot(proj, c.lat, c.lon))
 
 
-# _grid_axes refuses a grid of more samples than this before building it
-MAX_GRID_SAMPLES = MAX_SAMPLES
-
-
 def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], list[float]]:
     """The grid's latitudes and wrapped longitudes. A region's latitudes lie
     in [-90°, 90°] and its longitudes are finite, so (lat, wrapped lon) is a
@@ -220,10 +210,10 @@ def _grid_axes(region: GeoRegion, nlat: int, nlon: int) -> tuple[list[float], li
     reading the longitude."""
     if nlat < 3 or nlon < 3:
         raise ParameterError(f"grid must be at least 3x3, got {nlat}x{nlon}")
-    if nlat * nlon > MAX_GRID_SAMPLES:
+    if nlat * nlon > MAX_SAMPLES:
         raise ParameterError(
             f"grid of {nlat}x{nlon} = {nlat * nlon} samples exceeds the cap of "
-            f"{MAX_GRID_SAMPLES} samples"
+            f"{MAX_SAMPLES} samples"
         )
     return (linspace(region.lat_lo, region.lat_hi, nlat),
             [wrap_longitude(lon) for lon in linspace(region.lon_lo, region.lon_hi, nlon)])

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import (
     AmbiguousGeodesicError,
@@ -19,9 +18,6 @@ from .errors import (
     InconsistentTriangleError,
     ParameterError,
 )
-
-if TYPE_CHECKING:
-    import numpy
 
 PI = math.pi
 HALF_PI = PI / 2.0
@@ -162,29 +158,24 @@ class GeoRegion:
         return cls(*(math.radians(v) for v in (lat_lo, lat_hi, lon_lo, lon_hi)))
 
 
-def _unit(c: GeoCoord) -> tuple[float, float, float]:
-    """:func:`to_unit_vector` as a float 3-tuple."""
+def to_unit_vector(c: GeoCoord) -> tuple[float, float, float]:
+    """Cartesian embedding: x toward (0,0), y toward (0,90E), z toward the north pole."""
     cos_lat = math.cos(c.lat)
     return cos_lat * math.cos(c.lon), cos_lat * math.sin(c.lon), math.sin(c.lat)
 
 
-def to_unit_vector(c: GeoCoord) -> numpy.ndarray:
-    """Cartesian embedding: x toward (0,0), y toward (0,90E), z toward the north pole.
-
-    Returns a numpy array, importing numpy when called; the rest of this
-    module works on floats and does not need it.
-    """
-    import numpy
-
-    return numpy.array(_unit(c))
-
-
 def from_unit_vector(v) -> GeoCoord:
-    """Inverse of :func:`to_unit_vector`; rejects clearly non-unit input and
-    reads the rest as it is, by atan2, which does not depend on the length."""
-    x, y, z = map(float, v)
+    """Inverse of :func:`to_unit_vector`; rejects anything but three numbers
+    (:class:`ParameterError`) and clearly non-unit input (:class:`DomainError`),
+    and reads the rest as it is, by atan2, which does not depend on the length."""
+    try:
+        if isinstance(v, str):  # its characters would read as three numbers
+            raise TypeError
+        x, y, z = map(float, v)
+    except (TypeError, ValueError):
+        raise ParameterError(f"not three numbers: {v!r}") from None
     norm = math.sqrt(x * x + y * y + z * z)
-    if abs(norm - 1.0) > UNIT_NORM_TOL:
+    if not abs(norm - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
         raise DomainError(f"not a unit vector: |v| = {norm:.12g}")
     return GeoCoord(math.atan2(z, math.hypot(x, y)), math.atan2(y, x))
 
@@ -195,7 +186,7 @@ def great_circle_distance(a: GeoCoord, b: GeoCoord) -> float:
     Uses the cross/dot atan2 form, which stays accurate for near-coincident
     and near-antipodal pairs where plain arccos loses digits.
     """
-    return _angle(_unit(a), _unit(b))
+    return _angle(to_unit_vector(a), to_unit_vector(b))
 
 
 def _angle(u: tuple[float, float, float], v: tuple[float, float, float]) -> float:
@@ -246,7 +237,7 @@ def sample_great_circle(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
         raise ParameterError(f"need at least 2 samples, got {n}")
     if n > MAX_SAMPLES:
         raise ParameterError(f"{n} samples exceed the cap of {MAX_SAMPLES} samples")
-    u, v = _unit(a), _unit(b)
+    u, v = to_unit_vector(a), to_unit_vector(b)
     omega = _angle(u, v)
     if omega < 1e-15:
         raise ParameterError("endpoints coincide; the arc is degenerate")

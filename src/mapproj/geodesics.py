@@ -3,23 +3,21 @@
 A projected geodesic is a plane polyline; its deviation from a straight line
 is summarized by chord, sagitta and their ratio, and its shape is compared
 against a circular arc fitted through the endpoints and the point of largest
-deviation (with a least-squares refinement reported alongside). Under the
-gnomonic/central families the images are exactly straight; under the
-equidistant conic they bow slightly, along near-circular arcs of large
-radius.
+deviation. Under the gnomonic/central families the images are exactly
+straight; under the equidistant conic they bow slightly, along near-circular
+arcs of large radius.
 
-Projection, deviations and the primary fit run on float lists. A curve
-projects through its family's kernel ``_curve``, which marks the samples
-outside the domain as holes; :func:`_runs` splits it there and at the tear
-crossings :func:`_tears` reads off the projection's ``_offsets``, and
-:mod:`mapproj.atlas` splits a graticule's curves with the same two. numpy is
-imported only by :func:`fit_circular_arc`, for the least-squares refinement.
+Projection, deviations and the fit run on float lists. A curve projects
+through its family's kernel ``_curve``, which marks the samples outside the
+domain as holes; :func:`_runs` splits it there and at the tear crossings
+:func:`_tears` reads off the projection's ``_offsets``, and
+:mod:`mapproj.atlas` splits a graticule's curves with the same two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import DomainError, ParameterError
 from .geo import GeoCoord, sample_great_circle
@@ -80,7 +78,7 @@ class ArcFit:
 
     ``max_residual`` is the largest point-to-circle distance over all
     samples. Collinear input sets the ``collinear`` flag with infinite
-    radius instead of failing. ``ls_*`` carry the least-squares refinement.
+    radius instead of failing.
     """
 
     center: PlanePoint | None
@@ -89,9 +87,6 @@ class ArcFit:
     chord: float
     sagitta: float
     collinear: bool = False
-    ls_center: PlanePoint | None = None
-    ls_radius: float | None = None
-    ls_max_residual: float | None = None
 
 
 def _tears(proj: Projection, lons) -> list[int]:
@@ -191,11 +186,10 @@ def _circle_through(ax, ay, bx, by, cx, cy) -> tuple[float, float, float]:
 
 
 def _three_point_fit(xs, ys, bound=math.inf) -> ArcFit:
-    """The primary fit of :func:`fit_circular_arc` on the coordinate lists
-    of one segment, without the ``ls_*`` refinement. The residual is first
-    taken at the quarter samples ``n // 4`` and ``3 * n // 4``; if it
-    exceeds ``bound``, the fit stops there and reports it as
-    ``max_residual``, a lower bound of the full maximum."""
+    """:func:`fit_circular_arc` on the coordinate lists of one segment. The
+    residual is first taken at the quarter samples ``n // 4`` and
+    ``3 * n // 4``; if it exceeds ``bound``, the fit stops there and reports
+    it as ``max_residual``, a lower bound of the full maximum."""
     if len(xs) < 3:
         raise ParameterError(f"need at least 3 points, got {len(xs)}")
     chord, dev = _deviations(xs, ys)
@@ -219,31 +213,9 @@ def _three_point_fit(xs, ys, bound=math.inf) -> ArcFit:
 
 
 def fit_circular_arc(poly: PlanePolyline) -> ArcFit:
-    """Arc fit of a projected curve.
-
-    Primary fit: the circle through the two endpoints and the sample of
-    maximum deviation (the draftsman's construction; unconditionally
-    stable). A least-squares refinement over all samples is reported in the
-    ``ls_*`` fields; it imports numpy for ``lstsq``. Input whose
-    sagitta/chord falls below :data:`COLLINEAR_TOL` is flagged as collinear
-    with infinite radius.
+    """Arc fit of a projected curve: the circle through the two endpoints and
+    the sample of maximum deviation (the draftsman's construction;
+    unconditionally stable). Input whose sagitta/chord falls below
+    :data:`COLLINEAR_TOL` is flagged as collinear with infinite radius.
     """
-    xs, ys = zip(*poly.single_segment)
-    fit = _three_point_fit(xs, ys)
-    if fit.collinear:
-        return fit
-    import numpy as np
-
-    # algebraic least-squares refinement: 2*cx*x + 2*cy*y + c = x^2 + y^2
-    xy = np.column_stack((xs, ys))
-    design = np.column_stack([2.0 * xy[:, 0], 2.0 * xy[:, 1], np.ones(len(xy))])
-    rhs = (xy**2).sum(axis=1)
-    (lx, ly, lc), *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    ls_radius = math.sqrt(max(lx * lx + ly * ly + lc, 0.0))
-    ls_radii = np.hypot(xy[:, 0] - lx, xy[:, 1] - ly)
-    return replace(
-        fit,
-        ls_center=PlanePoint(float(lx), float(ly)),
-        ls_radius=float(ls_radius),
-        ls_max_residual=float(np.abs(ls_radii - ls_radius).max()),
-    )
+    return _three_point_fit(*zip(*poly.single_segment))

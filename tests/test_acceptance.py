@@ -204,9 +204,9 @@ def test_criterion_09_circle_and_line_behavior():
         stereo = Stereographic(center=GeoCoord.from_degrees(15, -40))
         circles = 0
         while circles < 25:
-            axis = to_unit_vector(
+            axis = np.array(to_unit_vector(
                 GeoCoord(math.asin(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
-            )
+            ))
             alpha = rng.uniform(0.1, 1.3)
             u = np.cross(axis, [0.0, 0.0, 1.0])
             if np.linalg.norm(u) < 1e-6:

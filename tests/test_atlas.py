@@ -1125,8 +1125,7 @@ def _reference_fit_circular_arc(points, collinear_tol=1e-12):
     sagitta = float(dev[peak])
     if sagitta / chord < collinear_tol:
         return dict(center=None, radius=math.inf, max_residual=sagitta, chord=chord,
-                    sagitta=sagitta, collinear=True, ls_center=None, ls_radius=None,
-                    ls_max_residual=None)
+                    sagitta=sagitta, collinear=True)
     (ax, ay), (bx, by), (cx, cy) = points[0], points[peak], points[-1]
     d = 2.0 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
     a2, b2, c2 = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
@@ -1134,16 +1133,10 @@ def _reference_fit_circular_arc(points, collinear_tol=1e-12):
     uy = (a2 * (cx - bx) + b2 * (ax - cx) + c2 * (bx - ax)) / d
     radius = math.hypot(ax - ux, ay - uy)
     radii = np.array([math.hypot(x - ux, y - uy) for x, y in xy])
-    design = np.column_stack([2.0 * xy[:, 0], 2.0 * xy[:, 1], np.ones(len(xy))])
-    rhs = (xy**2).sum(axis=1)
-    (lx, ly, lc), *_ = np.linalg.lstsq(design, rhs, rcond=None)
-    ls_radius = math.sqrt(max(lx * lx + ly * ly + lc, 0.0))
-    ls_radii = np.array([math.hypot(x - lx, y - ly) for x, y in xy])
     return dict(
         center=PlanePoint(ux, uy), radius=radius,
         max_residual=float(np.abs(radii - radius).max()), chord=chord, sagitta=sagitta,
-        collinear=False, ls_center=PlanePoint(float(lx), float(ly)),
-        ls_radius=float(ls_radius), ls_max_residual=float(np.abs(ls_radii - ls_radius).max()),
+        collinear=False,
     )
 
 
@@ -1223,11 +1216,9 @@ class TestPublicWrappersMatchTheirEarlierBodies:
             assert {f.name: _hex(getattr(got, f.name)) for f in dataclasses.fields(got)} == {
                 k: _hex(v) for k, v in want.items()
             }
-            # the primary fit alone is the same fit without its refinement
+            # the fit on the float lists is the same fit
             xs, ys = [p.x for p in seg], [p.y for p in seg]
-            assert _three_point_fit(xs, ys) == replace(
-                got, ls_center=None, ls_radius=None, ls_max_residual=None
-            )
+            assert _three_point_fit(xs, ys) == got
 
     @pytest.mark.parametrize("kind", sorted(EQUIVALENCE_SCENES))
     def test_straightness(self, kind):

@@ -699,21 +699,24 @@ print(json.dumps(report))
 """
 
 
+# one run of each command
+_EVERY_COMMAND = [
+    ["project", "--proj", "mercator", "--lat", "45", "--lon", "10"],
+    ["inverse", "--proj", "mercator", "--x", "0.1", "--y", "0.2"],
+    ["distance", "--from", "10,20", "--to", "30,40"],
+    ["optimize", "--band", "45:70"],
+    ["render", "--proj", "werner", "--region", "10:60,30:150", "--step", "10"],
+    ["distortion", "--proj", "werner", "--region", "10:60,30:150", "--grid", "3x3"],
+    ["properties", "--proj", "werner", "--region", "10:60,30:150", "--grid", "5x5"],
+    ["geodesic", "--proj", "equidistant_conic lat1=45 lat2=60 lon0=90",
+     "--from", "55.75,37.6", "--to", "59.4,143.2"],
+]
+
+
 def test_light_commands_start_without_numpy():
     # every module imports without numpy, and every command runs without it
-    commands = [
-        ["project", "--proj", "mercator", "--lat", "45", "--lon", "10"],
-        ["inverse", "--proj", "mercator", "--x", "0.1", "--y", "0.2"],
-        ["distance", "--from", "10,20", "--to", "30,40"],
-        ["optimize", "--band", "45:70"],
-        ["render", "--proj", "werner", "--region", "10:60,30:150", "--step", "10"],
-        ["distortion", "--proj", "werner", "--region", "10:60,30:150", "--grid", "3x3"],
-        ["properties", "--proj", "werner", "--region", "10:60,30:150", "--grid", "5x5"],
-        ["geodesic", "--proj", "equidistant_conic lat1=45 lat2=60 lon0=90",
-         "--from", "55.75,37.6", "--to", "59.4,143.2"],
-    ]
     proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(_EVERY_COMMAND)],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
     )
@@ -724,6 +727,37 @@ def test_light_commands_start_without_numpy():
         "properties", "geodesic")]
     assert sorted(name for name, *_ in report[1:]) == sorted(
         build_parser()._subparsers._group_actions[0].choices)
+
+
+# every command again, in an interpreter where numpy cannot be imported, after
+# the public unit vector, Jacobian, Tissot and arc-fit functions
+_NUMPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from mapproj import GeoCoord, parse_projection, to_unit_vector
+from mapproj.cli import main
+from mapproj.distortion import local_jacobian, tissot
+from mapproj.geodesics import fit_circular_arc, project_geodesic
+proj = parse_projection("equidistant_conic lat1=45 lat2=60 lon0=90")
+a, b = GeoCoord.from_degrees(55.75, 37.6), GeoCoord.from_degrees(59.4, 143.2)
+to_unit_vector(a), local_jacobian(proj, a), tissot(proj, a)
+fit_circular_arc(project_geodesic(proj, a, b, 33))
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_library_and_commands_run_where_numpy_cannot_be_imported():
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_BLOCKED, json.dumps(_EVERY_COMMAND)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")},
+    )
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout + proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(_EVERY_COMMAND)
 
 
 def test_atlas_import_loads_no_network_or_mail_modules():

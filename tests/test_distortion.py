@@ -27,7 +27,6 @@ from mapproj import (
 from mapproj.conic_design import parallel_scale
 from mapproj import distortion
 from mapproj.distortion import (
-    MAX_GRID_SAMPLES,
     STEP,
     _SCAN_FIELDS,
     DistortionSample,
@@ -41,7 +40,7 @@ from mapproj.distortion import (
     tissot,
 )
 from mapproj.errors import DomainError, MapError, ParameterError
-from mapproj.geo import HALF_PI, linspace, wrap_longitude
+from mapproj.geo import HALF_PI, MAX_SAMPLES, linspace, wrap_longitude
 from mapproj.projections import PlanePoint, Projection, _Conic, _Cylindrical
 from conftest import TEAR_FAMILIES, TEAR_LON0S, all_family_instances
 
@@ -62,7 +61,7 @@ class _Affine(Projection):
 
 def _svd_reference(proj, c):
     """Tissot axes and omega from an SVD of the metric-scaled Jacobian."""
-    jac = local_jacobian(proj, c)
+    jac = np.array(local_jacobian(proj, c))
     jac[:, 1] /= math.cos(c.lat)
     a, b = np.linalg.svd(jac, compute_uv=False)
     return a, b, 2.0 * math.asin((a - b) / (a + b))
@@ -71,7 +70,7 @@ def _svd_reference(proj, c):
 class TestLocalJacobian:
     def test_equirectangular_is_exactly_linear(self):
         proj = Equirectangular(phi0=math.radians(36))
-        jac = local_jacobian(proj, GeoCoord.from_degrees(20, 30))
+        jac = np.array(local_jacobian(proj, GeoCoord.from_degrees(20, 30)))
         assert jac[0, 0] == pytest.approx(0.0, abs=1e-10)
         assert jac[0, 1] == pytest.approx(math.cos(math.radians(36)), abs=1e-10)
         assert jac[1, 0] == pytest.approx(1.0, abs=1e-10)
@@ -80,7 +79,7 @@ class TestLocalJacobian:
     def test_mercator_matches_analytic_derivative(self):
         proj = Mercator()
         for lat_deg in (0.0, 31.0, 62.0):
-            jac = local_jacobian(proj, GeoCoord.from_degrees(lat_deg, 5))
+            jac = np.array(local_jacobian(proj, GeoCoord.from_degrees(lat_deg, 5)))
             sec = 1.0 / math.cos(math.radians(lat_deg))
             assert jac[1, 0] == pytest.approx(sec, rel=1e-5)
 
@@ -89,13 +88,13 @@ class TestLocalJacobian:
         # symbolic derivative dx/dlat = 2/(1 - sin(lat))
         proj = Stereographic()
         lat = math.radians(-45)
-        jac = local_jacobian(proj, GeoCoord(lat, 0.0))
+        jac = np.array(local_jacobian(proj, GeoCoord(lat, 0.0)))
         assert jac[0, 0] == pytest.approx(2.0 / (1.0 - math.sin(lat)), rel=1e-5)
 
     def test_step_shrinks_once_at_domain_edge(self):
         proj = Mercator()  # cutoff at 85 deg
         edge = GeoCoord(proj.cutoff - 5e-7, 0.0)
-        jac = local_jacobian(proj, edge)
+        jac = np.array(local_jacobian(proj, edge))
         assert np.isfinite(jac).all()
 
     def test_raises_after_single_shrink(self):
@@ -124,12 +123,13 @@ def test_scale_on_the_tear_matches_the_central_meridian(family, lon0):
     lat = math.radians(50)
     centre = GeoCoord(lat, proj.lon0)
     k = tissot(proj, centre).k
-    k_column = np.hypot(*local_jacobian(proj, centre)[:, 1])
+    k_column = np.hypot(*np.array(local_jacobian(proj, centre))[:, 1])
     cut = proj.cut_longitude
     for lon in (math.nextafter(cut, -math.inf), cut, math.nextafter(cut, math.inf)):
         c = GeoCoord(lat, lon)
         assert tissot(proj, c).k == pytest.approx(k, rel=1e-6), lon
-        assert np.hypot(*local_jacobian(proj, c)[:, 1]) == pytest.approx(k_column, rel=1e-6), lon
+        assert np.hypot(*np.array(local_jacobian(proj, c))[:, 1]) == pytest.approx(
+            k_column, rel=1e-6), lon
 
 
 class TestTissot:
@@ -801,7 +801,7 @@ class TestAntipode:
 
 
 class TestGridCap:
-    """A grid above MAX_GRID_SAMPLES is refused before any axis is built."""
+    """A grid above MAX_SAMPLES is refused before any axis is built."""
 
     @pytest.mark.parametrize("entry", [distortion_grid, euler_property_report,
                                        max_distortion_scan])
@@ -810,9 +810,9 @@ class TestGridCap:
             raise AssertionError("an axis was built")
 
         monkeypatch.setattr(distortion, "linspace", refuse)
-        nlon = MAX_GRID_SAMPLES // 11 + 1
+        nlon = MAX_SAMPLES // 11 + 1
         message = (f"grid of 11x{nlon} = {11 * nlon} samples exceeds the cap of "
-                   f"{MAX_GRID_SAMPLES} samples")
+                   f"{MAX_SAMPLES} samples")
         with pytest.raises(ParameterError, match=f"^{message}$"):
             entry(Mercator(), SMALL, 11, nlon)
 
@@ -825,7 +825,7 @@ class TestGridCap:
 
         monkeypatch.setattr(distortion, "linspace", built)
         with pytest.raises(Built):
-            distortion_grid(Mercator(), SMALL, 1000, MAX_GRID_SAMPLES // 1000)
+            distortion_grid(Mercator(), SMALL, 1000, MAX_SAMPLES // 1000)
 
 
 class TestDistortionSampleMatchesGeneratedDataclass:

@@ -264,9 +264,16 @@ class TestUnitVector:
         assert c.lat_deg == pytest.approx(45.0, abs=1e-10)
         assert c.lon_deg == pytest.approx(90.0, abs=1e-10)
 
-    def test_non_unit_rejected(self):
-        with pytest.raises(DomainError):
-            from_unit_vector([1.0, 1.0, 0.0])
+    @pytest.mark.parametrize("v, error, message", [
+        ([1.0, 1.0, 0.0], DomainError, r"not a unit vector: \|v\| = 1.41421356237"),
+        ((math.nan, 0.0, 0.0), DomainError, r"not a unit vector: \|v\| = nan"),
+        ((1.0, 0.0), ParameterError, r"not three numbers: \(1.0, 0.0\)"),
+        ("abc", ParameterError, r"not three numbers: 'abc'"),
+        ("100", ParameterError, r"not three numbers: '100'"),
+    ], ids=["long", "nan", "two-numbers", "letters", "digits"])
+    def test_non_unit_rejected(self, v, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            from_unit_vector(v)
 
     @given(coords)
     @settings(max_examples=200)
@@ -322,7 +329,7 @@ class TestGreatCircleDistance:
 
 def _reference_distance(a: GeoCoord, b: GeoCoord) -> float:
     """great_circle_distance's cross/dot atan2 form, on numpy 3-vectors."""
-    u, v = to_unit_vector(a), to_unit_vector(b)
+    u, v = np.array(to_unit_vector(a)), np.array(to_unit_vector(b))
     return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(np.dot(u, v)))
 
 
@@ -330,7 +337,7 @@ def _reference_samples(a: GeoCoord, b: GeoCoord, n: int) -> list[GeoCoord]:
     """sample_great_circle's checks and slerp, on numpy 3-vectors."""
     if n < 2:
         raise ParameterError(f"need at least 2 samples, got {n}")
-    u, v = to_unit_vector(a), to_unit_vector(b)
+    u, v = np.array(to_unit_vector(a)), np.array(to_unit_vector(b))
     omega = _reference_distance(a, b)
     if omega < 1e-15:
         raise ParameterError("endpoints coincide; the arc is degenerate")
@@ -424,7 +431,7 @@ class TestFloatGeometryMatchesNumpyReference:
 
 def _dihedral_angle(a: GeoCoord, b: GeoCoord, c: GeoCoord) -> float:
     """Independent oracle: angle at vertex a via tangent-plane vectors."""
-    va, vb, vc = to_unit_vector(a), to_unit_vector(b), to_unit_vector(c)
+    va, vb, vc = (np.array(to_unit_vector(p)) for p in (a, b, c))
     tb = vb - np.dot(vb, va) * va
     tc = vc - np.dot(vc, va) * va
     cos_angle = float(np.dot(tb, tc) / (np.linalg.norm(tb) * np.linalg.norm(tc)))
@@ -537,7 +544,7 @@ class TestSampleGreatCircle:
         def refuse(*args):
             raise AssertionError("a sample was built")
 
-        monkeypatch.setattr(mapproj.geo, "_unit", refuse)
+        monkeypatch.setattr(mapproj.geo, "to_unit_vector", refuse)
         monkeypatch.setattr(mapproj.geo, "from_unit_vector", refuse)
         n = MAX_SAMPLES + 1
         with pytest.raises(ParameterError,

@@ -190,8 +190,6 @@ class TestFitCircularArc:
         assert fit.center.x == pytest.approx(2.0, abs=1e-9)
         assert fit.center.y == pytest.approx(-1.0, abs=1e-9)
         assert fit.max_residual < 1e-12
-        assert fit.ls_radius == pytest.approx(5.0, abs=1e-9)
-        assert fit.ls_max_residual < 1e-9
 
     def test_collinear_points_have_no_circumcircle(self):
         with pytest.raises(ParameterError, match="^collinear points have no circumcircle$"):

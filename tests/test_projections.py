@@ -96,9 +96,9 @@ class TestStereographic:
         # circle with residual < 1e-9
         proj = Stereographic(center=GeoCoord.from_degrees(10, 30))
         for _ in range(10):
-            axis = to_unit_vector(
+            axis = np.array(to_unit_vector(
                 GeoCoord(math.asin(rng.uniform(-1, 1)), rng.uniform(-math.pi, math.pi))
-            )
+            ))
             alpha = rng.uniform(0.1, 1.2)
             u = np.cross(axis, [0.0, 0.0, 1.0])
             if np.linalg.norm(u) < 1e-6:
@@ -1146,7 +1146,7 @@ def _edge_digest(proj):
         fwd, p = _outcome(proj.forward, c)
         back = "-" if p is None else _outcome(lambda p: dataclasses.astuple(proj.inverse(p)), p)[0]
         sample = _outcome(lambda c: dataclasses.astuple(tissot(proj, c)), c)[0]
-        jac = _outcome(lambda c: local_jacobian(proj, c).ravel().tolist(), c)[0]
+        jac = _outcome(lambda c: [v for row in local_jacobian(proj, c) for v in row], c)[0]
         lines.append(f"{c.lat.hex()} {c.lon.hex()} | {fwd} | {back} | {sample} | {jac}")
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 

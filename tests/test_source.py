@@ -11,12 +11,18 @@ and the atlas keeps no state that outlives one render. A memo in the
 library keeps only the last call: every ``lru_cache`` has ``maxsize=1``.
 The sign of a printed zero is decided by ``geo._fmt`` alone: no module adds
 a literal zero to turn -0.0 into 0.0 or compares a text with "-0.000000",
-except render_svg, which makes the SVG's margin +0.0 once."""
+except render_svg, which makes the SVG's margin +0.0 once. The package
+imports the standard library alone, inside functions too: the third-party
+modules it imports are its declared runtime dependencies, of which there are
+none."""
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -336,3 +342,46 @@ def test_only_geo_fmt_decides_a_zeros_sign():
                for path in sorted((ROOT / "src/mapproj").glob("*.py"))}
     assert {name: found for name, found in patches.items() if found} == {
         "atlas.py": ["render_svg: + 0"]}
+
+
+def _third_party_imports(source: str) -> list[tuple[int, str]]:
+    """Each import, at any depth, of a module that is neither the package
+    itself (relative, or ``mapproj``) nor in the standard library, as its
+    line and top-level name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.partition(".")[0]
+            if top != "mapproj" and top not in sys.stdlib_module_names:
+                found.append((node.lineno, top))
+    return found
+
+
+def test_the_package_imports_only_its_declared_dependencies():
+    # the positive control holds the forms numpy once took in the package:
+    # a function-local import and one kept for annotations
+    assert _third_party_imports(
+        "from __future__ import annotations\n"
+        "import math, numpy.linalg\n"
+        "from . import geo\n"
+        "from mapproj.geo import GeoCoord\n"
+        "def fit(xs):\n"
+        "    import numpy as np\n"
+        "    from scipy import optimize\n"
+        "if TYPE_CHECKING:\n"
+        "    import numpy\n"
+    ) == [(2, "numpy"), (6, "numpy"), (7, "scipy"), (9, "numpy")]
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]}
+    imports = {str(path.relative_to(ROOT)): _third_party_imports(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src/mapproj").rglob("*.py"))}
+    imported = {name for found in imports.values() for _, name in found}
+    assert imported == declared, {path: found for path, found in imports.items() if found}
+    assert declared == set()
