@@ -25,11 +25,13 @@ A choice holds its two parallels and its worst error; :func:`error_profile`
 samples its error k(phi) - 1 across the band on demand, for plots and CSV.
 
 Every caller asks for a choice's worst error, then its equioscillation
-residual, apex and span, in that order. So the errors at a cone's extremal
-latitudes and the cone's constants each keep the most recent call's result
-(``lru_cache(maxsize=1)``): the residual, apex and span of the choice just
-computed reuse them instead of solving the cone again. A kept result is the
-same float the call would compute; nothing older than the last call is held.
+residual, apex and span, in that order. So the one memo here,
+``_cone_dip`` (``lru_cache(maxsize=1)``), keeps the cone and the dip of the
+most recent pair of parallels: the residual, apex and span of the choice
+just computed reuse them instead of solving the cone again. The key is the
+pair alone, and the band's errors are computed on every call. A kept result
+is the same float the call would compute; nothing older than the last call
+is held.
 """
 
 from __future__ import annotations
@@ -156,32 +158,33 @@ def _dip(apex: float, lo: float, hi: float, tol: float) -> float:
     return _newton(equation, lo, hi, tol, "interior dip")
 
 
-def _band_dip(constants: ConicConstants, phi_a: float, lo: float, hi: float) -> float:
-    """The dip of k inside the band [lo, hi], or, when the band holds none
-    and k is monotone over it, the band edge where k is lower."""
-    try:
-        return _dip(constants.rho_ref + phi_a, lo, hi, _DIP_TOL)
-    except ConvergenceError:
-        return min(lo, hi, key=lambda phi: _scale_error(constants, phi_a, phi))
-
-
 @lru_cache(maxsize=1)
-def _extremal_errors(phi_a: float, phi_b: float,
-                     lo: float, hi: float) -> tuple[tuple[float, float, float], float]:
-    """k - 1 at the lower and upper edge of the band [lo, hi] and at the
-    interior dip between the standard parallels, and the latitude of the
-    dip. Keyed on floats, so the memo hashes in C; the errors are a tuple,
-    so no caller can edit the kept result."""
+def _cone_dip(phi_a: float, phi_b: float) -> tuple[ConicConstants, float | None]:
+    """The cone true at phi_a < phi_b and the latitude of its dip between
+    them, or None for the dip when that bracket fails: by Rolle the dip lies
+    between the standard parallels, but for parallels closer than about
+    1e-10 rad the rounding of the apex rho_ref + phi_a and of the dip
+    equation can move the computed dip off it."""
     constants = conic_constants(phi_a, phi_b)
     try:
-        t = _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
+        return constants, _dip(constants.rho_ref + phi_a, phi_a, phi_b, _DIP_TOL)
     except ConvergenceError:
-        # by Rolle the dip lies between the standard parallels, but for
-        # parallels closer than about 1e-10 rad the rounding of the apex
-        # rho_ref + phi_a and of the dip equation can move the computed dip
-        # off that bracket
-        t = _band_dip(constants, phi_a, lo, hi)
-    return tuple(_scale_error(constants, phi_a, phi) for phi in (lo, hi, t)), t
+        return constants, None
+
+
+def _extremal_errors(phi_a: float, phi_b: float,
+                     lo: float, hi: float) -> tuple[list[float], float]:
+    """k - 1 at the lower and upper edge of the band [lo, hi] and at the
+    interior dip, and the latitude of the dip. A dip off the standard
+    parallels' bracket is sought in the band; when the band holds none and k
+    is monotone over it, the band edge where k is lower stands in for it."""
+    constants, t = _cone_dip(phi_a, phi_b)
+    if t is None:
+        try:
+            t = _dip(constants.rho_ref + phi_a, lo, hi, _DIP_TOL)
+        except ConvergenceError:
+            t = min(lo, hi, key=lambda phi: _scale_error(constants, phi_a, phi))
+    return [_scale_error(constants, phi_a, phi) for phi in (lo, hi, t)], t
 
 
 def band_max_error(phi_a: float, phi_b: float, band: LatBand) -> float:
@@ -224,7 +227,8 @@ def minimax_parallels(band: LatBand, tol: float = DEFAULT_TOL) -> ParallelChoice
     Remez exchange on the reference {band edges, interior dip} (see module
     docstring). ``tol`` bounds the Newton steps on the dip and the parallel
     positions. A failed bracket raises :class:`ConvergenceError` with the
-    quarter-rule fallback attached.
+    quarter-rule fallback attached, except on a band 1e-4 rad wide or
+    narrower, which returns the quarter rule instead.
     """
     if not (tol > 0.0 and math.isfinite(tol)):
         raise ParameterError("tol must be positive and finite")
@@ -262,10 +266,8 @@ def equioscillation_residual(band: LatBand, choice: ParallelChoice) -> float:
     Evaluates the error magnitude at the three extremal latitudes (both band
     edges, where k - 1 is positive, and the interior dip, where it is
     negative) and returns the largest deviation from the reported max_error.
-
-    Reads the errors that :func:`band_max_error` kept from its most recent
-    call, so the residual of the choice just computed costs no solve; for
-    any other choice they are computed, to the same floats.
+    The cone and dip of the choice just computed are the ones its worst
+    error solved.
     """
     e_lo, e_hi, e_dip = _extremal_errors(choice.phi_a, choice.phi_b, band.phi_lo, band.phi_hi)[0]
     return max(abs(m - choice.max_error) for m in (e_lo, e_hi, -e_dip))
@@ -273,10 +275,10 @@ def equioscillation_residual(band: LatBand, choice: ParallelChoice) -> float:
 
 def apex_overshoot_degrees(phi_a: float, phi_b: float) -> float:
     """Distance of the meridian convergence point beyond the pole, degrees."""
-    return math.degrees(conic_constants(phi_a, phi_b).apex_overshoot)
+    return math.degrees(_cone_dip(phi_a, phi_b)[0].apex_overshoot)
 
 
 def semicircle_longitude_span(phi_a: float, phi_b: float) -> float:
     """Longitude degrees spanned by a half-circle of parallels on the map:
     180/n, always more than 180 since the cone constant is below 1."""
-    return 180.0 / conic_constants(phi_a, phi_b).n
+    return 180.0 / _cone_dip(phi_a, phi_b)[0].n

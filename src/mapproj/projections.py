@@ -47,7 +47,7 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import repeat
 from typing import ClassVar
 
@@ -565,17 +565,12 @@ class ConicConstants:
 _set_n, _set_rho_ref, _set_apex_overshoot = _slot_setters(ConicConstants)
 
 
-@lru_cache(maxsize=1)
 def conic_constants(phi_a: float, phi_b: float) -> ConicConstants:
     """Constants for the equidistant conic true at parallels phi_a < phi_b.
 
     n is fixed by requiring the map ratio of longitude degrees to latitude
     degrees to be exact on both standard parallels while meridian degrees
     keep unit length.
-
-    The most recent call's constants are kept (they are frozen), so that the
-    apex and span of the parallels just chosen reuse the cone their worst
-    error built; every result is the float a fresh call gives.
     """
     if not 0.0 < phi_a < phi_b < HALF_PI:
         raise ParameterError(
@@ -611,7 +606,7 @@ class _Conic(_Separable):
 
     def __post_init__(self):
         phi_a, phi_b = self.phi_a, self.phi_b
-        if phi_a == 0.0 or phi_b == 0.0 or abs(phi_a) >= HALF_PI or abs(phi_b) >= HALF_PI:
+        if not (0.0 < abs(phi_a) < HALF_PI and 0.0 < abs(phi_b) < HALF_PI):  # NaN fails too
             raise ParameterError("standard parallels must lie strictly between equator and pole")
         if (phi_a > 0.0) != (phi_b > 0.0):
             raise ParameterError("standard parallels must lie in the same hemisphere")

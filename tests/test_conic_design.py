@@ -560,14 +560,13 @@ class TestDesignDigest:
 
 
 def _clear_memos():
-    conic_design._extremal_errors.cache_clear()
-    conic_constants.cache_clear()
+    conic_design._cone_dip.cache_clear()
 
 
 class TestLastCallMemo:
-    """_extremal_errors and conic_constants keep the most recent call's
-    result: the key holds every input, a kept result is the float a fresh
-    call gives, and nothing older than the last call is held."""
+    """_cone_dip keeps the most recent pair of parallels' cone and dip: the
+    band's errors are computed on every call, a kept result is the float a
+    fresh call gives, and a design job still solves each cone once."""
 
     def test_band_edges_are_in_the_key(self):
         pa, pb = math.radians(45), math.radians(60)
@@ -590,27 +589,36 @@ class TestLastCallMemo:
 
         def outputs():
             lines = [_design_line(band) for band in bands]
-            # -0.0 and +0.0 are one key: the residual on the -0.0 band reads
-            # the errors kept for the +0.0 band
+            # the residual on the -0.0 band reads the cone and dip kept for
+            # the same parallels on the +0.0 band
             best = minimax_parallels(bands[-2])
             return lines + [float.hex(equioscillation_residual(bands[-1], best))]
 
         warm = outputs()
-        for name in ("_extremal_errors", "conic_constants"):
-            monkeypatch.setattr(conic_design, name, getattr(conic_design, name).__wrapped__)
+        monkeypatch.setattr(conic_design, "_cone_dip", conic_design._cone_dip.__wrapped__)
         assert outputs() == warm
 
-    def test_one_band_solves_each_cone_once(self):
-        band = LatBand.from_degrees(40, 70)
-        band_edges = band.phi_lo, band.phi_hi
-        _clear_memos()
-        quarter_rule(band)
-        best = minimax_parallels(band)
-        equioscillation_residual(band, best)
-        apex_overshoot_degrees(best.phi_a, best.phi_b)
-        semicircle_longitude_span(best.phi_a, best.phi_b)
-        # hits, misses, maxsize, currsize
-        assert tuple(conic_design._extremal_errors.cache_info()) == (1, 2, 1, 1)
-        assert tuple(conic_constants.cache_info()) == (2, 2, 1, 1)
-        # a tuple, so no caller can edit the kept errors
-        assert type(conic_design._extremal_errors(best.phi_a, best.phi_b, *band_edges)[0]) is tuple
+    def test_one_band_solves_each_cone_once(self, monkeypatch):
+        counts = {"solves": 0, "cones": 0}
+        newton, build = conic_design._newton, ConicConstants.__init__
+
+        def counting_newton(*args):
+            counts["solves"] += 1
+            return newton(*args)
+
+        def counting_build(self, *args, **kwargs):
+            counts["cones"] += 1
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(conic_design, "_newton", counting_newton)
+        monkeypatch.setattr(ConicConstants, "__init__", counting_build)
+        for band in [LatBand.from_degrees(45, 70)] + _seeded_bands(20, 20261021):
+            _clear_memos()
+            counts.update(solves=0, cones=0)
+            # the five calls of a design job
+            quarter_rule(band)
+            best = minimax_parallels(band)
+            equioscillation_residual(band, best)
+            apex_overshoot_degrees(best.phi_a, best.phi_b)
+            semicircle_longitude_span(best.phi_a, best.phi_b)
+            assert counts == {"solves": 5, "cones": 2}, band

@@ -741,6 +741,13 @@ class TestParseProjection:
         ("stereographic center=95,0", DomainError, "latitude 95.000000° outside [-90°, 90°]"),
         ("equidistant_conic lat1=0 lat2=60", ParameterError,
          "standard parallels must lie strictly between equator and pole"),
+        # a NaN parallel fails the range test, not a later one
+        ("equidistant_conic lat1=nan lat2=60", ParameterError,
+         "standard parallels must lie strictly between equator and pole"),
+        ("equidistant_conic lat1=30 lat2=nan", ParameterError,
+         "standard parallels must lie strictly between equator and pole"),
+        ("lambert_conformal_conic lat1=nan lat2=nan", ParameterError,
+         "standard parallels must lie strictly between equator and pole"),
         ("equidistant_conic lat1=45 lat2=60 cutoff=90.001", ParameterError,
          "cutoff outside the conic's valid domain"),
         ("mercator cutoff=-0.0000001", ParameterError, "cutoff 0.0000° must lie in (0°, 90°)"),

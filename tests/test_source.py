@@ -8,7 +8,9 @@ The per-sample and per-step functions call no two-argument ``min`` or
 ``max``, which Python 3.11 runs through its slow varargs path. The SVG arc
 test takes its flags from the circle fit, without a pass over the samples,
 and the atlas keeps no state that outlives one render. A memo in the
-library keeps only the last call: every ``lru_cache`` has ``maxsize=1``.
+library keeps only the last call: every ``lru_cache`` has ``maxsize=1``,
+and conic_design, which knows the order of its own calls, is the one module
+that keeps one.
 The sign of a printed zero is decided by ``geo._fmt`` alone: no module adds
 a literal zero to turn -0.0 into 0.0 or compares a text with "-0.000000",
 except render_svg, which makes the SVG's margin +0.0 once. The package
@@ -296,6 +298,31 @@ def test_library_memos_keep_only_the_last_call():
     sources = sorted((ROOT / "src/mapproj").glob("*.py"))
     assert {path.name: _unbounded_caches(path.read_text(encoding="utf-8")) for path in sources} == {
         path.name: [] for path in sources}
+
+
+def _memos(source: str) -> list[str]:
+    """Each ``lru_cache`` or ``cache`` the source applies, bare or called."""
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, (ast.Name, ast.Attribute)) and _called_name(node) in _CACHES]
+    return [f"line {node.lineno}: {ast.unparse(node)}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+def test_the_one_memo_is_in_conic_design():
+    # the positive control: a memo of the last call is reported too
+    assert _memos(
+        "from functools import lru_cache\n"
+        "@lru_cache(maxsize=1)\n"
+        "def a(x): pass\n"
+        "@functools.cache\n"
+        "def b(x): pass\n"
+        "@cached_property\n"
+        "def c(self): pass\n"
+    ) == ["line 2: lru_cache", "line 4: functools.cache"]
+    memos = {path.name: _memos(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src/mapproj").glob("*.py"))}
+    assert {name for name, found in memos.items() if found} == {"conic_design.py"}
+    assert len(memos["conic_design.py"]) == 1
 
 
 def _zero_patches(source: str) -> list[str]:
