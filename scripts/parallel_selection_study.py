@@ -20,13 +20,25 @@ from mapproj.conic_design import (
     minimax_parallels,
     quarter_rule,
 )
+from mapproj.errors import ParameterError
 
 BANDS = [(45, 70), (40, 70), (30, 60), (45, 68), (10, 80), (50, 65)]
 
 
+def _band(text: str) -> LatBand:
+    """The band of an LO:HI argument in degrees; a usage error otherwise."""
+    try:
+        lo, hi = (float(v) for v in text.split(":"))
+        return LatBand.from_degrees(lo, hi)
+    except ParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected LO:HI in degrees, got {text!r}") from None
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--profile-band", default=None, metavar="LO:HI")
+    parser.add_argument("--profile-band", type=_band, default=None, metavar="LO:HI")
     parser.add_argument("--csv", default="out/parallel_profile.csv")
     args = parser.parse_args()
 
@@ -47,8 +59,7 @@ def main() -> None:
         )
 
     if args.profile_band:
-        lo_s, hi_s = args.profile_band.split(":")
-        band = LatBand.from_degrees(float(lo_s), float(hi_s))
+        band = args.profile_band
         q, m = quarter_rule(band), minimax_parallels(band)
         os.makedirs(os.path.dirname(args.csv) or ".", exist_ok=True)
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -22,32 +22,22 @@ from .geo import GeoCoord, GeoRegion, _fmt, great_circle_distance, wrap_longitud
 from .projections import PlanePoint, UnknownFamilyError, parse_projection
 
 
-def _parse_latlon(text: str) -> tuple[float, float]:
-    try:
-        lat_s, lon_s = text.split(",")
-        return float(lat_s), float(lon_s)
-    except ValueError:
-        raise MapError(f"expected LAT,LON in degrees, got {text!r}") from None
+_SEPARATOR = re.compile(r"([,:xX])")
+_LATLON = "LAT,LON in degrees"
+_REGION = "LATLO:LATHI,LONLO:LONHI in degrees"
 
 
-def _parse_region(text: str) -> GeoRegion:
-    try:
-        lat_part, lon_part = text.split(",")
-        lat_lo, lat_hi = (float(v) for v in lat_part.split(":"))
-        lon_lo, lon_hi = (float(v) for v in lon_part.split(":"))
-    except ValueError:
-        raise MapError(
-            f"expected LATLO:LATHI,LONLO:LONHI in degrees, got {text!r}"
-        ) from None
-    return GeoRegion.from_degrees(lat_lo, lat_hi, lon_lo, lon_hi)
-
-
-def _parse_grid(text: str) -> tuple[int, int]:
-    try:
-        n_s, m_s = text.lower().split("x")
-        return int(n_s), int(m_s)
-    except ValueError:
-        raise MapError(f"expected NxM, got {text!r}") from None
+def _numbers(text: str, seps: str, what: str, kind: type = float) -> list:
+    """The numbers of an argument such as LAT,LON or NxM, each read by kind:
+    text split at every ",", ":" and "x" (either case), whose separators
+    must be seps, in order. Anything else is a MapError naming the form."""
+    pieces = _SEPARATOR.split(text)
+    if "".join(pieces[1::2]).lower() == seps:
+        try:
+            return [kind(piece) for piece in pieces[::2]]
+        except ValueError:
+            pass
+    raise MapError(f"expected {what}, got {text!r}")
 
 
 def _coord(args, lat_deg: float, lon_deg: float) -> GeoCoord:
@@ -79,8 +69,7 @@ def _cmd_inverse(args) -> int:
 
 
 def _cmd_distance(args) -> int:
-    a = _coord(args, *_parse_latlon(args.src))
-    b = _coord(args, *_parse_latlon(args.dst))
+    a, b = (_coord(args, *_numbers(text, ",", _LATLON)) for text in (args.src, args.dst))
     print(f"distance_deg={math.degrees(great_circle_distance(a, b)):.6f}")
     return 0
 
@@ -89,8 +78,9 @@ def _cmd_distortion(args) -> int:
     from . import distortion
 
     proj = parse_projection(args.proj)
-    nlat, nlon = _parse_grid(args.grid)
-    rows = distortion.distortion_grid(proj, _parse_region(args.region), nlat, nlon)
+    nlat, nlon = _numbers(args.grid, "x", "NxM", int)
+    region = GeoRegion.from_degrees(*_numbers(args.region, ":,:", _REGION))
+    rows = distortion.distortion_grid(proj, region, nlat, nlon)
     if args.out:
         _write(args.out, distortion.grid_to_csv(rows))
         return 0
@@ -108,8 +98,9 @@ def _cmd_properties(args) -> int:
     from . import distortion
 
     proj = parse_projection(args.proj)
-    nlat, nlon = _parse_grid(args.grid)
-    report = distortion.euler_property_report(proj, _parse_region(args.region), nlat, nlon)
+    nlat, nlon = _numbers(args.grid, "x", "NxM", int)
+    region = GeoRegion.from_degrees(*_numbers(args.region, ":,:", _REGION))
+    report = distortion.euler_property_report(proj, region, nlat, nlon)
     print(f"P1 meridian straightness (sagitta/chord): {report.p1:.9e}")
     print(f"P2 meridian scale error max|h-1|:         {report.p2:.9e}")
     print(f"P3 right-angle violation max|t-90°| rad:  {report.p3:.9e}")
@@ -118,11 +109,7 @@ def _cmd_properties(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
-    try:
-        lo, hi = (float(v) for v in args.band.split(":"))
-    except ValueError:
-        raise MapError(f"expected LO:HI in degrees, got {args.band!r}") from None
-    band = conic_design.LatBand.from_degrees(lo, hi)
+    band = conic_design.LatBand.from_degrees(*_numbers(args.band, ":", "LO:HI in degrees"))
     quarter = conic_design.quarter_rule(band)
     best = conic_design.minimax_parallels(band, tol=args.tol)
     print(f"{'method':<10} {'phi_a_deg':>12} {'phi_b_deg':>12} {'max|k-1|':>14}")
@@ -147,8 +134,7 @@ def _cmd_geodesic(args) -> int:
     from . import geodesics
 
     proj = parse_projection(args.proj)
-    a = _coord(args, *_parse_latlon(args.src))
-    b = _coord(args, *_parse_latlon(args.dst))
+    a, b = (_coord(args, *_numbers(text, ",", _LATLON)) for text in (args.src, args.dst))
     poly = geodesics.project_geodesic(proj, a, b, args.samples)
     fit = geodesics.fit_circular_arc(poly)
     print(f"chord={fit.chord:.6f} sagitta={fit.sagitta:.6f} ratio={fit.sagitta / fit.chord:.9f}")
@@ -171,15 +157,10 @@ def _cmd_render(args) -> int:
     from . import atlas
 
     proj = parse_projection(args.proj)
-    region = _parse_region(args.region)
-    steps = args.step.split(",")
-    try:
-        if len(steps) > 2:
-            raise ValueError
-        dphi = math.radians(float(steps[0]))
-        dlam = math.radians(float(steps[1])) if len(steps) > 1 else dphi
-    except ValueError:
-        raise MapError(f"expected DPHI[,DLAM] in degrees, got {args.step!r}") from None
+    region = GeoRegion.from_degrees(*_numbers(args.region, ":,:", _REGION))
+    steps = _numbers(args.step, "," if "," in args.step else "", "DPHI[,DLAM] in degrees")
+    # one spacing serves parallels and meridians alike
+    dphi, dlam = math.radians(steps[0]), math.radians(steps[-1])
     graticule = atlas.build_graticule(region, dphi, dlam, args.samples_per_degree)
     places: tuple = ()
     if args.gazetteer:
@@ -196,9 +177,8 @@ def _cmd_render(args) -> int:
             a_s, b_s = spec.split(":")
         except ValueError:
             raise MapError(f"expected LAT,LON:LAT,LON, got {spec!r}") from None
-        arcs.append(
-            (_coord(args, *_parse_latlon(a_s)), _coord(args, *_parse_latlon(b_s)), 65)
-        )
+        a, b = (_coord(args, *_numbers(text, ",", _LATLON)) for text in (a_s, b_s))
+        arcs.append((a, b, 65))
     scene = atlas.MapScene(
         projection=proj, graticule=graticule, places=places,
         geodesics=tuple(arcs), scale=args.scale, margin=args.margin,

@@ -24,14 +24,14 @@ bracket.
 A choice holds its two parallels and its worst error; :func:`error_profile`
 samples its error k(phi) - 1 across the band on demand, for plots and CSV.
 
-Every caller asks for a choice's worst error, then its equioscillation
-residual, apex and span, in that order. So the one memo here,
+A caller asks for a choice's worst error, then for some of its
+equioscillation residual, apex and span, in that order (``mapproj optimize``
+for the residual, a design job for all three). So the one memo here,
 ``_cone_dip`` (``lru_cache(maxsize=1)``), keeps the cone and the dip of the
-most recent pair of parallels: the residual, apex and span of the choice
-just computed reuse them instead of solving the cone again. The key is the
-pair alone, and the band's errors are computed on every call. A kept result
-is the same float the call would compute; nothing older than the last call
-is held.
+most recent pair of parallels, which the calls after the worst error reuse
+instead of solving the cone again. The key is the pair alone, and the
+band's errors are computed on every call. A kept result is the same float
+the call would compute; nothing older than the last call is held.
 """
 
 from __future__ import annotations
@@ -195,9 +195,9 @@ def band_max_error(phi_a: float, phi_b: float, band: LatBand) -> float:
     is the largest of |e(lo)|, |e(hi)| and, when the dip lies inside the
     band, |e(dip)|.
 
-    The three errors of the most recent call are kept, so that
-    :func:`equioscillation_residual` of the choice just computed does not
-    solve its dip again; every result is the float a fresh call gives.
+    The cone and dip of the most recent pair are kept (``_cone_dip``), not
+    its errors: the residual, apex and span of the choice just computed
+    reuse them. Every result is the float a fresh call gives.
     """
     errors, t = _extremal_errors(phi_a, phi_b, band.phi_lo, band.phi_hi)
     if not band.phi_lo < t < band.phi_hi:

@@ -339,7 +339,8 @@ class _Azimuthal(Projection):
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
-        if not r < math.inf:  # NaN fails too
+        # NaN fails too; hypot overflows on a huge finite point, which its bound rejects
+        if not r < math.inf and not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise DomainError(f"no preimage: {p.describe()} is not a finite point")
         k, f, m, f_inv = self._radial_law
         q, q_max = r / k, f(m * self._limit)
@@ -650,7 +651,8 @@ class _Conic(_Separable):
         # would give the apex itself -0.0, which atan2 turns into pi
         dy = sign * rho_ref - sign * p.y
         rho = math.hypot(p.x, dy)
-        if not rho < math.inf:  # NaN fails too
+        # NaN fails too; hypot overflows on a huge finite point, which its bound rejects
+        if not rho < math.inf and not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise DomainError(f"no preimage: {p.describe()} is not a finite point")
         theta = math.atan2(p.x, dy)
         dlam = sign * theta / n
@@ -778,7 +780,8 @@ class Werner(_Meridional):
 
     def inverse(self, p: PlanePoint) -> GeoCoord:
         r = math.hypot(p.x, p.y)
-        if not r < math.inf:  # NaN fails too
+        # NaN fails too; hypot overflows on a huge finite point, which its bound rejects
+        if not r < math.inf and not (math.isfinite(p.x) and math.isfinite(p.y)):
             raise DomainError(f"no preimage: {p.describe()} is not a finite point")
         if r < 1e-15:
             return GeoCoord(HALF_PI, 0.0)

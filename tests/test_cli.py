@@ -152,6 +152,11 @@ class TestDistance:
         assert code == 1
         assert "LAT,LON" in err
 
+    @pytest.mark.parametrize("point", ["1", "1,2,3", "1:2", "1x2", ""])
+    def test_point_takes_two_numbers(self, capsys, point):
+        code, out, err = run(capsys, "distance", f"--from={point}", "--to", "0,90")
+        assert (code, out, err) == (1, "", f"error: expected LAT,LON in degrees, got {point!r}\n")
+
 
 class TestDistortion:
     def test_table(self, capsys):
@@ -222,6 +227,12 @@ class TestDistortion:
             "ff9616c29616ee92d6449265ae2aca4321ad6aa2703834e7ce1eb9a3351892bb"
         )
 
+    def test_grid_separator_is_either_case(self, capsys):
+        argv = ("distortion", "--proj", "mercator", "--region", "0:30,0:30", "--grid")
+        lower, upper = run(capsys, *argv, "5x5"), run(capsys, *argv, "5X5")
+        assert lower[0] == 0
+        assert upper == lower
+
     @pytest.mark.parametrize("command", ["distortion", "properties"])
     def test_grid_above_the_cap_is_refused(self, capsys, command):
         # refused from the two sizes alone, before the axes are built
@@ -233,7 +244,12 @@ class TestDistortion:
 
     @pytest.mark.parametrize("option, value, message", [
         ("--region", "1:2", "expected LATLO:LATHI,LONLO:LONHI in degrees, got '1:2'"),
+        ("--region", "1:2,3", "expected LATLO:LATHI,LONLO:LONHI in degrees, got '1:2,3'"),
+        ("--region", "1:2:3,4", "expected LATLO:LATHI,LONLO:LONHI in degrees, got '1:2:3,4'"),
         ("--grid", "5", "expected NxM, got '5'"),
+        ("--grid", "5x", "expected NxM, got '5x'"),
+        ("--grid", "5,5", "expected NxM, got '5,5'"),
+        ("--grid", "2.5x3", "expected NxM, got '2.5x3'"),
     ])
     def test_malformed_argument_is_exit_one(self, capsys, option, value, message):
         argv = {"--region": "0:10,0:10", "--grid": "3x3", option: value}
@@ -301,7 +317,7 @@ class TestOptimize:
         assert out == ""
         assert err == f"error: {expected.value}\n"
 
-    @pytest.mark.parametrize("band", ["45-70", "45:x", "45:60:70"])
+    @pytest.mark.parametrize("band", ["45-70", "45:x", "45:60:70", "45", "45,70", "45x70", ""])
     def test_malformed_band_is_a_parse_error(self, capsys, band):
         code, _, err = run(capsys, "optimize", "--band", band)
         assert code == 1
@@ -439,6 +455,19 @@ class TestRender:
                              "--geodesic", "1,2")
         assert (code, out, err) == (1, "", "error: expected LAT,LON:LAT,LON, got '1,2'\n")
 
+    @pytest.mark.parametrize("spec, endpoint", [("1,2:3", "3"), ("1:2,3", "1"), ("1,2:3,4,5", "3,4,5")])
+    def test_malformed_geodesic_endpoint_is_exit_one(self, capsys, spec, endpoint):
+        code, out, err = run(capsys, "render", "--proj", "mercator", "--region", "0:10,0:10",
+                             "--geodesic", spec)
+        assert (code, out) == (1, "")
+        assert err == f"error: expected LAT,LON in degrees, got {endpoint!r}\n"
+
+    def test_one_step_spaces_parallels_and_meridians_alike(self, capsys):
+        argv = ("render", "--proj", "werner", "--region", "10:60,30:150", "--step")
+        single, pair = run(capsys, *argv, "5"), run(capsys, *argv, "5,5")
+        assert single[0] == 0
+        assert single == pair
+
     def test_svg_to_file(self, capsys, tmp_path):
         target = tmp_path / "map.svg"
         code, _, _ = run(
@@ -518,7 +547,7 @@ class TestRender:
         assert code == 1
         assert "error" in err
 
-    @pytest.mark.parametrize("step", ["10,20,30", "10,20,", ",10,20"])
+    @pytest.mark.parametrize("step", ["10,20,30", "10,20,", ",10,20", "10:20", "5x5", ""])
     def test_step_takes_at_most_two_values(self, capsys, step):
         code, out, err = run(
             capsys, "render", "--proj", "werner", "--region", "10:60,30:150", "--step", step

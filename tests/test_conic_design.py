@@ -568,7 +568,7 @@ class TestLastCallMemo:
     band's errors are computed on every call, a kept result is the float a
     fresh call gives, and a design job still solves each cone once."""
 
-    def test_band_edges_are_in_the_key(self):
+    def test_a_kept_cone_reads_each_calls_band_edges(self):
         pa, pb = math.radians(45), math.radians(60)
         band_a, band_b = LatBand.from_degrees(40, 70), LatBand.from_degrees(30, 75)
 

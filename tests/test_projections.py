@@ -977,6 +977,15 @@ class TestNonFiniteInverse:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("spec", NON_FINITE_SPECS)
+    @pytest.mark.parametrize("x, y", [(1.7e308, 1.7e308), (-1.7e308, -1.7e308), (1e308, -1.5e308)])
+    def test_huge_finite_point_is_not_called_non_finite(self, spec, x, y):
+        # hypot overflows to inf here; the point itself is finite, so the
+        # family's own bound rejects it
+        with pytest.raises(DomainError) as err:
+            parse_projection(spec).inverse(PlanePoint(x, y))
+        assert "not a finite point" not in str(err.value)
+
     def test_equirectangular_nan_y_is_not_the_pole(self, capsys):
         code = main(["inverse", "--proj", "equirectangular", "--x", "0", "--y", "nan"])
         assert code == 1

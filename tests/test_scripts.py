@@ -5,18 +5,24 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from mapproj.conic_design import SCAN_POINTS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _run_script(name, *args):
+def _script(name, *args):
     path = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH", "")]
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)},
     )
+
+
+def _run_script(name, *args):
+    proc = _script(name, *args)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout
 
@@ -41,6 +47,19 @@ def test_parallel_selection_study_profile(tmp_path):
     assert lines[0] == "lat_deg,quarter_error,minimax_error"
     assert len(lines) == 1 + SCAN_POINTS
     assert lines[1].startswith("45.000000,") and lines[-1].startswith("70.000000,")
+
+
+@pytest.mark.parametrize("band, message", [
+    ("45-70", "expected LO:HI in degrees, got '45-70'"),
+    ("70:45", "band must satisfy 0 <= lo < hi < 90°, got [70.0000°, 45.0000°]"),
+])
+def test_parallel_selection_study_bad_band_is_a_usage_error(tmp_path, band, message):
+    proc = _script("parallel_selection_study.py", f"--profile-band={band}",
+                   "--csv", str(tmp_path / "profile.csv"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(f"error: argument --profile-band: {message}\n")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "profile.csv").exists()
 
 
 def test_line_coverage_reports_the_function_never_called(tmp_path):
