@@ -131,17 +131,8 @@ def _multiple_range(lo: float, hi: float, step: float) -> range:
     return range(math.ceil(lo / step - 1e-9), math.floor(hi / step + 1e-9) + 1)
 
 
-def _multiples(lo: float, hi: float, step: float) -> list[float]:
-    """Multiples of step inside [lo, hi], with slack for radian rounding."""
-    return [k * step for k in _multiple_range(lo, hi, step)]
-
-
 def _sample_count(lo: float, hi: float, per_degree: float) -> int:
     return max(2, int(round(math.degrees(hi - lo) * per_degree)) + 1)
-
-
-def _samples(lo: float, hi: float, per_degree: float) -> list[float]:
-    return linspace(lo, hi, _sample_count(lo, hi, per_degree))
 
 
 def build_graticule(
@@ -165,41 +156,33 @@ def build_graticule(
     mer_lo = max(region.lat_lo, -lat_cap)
     mer_hi = min(region.lat_hi, lat_cap)
     try:
+        lat_ks = _multiple_range(region.lat_lo, region.lat_hi, dphi)
+        lon_ks = _multiple_range(region.lon_lo, region.lon_hi, dlam)
+        n_lat = _sample_count(mer_lo, mer_hi, samples_per_degree)
+        n_lon = _sample_count(region.lon_lo, region.lon_hi, samples_per_degree)
         # a spacing wider than the region still gives up to 2 boundary curves
-        count = (
-            max(2, len(_multiple_range(region.lat_lo, region.lat_hi, dphi)))
-            * _sample_count(region.lon_lo, region.lon_hi, samples_per_degree)
-            + max(2, len(_multiple_range(region.lon_lo, region.lon_hi, dlam)))
-            * _sample_count(mer_lo, mer_hi, samples_per_degree)
-        )
+        count = max(2, len(lat_ks)) * n_lon + max(2, len(lon_ks)) * n_lat
     except OverflowError:  # a count past any float or index
         count = math.inf
     if count > MAX_SAMPLES:
         raise ParameterError(
             f"graticule of {count} samples exceeds the cap of {MAX_SAMPLES} samples"
         )
-    lats = [v for v in _multiples(region.lat_lo, region.lat_hi, dphi) if abs(v) < lat_cap]
-    if not lats:
-        lats = sorted({max(region.lat_lo, -lat_cap), min(region.lat_hi, lat_cap)})
-
-    lons = _multiples(region.lon_lo, region.lon_hi, dlam)
+    lats = [v for v in (k * dphi for k in lat_ks) if abs(v) < lat_cap] or sorted({mer_lo, mer_hi})
     # a full circle repeats its seam meridian; keep one copy
     seen: dict[float, float] = {}
-    for lon in lons:
+    for lon in (k * dlam for k in lon_ks):
         seen.setdefault(round(wrap_longitude(lon), 12), lon)
-    lons = sorted(seen.values())
-    if not lons:
-        lons = [region.lon_lo, region.lon_hi]
+    lons = sorted(seen.values()) or [region.lon_lo, region.lon_hi]
 
     # canonical axes: every latitude lies strictly inside +-(90° - POLE_CLIP)
     # and every longitude in (-180°, 180°]
     return Graticule(
         lats=tuple(float(v) for v in lats),
         lons=tuple(wrap_longitude(float(v)) for v in lons),
-        lat_samples=tuple(float(v) for v in _samples(mer_lo, mer_hi, samples_per_degree)),
+        lat_samples=tuple(float(v) for v in linspace(mer_lo, mer_hi, n_lat)),
         lon_samples=tuple(
-            wrap_longitude(float(v))
-            for v in _samples(region.lon_lo, region.lon_hi, samples_per_degree)
+            wrap_longitude(float(v)) for v in linspace(region.lon_lo, region.lon_hi, n_lon)
         ),
     )
 

@@ -566,6 +566,12 @@ class ConicConstants:
 _set_n, _set_rho_ref, _set_apex_overshoot = _slot_setters(ConicConstants)
 
 
+def _no_cone(phi_a: float, phi_b: float) -> ParameterError:
+    return ParameterError(
+        f"standard parallels {math.degrees(phi_a)!r}° and {math.degrees(phi_b)!r}° from "
+        "the equator give no cone constant in floats")
+
+
 def conic_constants(phi_a: float, phi_b: float) -> ConicConstants:
     """Constants for the equidistant conic true at parallels phi_a < phi_b.
 
@@ -582,6 +588,8 @@ def conic_constants(phi_a: float, phi_b: float) -> ConicConstants:
     # parallels close up
     gap = phi_b - phi_a
     n = 2.0 * math.sin(0.5 * (phi_a + phi_b)) * math.sin(0.5 * gap) / gap
+    if not n > 0.0:  # the product, (phi_b**2 - phi_a**2) / 2 for tiny parallels, underflows
+        raise _no_cone(phi_a, phi_b)
     rho_ref = math.cos(phi_a) / n
     return ConicConstants(n=n, rho_ref=rho_ref, apex_overshoot=rho_ref - (HALF_PI - phi_a))
 
@@ -616,6 +624,7 @@ class _Conic(_Separable):
                 "standard parallels out of order: |phi_a| must be the one nearer the equator"
             )
         super().__post_init__()
+        self._cone  # a cone constant that does not exist in floats is refused here
 
     @cached_property
     def _sign(self) -> float:
@@ -731,7 +740,11 @@ class LambertConformalConic(_Conic):
         pa, pb = abs(self.phi_a), abs(self.phi_b)
         ta = math.tan(0.25 * math.pi + 0.5 * pa)
         tb = math.tan(0.25 * math.pi + 0.5 * pb)
-        n = math.log(math.cos(pa) / math.cos(pb)) / math.log(tb / ta)
+        # either ratio rounds to 1 as the parallels close up or near the equator
+        log_cos, log_tan = math.log(math.cos(pa) / math.cos(pb)), math.log(tb / ta)
+        if not (log_cos > 0.0 and log_tan > 0.0):
+            raise _no_cone(pa, pb)
+        n = log_cos / log_tan
         f = math.cos(pa) * ta**n / n
         rho_ref = f * ta**-n
         return n, f, rho_ref
@@ -865,8 +878,8 @@ def parse_projection(text: str) -> Projection:
             raise ParameterError(f"parameter {key!r} given twice")
         try:
             if key == "center":
-                lat_s, _, lon_s = raw.partition(",")
-                values[keys[key].name] = GeoCoord.from_degrees(float(lat_s), float(lon_s or "0"))
+                lat_s, lon_s = raw.split(",")
+                values[keys[key].name] = GeoCoord.from_degrees(float(lat_s), float(lon_s))
             else:
                 values[keys[key].name] = math.radians(float(raw))
         except MapError:

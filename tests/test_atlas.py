@@ -26,8 +26,6 @@ from mapproj.atlas import (
     GazetteerEntry,
     Graticule,
     MapScene,
-    _multiples,
-    _samples,
     build_graticule,
     dump_gazetteer,
     load_gazetteer,
@@ -128,18 +126,39 @@ class TestGraticuleCap:
             build_graticule(WORLD, math.radians(10), math.radians(10), 1e308)
 
 
+def _reference_axes(region, dphi, dlam, per_degree):
+    """build_graticule's raw (uncanonicalized) axes, written out from its
+    docstring: the multiples of each spacing in the region, with 1e-9 slack
+    for radian rounding; the parallels strictly inside the pole clip, or else
+    the clipped latitude bounds; the meridians with one copy of a repeated
+    seam, or else the longitude bounds; and each sample axis a linspace of
+    the clipped bounds at per_degree samples per degree, at least 2."""
+    cap = math.pi / 2 - POLE_CLIP
+
+    def multiples(lo, hi, step):
+        return [k * step for k in range(math.ceil(lo / step - 1e-9),
+                                        math.floor(hi / step + 1e-9) + 1)]
+
+    def samples(lo, hi):
+        return linspace(lo, hi, max(2, int(round(math.degrees(hi - lo) * per_degree)) + 1))
+
+    mer_lo, mer_hi = max(region.lat_lo, -cap), min(region.lat_hi, cap)
+    lats = [v for v in multiples(region.lat_lo, region.lat_hi, dphi) if abs(v) < cap]
+    seen = {}
+    for lon in multiples(region.lon_lo, region.lon_hi, dlam):
+        seen.setdefault(round(wrap_longitude(lon), 12), lon)
+    return (
+        lats or sorted({mer_lo, mer_hi}),
+        sorted(seen.values()) or [region.lon_lo, region.lon_hi],
+        samples(mer_lo, mer_hi),
+        samples(region.lon_lo, region.lon_hi),
+    )
+
+
 def _by_constructor(region, dphi, dlam, per_degree):
     """build_graticule's curves built sample by sample with the public
     GeoCoord constructor, from the raw (uncanonicalized) axis values."""
-    cap = math.pi / 2 - POLE_CLIP
-    lats = [v for v in _multiples(region.lat_lo, region.lat_hi, dphi) if abs(v) < cap]
-    lats = lats or sorted({max(region.lat_lo, -cap), min(region.lat_hi, cap)})
-    seen = {}
-    for lon in _multiples(region.lon_lo, region.lon_hi, dlam):
-        seen.setdefault(round(wrap_longitude(lon), 12), lon)
-    lons = sorted(seen.values()) or [region.lon_lo, region.lon_hi]
-    lon_samples = _samples(region.lon_lo, region.lon_hi, per_degree)
-    lat_samples = _samples(max(region.lat_lo, -cap), min(region.lat_hi, cap), per_degree)
+    lats, lons, lat_samples, lon_samples = _reference_axes(region, dphi, dlam, per_degree)
     return (
         [[GeoCoord(lat, lon) for lon in lon_samples] for lat in lats],
         [[GeoCoord(lat, lon) for lat in lat_samples] for lon in lons],
@@ -186,27 +205,31 @@ class TestGraticuleSamplesAreCanonical:
 
 
 class TestGraticuleAxes:
-    """The sample axes are geo.linspace of the region's clipped bounds, with
-    the longitudes wrapped into (-180°, 180°]."""
+    """The axes are the reference's, canonicalized: every value a float, the
+    longitudes wrapped into (-180°, 180°]."""
 
     def test_axes_are_linspace_of_the_clipped_bounds(self):
         rng = random.Random(20261018)
-        cap = math.pi / 2 - POLE_CLIP
         for _ in range(200):
             lat_lo, lat_hi = sorted(rng.sample(range(-90, 91), 2))
             lon_lo = rng.uniform(-180.0, 180.0)
-            lon_hi = lon_lo + rng.uniform(0.5, 360.0)
+            lon_hi = lon_lo + rng.choice([360.0, rng.uniform(0.5, 360.0)])
             region = GeoRegion.from_degrees(lat_lo, lat_hi, lon_lo, lon_hi)
             per_degree = rng.choice([0.5, 1.0, 2.0, 4.0])
-            g = build_graticule(region, math.radians(10), math.radians(15), per_degree)
-
-            def axis(lo, hi):
-                return linspace(lo, hi, max(2, round(math.degrees(hi - lo) * per_degree) + 1))
-
-            lat_axis = axis(max(region.lat_lo, -cap), min(region.lat_hi, cap))
-            lon_axis = [wrap_longitude(v) for v in axis(region.lon_lo, region.lon_hi)]
-            assert list(map(float.hex, g.lat_samples)) == list(map(float.hex, lat_axis))
-            assert list(map(float.hex, g.lon_samples)) == list(map(float.hex, lon_axis))
+            # divisors of 360°, spacings that do not divide it, and spacings
+            # wider than the region
+            dphi, dlam = (math.radians(rng.choice([
+                rng.choice([5, 10, 15, 30, 45, 90]), rng.uniform(3.0, 40.0),
+                rng.uniform(40.0, 400.0),
+            ])) for _ in range(2))
+            g = build_graticule(region, dphi, dlam, per_degree)
+            lats, lons, lat_samples, lon_samples = _reference_axes(
+                region, dphi, dlam, per_degree)
+            want = (lats, [wrap_longitude(v) for v in lons],
+                    lat_samples, [wrap_longitude(v) for v in lon_samples])
+            got = (g.lats, g.lons, g.lat_samples, g.lon_samples)
+            for axis, ref in zip(got, want):
+                assert list(map(float.hex, axis)) == list(map(float.hex, ref))
 
     # SHA-256 of the float.hex of every axis; (region, spacing in degrees,
     # samples per degree) as in the Delisle scene and the 5° world scenes

@@ -37,7 +37,7 @@ from mapproj import (
 from mapproj.atlas import MapScene, build_graticule, render_svg
 from mapproj.cli import main
 from mapproj.distortion import local_jacobian, tissot
-from mapproj.errors import DomainError, ParameterError
+from mapproj.errors import DomainError, MapError, ParameterError
 from mapproj.geo import NORTH_POLE, SOUTH_POLE, wrap_longitude
 from mapproj.geodesics import project_polyline
 from mapproj import projections
@@ -701,7 +701,60 @@ class TestObliqueAzimuthalClosedForms:
         assert str(exc.value) == message
 
 
+def _no_cone_message(deg_a: str, deg_b: str) -> str:
+    return (f"standard parallels {deg_a}° and {deg_b}° from the equator give no cone "
+            "constant in floats")
+
+
+# a spec value in degrees: any float, one in the range of the keys, or one
+# within 1e-8 rad of the equator (subnormals and zeros included)
+_SPEC_DEGREES = st.one_of(
+    st.floats(), st.floats(-100.0, 100.0), st.floats(-5.8e-7, 5.8e-7),
+)
+
+
+@st.composite
+def _specs(draw) -> str:
+    """A spec over one family's keys: every required key and some optional
+    ones, with the second parallel often one ulp beyond the first."""
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    values = {}
+    for f in dataclasses.fields(FAMILIES[name]):
+        key = projections._SPEC_KEYS.get(f.name, f.name)
+        if f.default is not dataclasses.MISSING and draw(st.booleans()):
+            continue
+        if key == "center":
+            values[key] = f"{draw(_SPEC_DEGREES)!r},{draw(_SPEC_DEGREES)!r}"
+        else:
+            values[key] = repr(draw(_SPEC_DEGREES))
+    if "lat1" in values and draw(st.booleans()):
+        lat1 = float(values["lat1"])
+        values["lat2"] = repr(math.nextafter(lat1, math.copysign(math.inf, lat1)))
+    return " ".join([name, *(f"{key}={value}" for key, value in values.items())])
+
+
+_DEGREE_POINTS = st.tuples(st.floats(-90.0, 90.0), st.floats(-360.0, 360.0))
+
+
 class TestParseProjection:
+    @given(_specs(), _DEGREE_POINTS, st.tuples(st.floats(), st.floats()))
+    @settings(max_examples=300, deadline=None)
+    def test_every_spec_raises_only_map_errors(self, spec, degrees, xy):
+        # a spec is refused when parsed, or its projection refuses what it
+        # cannot map with a MapError; conics whose cone constant rounded to 0
+        # once parsed and then raised ZeroDivisionError in forward
+        try:
+            proj = parse_projection(spec)
+        except MapError:
+            return
+        coord = GeoCoord.from_degrees(*degrees)
+        for call in (lambda: proj.forward(coord), lambda: proj.inverse(PlanePoint(*xy)),
+                     lambda: tissot(proj, coord)):
+            try:
+                call()
+            except MapError:
+                pass
+
     def test_mercator_spec(self):
         proj = parse_projection("mercator lon0=10 cutoff=80")
         assert isinstance(proj, Mercator)
@@ -751,12 +804,45 @@ class TestParseProjection:
         ("equidistant_conic lat1=45 lat2=60 cutoff=90.001", ParameterError,
          "cutoff outside the conic's valid domain"),
         ("mercator cutoff=-0.0000001", ParameterError, "cutoff 0.0000° must lie in (0°, 90°)"),
+        # center=LAT,LON takes exactly two numbers
+        ("stereographic center=40", ParameterError, "could not parse value in 'center=40'"),
+        ("stereographic center=40,", ParameterError, "could not parse value in 'center=40,'"),
+        ("gnomonic center=,40", ParameterError, "could not parse value in 'center=,40'"),
+        ("orthographic center=40,10,5", ParameterError,
+         "could not parse value in 'center=40,10,5'"),
+        # cone constants that do not exist in floats: tan(pi/4 + phi/2) of
+        # the two parallels rounds equal, cos(pa) / cos(pb) rounds to 1 near
+        # the equator, or the equidistant product underflows
+        ("lambert_conformal_conic lat1=45 lat2=45.00000000000001", ParameterError,
+         _no_cone_message("45.0", "45.00000000000001")),
+        ("lambert_conformal_conic lat1=1e-9 lat2=2e-9", ParameterError,
+         _no_cone_message("1e-09", "2e-09")),
+        ("lambert_conformal_conic lat1=-1e-9 lat2=-2e-9", ParameterError,
+         _no_cone_message("1e-09", "2e-09")),
+        ("lambert_conformal_conic lat1=1e-298 lat2=2e-298", ParameterError,
+         _no_cone_message("1e-298", "2e-298")),
+        ("equidistant_conic lat1=1e-298 lat2=2e-298", ParameterError,
+         _no_cone_message("1e-298", "2e-298")),
+        ("equidistant_conic lat1=-1e-298 lat2=-2e-298 cutoff=-80", ParameterError,
+         _no_cone_message("1e-298", "2e-298")),
     ])
     def test_rejection_messages(self, spec, error, message):
         with pytest.raises(error) as info:
             parse_projection(spec)
         assert type(info.value) is error
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("spec", [
+        "lambert_conformal_conic lat1=45 lat2=45.00000000000001",
+        "lambert_conformal_conic lat1=-1e-9 lat2=-2e-9",
+        "equidistant_conic lat1=1e-298 lat2=2e-298",
+        "stereographic center=40",
+    ])
+    def test_cli_refuses_the_spec(self, spec, capsys):
+        assert main(["project", "--proj", spec, "--lat", "30", "--lon", "10"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     @pytest.mark.parametrize("spec, key", [
         ("equidistant_conic lat1=45 lat2=60 lat1=50", "lat1"),
